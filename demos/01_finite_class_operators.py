@@ -16,7 +16,6 @@ from classops import (
     character_table,
     class_operator_from_classfunction,
     conjugacy_classes,
-    regular_representation,
     spectral_class_operator,
     transfer,
     weighted_class_operator,
@@ -27,7 +26,6 @@ np.set_printoptions(precision=4, suppress=True, linewidth=120)
 group = build_group("S3")
 classes = conjugacy_classes(group)
 table = character_table(group)
-lam = regular_representation(group)
 
 print(f"group {group.name}, order {group.order}")
 print("elements:", ", ".join(group.labels))
@@ -38,8 +36,9 @@ for cls in classes:
 cls = classes[1]  # transpositions
 print(f"\n-- class operator for the class of {group.labels[cls.base_element]} --")
 
-brute = weighted_class_operator(group, lam, cls.base_element, np.ones(group.order)).matrix
-via_class_fn = class_operator_from_classfunction(group, lam, cls, np.ones(cls.size)).matrix
+# representation None: the left regular representation on the group algebra
+brute = weighted_class_operator(group, None, cls.base_element, np.ones(group.order)).matrix
+via_class_fn = class_operator_from_classfunction(group, None, cls, np.ones(cls.size)).matrix
 spectral = spectral_class_operator(group, cls, table)
 
 print("brute-force conjugation average:\n", brute.real)
@@ -56,6 +55,6 @@ f = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
 smeared = transfer(group, cls, f)
 print("weight on G:", np.round(f, 3))
 print("its average over right Z0-cosets (a function on the class):", np.round(smeared, 3))
-direct = weighted_class_operator(group, lam, cls.base_element, f).matrix
-through = class_operator_from_classfunction(group, lam, cls, smeared).matrix
+direct = weighted_class_operator(group, None, cls.base_element, f).matrix
+through = class_operator_from_classfunction(group, None, cls, smeared).matrix
 print("max |T(f; g0) - T~(transfer f; g0)|:", np.max(np.abs(direct - through)))

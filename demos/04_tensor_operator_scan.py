@@ -17,7 +17,6 @@ from classops import (
     conjugacy_classes,
     frobenius_multiplicity_check,
     irreps,
-    regular_representation,
     tensor_operator_scan,
 )
 
@@ -37,8 +36,7 @@ for row in frobenius_multiplicity_check(group, cls, reps, table):
 
 adapted, m_alphas = adapt_irreps_to_class(reps, cls)
 print("\nscan in the regular representation:")
-lam = regular_representation(group)
-for fam in tensor_operator_scan(group, lam, cls.base_element, adapted, m_alphas):
+for fam in tensor_operator_scan(group, None, cls.base_element, adapted, m_alphas):
     status = "vanishes" if fam.vanishes else f"max norm {fam.max_norm:.4f}"
     print(f"  family (alpha={fam.alpha}, column={fam.column}): {status}")
 

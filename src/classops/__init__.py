@@ -32,7 +32,7 @@ from .representations import (
     irreps,
     isotypic_projector,
     matrix_element_functions,
-    regular_representation,
+    represent,
 )
 from .class_operators import (
     CheckReport,
@@ -42,6 +42,7 @@ from .class_operators import (
     class_operator_from_classfunction,
     class_sum_element,
     covariance_conjugate,
+    covariance_deviation,
     left_translate,
     right_translate,
     spectral_class_operator,

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import FiniteGroup, ConjugacyClass, _as_coeffs, conjugacy_classes
-from .representations import CharacterTable, character_table, isotypic_projector
+from .representations import CharacterTable, character_table, isotypic_projector, represent
 
 __all__ = [
     "WeightedClassOperator",
     "CheckReport",
     "weighted_class_operator",
+    "covariance_deviation",
     "covariance_conjugate",
     "centralizer_invariance_check",
     "transfer",
@@ -36,7 +37,6 @@ __all__ = [
 class WeightedClassOperator:
     """T(f; g0) in a concrete representation, with its defining data."""
 
-    rep_id: str
     g0: int
     weight: np.ndarray
     matrix: np.ndarray
@@ -68,30 +68,45 @@ def right_translate(group: FiniteGroup, h: int, f) -> np.ndarray:
 
 def weighted_class_operator(
     group: FiniteGroup,
-    representation: np.ndarray,
+    representation: np.ndarray | None,
     g0: int,
     f,
-    rep_id: str = "",
 ) -> WeightedClassOperator:
-    """(1/|G|) sum_x f(x) T(x) T(g0) T(x^-1), computed from the triple product.
+    """T(f; g0) = (1/|G|) sum_x f(x) T(x) T(g0) T(x^-1), computed on the class C0.
 
-    ``representation`` is a per-element stack of matrices, shape (|G|, d, d).
-    The triple product is evaluated literally (not collapsed to T(x g0 x^-1))
-    so the result is meaningful even for slightly non-homomorphic input.
+    T(x) T(g0) T(x^-1) = T(x g0 x^-1), so f is pushed forward along
+    x -> x g0 x^-1 to the element transfer(f)/|C0| supported on C0 ~ G/Z0,
+    which is represented once (``represent``; ``None`` is the left regular one).
     """
     f = _as_coeffs(group, f)
-    t = np.asarray(representation)
-    if t.shape[0] != group.order or t.shape[1] != t.shape[2]:
-        raise ValueError("representation stack has wrong shape")
-    left = t @ t[g0]
-    prods = np.einsum("xij,xjk->xik", left, t[group.inverse_table])
-    matrix = np.tensordot(f, prods, axes=1) / group.order
-    return WeightedClassOperator(rep_id=rep_id, g0=g0, weight=f, matrix=matrix)
+    n = group.order
+    image = group.mult_table[group.mult_table[:, g0], group.inverse_table]  # x g0 x^-1
+    pushed = (np.bincount(image, f.real, n) + 1j * np.bincount(image, f.imag, n)) / n
+    return WeightedClassOperator(g0=g0, weight=f, matrix=represent(group, representation, pushed))
+
+
+def covariance_deviation(
+    group: FiniteGroup,
+    representation: np.ndarray | None,
+    op: WeightedClassOperator,
+    g: int,
+) -> tuple[WeightedClassOperator, float]:
+    """T(g) T(f; g0) T(g)^-1 and its largest deviation from T(lambda(g) f; g0)."""
+    if representation is None:
+        p = group.mult_table[group.inverse_table[g]]  # lambda(g) A lambda(g)^-1 = A[g^-1 x, g^-1 y]
+        conjugated = op.matrix[np.ix_(p, p)]
+    else:
+        t = np.asarray(representation)
+        conjugated = t[g] @ op.matrix @ t[group.inverse_table[g]]
+    shifted = left_translate(group, g, op.weight)
+    direct = weighted_class_operator(group, representation, op.g0, shifted)
+    dev = float(np.max(np.abs(conjugated - direct.matrix)))
+    return WeightedClassOperator(g0=op.g0, weight=shifted, matrix=conjugated), dev
 
 
 def covariance_conjugate(
     group: FiniteGroup,
-    representation: np.ndarray,
+    representation: np.ndarray | None,
     op: WeightedClassOperator,
     g: int,
     tol: float = 1e-10,
@@ -101,22 +116,18 @@ def covariance_conjugate(
     A tolerance violation means the representation is not a homomorphism or a
     normalization got double-applied somewhere.
     """
-    t = np.asarray(representation)
-    conjugated = t[g] @ op.matrix @ t[group.inverse_table[g]]
-    shifted = left_translate(group, g, op.weight)
-    direct = weighted_class_operator(group, t, op.g0, shifted, rep_id=op.rep_id)
-    dev = float(np.max(np.abs(conjugated - direct.matrix)))
-    if dev > tol * max(1.0, t.shape[1]):
+    moved, dev = covariance_deviation(group, representation, op, g)
+    if dev > tol * max(1.0, op.matrix.shape[0]):
         raise ArithmeticError(
             f"covariance identity violated (deviation {dev:.3e}); "
             "representation or normalization bug"
         )
-    return WeightedClassOperator(rep_id=op.rep_id, g0=op.g0, weight=shifted, matrix=conjugated)
+    return moved
 
 
 def centralizer_invariance_check(
     group: FiniteGroup,
-    representation: np.ndarray,
+    representation: np.ndarray | None,
     g0: int,
     f,
     tol: float = 1e-12,
@@ -173,10 +184,9 @@ def class_left_translate(group: FiniteGroup, cls: ConjugacyClass, g: int, phi) -
 
 def class_operator_from_classfunction(
     group: FiniteGroup,
-    representation: np.ndarray,
+    representation: np.ndarray | None,
     cls: ConjugacyClass,
     phi,
-    rep_id: str = "",
 ) -> WeightedClassOperator:
     """Ttilde(phi; g0) = (1/|C0|) sum over the class of phi(x.) T(x g0 x^-1).
 
@@ -186,11 +196,10 @@ def class_operator_from_classfunction(
     phi = np.asarray(phi, dtype=complex)
     if phi.shape != (cls.size,):
         raise ValueError(f"class function must have length {cls.size}")
-    t = np.asarray(representation)
-    matrix = np.tensordot(phi, t[list(cls.members)], axes=1) / cls.size
     weight = np.zeros(group.order, dtype=complex)
     weight[list(cls.members)] = phi  # descent witness; informational only
-    return WeightedClassOperator(rep_id=rep_id, g0=cls.base_element, weight=weight, matrix=matrix)
+    matrix = represent(group, representation, weight) / cls.size
+    return WeightedClassOperator(g0=cls.base_element, weight=weight, matrix=matrix)
 
 
 def class_sum_element(group: FiniteGroup, cls: ConjugacyClass) -> np.ndarray:
@@ -208,7 +217,7 @@ def spectral_class_operator(
     """Spectral form of the class operator on the group algebra.
 
     sum_alpha chi^alpha(C0)/n^alpha P^alpha with the isotypic projectors of
-    the regular representation; equals the brute-force class operator.
+    the regular representation; equals weighted_class_operator with weight 1.
     """
     if table is None:
         table = character_table(group)

@@ -200,10 +200,13 @@ def run_wigner_eckart(cfg: RunConfig) -> int:
         group = _resolve_group(cfg.group_spec)
         group.validate()
         classes = _select_classes(group, cfg.class_selector)
+        table = character_table(group, seed=cfg.seed)
+        irreps_list = irreps(group, table, seed=cfg.seed)
         rows, reduced, skipped, max_off = [], [], [], 0.0
         for cls in classes:
             r, rr, sk, off = verify.wigner_eckart_report(
-                group, cls, seed=cfg.seed, tolerances=cfg.tolerances
+                group, cls, seed=cfg.seed, tolerances=cfg.tolerances,
+                table=table, irreps_list=irreps_list,
             )
             rows.extend(r)
             reduced.extend(rr)
@@ -263,9 +266,10 @@ def run_scan(cfg: RunConfig) -> int:
     group = _resolve_group(cfg.group_spec)
     group.validate()
     classes = _select_classes(group, cfg.class_selector)
+    irreps_list = irreps(group, character_table(group, seed=cfg.seed), seed=cfg.seed)
     all_rows, all_skipped = [], []
     for cls in classes:
-        families, skipped = verify.scan_rows(group, cls, seed=cfg.seed, tolerances=cfg.tolerances)
+        families, skipped = verify.scan_rows(group, cls, irreps_list, tolerances=cfg.tolerances)
         label = group.labels[cls.base_element]
         all_rows.extend((label, f) for f in families)
         all_skipped.extend({"class": label, **s} for s in skipped)

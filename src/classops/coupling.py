@@ -34,7 +34,6 @@ from .representations import (
     Irrep,
     _fix_column_phases,
     _orthonormal_range,
-    regular_representation,
 )
 from .class_operators import weighted_class_operator
 from .su2 import WignerD, fixed_column_index
@@ -565,7 +564,6 @@ def wigner_eckart_bruteforce(
     k: int,
     l: int,
     g0: int,
-    regular: np.ndarray | None = None,
 ) -> dict[tuple[int, int], np.ndarray]:
     """All inner products n^sigma <op conj t^sigma_ij | conj t^gamma_uv> by brute force.
 
@@ -573,10 +571,8 @@ def wigner_eckart_bruteforce(
     conj(t^alpha_kl), computed entirely from group_core/class_ops machinery;
     returns arrays indexed [i, j, u, v] for every (sigma, gamma) pair.
     """
-    if regular is None:
-        regular = regular_representation(group)
     f = adapted[alpha].matrices[:, k, l].conj()
-    op = weighted_class_operator(group, regular, g0, f).matrix
+    op = weighted_class_operator(group, None, g0, f).matrix
     out = {}
     for si, srep in enumerate(adapted):
         applied = np.einsum("yx,xij->yij", op, srep.matrices.conj())
@@ -590,7 +586,7 @@ def wigner_eckart_bruteforce(
 
 def tensor_operator_scan(
     group: FiniteGroup,
-    representation: np.ndarray,
+    representation: np.ndarray | None,
     g0: int,
     adapted: list[Irrep],
     m_alphas: list[int],

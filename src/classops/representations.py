@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .groups import FiniteGroup, ConjugacyClass, conjugacy_classes
+from .groups import FiniteGroup, ConjugacyClass, conjugacy_classes, left_regular_matrix
 
 __all__ = [
     "Irrep",
@@ -26,7 +26,7 @@ __all__ = [
     "irreps",
     "isotypic_projector",
     "matrix_element_functions",
-    "regular_representation",
+    "represent",
     "unitarize",
     "schur_defect",
     "extend_from_generators",
@@ -348,9 +348,7 @@ def _regular_extraction(
     """
     n = group.order
     dim = int(table.dims[alpha])
-    chi_g = table.element_values(group, alpha)
-    idx = group.mult_table[:, group.inverse_table]       # idx[x, y] = x y^-1
-    proj = (dim / n) * chi_g.conj()[idx]
+    proj = isotypic_projector(group, table, alpha).matrix
     basis = _orthonormal_range(proj, dim * dim)          # |G| x dim^2
     # restriction of lambda(g): rows of the basis get permuted, lam(g) Q = Q[g^-1 x]
     inv_rows = group.mult_table[group.inverse_table, :]  # inv_rows[g, x] = g^-1 x
@@ -455,14 +453,18 @@ def irreps(group: FiniteGroup, table: CharacterTable | None = None, seed: int = 
 # ---------------------------------------------------------------------------
 
 
-def regular_representation(group: FiniteGroup) -> np.ndarray:
-    """Stack of left-translation permutation matrices, shape (|G|, |G|, |G|)."""
-    n = group.order
-    mats = np.zeros((n, n, n), dtype=complex)
-    cols = np.arange(n)
-    for g in range(n):
-        mats[g, group.mult_table[g, cols], cols] = 1.0
-    return mats
+def represent(group: FiniteGroup, representation: np.ndarray | None, a) -> np.ndarray:
+    """The operator sum_g a(g) U(g) of a group-algebra element a.
+
+    ``representation`` is a per-element stack of matrices, shape (|G|, d, d);
+    ``None`` selects the left regular representation, in closed form.
+    """
+    if representation is None:
+        return left_regular_matrix(group, a)
+    t = np.asarray(representation)
+    if t.shape[0] != group.order or t.shape[1] != t.shape[2]:
+        raise ValueError("representation stack has wrong shape")
+    return np.tensordot(a, t, axes=1)
 
 
 def isotypic_projector(
@@ -480,11 +482,7 @@ def isotypic_projector(
         raise KeyError(f"character row {alpha} missing")
     dim = int(table.dims[alpha])
     chi_g = table.element_values(group, alpha)
-    if representation is None:
-        idx = group.mult_table[:, group.inverse_table]
-        matrix = (dim / group.order) * chi_g.conj()[idx]
-    else:
-        matrix = (dim / group.order) * np.tensordot(chi_g.conj(), representation, axes=1)
+    matrix = (dim / group.order) * represent(group, representation, chi_g.conj())
     return IsotypicProjection(alpha=alpha, matrix=matrix)
 
 

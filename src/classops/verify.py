@@ -12,14 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import FiniteGroup, ConjugacyClass, conjugacy_classes
-from .representations import CharacterTable, Irrep, character_table, irreps, regular_representation
+from .representations import CharacterTable, Irrep, character_table, irreps
 from .class_operators import (
     CheckReport,
-    class_left_translate,
+    centralizer_invariance_check,
     class_operator_from_classfunction,
     class_sum_element,
-    left_translate,
-    right_translate,
+    covariance_deviation,
     spectral_class_operator,
     transfer,
     weighted_class_operator,
@@ -72,7 +71,7 @@ def finite_class_suite(
     """The five per-class identities on the group algebra.
 
     For each selected class: the spectral form of the class operator against
-    the brute-force conjugation average, the factorization through G/Z0 on
+    the conjugation average with weight 1, the factorization through G/Z0 on
     random weights, conjugation covariance, right-centralizer invariance, and
     the character expansion of the class sum.
     """
@@ -82,7 +81,6 @@ def finite_class_suite(
         table = character_table(group, seed=seed)
     if classes is None:
         classes = conjugacy_classes(group)
-    lam = regular_representation(group)
     rng = np.random.default_rng(seed)
     n = group.order
     reports: list[CheckReport] = []
@@ -102,29 +100,25 @@ def finite_class_suite(
     class_index = {c.base_element: i for i, c in enumerate(table.classes)}
     for cls in classes:
         g0 = cls.base_element
-        # spectral form == brute-force conjugation average
-        brute = weighted_class_operator(group, lam, g0, np.ones(n)).matrix
+        # spectral form == conjugation average with weight 1
+        average = weighted_class_operator(group, None, g0, np.ones(n)).matrix
         spectral = spectral_class_operator(group, cls, table)
-        record("spectral_form", cls, np.max(np.abs(brute - spectral)))
+        record("spectral_form", cls, np.max(np.abs(average - spectral)))
         # coset factorization + covariance + centralizer invariance
-        dev_fact = dev_cov = dev_cent = 0.0
+        dev_fact = dev_cov = 0.0
         for _ in range(n_random):
             f = _random_weight(rng, n)
-            op = weighted_class_operator(group, lam, g0, f)
-            through = class_operator_from_classfunction(group, lam, cls, transfer(group, cls, f))
+            op = weighted_class_operator(group, None, g0, f)
+            through = class_operator_from_classfunction(group, None, cls, transfer(group, cls, f))
             dev_fact = max(dev_fact, float(np.max(np.abs(op.matrix - through.matrix))))
-            g = int(rng.integers(n))
-            conjugated = lam[g] @ op.matrix @ lam[group.inverse_table[g]]
-            shifted = weighted_class_operator(group, lam, g0, left_translate(group, g, f))
-            dev_cov = max(dev_cov, float(np.max(np.abs(conjugated - shifted.matrix))))
-        f = _random_weight(rng, n)
-        base_op = weighted_class_operator(group, lam, g0, f).matrix
-        for h in cls.centralizer:
-            moved = weighted_class_operator(group, lam, g0, right_translate(group, h, f)).matrix
-            dev_cent = max(dev_cent, float(np.max(np.abs(moved - base_op))))
+            _, dev = covariance_deviation(group, None, op, int(rng.integers(n)))
+            dev_cov = max(dev_cov, dev)
+        centralizer = centralizer_invariance_check(
+            group, None, g0, _random_weight(rng, n), tol=tol["centralizer_invariance"]
+        )
         record("coset_factorization", cls, dev_fact)
         record("conjugation_covariance", cls, dev_cov)
-        record("centralizer_invariance", cls, dev_cent)
+        reports.append(centralizer)
         # class-sum expansion in irreducible characters
         ci = class_index[g0]
         expansion = np.zeros(n, dtype=complex)
@@ -200,7 +194,6 @@ def wigner_eckart_report(
     g0 = cls.base_element
     g0_label = group.labels[g0]
     adapted, m_alphas = adapt_irreps_to_class(irreps_list, cls)
-    lam = regular_representation(group)
     tables = {s: conjugation_decomposition(group, adapted, table, s) for s in range(len(adapted))}
     rows: list[WignerEckartRow] = []
     reduced_rows: list[ReducedElementRow] = []
@@ -217,7 +210,7 @@ def wigner_eckart_report(
             continue
         for k in range(adapted[alpha].dim):
             for l in range(m_alphas[alpha]):
-                brute = wigner_eckart_bruteforce(group, adapted, alpha, k, l, g0, regular=lam)
+                brute = wigner_eckart_bruteforce(group, adapted, alpha, k, l, g0)
                 for sigma in range(len(adapted)):
                     pred, rmes = wigner_eckart_matrix(
                         tables[sigma],
@@ -324,18 +317,15 @@ def su2_wigner_eckart_report(
 def scan_rows(
     group: FiniteGroup,
     cls: ConjugacyClass,
-    seed: int = 42,
+    irreps_list: list[Irrep],
     tolerances: dict | None = None,
 ):
     """Tensor-operator vanishing scan in the regular representation."""
     tol = dict(DEFAULT_TOLERANCES)
     tol.update(tolerances or {})
-    table = character_table(group, seed=seed)
-    irreps_list = irreps(group, table, seed=seed)
     adapted, m_alphas = adapt_irreps_to_class(irreps_list, cls)
-    lam = regular_representation(group)
     families = tensor_operator_scan(
-        group, lam, cls.base_element, adapted, m_alphas, tol=tol["scan_vanishing"]
+        group, None, cls.base_element, adapted, m_alphas, tol=tol["scan_vanishing"]
     )
     skipped = [
         {"alpha": ai, "reason": "no Z0-fixed columns; operator family necessarily zero"}

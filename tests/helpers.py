@@ -1,9 +1,11 @@
 """Independent oracles shared by the test modules.
 
 Everything here recomputes expected values through a different route than the
-library code under test: set-based orbit enumeration for classes, commutant
-diagonalization of the regular representation for characters, and a
-highest-weight/lowering recursion for Clebsch-Gordan coefficients.
+library code under test: set-based orbit enumeration for classes, the dense
+stack of left-translation matrices and the literal triple product for weighted
+class operators, commutant diagonalization of the regular representation for
+characters, and a highest-weight/lowering recursion for Clebsch-Gordan
+coefficients.
 """
 
 from __future__ import annotations
@@ -27,6 +29,25 @@ def oracle_classes(group: FiniteGroup) -> list[set[int]]:
         out.append(orbit)
         remaining -= orbit
     return out
+
+
+def regular_representation(group: FiniteGroup) -> np.ndarray:
+    """Dense stack of left-translation permutation matrices, shape (|G|, |G|, |G|)."""
+    n = group.order
+    mats = np.zeros((n, n, n), dtype=complex)
+    cols = np.arange(n)
+    for g in range(n):
+        mats[g, group.mult_table[g, cols], cols] = 1.0
+    return mats
+
+
+def literal_class_operator(group: FiniteGroup, representation, g0: int, f) -> np.ndarray:
+    """(1/|G|) sum_x f(x) T(x) T(g0) T(x^-1), written as an explicit element loop."""
+    dim = representation.shape[1]
+    acc = np.zeros((dim, dim), dtype=complex)
+    for x in range(group.order):
+        acc += f[x] * representation[x] @ representation[g0] @ representation[group.inv(x)]
+    return acc / group.order
 
 
 def oracle_character_table(group: FiniteGroup, seed: int = 5) -> tuple[np.ndarray, np.ndarray]:

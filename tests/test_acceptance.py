@@ -15,7 +15,6 @@ from classops.representations import (
     character_table,
     irreps,
     isotypic_projector,
-    regular_representation,
 )
 from classops.class_operators import (
     class_operator_from_classfunction,
@@ -43,7 +42,7 @@ from classops.su2 import (
     su2_haar_quadrature,
 )
 from classops import verify
-from helpers import CATALOG_LEQ_24
+from helpers import CATALOG_LEQ_24, regular_representation
 
 PSI_GRID = (np.pi / 6, np.pi / 3, np.pi / 2, 2 * np.pi / 3, np.pi, 3 * np.pi / 2)
 

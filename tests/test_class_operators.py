@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from classops.groups import build_group, conjugacy_classes, left_regular_matrix, regular_actions
-from classops.representations import character_table, irreps, regular_representation
+from classops.representations import character_table, irreps
 from classops.class_operators import (
     centralizer_invariance_check,
     class_left_translate,
@@ -17,32 +17,23 @@ from classops.class_operators import (
     transfer,
     weighted_class_operator,
 )
-from helpers import CATALOG_LEQ_24
-
-
-def brute_force_operator(group, representation, g0, f):
-    """The defining sum, written as an explicit element loop."""
-    dim = representation.shape[1]
-    acc = np.zeros((dim, dim), dtype=complex)
-    for x in range(group.order):
-        acc += f[x] * representation[x] @ representation[g0] @ representation[group.inv(x)]
-    return acc / group.order
+from helpers import CATALOG_LEQ_24, literal_class_operator, regular_representation
 
 
 def test_zero_weight():
     group = build_group("S3")
-    lam = regular_representation(group)
-    op = weighted_class_operator(group, lam, 1, np.zeros(6))
-    assert np.max(np.abs(op.matrix)) == 0
+    for lam in (regular_representation(group), None):
+        op = weighted_class_operator(group, lam, 1, np.zeros(6))
+        assert np.max(np.abs(op.matrix)) == 0
 
 
 def test_identity_base_point():
     group = build_group("Q8")
-    lam = regular_representation(group)
     rng = np.random.default_rng(0)
     f = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    op = weighted_class_operator(group, lam, 0, f)
-    assert np.max(np.abs(op.matrix - f.mean() * np.eye(8))) < 1e-13
+    for lam in (regular_representation(group), None):
+        op = weighted_class_operator(group, lam, 0, f)
+        assert np.max(np.abs(op.matrix - f.mean() * np.eye(8))) < 1e-13
 
 
 def test_matches_explicit_sum():
@@ -52,27 +43,27 @@ def test_matches_explicit_sum():
     f = rng.standard_normal(24) + 1j * rng.standard_normal(24)
     for rep in reps[2:4]:
         op = weighted_class_operator(group, rep.matrices, 1, f)
-        assert np.max(np.abs(op.matrix - brute_force_operator(group, rep.matrices, 1, f))) < 1e-12
+        assert np.max(np.abs(op.matrix - literal_class_operator(group, rep.matrices, 1, f))) < 1e-12
 
 
 def test_constant_weight_is_class_sum_operator():
     group = build_group("S3")
-    lam = regular_representation(group)
     cls = conjugacy_classes(group)[1]  # transpositions
-    op = weighted_class_operator(group, lam, cls.base_element, np.ones(6))
     l0 = left_regular_matrix(group, class_sum_element(group, cls))
-    assert np.max(np.abs(op.matrix - l0)) < 1e-12
+    for lam in (regular_representation(group), None):
+        op = weighted_class_operator(group, lam, cls.base_element, np.ones(6))
+        assert np.max(np.abs(op.matrix - l0)) < 1e-12
 
 
 def test_linearity_in_weight():
     group = build_group("D4")
-    lam = regular_representation(group)
     rng = np.random.default_rng(2)
     f, g = (rng.standard_normal(8) + 1j * rng.standard_normal(8) for _ in range(2))
-    a = weighted_class_operator(group, lam, 2, 2.0 * f + 1j * g).matrix
-    b = 2.0 * weighted_class_operator(group, lam, 2, f).matrix
-    c = 1j * weighted_class_operator(group, lam, 2, g).matrix
-    assert np.max(np.abs(a - b - c)) < 1e-13
+    for lam in (regular_representation(group), None):
+        a = weighted_class_operator(group, lam, 2, 2.0 * f + 1j * g).matrix
+        b = 2.0 * weighted_class_operator(group, lam, 2, f).matrix
+        c = 1j * weighted_class_operator(group, lam, 2, g).matrix
+        assert np.max(np.abs(a - b - c)) < 1e-13
 
 
 def test_dimension_mismatch():
@@ -84,19 +75,19 @@ def test_dimension_mismatch():
 @pytest.mark.parametrize("spec", ["S4", "Q8"])
 def test_conjugation_covariance(spec):
     group = build_group(spec)
-    lam = regular_representation(group)
-    rng = np.random.default_rng(3)
     n = group.order
-    for cls in conjugacy_classes(group):
-        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        op = weighted_class_operator(group, lam, cls.base_element, f)
-        for g in range(n):
-            moved = covariance_conjugate(group, lam, op, g, tol=1e-11)
-            direct = weighted_class_operator(group, lam, cls.base_element, left_translate(group, g, f))
-            assert np.max(np.abs(moved.matrix - direct.matrix)) < 1e-11
-        # identity conjugation leaves the operator unchanged
-        same = covariance_conjugate(group, lam, op, 0)
-        assert np.max(np.abs(same.matrix - op.matrix)) < 1e-14
+    for lam in (regular_representation(group), None):
+        rng = np.random.default_rng(3)
+        for cls in conjugacy_classes(group):
+            f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            op = weighted_class_operator(group, lam, cls.base_element, f)
+            for g in range(n):
+                moved = covariance_conjugate(group, lam, op, g, tol=1e-11)
+                direct = weighted_class_operator(group, lam, cls.base_element, left_translate(group, g, f))
+                assert np.max(np.abs(moved.matrix - direct.matrix)) < 1e-11
+            # identity conjugation leaves the operator unchanged
+            same = covariance_conjugate(group, lam, op, 0)
+            assert np.max(np.abs(same.matrix - op.matrix)) < 1e-14
 
 
 def test_covariance_detects_broken_representation():
@@ -132,13 +123,13 @@ def test_central_conjugation_fixes_operator():
 @pytest.mark.parametrize("spec", ["C6", "S3", "S4"])
 def test_centralizer_invariance(spec):
     group = build_group(spec)
-    lam = regular_representation(group)
     rng = np.random.default_rng(6)
     f = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
-    for cls in conjugacy_classes(group):
-        report = centralizer_invariance_check(group, lam, cls.base_element, f)
-        assert report.passed, report
-        assert report.max_deviation < 1e-12
+    for lam in (regular_representation(group), None):
+        for cls in conjugacy_classes(group):
+            report = centralizer_invariance_check(group, lam, cls.base_element, f)
+            assert report.passed, report
+            assert report.max_deviation < 1e-12
 
 
 def test_abelian_right_translation_trivial():
@@ -176,17 +167,17 @@ def test_transfer():
 @pytest.mark.parametrize("spec", CATALOG_LEQ_24)
 def test_coset_factorization(spec):
     group = build_group(spec)
-    lam = regular_representation(group)
-    rng = np.random.default_rng(8)
     n = group.order
-    for cls in conjugacy_classes(group):
-        for _ in range(10):
-            f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            direct = weighted_class_operator(group, lam, cls.base_element, f).matrix
-            through = class_operator_from_classfunction(
-                group, lam, cls, transfer(group, cls, f)
-            ).matrix
-            assert np.max(np.abs(direct - through)) < 1e-11
+    for lam in (regular_representation(group), None):
+        rng = np.random.default_rng(8)
+        for cls in conjugacy_classes(group):
+            for _ in range(10):
+                f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                direct = weighted_class_operator(group, lam, cls.base_element, f).matrix
+                through = class_operator_from_classfunction(
+                    group, lam, cls, transfer(group, cls, f)
+                ).matrix
+                assert np.max(np.abs(direct - through)) < 1e-11
 
 
 def test_classfunction_operator_singleton_class():
@@ -260,12 +251,12 @@ def test_s3_spectral_eigenvalues_frozen():
 def test_spectral_equals_bruteforce(spec):
     group = build_group(spec)
     table = character_table(group)
-    lam = regular_representation(group)
-    for cls in conjugacy_classes(group):
-        brute = weighted_class_operator(
-            group, lam, cls.base_element, np.ones(group.order)
-        ).matrix
-        assert np.max(np.abs(spectral_class_operator(group, cls, table) - brute)) < 1e-10
+    for lam in (regular_representation(group), None):
+        for cls in conjugacy_classes(group):
+            brute = weighted_class_operator(
+                group, lam, cls.base_element, np.ones(group.order)
+            ).matrix
+            assert np.max(np.abs(spectral_class_operator(group, cls, table) - brute)) < 1e-10
 
 
 def test_class_operator_is_central():

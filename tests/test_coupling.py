@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from classops.groups import build_group, conjugacy_classes
-from classops.representations import character_table, irreps, regular_representation
+from classops.representations import character_table, irreps
 from classops.class_operators import weighted_class_operator
 from classops.coupling import (
     adapt_irreps_to_class,
@@ -31,7 +31,7 @@ from classops.su2 import (
     su2_haar_quadrature,
     weighted_class_operator_su2,
 )
-from helpers import CATALOG_LEQ_24, oracle_cg_ladder
+from helpers import CATALOG_LEQ_24, oracle_cg_ladder, regular_representation
 
 RNG = np.random.default_rng(21)
 
@@ -258,13 +258,12 @@ def _full_wigner_eckart(spec, class_index, match_tol=1e-9, sparse_tol=1e-10):
     cls = conjugacy_classes(group)[class_index]
     g0 = cls.base_element
     adapted, m_alphas = adapt_irreps_to_class(reps, cls)
-    lam = regular_representation(group)
     tables = {s: conjugation_decomposition(group, adapted, table, s) for s in range(len(reps))}
     checked = 0
     for alpha in range(len(reps)):
         for k in range(reps[alpha].dim):
             for l in range(m_alphas[alpha]):
-                brute = wigner_eckart_bruteforce(group, adapted, alpha, k, l, g0, regular=lam)
+                brute = wigner_eckart_bruteforce(group, adapted, alpha, k, l, g0)
                 for sigma in range(len(reps)):
                     pred, _ = wigner_eckart_matrix(
                         tables[sigma], alpha, reps[alpha].dim, range(m_alphas[alpha]),
@@ -371,10 +370,10 @@ def test_scan_regular_representation_never_vanishes():
         group, table, reps = _tables_for(spec)
         cls = conjugacy_classes(group)[class_index]
         adapted, m_alphas = adapt_irreps_to_class(reps, cls)
-        lam = regular_representation(group)
-        rows = tensor_operator_scan(group, lam, cls.base_element, adapted, m_alphas)
-        assert rows and not any(r.vanishes for r in rows)
-        assert {r.alpha for r in rows} == {a for a, m in enumerate(m_alphas) if m > 0}
+        for lam in (regular_representation(group), None):
+            rows = tensor_operator_scan(group, lam, cls.base_element, adapted, m_alphas)
+            assert rows and not any(r.vanishes for r in rows)
+            assert {r.alpha for r in rows} == {a for a, m in enumerate(m_alphas) if m > 0}
 
 
 def test_scan_sign_representation_kills_standard_family():

@@ -1,0 +1,20 @@
+"""The narrative walkthroughs in demos/ run end to end against the current API."""
+
+import runpy
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert len(DEMOS) >= 4
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(path, capsys):
+    with np.printoptions():  # demos set print options globally; restore them afterwards
+        runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out

@@ -9,11 +9,10 @@ from classops.representations import (
     irreps,
     isotypic_projector,
     matrix_element_functions,
-    regular_representation,
     schur_defect,
     unitarize,
 )
-from helpers import CATALOG_LEQ_24, oracle_character_table
+from helpers import CATALOG_LEQ_24, oracle_character_table, regular_representation
 
 S3_TABLE = np.array([[1, 1, 1], [1, -1, 1], [2, 0, -1]], dtype=complex)
 
