@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -52,10 +53,14 @@ class RunConfig:
     n_random: int = 20
 
     def __post_init__(self):
-        if any(v <= 0 for v in self.tolerances.values()):
-            raise ValueError("tolerances must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in self.tolerances.values()):
+            raise ValueError("tolerances must be finite and positive")
         if self.n_theta < 2 or self.n_phi < 2:
             raise ValueError("quadrature node counts must be >= 2")
+        if self.n_random < 1:
+            raise ValueError("--n-random must be >= 1")
+        if self.max_spin_x2 < 1:
+            raise ValueError("--max-spin-x2 must be >= 1")
 
     def echo(self) -> dict:
         return {

@@ -24,7 +24,7 @@ Index conventions (kept rigidly throughout):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import factorial
+from math import comb, copysign, factorial, sqrt
 
 import numpy as np
 
@@ -235,55 +235,42 @@ def clebsch_gordan(j1_2: int, j2_2: int, j_2: int) -> np.ndarray:
     """Condon-Shortley <j1 m1 j2 m2 | J M> as an array (2j1+1, 2j2+1, 2J+1).
 
     Indices run over descending m (the Wigner-matrix weight order); doubled
-    integer spins.  The Racah factorial sum is exact in double precision for
-    the small spins used here.
+    integer spins.  Racah's sum is evaluated exactly in integers in its
+    binomial form, sum_k (-1)^k C(a, k) C(p, b-k) C(q, c-k), and each squared
+    coefficient is rounded once (a correctly rounded integer quotient) before
+    one float square root, so the result is accurate to a few ulp at any spin.
     """
-    if (j1_2 + j2_2 + j_2) % 2 or j_2 < abs(j1_2 - j2_2) or j_2 > j1_2 + j2_2:
-        return np.zeros((j1_2 + 1, j2_2 + 1, j_2 + 1))
-
-    def fct(n2: int) -> int:
-        if n2 % 2 or n2 < 0:
-            raise ValueError("factorial of a non-integer or negative half-integer")
-        return factorial(n2 // 2)
-
-    pref_tri = np.sqrt(
-        (j_2 + 1)
-        * fct(j_2 + j1_2 - j2_2)
-        * fct(j_2 - j1_2 + j2_2)
-        * fct(j1_2 + j2_2 - j_2)
-        / fct(j1_2 + j2_2 + j_2 + 2)
-    )
     out = np.zeros((j1_2 + 1, j2_2 + 1, j_2 + 1))
+    if (j1_2 + j2_2 + j_2) % 2 or j_2 < abs(j1_2 - j2_2) or j_2 > j1_2 + j2_2:
+        return out
+    a = (j1_2 + j2_2 - j_2) // 2        # j1 + j2 - J
+    p = (j_2 + j1_2 - j2_2) // 2        # J + j1 - j2
+    q = (j_2 - j1_2 + j2_2) // 2        # J - j1 + j2
+    top = (j1_2 + j2_2 + j_2) // 2 + 1  # j1 + j2 + J + 1
+    fac = [factorial(n) for n in range(top + 1)]
+    den = fac[top] * fac[a] * fac[p] * fac[q]
     for i1, m1_2 in enumerate(range(j1_2, -j1_2 - 2, -2)):
         for i2, m2_2 in enumerate(range(j2_2, -j2_2 - 2, -2)):
             m_2 = m1_2 + m2_2
             if abs(m_2) > j_2:
                 continue
-            im = (j_2 - m_2) // 2
-            pref = np.sqrt(
-                fct(j_2 + m_2)
-                * fct(j_2 - m_2)
-                * fct(j1_2 - m1_2)
-                * fct(j1_2 + m1_2)
-                * fct(j2_2 - m2_2)
-                * fct(j2_2 + m2_2)
+            b, c = (j1_2 - m1_2) // 2, (j2_2 + m2_2) // 2   # j1 - m1, j2 + m2
+            total = sum(
+                (-1) ** k * comb(a, k) * comb(p, b - k) * comb(q, c - k)
+                for k in range(max(0, b - p, c - q), min(a, b, c) + 1)
             )
-            k_min = max(0, (j2_2 - j_2 - m1_2) // 2, (j1_2 - j_2 + m2_2) // 2)
-            k_max = min(
-                (j1_2 + j2_2 - j_2) // 2, (j1_2 - m1_2) // 2, (j2_2 + m2_2) // 2
+            num = (
+                (j_2 + 1)
+                * fac[(j_2 + m_2) // 2]
+                * fac[(j_2 - m_2) // 2]
+                * fac[b]
+                * fac[(j1_2 + m1_2) // 2]
+                * fac[(j2_2 - m2_2) // 2]
+                * fac[c]
+                * total
+                * total
             )
-            acc = 0.0
-            for k in range(k_min, k_max + 1):
-                denom = (
-                    factorial(k)
-                    * fct(j1_2 + j2_2 - j_2 - 2 * k)
-                    * fct(j1_2 - m1_2 - 2 * k)
-                    * fct(j2_2 + m2_2 - 2 * k)
-                    * fct(j_2 - j2_2 + m1_2 + 2 * k)
-                    * fct(j_2 - j1_2 - m2_2 + 2 * k)
-                )
-                acc += (-1) ** k / denom
-            out[i1, i2, im] = pref_tri * pref * acc
+            out[i1, i2, (j_2 - m_2) // 2] = copysign(sqrt(num / den), total)
     return out
 
 
@@ -417,7 +404,7 @@ def _expansion_residual(
     for gamma in table.gammas:
         c = table.coeffs[gamma]
         rhs += np.einsum(
-            "simq,gqn,prmn->girsp", c.conj(), gamma_stacks[gamma], c
+            "simq,gqn,prmn->girsp", c.conj(), gamma_stacks[gamma], c, optimize=True
         )
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -439,12 +426,34 @@ def product_expansion_residual(
 
 def product_expansion_residual_su2(table: CouplingTable, elements) -> float:
     """Same identity for SU(2), evaluated at explicit group elements."""
-    d_sigma = WignerD(table.sigma)
-    t_sigma = np.array([d_sigma(g) for g in elements])
-    stacks = {
-        j_2: np.array([WignerD(j_2)(g) for g in elements]) for j_2 in table.gammas
-    }
+    angles = np.array([g.euler_angles() for g in elements], dtype=float).reshape(-1, 3).T
+    t_sigma = WignerD(table.sigma).euler(*angles)
+    stacks = {j_2: WignerD(j_2).euler(*angles) for j_2 in table.gammas}
     return _expansion_residual(t_sigma, stacks, table)
+
+
+# Entries of one chunk of the node-wise outer product in _weighted_triple_sum.
+_TRIPLE_CHUNK_ENTRIES = 1 << 17
+
+
+def _weighted_triple_sum(
+    weights: np.ndarray, t_alpha: np.ndarray, t_sigma: np.ndarray
+) -> np.ndarray:
+    """sum_g w_g conj(t_alpha)_kl conj(t_sigma)_ir t_sigma_sp, shape (k, l, i, r, s, p).
+
+    Accumulated as a.T @ b over chunks of nodes, with rows a[g] = w_g conj(t_alpha(g))
+    (x) conj(t_sigma(g)) and b[g] = t_sigma(g), so the (nodes, d_alpha^2 d_sigma^2)
+    outer product never exists at once.
+    """
+    n, d_alpha, d_sigma = len(weights), t_alpha.shape[1], t_sigma.shape[1]
+    left, right = t_alpha.reshape(n, -1), t_sigma.reshape(n, -1)
+    acc = np.zeros((left.shape[1] * right.shape[1], right.shape[1]), dtype=complex)
+    step = max(1, _TRIPLE_CHUNK_ENTRIES // acc.shape[0])
+    for lo in range(0, n, step):
+        block = slice(lo, lo + step)
+        a = (weights[block, None] * left[block].conj())[:, :, None] * right[block, None, :].conj()
+        acc += a.reshape(a.shape[0], -1).T @ right[block]
+    return acc.reshape((d_alpha, d_alpha) + (d_sigma,) * 4)
 
 
 def _triple_residual(
@@ -454,9 +463,7 @@ def _triple_residual(
     n_alpha: int,
     c_alpha: np.ndarray | None,
 ) -> float:
-    lhs = np.einsum(
-        "g,gkl,gir,gsp->klirsp", weights, t_alpha.conj(), t_sigma.conj(), t_sigma
-    )
+    lhs = _weighted_triple_sum(weights, t_alpha, t_sigma)
     if c_alpha is None:
         rhs = np.zeros_like(lhs)
     else:
@@ -491,11 +498,11 @@ def triple_product_residual_su2(
     table: CouplingTable, alpha2: int, angles: np.ndarray, weights: np.ndarray
 ) -> float:
     """SU(2) version of the triple-product identity via Haar quadrature nodes."""
-    d_alpha, d_sigma = WignerD(alpha2), WignerD(table.sigma)
-    t_alpha = np.array([d_alpha.euler(*a) for a in angles])
-    t_sigma = np.array([d_sigma.euler(*a) for a in angles])
+    phi, theta, psi = np.asarray(angles, dtype=float).T
+    t_alpha = WignerD(alpha2).euler(phi, theta, psi)
+    t_sigma = WignerD(table.sigma).euler(phi, theta, psi)
     return _triple_residual(
-        t_alpha, t_sigma, weights, alpha2 + 1, table.coeffs.get(alpha2)
+        t_alpha, t_sigma, np.asarray(weights), alpha2 + 1, table.coeffs.get(alpha2)
     )
 
 

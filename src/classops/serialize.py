@@ -20,7 +20,6 @@ __all__ = [
     "TABLES_SCHEMA",
     "REPORT_SCHEMA",
     "encode_complex",
-    "decode_complex",
     "encode_complex_array",
     "decode_complex_array",
     "load_group_file",
@@ -37,10 +36,6 @@ REPORT_SCHEMA = "classop-report/1"
 
 def encode_complex(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
-
-
-def decode_complex(pair) -> complex:
-    return complex(pair[0], pair[1])
 
 
 def encode_complex_array(arr: np.ndarray) -> list:

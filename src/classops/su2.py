@@ -14,22 +14,26 @@ Conventions (all fixed by the Euler parametrization used here):
   its invariant measure of total mass 1 is (1/4pi) sin(theta) dphi dtheta.
 
 Spin-j matrices are evaluated through the factorized Euler form
-D(g(phi,theta,psi)) = E(phi - pi/2) d(theta) E(psi + pi/2), where d is the
-standard little-d matrix (explicit factorial/Jacobi-polynomial sum) and
-E(t) = diag(e^{i m t}); the -pi/2 shifts account for the middle rotation
-being generated by sigma1 rather than sigma2.  The construction is validated
-by homomorphism/unitarity properties, not against external tables.
+D(g(phi,theta,psi)) = E(phi - pi/2) d(theta) E(psi + pi/2), where
+E(t) = diag(e^{i m t}) and d(theta) = exp(-i theta J_y) is the standard
+little-d matrix; the -pi/2 shifts account for the middle rotation being
+generated by sigma1 rather than sigma2.  little-d is computed in the J_y
+eigenbasis, d(theta) = V diag(e^{-i m theta}) V^H with V from ``eigh`` of the
+tridiagonal J_y and the exact eigenvalues m (Feng, Wang, Yang & Jin, Phys.
+Rev. E 92, 043307, 2015): no factorials and no cancelling sums, so it stays
+unitary to round-off at every spin up to MAX_J2.  Whole grids of Euler angles
+are evaluated at once, one little-d per distinct theta.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
 
 import numpy as np
 
 __all__ = [
+    "MAX_J2",
     "PAULI",
     "SU2Element",
     "WignerD",
@@ -42,6 +46,10 @@ __all__ = [
     "su2_haar_quadrature",
     "fixed_column_index",
 ]
+
+# Largest accepted doubled spin.  Up to here the J_y-eigenbasis little-d is
+# unitary to 1e-12 (tests/test_su2.py checks every j2 up to the cap).
+MAX_J2 = 120
 
 PAULI = np.array(
     [
@@ -70,10 +78,6 @@ class SU2Element:
     @classmethod
     def identity(cls) -> "SU2Element":
         return cls(1.0, 0.0, renormalize=False)
-
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "SU2Element":
-        return cls(m[0, 0], m[0, 1])
 
     @classmethod
     def from_euler(cls, phi: float, theta: float, psi: float) -> "SU2Element":
@@ -144,40 +148,26 @@ def _check_spin(j2: int) -> int:
     j2 = int(j2)
     if j2 < 0:
         raise ValueError("doubled spin j2 must be >= 0")
+    if j2 > MAX_J2:
+        raise ValueError(f"doubled spin j2={j2} exceeds MAX_J2={MAX_J2}")
     return j2
 
 
 @lru_cache(maxsize=None)
-def _little_d_terms(j2: int):
-    """Precomputed factorial data for the explicit little-d sum at spin j2/2."""
-    dim = j2 + 1
-    m2 = np.arange(j2, -j2 - 2, -2)
-    terms = []
-    for r, mp2 in enumerate(m2):
-        for c, mm2 in enumerate(m2):
-            jp_m = (j2 + mm2) // 2
-            jm_m = (j2 - mm2) // 2
-            jp_mp = (j2 + mp2) // 2
-            jm_mp = (j2 - mp2) // 2
-            pref = np.sqrt(
-                float(factorial(jp_m) * factorial(jm_m) * factorial(jp_mp) * factorial(jm_mp))
-            )
-            k_min = max(0, (mm2 - mp2) // 2)
-            k_max = min(jp_m, jm_mp)
-            entry = []
-            for k in range(k_min, k_max + 1):
-                sign = (-1) ** (k - (mm2 - mp2) // 2)
-                denom = (
-                    factorial(jp_m - k)
-                    * factorial(k)
-                    * factorial(jm_mp - k)
-                    * factorial(k - (mm2 - mp2) // 2)
-                )
-                cos_pow = j2 - 2 * k + (mm2 - mp2) // 2
-                sin_pow = 2 * k - (mm2 - mp2) // 2
-                entry.append((sign * pref / denom, cos_pow, sin_pow))
-            terms.append((r, c, entry))
-    return dim, terms
+def _jy_eigenbasis(j2: int) -> np.ndarray:
+    """Eigenvectors of J_y at spin j2/2, columns ordered by ascending eigenvalue.
+
+    J_y = (J+ - J-)/2i is Hermitian and tridiagonal in the weight basis; its
+    eigenvalues are exactly m = -j, ..., j, so only the eigenvectors are taken
+    from ``eigh``.  The returned array is read-only because it is shared.
+    """
+    m = np.arange(j2, -j2 - 2, -2) / 2.0
+    j = j2 / 2.0
+    raise_coeff = np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1))   # <m+1| J+ |m>
+    jy = np.diag(-0.5j * raise_coeff, 1) + np.diag(0.5j * raise_coeff, -1)
+    vectors = np.linalg.eigh(jy)[1]
+    vectors.flags.writeable = False
+    return vectors
 
 
 class WignerD:
@@ -193,23 +183,32 @@ class WignerD:
         return np.exp(0.5j * self.m2 * t)
 
     def little_d(self, theta) -> np.ndarray:
-        """Standard d^j(theta) = exp(-i theta J2); vectorized over theta."""
-        theta = np.asarray(theta, dtype=float)
-        c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-        dim, terms = _little_d_terms(self.j2)
-        out = np.zeros(theta.shape + (dim, dim))
-        for r, col, entry in terms:
-            acc = np.zeros(theta.shape)
-            for coeff, cp, sp in entry:
-                acc = acc + coeff * c**cp * s**sp
-            out[..., r, col] = acc
-        return out
+        """Standard d^j(theta) = exp(-i theta J2) = V diag(e^{-i m theta}) V^H.
 
-    def euler(self, phi: float, theta: float, psi: float) -> np.ndarray:
-        """D(g(phi) h(theta) g(psi)) via the shifted Euler factorization."""
-        left = self.weight_phases(phi - np.pi / 2)
-        right = self.weight_phases(psi + np.pi / 2)
-        return left[:, None] * self.little_d(theta) * right[None, :]
+        V is the J_y eigenbasis; the result is real, so the imaginary round-off
+        is dropped.  Vectorized over theta: shape theta.shape + (d, d).
+        """
+        theta = np.asarray(theta, dtype=float)
+        vectors = _jy_eigenbasis(self.j2)
+        phases = np.exp(-1j * np.multiply.outer(theta, self.m2[::-1] / 2.0))
+        return ((vectors * phases[..., None, :]) @ vectors.conj().T).real
+
+    def euler(self, phi, theta, psi) -> np.ndarray:
+        """D(g(phi) h(theta) g(psi)) via the shifted Euler factorization.
+
+        The angles may be arrays of one broadcast shape S; the result then has
+        shape S + (d, d).  little-d is evaluated once per distinct theta.
+        """
+        phi, theta, psi = np.broadcast_arrays(
+            *(np.asarray(angle, dtype=float) for angle in (phi, theta, psi))
+        )
+        nodes, where = np.unique(theta, return_inverse=True)
+        middle = self.little_d(nodes)[where.reshape(theta.shape)]
+        left = self.weight_phases(phi[..., None] - np.pi / 2)
+        right = self.weight_phases(psi[..., None] + np.pi / 2)
+        out = middle * right[..., None, :]
+        out *= left[..., :, None]
+        return out
 
     def __call__(self, g: SU2Element) -> np.ndarray:
         return self.euler(*g.euler_angles())
@@ -289,15 +288,23 @@ def class_operator_quadrature(j2: int, psi: float, quad: SphereQuadrature) -> np
     j2 = _check_spin(j2)
     psi = _check_psi(psi)
     rep = WignerD(j2)
-    d_stack = rep.little_d(quad.theta)                      # (n_theta, d, d)
-    middle = rep.weight_phases(psi)
-    core = np.einsum(
-        "t,tij,j,tkj->ik", quad.theta_weights, d_stack, middle, d_stack
-    )
-    shifted = quad.phi - np.pi / 2.0
-    m = rep.m2[:, None] / 2.0 - rep.m2[None, :] / 2.0       # integer differences
-    phase_mean = np.exp(1j * m[..., None] * shifted).mean(axis=-1)
+    d_stack = rep.little_d(quad.theta)                      # (T, d, d)
+    # core = sum_t w_t d_t E(psi) d_t^T, contracted over (t, j) as one matmul
+    left = (d_stack * quad.theta_weights[:, None, None]) * rep.weight_phases(psi)
+    core = np.tensordot(left, d_stack, axes=([0, 2], [0, 2]))
+    phase_mean = _phi_phases(quad.phi, rep.dim).mean(axis=1)[_difference_index(rep.dim)]
     return phase_mean * core
+
+
+def _phi_phases(phi: np.ndarray, dim: int) -> np.ndarray:
+    """e^{i k (phi - pi/2)} for every weight difference k = -(d-1), ..., d-1; shape (2d-1, P)."""
+    return np.exp(1j * np.multiply.outer(np.arange(1 - dim, dim), phi - np.pi / 2.0))
+
+
+def _difference_index(dim: int) -> np.ndarray:
+    """Row of _phi_phases holding m_i - m_l for entry (i, l): m_i - m_l = l - i."""
+    idx = np.arange(dim)
+    return idx[None, :] - idx[:, None] + dim - 1
 
 
 def weighted_class_operator_su2(
@@ -325,30 +332,21 @@ def weighted_class_operator_su2(
             raise ValueError(f"weight row index {i} out of range for l2={l2}")
     rep = WignerD(j2)
     d_stack = rep.little_d(quad.theta)                      # (T, d, d)
-    middle = np.diag(rep.weight_phases(psi))
-    conj_core = np.einsum("tij,jk,tlk->til", d_stack, middle, d_stack)  # d E(psi) d^T
-    phase_l = np.exp(
-        0.5j * np.multiply.outer(quad.phi - np.pi / 2.0, rep.m2)
-    )                                                       # (P, d): e^{im(phi-pi/2)}
+    conj_core = (d_stack * rep.weight_phases(psi)) @ d_stack.transpose(0, 2, 1)  # d E(psi) d^T
     # weight values at each node
     values = np.zeros((quad.n_phi, quad.n_theta), dtype=complex)
     for l2, i, coeff in terms:
         wrep = WignerD(l2)
         col = fixed_column_index(l2)
-        wd = wrep.little_d(quad.theta)                      # (T, dl, dl)
-        lphase = np.exp(0.5j * np.multiply.outer(quad.phi - np.pi / 2.0, wrep.m2))
+        wd = wrep.little_d(quad.theta)[:, i, col]           # (T,)
+        lphase = np.exp(0.5j * wrep.m2[i] * (quad.phi - np.pi / 2.0))
         right = wrep.weight_phases(np.pi / 2.0)[col]
         # D^{l}(g(phi)h(theta))_{i, col} = e^{i m_i (phi-pi/2)} d_{i,col}(theta) * right
-        values += coeff * np.conj(lphase[:, [i]] * wd[None, :, i, col] * right)
-    # assemble sum over nodes: E(phi-pi/2) core E(phi-pi/2)^H weighted
-    out = np.einsum(
-        "pt,t,pi,til,pl->il",
-        values,
-        quad.theta_weights,
-        phase_l,
-        conj_core,
-        np.conj(phase_l),
-    )
+        values += coeff * np.conj(np.multiply.outer(lphase, wd) * right)
+    # sum over nodes of w_t f(phi, theta) E(phi-pi/2) core_t E(phi-pi/2)^H: the
+    # phi sum only sees the weight difference m_i - m_l of entry (i, l)
+    phi_sums = _phi_phases(quad.phi, rep.dim) @ (values * quad.theta_weights)  # (2d-1, T)
+    out = np.einsum("til,ilt->il", conj_core, phi_sums[_difference_index(rep.dim)])
     return out / quad.n_phi
 
 
@@ -380,10 +378,6 @@ def su2_haar_quadrature(
     theta = np.arccos(x)
     phi = 2 * np.pi * np.arange(n_phi) / n_phi
     psi = -2 * np.pi + 4 * np.pi * np.arange(n_psi) / n_psi
-    angles = np.array(
-        [[p, t, q] for p in phi for t in theta for q in psi], dtype=float
-    )
-    weights = np.array(
-        [wt / 2.0 / n_phi / n_psi for _ in phi for wt in w for _ in psi], dtype=float
-    )
+    angles = np.stack(np.meshgrid(phi, theta, psi, indexing="ij"), axis=-1).reshape(-1, 3)
+    weights = np.tile(np.repeat(w / 2.0 / n_phi / n_psi, n_psi), n_phi)
     return angles, weights

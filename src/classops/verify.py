@@ -137,12 +137,12 @@ def su2_convergence_rows(
 ) -> list[tuple]:
     """Convergence table rows (j2, psi, n_theta, n_phi, max_abs_error, closed_form_value)."""
     rows = []
+    quads = {n: SphereQuadrature.build(n, phi_factor * n) for n in theta_orders}
     for j2 in j2_values:
         for psi in psi_values:
             target = closed_form_eigenvalue(j2, psi)
             for n_theta in theta_orders:
-                quad = SphereQuadrature.build(n_theta, phi_factor * n_theta)
-                op = class_operator_quadrature(j2, psi, quad)
+                op = class_operator_quadrature(j2, psi, quads[n_theta])
                 err = float(np.max(np.abs(op - target * np.eye(j2 + 1))))
                 rows.append((int(j2), float(psi), n_theta, phi_factor * n_theta, err, target))
     return rows
@@ -264,10 +264,19 @@ def su2_wigner_eckart_report(
     quad: SphereQuadrature | None = None,
     tolerances: dict | None = None,
 ):
-    """Blockwise SU(2) comparison: sphere quadrature vs coupling prediction."""
-    from .coupling import su2_coupling_table
-    from .su2 import WignerD, fixed_column_index, weighted_class_operator_su2
+    """Blockwise SU(2) comparison: sphere quadrature vs coupling prediction.
 
+    The weights run over every component of L(V^sigma), up to doubled spin
+    2 * max_spin_x2, which must not exceed MAX_J2.
+    """
+    from .coupling import su2_coupling_table
+    from .su2 import MAX_J2, WignerD, fixed_column_index, weighted_class_operator_su2
+
+    if 2 * max_spin_x2 > MAX_J2:
+        raise ValueError(
+            f"max_spin_x2={max_spin_x2} needs weights of doubled spin {2 * max_spin_x2}, "
+            f"above MAX_J2={MAX_J2}"
+        )
     tol = dict(DEFAULT_TOLERANCES)
     tol.update(tolerances or {})
     if quad is None:

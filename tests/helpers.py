@@ -4,11 +4,13 @@ Everything here recomputes expected values through a different route than the
 library code under test: set-based orbit enumeration for classes, the dense
 stack of left-translation matrices and the literal triple product for weighted
 class operators, commutant diagonalization of the regular representation for
-characters, and a highest-weight/lowering recursion for Clebsch-Gordan
-coefficients.
+characters, a highest-weight/lowering recursion for Clebsch-Gordan
+coefficients, and Wigner's factorial sum for the SU(2) little-d matrix.
 """
 
 from __future__ import annotations
+
+from math import factorial
 
 import numpy as np
 
@@ -173,4 +175,31 @@ def oracle_cg_ladder(j1_2: int, j2_2: int) -> dict[int, np.ndarray]:
         for im, m_2 in enumerate(range(j_2, -j_2 - 2, -2)):
             arr[:, :, im] = mult[m_2].real.reshape(d1, d2)
         out[j_2] = arr
+    return out
+
+
+def oracle_little_d(j2: int, theta) -> np.ndarray:
+    """d^j(theta) from the explicit factorial sum (Wigner's formula), entry by entry.
+
+    Accurate to round-off for small spins only: the alternating sum loses
+    unitarity from j2 ~ 40 on and overflows a float from j2 ~ 100 on.
+    """
+    theta = np.asarray(theta, dtype=float)
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    m2 = np.arange(j2, -j2 - 2, -2)
+    out = np.zeros(theta.shape + (j2 + 1, j2 + 1))
+    for r, mp2 in enumerate(m2):
+        for col, mm2 in enumerate(m2):
+            jp_m, jm_m = (j2 + mm2) // 2, (j2 - mm2) // 2
+            jp_mp, jm_mp = (j2 + mp2) // 2, (j2 - mp2) // 2
+            shift = (mm2 - mp2) // 2
+            pref = np.sqrt(
+                float(factorial(jp_m) * factorial(jm_m) * factorial(jp_mp) * factorial(jm_mp))
+            )
+            acc = np.zeros(theta.shape)
+            for k in range(max(0, shift), min(jp_m, jm_mp) + 1):
+                denom = factorial(jp_m - k) * factorial(k) * factorial(jm_mp - k) * factorial(k - shift)
+                power = c ** (j2 - 2 * k + shift) * s ** (2 * k - shift)
+                acc = acc + (-1) ** (k - shift) * pref / denom * power
+            out[..., r, col] = acc
     return out

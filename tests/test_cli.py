@@ -7,6 +7,7 @@ import pytest
 
 from classops.cli import main
 from classops.serialize import decode_complex_array
+from classops.su2 import MAX_J2
 
 
 def run(args, capsys):
@@ -126,6 +127,39 @@ def test_su2_verify_needs_both_flags(capsys):
     assert code == 2
 
 
+def test_su2_verify_large_spin_passes(capsys):
+    code, out, _ = run(["su2-verify", "--j2", "80", "--psi", "1"], capsys)
+    assert code == 0
+    assert json.loads(out)["convergence"][0]["max_abs_error"] < 1e-9
+
+
+def test_su2_verify_refuses_spin_above_cap(capsys):
+    code, _, err = run(["su2-verify", "--j2", str(MAX_J2 + 1), "--psi", "1"], capsys)
+    assert code == 2
+    assert "MAX_J2" in json.loads(err)["message"]
+
+
+def test_finite_verify_rejects_zero_random_weights(capsys):
+    code, out, err = run(["finite-verify", "--group", "S3", "--n-random", "0"], capsys)
+    assert code == 2 and out == ""
+    assert "n-random" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("max_spin_x2", ["0", "-1"])
+def test_wigner_eckart_su2_rejects_empty_spin_range(max_spin_x2, capsys):
+    code, out, err = run(["wigner-eckart", "--group", "su2", "--max-spin-x2", max_spin_x2], capsys)
+    assert code == 2 and out == ""
+    assert "max-spin-x2" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1e-9"])
+def test_rejects_tolerance_not_finite_and_positive(value, capsys):
+    args = ["finite-verify", "--group", "S3", "--tol", f"spectral_form={value}"]
+    code, out, err = run(args, capsys)
+    assert code == 2 and out == ""
+    assert "finite and positive" in json.loads(err)["message"]
+
+
 def test_wigner_eckart_finite(capsys):
     code, out, _ = run(
         ["wigner-eckart", "--group", "catalog:S3", "--class", "(1 2)"], capsys
@@ -148,6 +182,23 @@ def test_wigner_eckart_su2_mode(capsys):
     doc = json.loads(out)
     assert doc["passed"] is True
     assert {r["sigma"] for r in doc["comparisons"]} == {1, 2, 3, 4}
+
+
+def test_wigner_eckart_su2_beyond_small_spins(capsys):
+    # spins 4 and up of L(V^sigma) need Clebsch-Gordan coefficients whose
+    # factorials exceed int64; the components reach doubled spin 16 here
+    code, out, _ = run(["wigner-eckart", "--group", "su2", "--max-spin-x2", "8", "--psi", "1"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["passed"] is True
+    assert len(doc["comparisons"]) == sum((s + 1) ** 2 for s in range(1, 9))
+
+
+def test_wigner_eckart_su2_refuses_components_above_cap(capsys):
+    args = ["wigner-eckart", "--group", "su2", "--max-spin-x2", str(MAX_J2 // 2 + 1)]
+    code, out, err = run(args, capsys)
+    assert code == 2 and out == ""
+    assert "MAX_J2" in json.loads(err)["message"]
 
 
 def test_scan(capsys):

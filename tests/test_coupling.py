@@ -24,6 +24,7 @@ from classops.coupling import (
     z_fixed_basis,
 )
 from classops.su2 import (
+    MAX_J2,
     SphereQuadrature,
     WignerD,
     fixed_column_index,
@@ -124,6 +125,19 @@ def test_clebsch_gordan_unitarity_and_selection():
     assert np.max(np.abs(stacked @ stacked.T - np.eye(9))) < 1e-12
     assert np.max(np.abs(clebsch_gordan(1, 1, 1))) == 0  # parity-forbidden
     assert np.max(np.abs(clebsch_gordan(1, 1, 6))) == 0  # triangle-forbidden
+
+
+@pytest.mark.parametrize("j1_2,j2_2", [(MAX_J2, 1), (MAX_J2, 8), (40, 40)])
+def test_clebsch_gordan_orthogonality_up_to_max_spin(j1_2, j2_2):
+    # the coefficients of all J form an orthogonal (d1 d2) x (d1 d2) matrix;
+    # at these spins the factorials overflow a float by hundreds of orders
+    blocks = [
+        clebsch_gordan(j1_2, j2_2, j_2).reshape((j1_2 + 1) * (j2_2 + 1), -1)
+        for j_2 in range(abs(j1_2 - j2_2), j1_2 + j2_2 + 1, 2)
+    ]
+    u = np.concatenate(blocks, axis=1)
+    assert u.shape[0] == u.shape[1]
+    assert np.max(np.abs(u.T @ u - np.eye(u.shape[0]))) < 1e-12
 
 
 def test_spin_half_coupling_values():

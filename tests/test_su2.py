@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from classops.su2 import (
+    MAX_J2,
     PAULI,
     SU2Element,
     SphereQuadrature,
@@ -16,6 +17,7 @@ from classops.su2 import (
     su2_haar_quadrature,
     weighted_class_operator_su2,
 )
+from helpers import oracle_little_d
 
 RNG = np.random.default_rng(12)
 
@@ -79,6 +81,65 @@ def test_wigner_homomorphism_and_unitarity(j2):
         mu, mv = rep(u), rep(v)
         assert np.max(np.abs(mu @ mu.conj().T - np.eye(rep.dim))) < 1e-12
         assert np.max(np.abs(mu @ mv - rep(u * v))) < 1e-10
+
+
+def test_little_d_matches_factorial_oracle():
+    # the factorial sum is accurate to round-off at these spins; 1e-13 is
+    # about 450 ulp of 1.0, far below what a wrong sign or index would give
+    theta = np.linspace(0.0, np.pi, 13)
+    for j2 in range(0, 21):
+        got = WignerD(j2).little_d(theta)
+        assert np.max(np.abs(got - oracle_little_d(j2, theta))) < 1e-13, j2
+
+
+def test_little_d_unitary_up_to_max_spin():
+    theta = np.array([0.0, 0.37, 1.3, np.pi / 2, 2.6, np.pi, 5.1])
+    for j2 in range(0, MAX_J2 + 1):
+        d = WignerD(j2).little_d(theta)
+        defect = np.max(np.abs(d @ d.transpose(0, 2, 1) - np.eye(j2 + 1)))
+        assert defect <= 1e-12, (j2, defect)
+
+
+@pytest.mark.parametrize("j2", [41, 80, MAX_J2])
+def test_little_d_against_high_precision_sum(j2):
+    # Wigner's factorial sum in 60-digit arithmetic, on a sample of entries
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(j2)
+    theta = 1.9
+    got = WignerD(j2).little_d(theta)
+    entries = [(0, 0), (0, j2), (j2 // 2, j2 // 2)] + [tuple(rng.integers(0, j2 + 1, 2)) for _ in range(12)]
+    with mpmath.workdps(60):
+        c, s = mpmath.cos(mpmath.mpf(theta) / 2), mpmath.sin(mpmath.mpf(theta) / 2)
+        fac = mpmath.factorial
+        for r, col in entries:
+            jp_m, jm_m = j2 - int(col), int(col)          # j + m, j - m for m = j - col
+            jp_mp, jm_mp = j2 - int(r), int(r)
+            shift = int(r) - int(col)                     # m - m'
+            pref = mpmath.sqrt(fac(jp_m) * fac(jm_m) * fac(jp_mp) * fac(jm_mp))
+            exact = mpmath.fsum(
+                (-1) ** (k - shift) * pref / (fac(jp_m - k) * fac(k) * fac(jm_mp - k) * fac(k - shift))
+                * c ** (j2 - 2 * k + shift) * s ** (2 * k - shift)
+                for k in range(max(0, shift), min(jp_m, jm_mp) + 1)
+            )
+            assert abs(got[r, col] - float(exact)) < 1e-13, (r, col)
+
+
+def test_spins_above_the_cap_are_refused():
+    WignerD(MAX_J2)
+    with pytest.raises(ValueError, match="MAX_J2"):
+        WignerD(MAX_J2 + 1)
+    with pytest.raises(ValueError, match="MAX_J2"):
+        closed_form_eigenvalue(MAX_J2 + 1, 1.0)
+
+
+def test_euler_on_arrays_matches_pointwise_calls():
+    angles, _ = su2_haar_quadrature(3, 4, 5)
+    for j2 in [0, 1, 4, 7]:
+        rep = WignerD(j2)
+        stacked = rep.euler(*angles.T)
+        assert stacked.shape == (len(angles), j2 + 1, j2 + 1)
+        pointwise = np.array([rep.euler(*a) for a in angles])
+        assert np.max(np.abs(stacked - pointwise)) < 1e-15
 
 
 def test_wigner_spin_half_is_defining_representation():
