@@ -146,8 +146,10 @@ class FrobeniusRow:
 
 @dataclass
 class TensorOperatorFamily:
-    """Scan record for the operator family T^{(alpha, column)}_i in one representation."""
+    """Scan record for the operator family T^{(alpha, column)}_i in one representation;
+    ``cls`` labels the base element of the class."""
 
+    cls: str
     alpha: int
     column: int
     max_norm: float
@@ -615,7 +617,7 @@ def tensor_operator_scan(
                 worst = max(worst, float(np.max(np.abs(op))))
             rows.append(
                 TensorOperatorFamily(
-                    alpha=ai, column=col, max_norm=worst, vanishes=worst < tol
+                    cls=group.labels[g0], alpha=ai, column=col, max_norm=worst, vanishes=worst < tol
                 )
             )
     return rows

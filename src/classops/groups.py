@@ -384,9 +384,18 @@ def group_from_generators(
 
 def group_from_table(table, labels: list[str] | None = None, name: str = "G") -> FiniteGroup:
     """Build a group from an explicit table, validating all axioms."""
-    group = FiniteGroup(np.asarray(table, dtype=np.int64), labels=labels, name=name)
+    table = np.asarray(table)
+    if table.ndim != 2 or table.dtype.kind not in "iu":
+        raise GroupConstructionError("'table' must be a square array of integer element indices")
+    group = FiniteGroup(table, labels=labels, name=name)
     group.validate()
     return group
+
+
+def _string_list(value, what: str) -> list[str]:
+    if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+        raise GroupConstructionError(f"{what} must be a list of strings")
+    return list(value)
 
 
 _CATALOG_RE = re.compile(r"^([CDSQ])(\d+)$", re.IGNORECASE)
@@ -402,6 +411,8 @@ def build_group(spec, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     * mapping ``{"generators": ["(1 2)", "(1 2 3)"]}`` (cycle notation)
     * mapping ``{"table": [[...], ...]}`` (explicit multiplication table)
     * list of cycle-notation strings (same as the generators mapping)
+
+    A descriptor of any other shape raises ``GroupConstructionError``.
     """
     if isinstance(spec, str):
         match = _CATALOG_RE.match(spec.strip())
@@ -418,12 +429,15 @@ def build_group(spec, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
             raise GroupConstructionError("only Q8 is in the quaternion catalog")
         return quaternion_group(order_cap)
     if isinstance(spec, (list, tuple)):
-        return group_from_generators(list(spec), order_cap=order_cap)
+        return group_from_generators(_string_list(spec, "generators"), order_cap=order_cap)
     if isinstance(spec, dict):
         if "catalog" in spec:
             cat = spec["catalog"]
-            family = str(cat.get("family", "")).lower()
-            n = int(cat.get("n", 0) or 0)
+            if not isinstance(cat, dict) or not isinstance(cat.get("family", ""), str) \
+                    or not isinstance(cat.get("n", 0), int):
+                raise GroupConstructionError("'catalog' must be {\"family\": string, \"n\": integer}")
+            family = cat.get("family", "").lower()
+            n = cat.get("n", 0)
             builders = {
                 "cyclic": lambda: cyclic_group(n, order_cap),
                 "dihedral": lambda: dihedral_group(n, order_cap),
@@ -434,9 +448,14 @@ def build_group(spec, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
                 raise GroupConstructionError(f"unknown catalog family {family!r}")
             return builders[family]()
         if "generators" in spec:
-            return group_from_generators(list(spec["generators"]), order_cap=order_cap)
+            return group_from_generators(_string_list(spec["generators"], "'generators'"), order_cap=order_cap)
         if "table" in spec:
-            return group_from_table(spec["table"], labels=spec.get("labels"), name=spec.get("name", "G"))
+            labels, name = spec.get("labels"), spec.get("name", "G")
+            if not isinstance(name, str):
+                raise GroupConstructionError("'name' must be a string")
+            if labels is not None:
+                labels = _string_list(labels, "'labels'")
+            return group_from_table(spec["table"], labels=labels, name=name)
         raise GroupConstructionError("descriptor needs 'catalog', 'generators' or 'table'")
     raise GroupConstructionError(f"unsupported group spec of type {type(spec).__name__}")
 

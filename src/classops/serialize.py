@@ -3,11 +3,13 @@
 Complex numbers are stored as [re, im] pairs; floats in CSV are rendered in
 scientific notation with 17 significant digits so diffs of golden files are
 meaningful.  All writers are deterministic: no timestamps, sorted keys.
+Reports are rendered in either format from the same dataclass records.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +27,11 @@ __all__ = [
     "load_group_file",
     "tables_document",
     "coupling_table_from_document",
+    "json_text",
     "write_json",
     "format_float",
     "csv_lines",
+    "render_report",
 ]
 
 TABLES_SCHEMA = "classop-tables/1"
@@ -126,9 +130,13 @@ def format_float(x: float) -> str:
     return f"{float(x):.16e}"
 
 
+def json_text(document: dict) -> str:
+    """The one JSON encoding of every document this package writes."""
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
 def write_json(path, document: dict) -> None:
-    text = json.dumps(document, indent=2, sort_keys=True)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    Path(path).write_text(json_text(document), encoding="utf-8")
 
 
 def csv_lines(header: list[str], rows: list[list]) -> list[str]:
@@ -145,3 +153,37 @@ def csv_lines(header: list[str], rows: list[list]) -> list[str]:
     lines = [",".join(header)]
     lines.extend(",".join(cell(v) for v in row) for row in rows)
     return lines
+
+
+# report column name -> dataclass field name, where the two differ
+_COLUMN_RENAMES = {"cls": "class", "passed": "pass"}
+
+
+def render_report(fmt: str, sections, **members) -> str:
+    """A report as JSON or CSV text, built from lists of dataclass records.
+
+    ``sections`` holds ``(json key, CSV title, record type, records)``; the
+    columns are the record type's fields, in declaration order, renamed
+    through ``_COLUMN_RENAMES``.  ``members`` are the other top-level JSON
+    members (``config``, ``passed``, ...), which CSV output leaves out.  In
+    JSON a complex value becomes ``[re, im]``; in CSV every cell is rendered by
+    ``csv_lines``.
+    """
+    columns = [[(f.name, _COLUMN_RENAMES.get(f.name, f.name)) for f in fields(record_type)]
+               for _, _, record_type, _ in sections]
+    if fmt == "json":
+        document = {"schema": REPORT_SCHEMA, **members}
+        for (key, _, _, records), cols in zip(sections, columns):
+            document[key] = [
+                {name: _json_value(getattr(r, attr)) for attr, name in cols} for r in records
+            ]
+        return json_text(document)
+    lines: list[str] = []
+    for (_, title, _, records), cols in zip(sections, columns):
+        lines.append(f"# {title}")
+        lines.extend(csv_lines([name for _, name in cols], [[getattr(r, attr) for attr, _ in cols] for r in records]))
+    return "\n".join(lines) + "\n"
+
+
+def _json_value(v):
+    return encode_complex(v) if isinstance(v, complex) else v

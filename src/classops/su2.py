@@ -38,6 +38,7 @@ __all__ = [
     "SU2Element",
     "WignerD",
     "SphereQuadrature",
+    "sphere_rule_for_spin",
     "class_operator_quadrature",
     "closed_form_eigenvalue",
     "weighted_class_operator_su2",
@@ -261,6 +262,12 @@ class SphereQuadrature:
     @property
     def total_weight(self) -> float:
         return float(np.sum(self.theta_weights))
+
+
+def sphere_rule_for_spin(j2: int, floor: tuple[int, int]) -> tuple[int, int]:
+    """The smallest (n_theta, n_phi), no smaller than ``floor``, that integrates
+    every integrand of doubled spin up to j2 exactly: 2 n_theta > j2, n_phi > j2."""
+    return max(floor[0], j2 // 2 + 1), max(floor[1], j2 + 1)
 
 
 def _check_psi(psi: float) -> float:

@@ -35,6 +35,7 @@ from .su2 import SphereQuadrature, class_operator_quadrature, closed_form_eigenv
 __all__ = [
     "DEFAULT_TOLERANCES",
     "finite_class_suite",
+    "Su2ConvergenceRow",
     "su2_convergence_rows",
     "WignerEckartRow",
     "ReducedElementRow",
@@ -129,22 +130,34 @@ def finite_class_suite(
     return reports
 
 
+@dataclass
+class Su2ConvergenceRow:
+    j2: int
+    psi: float
+    n_theta: int
+    n_phi: int
+    max_abs_error: float
+    closed_form_value: float
+
+
 def su2_convergence_rows(
     j2_values=range(1, 13),
     psi_values=(np.pi / 6, np.pi / 3, np.pi / 2, 2 * np.pi / 3, np.pi, 3 * np.pi / 2),
-    theta_orders=(4, 8, 16, 32, 64),
-    phi_factor: int = 2,
-) -> list[tuple]:
-    """Convergence table rows (j2, psi, n_theta, n_phi, max_abs_error, closed_form_value)."""
+    rules=((4, 8), (8, 16), (16, 32), (32, 64), (64, 128)),
+) -> list[Su2ConvergenceRow]:
+    """Class-operator quadrature error against the closed form, for every
+    (j2, psi) and every sphere rule (n_theta, n_phi)."""
+    # the closed form validates spin and angle before any rule is built
+    targets = [
+        (int(j2), float(psi), closed_form_eigenvalue(j2, psi)) for j2 in j2_values for psi in psi_values
+    ]
+    quads = [SphereQuadrature.build(n_theta, n_phi) for n_theta, n_phi in rules]
     rows = []
-    quads = {n: SphereQuadrature.build(n, phi_factor * n) for n in theta_orders}
-    for j2 in j2_values:
-        for psi in psi_values:
-            target = closed_form_eigenvalue(j2, psi)
-            for n_theta in theta_orders:
-                op = class_operator_quadrature(j2, psi, quads[n_theta])
-                err = float(np.max(np.abs(op - target * np.eye(j2 + 1))))
-                rows.append((int(j2), float(psi), n_theta, phi_factor * n_theta, err, target))
+    for j2, psi, target in targets:
+        for quad in quads:
+            op = class_operator_quadrature(j2, psi, quad)
+            err = float(np.max(np.abs(op - target * np.eye(j2 + 1))))
+            rows.append(Su2ConvergenceRow(j2, psi, quad.n_theta, quad.n_phi, err, target))
     return rows
 
 
@@ -197,17 +210,8 @@ def wigner_eckart_report(
     tables = {s: conjugation_decomposition(group, adapted, table, s) for s in range(len(adapted))}
     rows: list[WignerEckartRow] = []
     reduced_rows: list[ReducedElementRow] = []
-    skipped = []
     max_off = 0.0
     for alpha in range(len(adapted)):
-        if m_alphas[alpha] == 0:
-            skipped.append(
-                {
-                    "alpha": alpha,
-                    "reason": "no Z0-fixed columns; operator family necessarily zero",
-                }
-            )
-            continue
         for k in range(adapted[alpha].dim):
             for l in range(m_alphas[alpha]):
                 brute = wigner_eckart_bruteforce(group, adapted, alpha, k, l, g0)
@@ -230,44 +234,22 @@ def wigner_eckart_report(
                     for gamma in range(len(adapted)):
                         if gamma != sigma:
                             max_off = max(max_off, float(np.max(np.abs(brute[(sigma, gamma)]))))
-                    rows.append(
-                        WignerEckartRow(
-                            group=group.name,
-                            sigma=sigma,
-                            alpha=alpha,
-                            k=k,
-                            l=l,
-                            g0=g0_label,
-                            max_dev=dev,
-                            passed=bool(dev <= tol["wigner_eckart_match"]),
-                        )
-                    )
-                    if k == 0:
-                        reduced_rows.extend(
-                            ReducedElementRow(
-                                group=group.name,
-                                sigma=sigma,
-                                alpha=alpha,
-                                l=l,
-                                m=r.m,
-                                g0=g0_label,
-                                value=r.value,
-                            )
-                            for r in rmes
-                        )
-    return rows, reduced_rows, skipped, max_off
+                    key = (group.name, sigma, alpha, k, l, g0_label)
+                    _add_comparison(rows, reduced_rows, key, dev, rmes, tol)
+    return rows, reduced_rows, _skipped(g0_label, m_alphas), max_off
 
 
 def su2_wigner_eckart_report(
-    max_spin_x2: int = 4,
-    psi: float = np.pi / 2,
-    quad: SphereQuadrature | None = None,
+    max_spin_x2: int,
+    psi: float,
+    rule: tuple[int, int],
     tolerances: dict | None = None,
 ):
     """Blockwise SU(2) comparison: sphere quadrature vs coupling prediction.
 
     The weights run over every component of L(V^sigma), up to doubled spin
-    2 * max_spin_x2, which must not exceed MAX_J2.
+    2 * max_spin_x2, which must not exceed MAX_J2; ``rule`` is the
+    (n_theta, n_phi) sphere rule, built only once the spin range is accepted.
     """
     from .coupling import su2_coupling_table
     from .su2 import MAX_J2, WignerD, fixed_column_index, weighted_class_operator_su2
@@ -279,8 +261,7 @@ def su2_wigner_eckart_report(
         )
     tol = dict(DEFAULT_TOLERANCES)
     tol.update(tolerances or {})
-    if quad is None:
-        quad = SphereQuadrature.build(24, 48)
+    quad = SphereQuadrature.build(*rule)
     rows: list[WignerEckartRow] = []
     reduced_rows: list[ReducedElementRow] = []
     g0_label = f"g(psi={psi:.6g})"
@@ -295,32 +276,25 @@ def su2_wigner_eckart_report(
                 )
                 quadr = weighted_class_operator_su2(sigma2, psi, [(alpha2, k, 1.0)], quad)
                 dev = float(np.max(np.abs(pred - quadr)))
-                rows.append(
-                    WignerEckartRow(
-                        group="SU2",
-                        sigma=sigma2,
-                        alpha=alpha2,
-                        k=k,
-                        l=col,
-                        g0=g0_label,
-                        max_dev=dev,
-                        passed=bool(dev <= tol["wigner_eckart_match"]),
-                    )
-                )
-                if k == 0:
-                    reduced_rows.extend(
-                        ReducedElementRow(
-                            group="SU2",
-                            sigma=sigma2,
-                            alpha=alpha2,
-                            l=col,
-                            m=r.m,
-                            g0=g0_label,
-                            value=r.value,
-                        )
-                        for r in rmes
-                    )
+                _add_comparison(rows, reduced_rows, ("SU2", sigma2, alpha2, k, col, g0_label), dev, rmes, tol)
     return rows, reduced_rows
+
+
+def _add_comparison(rows, reduced_rows, key, dev, rmes, tol) -> None:
+    """Record one Wigner-Eckart comparison, keyed by (group, sigma, alpha, k, l,
+    g0), and at k = 0 the reduced matrix elements it produced."""
+    group, sigma, alpha, k, l, g0 = key
+    rows.append(WignerEckartRow(group, sigma, alpha, k, l, g0, dev, bool(dev <= tol["wigner_eckart_match"])))
+    if k == 0:
+        reduced_rows.extend(ReducedElementRow(group, sigma, alpha, l, r.m, g0, r.value) for r in rmes)
+
+
+def _skipped(label: str, m_alphas: list[int]) -> list[dict]:
+    return [
+        {"class": label, "alpha": alpha, "reason": "no Z0-fixed columns; operator family necessarily zero"}
+        for alpha, m in enumerate(m_alphas)
+        if m == 0
+    ]
 
 
 def scan_rows(
@@ -336,9 +310,4 @@ def scan_rows(
     families = tensor_operator_scan(
         group, None, cls.base_element, adapted, m_alphas, tol=tol["scan_vanishing"]
     )
-    skipped = [
-        {"alpha": ai, "reason": "no Z0-fixed columns; operator family necessarily zero"}
-        for ai, m in enumerate(m_alphas)
-        if m == 0
-    ]
-    return families, skipped
+    return families, _skipped(group.labels[cls.base_element], m_alphas)

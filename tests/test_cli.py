@@ -1,12 +1,17 @@
 """CLI behaviour: subcommands, exit codes, determinism, report schemas."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from classops import cli
 from classops.cli import main
-from classops.serialize import decode_complex_array
+from classops.serialize import csv_lines, decode_complex_array, format_float
 from classops.su2 import MAX_J2
 
 
@@ -51,6 +56,48 @@ def test_finite_verify_bad_group_file(tmp_path, capsys):
     code, out, err = run(["finite-verify", "--group", f"file:{bad}"], capsys)
     assert code == 2
     assert json.loads(err)["error"] == "GroupConstructionError"
+
+
+WRONG_SHAPE_DOCUMENTS = [
+    [1, 2],
+    {"table": [[0]], "labels": 5},
+    {"table": 5},
+    {"catalog": 5},
+    {"generators": 5},
+]
+
+
+@pytest.mark.parametrize("document", WRONG_SHAPE_DOCUMENTS, ids=json.dumps)
+def test_wrong_shape_group_file_is_an_input_error(document, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(document))
+    code, out, err = run(["finite-verify", "--group", f"file:{bad}"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "GroupConstructionError"
+
+
+def test_wrong_shape_group_file_from_a_new_process(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1, 2]")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "classops.cli", "scan", "--group", f"file:{bad}"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "GroupConstructionError"
+
+
+def test_numerical_breakdown_is_an_input_error(capsys, monkeypatch):
+    def breakdown(*args, **kwargs):
+        raise ArithmeticError("degenerate numerical spectrum persisted")
+
+    monkeypatch.setattr(cli, "character_table", breakdown)
+    code, out, err = run(["scan", "--group", "S3"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "ArithmeticError", "message": "degenerate numerical spectrum persisted"}
 
 
 def test_finite_verify_missing_file(capsys):
@@ -131,6 +178,19 @@ def test_su2_verify_large_spin_passes(capsys):
     code, out, _ = run(["su2-verify", "--j2", "80", "--psi", "1"], capsys)
     assert code == 0
     assert json.loads(out)["convergence"][0]["max_abs_error"] < 1e-9
+
+
+def test_su2_verify_derives_the_rule_from_the_spin(capsys):
+    # 32 x 64 nodes alias at j2 = 64 (error 5e-3 at psi = 2.5)
+    code, out, _ = run(["su2-verify", "--j2", "64", "--psi", "2.5"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"]["quadrature"] == [33, 65]
+    assert doc["convergence"][0]["max_abs_error"] < 1e-9
+    # an explicit rule is honoured
+    code, out, _ = run(["su2-verify", "--j2", "64", "--psi", "2.5", "--quadrature", "32", "64"], capsys)
+    assert code == 1
+    assert json.loads(out)["config"]["quadrature"] == [32, 64]
 
 
 def test_su2_verify_refuses_spin_above_cap(capsys):
@@ -227,6 +287,62 @@ def test_export_tables(tmp_path, capsys):
 def test_export_tables_requires_output(capsys):
     code, _, err = run(["export-tables", "--group", "catalog:C2"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("option", [["--format", "csv"], ["--class", "zz"]])
+def test_export_tables_refuses_options_it_would_ignore(option, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["export-tables", "--group", "C2", "--output", str(tmp_path / "t.csv"), *option])
+    assert exc.value.code == 2
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_export_tables_checks_output_before_the_group(capsys):
+    code, _, err = run(["export-tables", "--group", "X9"], capsys)
+    assert code == 2
+    assert json.loads(err) == {"error": "UsageError", "message": "export-tables requires --output"}
+
+
+def _csv_sections(text: str) -> list[list[list[str]]]:
+    sections = []
+    for line in text.splitlines():
+        if line.startswith("# "):
+            sections.append([])
+        else:
+            sections[-1].append(line.split(","))
+    return sections
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return format_float(value)
+    if isinstance(value, list):  # a complex number as [re, im]
+        return csv_lines(["z"], [[complex(*value)]])[1]
+    return str(value)
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["finite-verify", "--group", "S3"], ["checks"]),
+    (["su2-verify", "--j2", "5", "--psi", "2.5"], ["convergence"]),
+    (["wigner-eckart", "--group", "S3", "--class", "(1 2)"], ["comparisons", "reduced_matrix_elements"]),
+    (["wigner-eckart", "--group", "su2", "--max-spin-x2", "2"], ["comparisons", "reduced_matrix_elements"]),
+    (["scan", "--group", "S4"], ["families"]),
+])
+def test_csv_and_json_carry_the_same_records(argv, keys, capsys):
+    code_json, out_json, _ = run([*argv, "--seed", "7"], capsys)
+    code_csv, out_csv, _ = run([*argv, "--seed", "7", "--format", "csv"], capsys)
+    assert code_json == code_csv == 0
+    doc = json.loads(out_json)
+    sections = _csv_sections(out_csv)
+    assert len(sections) == len(keys)
+    for key, (header, *rows) in zip(keys, sections):
+        records = doc[key]
+        assert records and len(rows) == len(records)
+        for row, record in zip(rows, records):
+            assert sorted(header) == sorted(record)
+            assert row == [_csv_cell(record[name]) for name in header]
 
 
 def test_output_dir_env(tmp_path, capsys, monkeypatch):

@@ -14,6 +14,7 @@ from classops.su2 import (
     closed_form_eigenvalue,
     fixed_column_index,
     haar_random,
+    sphere_rule_for_spin,
     su2_haar_quadrature,
     weighted_class_operator_su2,
 )
@@ -245,6 +246,20 @@ def test_quadrature_reference_values():
         class_operator_quadrature(1, 0.0, quad)
     with pytest.raises(ValueError):
         class_operator_quadrature(1, 2 * np.pi, quad)
+
+
+@pytest.mark.parametrize("j2", [20, 21])
+def test_sphere_rule_for_spin_is_tight(j2):
+    # the derived rule is exact; one node fewer in either direction aliases
+    def error(n_theta, n_phi):
+        op = class_operator_quadrature(j2, 2.5, SphereQuadrature.build(n_theta, n_phi))
+        return np.max(np.abs(op - closed_form_eigenvalue(j2, 2.5) * np.eye(j2 + 1)))
+
+    n_theta, n_phi = sphere_rule_for_spin(j2, (2, 2))
+    assert error(n_theta, n_phi) < 1e-13
+    assert error(n_theta - 1, n_phi) > 1e-3
+    assert error(n_theta, n_phi - 1) > 1e-3
+    assert sphere_rule_for_spin(j2, (32, 64)) == (32, 64)
 
 
 def test_quadrature_convergence_monotone():
