@@ -40,7 +40,8 @@ class RunConfig:
 
     ``quadrature`` left at None becomes the smallest sphere rule that is exact
     for the command's largest spin, but never below a floor: 24 x 48 for
-    ``wigner-eckart`` and 32 x 64 otherwise.
+    ``wigner-eckart`` and 32 x 64 otherwise; the default ``su2-verify`` table
+    lists the (n_theta, n_phi) pairs of ``verify.SU2_TABLE_RULES`` it runs.
     """
 
     command: str
@@ -50,7 +51,7 @@ class RunConfig:
     output: str | None = None
     fmt: str = "json"
     seed: int = 42
-    quadrature: list[int] | None = None
+    quadrature: list | None = None
     max_spin_x2: int = 4
     psi: float | None = None
     j2: int | None = None
@@ -59,14 +60,16 @@ class RunConfig:
     def __post_init__(self):
         if not all(math.isfinite(v) and v > 0 for v in self.tolerances.values()):
             raise ValueError("tolerances must be finite and positive")
+        if self.quadrature is not None and min(self.quadrature) < 2:
+            raise ValueError("quadrature node counts must be >= 2")
         if self.quadrature is None:
             if self.command == "wigner-eckart":
                 spin = 2 * self.max_spin_x2 if self.su2_mode else 0
                 self.quadrature = list(sphere_rule_for_spin(spin, (24, 48)))
+            elif self.command == "su2-verify" and self.j2 is None:
+                self.quadrature = [list(rule) for rule in verify.SU2_TABLE_RULES]
             else:
                 self.quadrature = list(sphere_rule_for_spin(self.j2 or 0, (32, 64)))
-        if min(self.quadrature) < 2:
-            raise ValueError("quadrature node counts must be >= 2")
         if self.n_random < 1:
             raise ValueError("--n-random must be >= 1")
         if self.max_spin_x2 < 1:
@@ -130,7 +133,9 @@ def run_su2_verify(cfg: RunConfig) -> int:
     if (cfg.psi is None) != (cfg.j2 is None):
         raise UsageError("--psi and --j2 must be given together")
     if cfg.psi is None:
-        rows = verify.su2_convergence_rows()
+        if cfg.quadrature != [list(rule) for rule in verify.SU2_TABLE_RULES]:
+            raise UsageError("--quadrature needs --j2 and --psi: the default table runs its own rules")
+        rows = verify.su2_convergence_rows(rules=cfg.quadrature)
     else:
         rows = verify.su2_convergence_rows([cfg.j2], [cfg.psi], [cfg.quadrature])
     finest = max(r.n_theta for r in rows)
@@ -222,21 +227,21 @@ _OPTIONS = {
     "--max-spin-x2": dict(type=int, help="SU(2) mode: largest doubled spin"),
 }
 
-# command -> (runner, help, options beyond --seed, --tol and --output)
+# command -> (runner, help, options beyond --seed and --output)
 _COMMANDS = {
     "finite-verify": (
         run_finite_verify, "per-class identity suite on the group algebra",
-        ["--group", "--class", "--format", "--n-random"],
+        ["--group", "--class", "--format", "--tol", "--n-random"],
     ),
     "su2-verify": (
         run_su2_verify, "SU(2) class-operator quadrature vs closed form",
-        ["--format", "--psi", "--j2", "--quadrature"],
+        ["--format", "--tol", "--psi", "--j2", "--quadrature"],
     ),
     "wigner-eckart": (
         run_wigner_eckart, "Wigner-Eckart predictions vs brute force / quadrature",
-        ["--group", "--class", "--format", "--max-spin-x2", "--psi", "--quadrature"],
+        ["--group", "--class", "--format", "--tol", "--max-spin-x2", "--psi", "--quadrature"],
     ),
-    "scan": (run_scan, "tensor-operator vanishing scan", ["--group", "--class", "--format"]),
+    "scan": (run_scan, "tensor-operator vanishing scan", ["--group", "--class", "--format", "--tol"]),
     "export-tables": (run_export_tables, "character/irrep/coupling tables as JSON", ["--group"]),
 }
 
@@ -249,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
-        for flag in options + ["--seed", "--tol", "--output"]:
+        for flag in options + ["--seed", "--output"]:
             p.add_argument(flag, **_OPTIONS[flag])
     return parser
 

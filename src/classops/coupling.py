@@ -162,12 +162,11 @@ class TensorOperatorFamily:
 
 
 def _conjugation_stack(matrices: np.ndarray) -> np.ndarray:
-    """Vectorized conjugation representation: Pi[g] = kron(T(g), conj(T(g)))."""
+    """Vectorized conjugation representation: Pi[g] = kron(T(g), conj(T(g))), bit for bit
+    (one broadcast of the multiply np.kron does)."""
     n, d = matrices.shape[0], matrices.shape[1]
-    out = np.empty((n, d * d, d * d), dtype=complex)
-    for g in range(n):
-        out[g] = np.kron(matrices[g], matrices[g].conj())
-    return out
+    out = matrices[:, :, None, :, None] * matrices.conj()[:, None, :, None, :]
+    return out.reshape(n, d * d, d * d)
 
 
 def conjugation_decomposition(
@@ -178,7 +177,8 @@ def conjugation_decomposition(
 ) -> CouplingTable:
     """Decompose L(V^sigma) and return the coupling coefficients.
 
-    The adapted basis of each gamma-isotypic block is built from the
+    Multiplicities come from the character table.  The adapted basis of each
+    gamma-isotypic block is built from the
     matrix-element averaging operators K_q = (n^gamma/|G|) sum_g
     conj(t^gamma_{q0}(g)) Pi(g): the range of K_0 carries one vector per
     multiplicity copy, and e_{m q} = K_q f_m then transforms with exactly the
@@ -188,11 +188,10 @@ def conjugation_decomposition(
     t_sigma = irreps_list[sigma].matrices
     d = irreps_list[sigma].dim
     pi = _conjugation_stack(t_sigma)
-    chi_sq = np.einsum("gii->g", t_sigma) * np.einsum("gii->g", t_sigma).conj()
+    chars = table.values[:, table.class_of]
+    mult_all = (chars.conj() @ (np.abs(chars[sigma]) ** 2)).real / n
     gammas, mults, coeffs, basis = [], {}, {}, {}
-    for gamma in range(len(irreps_list)):
-        chi_g = np.einsum("gii->g", irreps_list[gamma].matrices)
-        mult = np.sum(chi_sq * chi_g.conj()).real / n
+    for gamma, mult in enumerate(mult_all):
         m = int(round(mult))
         if abs(mult - m) > 1e-8:
             raise ArithmeticError(f"non-integer multiplicity {mult} for component {gamma}")

@@ -15,6 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -284,12 +285,15 @@ def _closure(
     index: dict[tuple[int, ...], int] = {identity: 0}
     elements: list[tuple[int, ...]] = [identity]
     words: list[tuple[int, int] | None] = [None]
+    right: list[int] = []   # index of elements[x] o gens[s] at x * len(gens) + s
     frontier = [identity]
     while frontier:
         discovered: dict[tuple[int, ...], tuple[int, int]] = {}
+        products = []
         for p in frontier:
             for slot, g in enumerate(gens):
                 q = _compose(p, g)
+                products.append(q)
                 if q not in index and q not in discovered:
                     discovered[q] = (index[p], slot)
         frontier = sorted(discovered)
@@ -297,28 +301,19 @@ def _closure(
             index[q] = len(elements)
             elements.append(q)
             words.append(discovered[q])
+        right.extend(index[q] for q in products)
         if len(elements) > order_cap:
             raise GroupConstructionError(
                 f"group too large: closure exceeded the order cap {order_cap}"
             )
     n = len(elements)
-    perm_array = np.array(elements, dtype=np.int64)
+    # elements[a] o elements[b] = (elements[a] o elements[parent]) o gens[slot]
+    right_table = np.array(right, dtype=np.int64).reshape(n, len(gens))
     table = np.empty((n, n), dtype=np.int64)
-    if n <= 512:
-        for a in range(n):
-            for b in range(n):
-                table[a, b] = index[_compose(elements[a], elements[b])]
-    else:
-        # vectorized composition with searchsorted lookup on byte views
-        sort_order = np.lexsort(perm_array.T[::-1])
-        sorted_perms = perm_array[sort_order]
-        for a in range(n):
-            composed = perm_array[a][perm_array]      # rows: elements[a] o elements[b]
-            pos = np.searchsorted(
-                sorted_perms.view([("", sorted_perms.dtype)] * degree).ravel(),
-                composed.view([("", composed.dtype)] * degree).ravel(),
-            )
-            table[a] = sort_order[pos]
+    table[:, 0] = np.arange(n)
+    for b in range(1, n):
+        parent, slot = words[b]
+        table[:, b] = right_table[table[:, parent], slot]
     gen_indices = tuple(index[g] for g in gens)
     labels = [cycle_notation(p) for p in elements]
     return FiniteGroup(
@@ -332,9 +327,16 @@ def _closure(
     )
 
 
+def _check_catalog_order(order: int, order_cap: int) -> None:
+    """Catalog orders are known in advance: refuse before building a permutation."""
+    if order > order_cap:
+        raise GroupConstructionError(f"group too large: order {order} exceeds the order cap {order_cap}")
+
+
 def cyclic_group(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     if n < 1:
         raise GroupConstructionError("cyclic group needs n >= 1")
+    _check_catalog_order(n, order_cap)
     gens = [] if n == 1 else [tuple((i + 1) % n for i in range(n))]
     return _closure(gens, f"C{n}", ("cyclic", n), order_cap)
 
@@ -342,6 +344,7 @@ def cyclic_group(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
 def dihedral_group(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     if n < 1:
         raise GroupConstructionError("dihedral group needs n >= 1")
+    _check_catalog_order(2 * n, order_cap)
     if n == 1:
         gens = [parse_cycles("(1 2)")]
     elif n == 2:
@@ -356,6 +359,7 @@ def dihedral_group(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
 def symmetric_group(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     if not 1 <= n <= 5:
         raise GroupConstructionError("symmetric catalog group supports 1 <= n <= 5")
+    _check_catalog_order(math.factorial(n), order_cap)
     gens = []
     if n >= 2:
         gens.append(parse_cycles("(1 2)", n))
@@ -365,6 +369,7 @@ def symmetric_group(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
 
 
 def quaternion_group(order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+    _check_catalog_order(8, order_cap)
     # left-regular action of Q8 on itself, points ordered 1,-1,i,-i,j,-j,k,-k
     gen_i = parse_cycles("(1 3 2 4)(5 7 6 8)")
     gen_j = parse_cycles("(1 5 2 6)(3 8 4 7)")

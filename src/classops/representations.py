@@ -50,21 +50,15 @@ class CharacterTable:
     classes: list[ConjugacyClass]
     values: np.ndarray      # (num_irreps, num_classes)
     dims: np.ndarray        # (num_irreps,) integer dimensions
+    class_of: np.ndarray    # element index -> class index
 
     @property
     def class_sizes(self) -> np.ndarray:
         return np.array([c.size for c in self.classes])
 
-    def class_of_elements(self, group: FiniteGroup) -> np.ndarray:
-        """Map element index -> class index."""
-        class_of = np.empty(group.order, dtype=np.int64)
-        for ci, c in enumerate(self.classes):
-            class_of[list(c.members)] = ci
-        return class_of
-
     def element_values(self, group: FiniteGroup, alpha: int) -> np.ndarray:
         """Character of row alpha as a function on the group."""
-        return self.values[alpha][self.class_of_elements(group)]
+        return self.values[alpha][self.class_of]
 
 
 @dataclass
@@ -78,44 +72,52 @@ class IsotypicProjection:
 # ---------------------------------------------------------------------------
 
 
-def _class_constants(group: FiniteGroup, classes: list[ConjugacyClass]) -> np.ndarray:
-    """a[i, j, k] = #{x in C_i : x^-1 z_k in C_j} = #{(x,y) in C_i x C_j : xy = z_k}."""
-    k = len(classes)
+def _class_quotients(group: FiniteGroup, classes: list[ConjugacyClass]) -> tuple[np.ndarray, np.ndarray]:
+    """class_of[x], and J[x, k] = class of x^-1 z_k (z_k the base of class k), so that
+    a[i, j, k] = #{(x,y) in C_i x C_j : xy = z_k} = #{x in C_i : J[x, k] = j}."""
     class_of = np.empty(group.order, dtype=np.int64)
     for ci, c in enumerate(classes):
         class_of[list(c.members)] = ci
     bases = np.array([c.base_element for c in classes])
-    a = np.zeros((k, k, k))
-    for i, c in enumerate(classes):
-        for x in c.members:
-            j = class_of[group.mult_table[group.inverse_table[x], bases]]
-            a[i, j, np.arange(k)] += 1.0
-    return a
+    return class_of, class_of[group.mult_table[group.inverse_table[:, None], bases]]
+
+
+def _class_combination(class_of: np.ndarray, quotient: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """sum_i coeff_i a[i] as a (k, k) matrix: one weighted count over J."""
+    k = quotient.shape[1]
+    jk, w = (quotient * k + np.arange(k)).ravel(), np.repeat(coeff[class_of], k)
+    return (np.bincount(jk, w.real, k * k) + 1j * np.bincount(jk, w.imag, k * k)).reshape(k, k)
+
+
+def _class_constant_slice(class_of: np.ndarray, quotient: np.ndarray, j: int) -> np.ndarray:
+    """a[:, j, :] as a (k, k) matrix: one count over J."""
+    k = quotient.shape[1]
+    ik = np.broadcast_to(class_of[:, None] * k + np.arange(k), quotient.shape)
+    return np.bincount(ik[quotient == j], minlength=k * k).reshape(k, k).astype(float)
 
 
 def character_table(group: FiniteGroup, seed: int = 42, gap_tol: float = 1e-8) -> CharacterTable:
-    """Compute the full character table.
+    """Compute the full character table (Dixon's method).
 
     The class-sum matrices A_i (a[i] acting on the class labels) commute and
     share the eigenvectors omega^alpha with omega_i = |C_i| chi(C_i) / n.
     Conjugating by diag(1/sqrt|C_i|) makes them normal, and A_{i^-1} = A_i^H
     in that gauge, so a random complex combination plus its adjoint is a
     Hermitian matrix whose eigenvectors are the characters.  Degenerate
-    spectra are retried with fresh random combinations.
+    spectra are retried with fresh random combinations.  The combination is
+    one weighted count over J, and omega needs only the slice a[:, j*, :] of
+    the eigenvector's pivot class j*, so no (k, k, k) array is ever built.
     """
     classes = conjugacy_classes(group)
     k = len(classes)
     sizes = np.array([c.size for c in classes], dtype=float)
-    a = _class_constants(group, classes)
+    class_of, quotient = _class_quotients(group, classes)
     d = np.sqrt(sizes)
-    a_tilde = np.empty_like(a)
-    for i in range(k):
-        a_tilde[i] = (a[i] / d[:, None]) * d[None, :]
     rng = np.random.default_rng(seed)
     vecs = None
     for _ in range(8):
         coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        m = np.tensordot(coeff, a_tilde, axes=1)
+        m = (_class_combination(class_of, quotient, coeff) / d[:, None]) * d[None, :]
         h = m + m.conj().T
         evals, evecs = np.linalg.eigh(h)
         if k == 1 or np.min(np.diff(np.sort(evals))) > gap_tol * max(1.0, np.max(np.abs(evals))):
@@ -125,23 +127,29 @@ def character_table(group: FiniteGroup, seed: int = 42, gap_tol: float = 1e-8) -
         raise ArithmeticError(
             "degenerate numerical spectrum persisted; raise working precision"
         )
-    rows = []
-    for col in range(k):
-        v = vecs[:, col] * d          # back to the omega gauge
-        j_star = int(np.argmax(np.abs(v)))
-        omega = np.tensordot(a, v, axes=([2], [0]))[:, j_star] / v[j_star]
-        dim_sq = group.order / np.sum(np.abs(omega) ** 2 / sizes)
-        dim = np.sqrt(dim_sq)
-        if abs(dim - round(dim)) > 1e-6:
-            raise ArithmeticError(f"non-integer irrep dimension {dim}; raise working precision")
-        rows.append(round(dim) * omega / sizes)
+    # back to the omega gauge, one contiguous row per eigenvector (a strided v
+    # would change the bits of slice @ v)
+    v_rows = np.ascontiguousarray((vecs * d[:, None]).T)
+    pivots = np.argmax(np.abs(v_rows), axis=1)
+    rows = [None] * k
+    for j_star in np.unique(pivots):
+        # one slice per pivot class, dropped before the next (all of them are the k^3 tensor)
+        a_slice = _class_constant_slice(class_of, quotient, j_star)
+        for col in np.flatnonzero(pivots == j_star):
+            v = v_rows[col]
+            omega = (a_slice @ v) / v[j_star]
+            dim_sq = group.order / np.sum(np.abs(omega) ** 2 / sizes)
+            dim = np.sqrt(dim_sq)
+            if abs(dim - round(dim)) > 1e-6:
+                raise ArithmeticError(f"non-integer irrep dimension {dim}; raise working precision")
+            rows[col] = round(dim) * omega / sizes
     values = np.array(rows)
     # kill numerical dust so sort keys and golden files are stable
     values.real[np.abs(values.real) < 1e-12] = 0.0
     values.imag[np.abs(values.imag) < 1e-12] = 0.0
     dims = values[:, [_identity_class_index(classes)]].real.round().astype(int).ravel()
     order = _canonical_row_order(values, dims)
-    return CharacterTable(classes=classes, values=values[order], dims=dims[order])
+    return CharacterTable(classes=classes, values=values[order], dims=dims[order], class_of=class_of)
 
 
 def _identity_class_index(classes: list[ConjugacyClass]) -> int:
@@ -413,7 +421,6 @@ def irreps(group: FiniteGroup, table: CharacterTable | None = None, seed: int = 
     """One unitary irrep per character-table row, in row order."""
     if table is None:
         table = character_table(group, seed=seed)
-    class_of = table.class_of_elements(group)
     family = group.family[0] if group.family else None
     candidates: list[np.ndarray] = []
     if family == "dihedral":
@@ -432,7 +439,7 @@ def irreps(group: FiniteGroup, table: CharacterTable | None = None, seed: int = 
         row = table.values[r]
         mats = None
         if dim == 1:
-            mats = _one_dim_irrep(group, row, class_of)
+            mats = _one_dim_irrep(group, row, table.class_of)
         else:
             for cand in candidates:
                 if cand.shape[1] == dim and np.max(np.abs(trace_vector(cand) - row)) < 1e-6:

@@ -140,10 +140,14 @@ class Su2ConvergenceRow:
     closed_form_value: float
 
 
+# the (n_theta, n_phi) sphere rules of the default convergence table
+SU2_TABLE_RULES = ((4, 8), (8, 16), (16, 32), (32, 64), (64, 128))
+
+
 def su2_convergence_rows(
     j2_values=range(1, 13),
     psi_values=(np.pi / 6, np.pi / 3, np.pi / 2, 2 * np.pi / 3, np.pi, 3 * np.pi / 2),
-    rules=((4, 8), (8, 16), (16, 32), (32, 64), (64, 128)),
+    rules=SU2_TABLE_RULES,
 ) -> list[Su2ConvergenceRow]:
     """Class-operator quadrature error against the closed form, for every
     (j2, psi) and every sphere rule (n_theta, n_phi)."""

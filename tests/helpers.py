@@ -5,7 +5,11 @@ library code under test: set-based orbit enumeration for classes, the dense
 stack of left-translation matrices and the literal triple product for weighted
 class operators, commutant diagonalization of the regular representation for
 characters, a highest-weight/lowering recursion for Clebsch-Gordan
-coefficients, and Wigner's factorial sum for the SU(2) little-d matrix.
+coefficients, and Wigner's factorial sum for the SU(2) little-d matrix.  The
+slow loops that the table pipeline replaced stay here as references compared
+bit for bit: composing every pair of permutations for the multiplication
+table, the dense (k, k, k) class-constant tensor, and one ``np.kron`` per
+element for the conjugation representation.
 """
 
 from __future__ import annotations
@@ -30,6 +34,42 @@ def oracle_classes(group: FiniteGroup) -> list[set[int]]:
         orbit = {group.conjugate(base, x) for x in range(group.order)}
         out.append(orbit)
         remaining -= orbit
+    return out
+
+
+def oracle_mult_table(group: FiniteGroup) -> np.ndarray:
+    """Multiplication table by composing every pair of permutation images."""
+    perms = group.perms
+    index = {p: i for i, p in enumerate(perms)}
+    table = np.empty((group.order, group.order), dtype=np.int64)
+    for a in range(group.order):
+        for b in range(group.order):
+            table[a, b] = index[tuple(perms[a][x] for x in perms[b])]
+    return table
+
+
+def oracle_class_constants(group: FiniteGroup) -> np.ndarray:
+    """a[i, j, k] = #{x in C_i : x^-1 z_k in C_j}, the dense (k, k, k) tensor."""
+    classes = conjugacy_classes(group)
+    k = len(classes)
+    class_of = np.empty(group.order, dtype=np.int64)
+    for ci, c in enumerate(classes):
+        class_of[list(c.members)] = ci
+    bases = np.array([c.base_element for c in classes])
+    a = np.zeros((k, k, k))
+    for i, c in enumerate(classes):
+        for x in c.members:
+            j = class_of[group.mult_table[group.inverse_table[x], bases]]
+            a[i, j, np.arange(k)] += 1.0
+    return a
+
+
+def oracle_conjugation_stack(matrices: np.ndarray) -> np.ndarray:
+    """Pi[g] = kron(T(g), conj(T(g))), one np.kron per element."""
+    n, d = matrices.shape[0], matrices.shape[1]
+    out = np.empty((n, d * d, d * d), dtype=complex)
+    for g in range(n):
+        out[g] = np.kron(matrices[g], matrices[g].conj())
     return out
 
 

@@ -155,6 +155,19 @@ def test_su2_verify_default_table(capsys):
     assert doc["passed"] is True
 
 
+def test_su2_verify_default_table_echoes_its_rules(capsys):
+    code, out, _ = run(["su2-verify"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    echoed = {tuple(rule) for rule in doc["config"]["quadrature"]}
+    assert echoed == {(r["n_theta"], r["n_phi"]) for r in doc["convergence"]}
+    assert len(echoed) == len(doc["config"]["quadrature"]) == 5
+    # a rule the table would not run is refused, not echoed
+    code, _, err = run(["su2-verify", "--quadrature", "10", "20"], capsys)
+    assert code == 2
+    assert "--quadrature" in json.loads(err)["message"]
+
+
 def test_su2_verify_single_point(capsys):
     code, out, _ = run(["su2-verify", "--psi", "3.14159265", "--j2", "1"], capsys)
     assert code == 0
@@ -289,12 +302,22 @@ def test_export_tables_requires_output(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("option", [["--format", "csv"], ["--class", "zz"]])
+@pytest.mark.parametrize("option", [["--format", "csv"], ["--class", "zz"], ["--tol", "spectral_form=1"]])
 def test_export_tables_refuses_options_it_would_ignore(option, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["export-tables", "--group", "C2", "--output", str(tmp_path / "t.csv"), *option])
     assert exc.value.code == 2
     assert not (tmp_path / "t.csv").exists()
+
+
+def test_oversized_catalog_group_exits_before_the_closure(capsys, monkeypatch):
+    def closure_must_not_run(*args, **kwargs):
+        raise AssertionError("the closure ran for a catalog group above the order cap")
+
+    monkeypatch.setattr("classops.groups._closure", closure_must_not_run)
+    code, _, err = run(["finite-verify", "--group", "D100000", "--class", "0"], capsys)
+    assert code == 2
+    assert "too large" in json.loads(err)["message"]
 
 
 def test_export_tables_checks_output_before_the_group(capsys):

@@ -7,6 +7,7 @@ from classops.groups import build_group, conjugacy_classes
 from classops.representations import character_table, irreps
 from classops.class_operators import weighted_class_operator
 from classops.coupling import (
+    _conjugation_stack,
     adapt_irreps_to_class,
     clebsch_gordan,
     conjugation_decomposition,
@@ -32,7 +33,7 @@ from classops.su2 import (
     su2_haar_quadrature,
     weighted_class_operator_su2,
 )
-from helpers import CATALOG_LEQ_24, oracle_cg_ladder, regular_representation
+from helpers import CATALOG_LEQ_24, oracle_cg_ladder, oracle_conjugation_stack, regular_representation
 
 RNG = np.random.default_rng(21)
 
@@ -47,6 +48,15 @@ def _tables_for(spec):
 # ---------------------------------------------------------------------------
 # finite coupling tables
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_conjugation_stack_matches_kron_loop(dim):
+    rng = np.random.default_rng(dim)
+    mats = rng.standard_normal((7, dim, dim)) + 1j * rng.standard_normal((7, dim, dim))
+    stack = _conjugation_stack(mats)
+    assert stack.shape == (7, dim * dim, dim * dim)
+    assert stack.tobytes() == oracle_conjugation_stack(mats).tobytes()
 
 
 def test_trivial_sigma_table():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from classops import groups
 from classops.groups import (
     GroupConstructionError,
     build_group,
@@ -15,7 +16,7 @@ from classops.groups import (
     parse_cycles,
     regular_actions,
 )
-from helpers import CATALOG_LEQ_24, oracle_classes
+from helpers import CATALOG_LEQ_24, oracle_classes, oracle_mult_table
 
 
 @pytest.mark.parametrize("spec,order", [
@@ -132,6 +133,34 @@ def test_non_associative_table_rejected():
 def test_order_cap():
     with pytest.raises(GroupConstructionError, match="too large"):
         build_group({"generators": ["(1 2)", "(1 2 3 4 5 6 7)"]}, order_cap=100)
+
+
+def _closure_must_not_run(*args, **kwargs):
+    raise AssertionError("the closure ran for a catalog group above the order cap")
+
+
+@pytest.mark.parametrize("spec,cap", [
+    ("C10081", 10080), ("D5041", 10080), ("D100000", 10080),
+    ({"catalog": {"family": "cyclic", "n": 20000}}, 10080),
+    ("C11", 10), ("D1", 1), ("D2", 3), ("S5", 100), ("Q8", 7),
+])
+def test_oversized_catalog_group_refused_before_closure(spec, cap, monkeypatch):
+    monkeypatch.setattr(groups, "_closure", _closure_must_not_run)
+    with pytest.raises(GroupConstructionError, match="too large"):
+        build_group(spec, order_cap=cap)
+
+
+@pytest.mark.parametrize("spec,cap", [("C10", 10), ("D1", 2), ("D2", 4), ("D5", 10), ("S5", 120), ("Q8", 8)])
+def test_catalog_group_at_the_order_cap_is_built(spec, cap):
+    assert build_group(spec, order_cap=cap).order == cap
+
+
+@pytest.mark.parametrize("spec", [
+    "S4", "D30", "C150", ["(1 2 3)", "(1 2 3 4 5)"], ["(1 2)", "(1 2 3 4 5 6)"],
+], ids=["S4", "D30", "C150", "A5-generators", "S6-generators"])
+def test_closure_table_matches_composition_oracle(spec):
+    group = build_group(spec)
+    assert np.array_equal(group.mult_table, oracle_mult_table(group))
 
 
 def test_associativity_exhaustive_small():

@@ -5,6 +5,9 @@ import pytest
 
 from classops.groups import build_group, conjugacy_classes, inner_product
 from classops.representations import (
+    _class_combination,
+    _class_constant_slice,
+    _class_quotients,
     character_table,
     irreps,
     isotypic_projector,
@@ -12,7 +15,12 @@ from classops.representations import (
     schur_defect,
     unitarize,
 )
-from helpers import CATALOG_LEQ_24, oracle_character_table, regular_representation
+from helpers import (
+    CATALOG_LEQ_24,
+    oracle_character_table,
+    oracle_class_constants,
+    regular_representation,
+)
 
 S3_TABLE = np.array([[1, 1, 1], [1, -1, 1], [2, 0, -1]], dtype=complex)
 
@@ -61,6 +69,34 @@ def test_table_matches_regular_commutant_oracle(spec):
     values, dims = oracle_character_table(group)
     assert dims.tolist() == table.dims.tolist()
     assert np.max(np.abs(values - table.values)) < 1e-8
+
+
+@pytest.mark.parametrize("spec", ["C60", "D30", "S5"])
+def test_larger_tables_match_regular_commutant_oracle(spec):
+    group = build_group(spec)
+    table = character_table(group)
+    values, dims = oracle_character_table(group)
+    assert dims.tolist() == table.dims.tolist()
+    assert np.max(np.abs(values - table.values)) < 1e-10
+
+
+@pytest.mark.parametrize("spec", ["S5", "D30"])
+def test_class_sums_match_dense_class_constants(spec):
+    group = build_group(spec)
+    classes = conjugacy_classes(group)
+    k = len(classes)
+    a = oracle_class_constants(group)
+    class_of, quotient = _class_quotients(group, classes)
+    for j in range(k):
+        assert np.array_equal(_class_constant_slice(class_of, quotient, j), a[:, j, :])
+    # integer weights keep every sum exact, so both routes agree bit for bit
+    rng = np.random.default_rng(3)
+    coeff = rng.integers(-9, 10, k) + 1j * rng.integers(-9, 10, k)
+    assert np.array_equal(_class_combination(class_of, quotient, coeff), np.tensordot(coeff, a, axes=1))
+    # general weights: the sums run in another order, within a few ulp of |G|
+    coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    combo = _class_combination(class_of, quotient, coeff)
+    assert np.max(np.abs(combo - np.tensordot(coeff, a, axes=1))) < 1e-13 * group.order
 
 
 @pytest.mark.parametrize("spec", CATALOG_LEQ_24)
