@@ -5,7 +5,9 @@ normalized sum over the transposition class, and shows that
 (1) averaging conjugates x g0 x^-1 over the group,
 (2) integrating a class function over the conjugacy class,
 (3) the spectral sum of character values over isotypic projectors
-give the same matrix, with the eigenvalues chi(C0)/n predicted per block.
+give the same operator, with the eigenvalues chi(C0)/n predicted per block.
+In the left regular representation an operator is carried as its
+group-algebra element a; left_regular_matrix(group, a) is its matrix.
 Then a random weight demonstrates the factorization through G/Z0.
 """
 
@@ -16,6 +18,7 @@ from classops import (
     character_table,
     class_operator_from_classfunction,
     conjugacy_classes,
+    left_regular_matrix,
     spectral_class_operator,
     transfer,
     weighted_class_operator,
@@ -36,18 +39,21 @@ for cls in classes:
 cls = classes[1]  # transpositions
 print(f"\n-- class operator for the class of {group.labels[cls.base_element]} --")
 
-# representation None: the left regular representation on the group algebra
+# representation None: the left regular representation, whose operators are
+# group-algebra elements (coefficient vectors of length |G|)
 brute = weighted_class_operator(group, None, cls.base_element, np.ones(group.order)).matrix
 via_class_fn = class_operator_from_classfunction(group, None, cls, np.ones(cls.size)).matrix
 spectral = spectral_class_operator(group, cls, table)
 
-print("brute-force conjugation average:\n", brute.real)
+print("brute-force conjugation average, as an element:", brute.real)
 print("max |brute - class-function route|:", np.max(np.abs(brute - via_class_fn)))
 print("max |brute - spectral form|      :", np.max(np.abs(brute - spectral)))
 
 print("\npredicted eigenvalues chi(C0)/n per irrep:",
       np.round(table.values[:, 1] / table.dims, 6).real)
-print("actual spectrum:", np.round(np.sort(np.linalg.eigvalsh((brute + brute.conj().T) / 2)), 6))
+matrix = left_regular_matrix(group, brute)
+print("its matrix on the group algebra:\n", matrix.real)
+print("actual spectrum:", np.round(np.sort(np.linalg.eigvalsh((matrix + matrix.conj().T) / 2)), 6))
 
 print("\n-- factorization of a random weight through G/Z0 --")
 rng = np.random.default_rng(0)

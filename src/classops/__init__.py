@@ -21,7 +21,6 @@ from .groups import (
     inner_product,
     left_regular_matrix,
     quaternion_group,
-    regular_actions,
     symmetric_group,
 )
 from .representations import (

@@ -5,6 +5,11 @@ G/Z0 ~ C0) to the operator average of conjugated representation matrices.
 Everything here is normalized so that the weight identically 1 reproduces the
 multiplication operator of the class sum on the group algebra: the invariant
 measure on G/Z0 has total mass 1, matching the normalized Haar sum on G.
+
+Wherever a representation may be ``None`` it is the left regular one, and an
+operator in it is carried as its group-algebra element a: lambda(a) is
+``left_regular_matrix(group, a)``, whose entries are the coefficients of a,
+so every deviation measured on a is the deviation of the operators.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import FiniteGroup, ConjugacyClass, _as_coeffs, conjugacy_classes
-from .representations import CharacterTable, character_table, isotypic_projector, represent
+from .representations import CharacterTable, character_table, represent
 
 __all__ = [
     "WeightedClassOperator",
@@ -35,7 +40,11 @@ __all__ = [
 
 @dataclass
 class WeightedClassOperator:
-    """T(f; g0) in a concrete representation, with its defining data."""
+    """T(f; g0) in a concrete representation, with its defining data.
+
+    For the left regular representation (``None``) ``matrix`` holds the
+    group-algebra element a with T(f; g0) = ``left_regular_matrix(group, a)``.
+    """
 
     g0: int
     weight: np.ndarray
@@ -93,8 +102,8 @@ def covariance_deviation(
 ) -> tuple[WeightedClassOperator, float]:
     """T(g) T(f; g0) T(g)^-1 and its largest deviation from T(lambda(g) f; g0)."""
     if representation is None:
-        p = group.mult_table[group.inverse_table[g]]  # lambda(g) A lambda(g)^-1 = A[g^-1 x, g^-1 y]
-        conjugated = op.matrix[np.ix_(p, p)]
+        # lambda(g) lambda(a) lambda(g)^-1 = lambda(g a g^-1), with coefficient a(g^-1 y g) at y
+        conjugated = op.matrix[group.mult_table[group.mult_table[group.inverse_table[g]], g]]
     else:
         t = np.asarray(representation)
         conjugated = t[g] @ op.matrix @ t[group.inverse_table[g]]
@@ -174,12 +183,8 @@ def class_left_translate(group: FiniteGroup, cls: ConjugacyClass, g: int, phi) -
     phi = np.asarray(phi, dtype=complex)
     if phi.shape != (cls.size,):
         raise ValueError(f"class function must have length {cls.size}")
-    member_index = {c: k for k, c in enumerate(cls.members)}
-    ginv = group.inverse_table[g]
-    out = np.empty_like(phi)
-    for k, c in enumerate(cls.members):
-        out[k] = phi[member_index[group.mult_table[group.mult_table[ginv, c], g]]]
-    return out
+    moved = group.mult_table[group.mult_table[group.inverse_table[g], list(cls.members)], g]
+    return phi[np.searchsorted(cls.members, moved)]  # members ascend
 
 
 def class_operator_from_classfunction(
@@ -216,16 +221,15 @@ def spectral_class_operator(
 ) -> np.ndarray:
     """Spectral form of the class operator on the group algebra.
 
-    sum_alpha chi^alpha(C0)/n^alpha P^alpha with the isotypic projectors of
-    the regular representation; equals weighted_class_operator with weight 1.
+    sum_alpha chi^alpha(C0)/n^alpha e_alpha over the central idempotents
+    e_alpha = (n^alpha/|G|) conj(chi^alpha); equals weighted_class_operator
+    with weight 1.  Summed on the k classes, returned as a length-|G| element.
     """
     if table is None:
         table = character_table(group)
-    class_index = next(
-        i for i, c in enumerate(table.classes) if c.base_element == cls.base_element
-    )
-    out = np.zeros((group.order, group.order), dtype=complex)
-    for alpha in range(len(table.dims)):
-        proj = isotypic_projector(group, table, alpha).matrix
-        out += (table.values[alpha, class_index] / table.dims[alpha]) * proj
-    return out
+    class_index = table.class_of[cls.base_element]
+    on_classes = np.zeros(len(table.classes), dtype=complex)
+    for alpha, dim in enumerate(table.dims):
+        idempotent = (int(dim) / group.order) * table.values[alpha].conj()
+        on_classes += (table.values[alpha, class_index] / dim) * idempotent
+    return on_classes[table.class_of]

@@ -374,12 +374,9 @@ def frobenius_multiplicity_check(
     The two counts are equal by Frobenius reciprocity; both sides are computed
     independently (projector rank vs fixed-coset character inner product).
     """
-    members = np.array(cls.members)
-    fix_counts = np.empty(group.order)
-    for g in range(group.order):
-        fix_counts[g] = np.count_nonzero(
-            group.mult_table[g, members] == group.mult_table[members, g]
-        )
+    members = list(cls.members)
+    # fix_counts[g] = #{c in C0 : g c = c g}, the coset permutation character
+    fix_counts = np.count_nonzero(group.mult_table[:, members] == group.mult_table[members].T, axis=1)
     rows = []
     for ai, rep in enumerate(irreps_list):
         zb = z_fixed_basis(ai, rep.matrices, cls.centralizer)
@@ -577,18 +574,23 @@ def wigner_eckart_bruteforce(
 
     ``op`` is the weighted class operator on the group algebra with weight
     conj(t^alpha_kl), computed entirely from group_core/class_ops machinery;
-    returns arrays indexed [i, j, u, v] for every (sigma, gamma) pair.
+    returns arrays indexed [i, j, u, v] for every (sigma, gamma) pair.  Its
+    element p lives on C0, so op acts as the convolution
+    (op phi)(y) = sum_{c in C0} p(c) phi(c^-1 y), applied literally to the
+    matrix coefficients (the multiplication law of T^sigma is not used).
     """
     f = adapted[alpha].matrices[:, k, l].conj()
-    op = weighted_class_operator(group, None, g0, f).matrix
+    pushed = weighted_class_operator(group, None, g0, f).matrix
+    support = np.flatnonzero(pushed)
+    shifts = group.mult_table[group.inverse_table[support]]   # shifts[s, y] = c_s^-1 y
     out = {}
     for si, srep in enumerate(adapted):
-        applied = np.einsum("yx,xij->yij", op, srep.matrices.conj())
+        phi = srep.matrices.conj()
+        applied = np.zeros_like(phi)
+        for c, shift in zip(support, shifts):
+            applied += pushed[c] * phi[shift]
         for gi, grep in enumerate(adapted):
-            vals = np.einsum("yij,yuv->ijuv", applied, grep.matrices) * (
-                srep.dim / group.order
-            )
-            out[(si, gi)] = vals
+            out[(si, gi)] = np.tensordot(applied, grep.matrices, axes=(0, 0)) * (srep.dim / group.order)
     return out
 
 

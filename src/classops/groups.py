@@ -37,7 +37,6 @@ __all__ = [
     "convolve",
     "inner_product",
     "left_regular_matrix",
-    "regular_actions",
     "parse_cycles",
     "cycle_notation",
 ]
@@ -476,26 +475,21 @@ def conjugacy_classes(group: FiniteGroup) -> list[ConjugacyClass]:
         return group._classes
     n = group.order
     t, inv = group.mult_table, group.inverse_table
-    all_x = np.arange(n)
     assigned = np.zeros(n, dtype=bool)
     classes = []
     for base in range(n):
         if assigned[base]:
             continue
-        conj_by = t[t[all_x, base], inv[all_x]]   # conj_by[x] = x * base * x^-1
-        members = np.unique(conj_by)
+        conj_by = t[t[:, base], inv]   # conj_by[x] = x * base * x^-1
+        members, coset_reps = np.unique(conj_by, return_index=True)  # first x reaching each c
         assigned[members] = True
-        centralizer = np.flatnonzero(t[all_x, base] == t[base, all_x])
-        first_rep = {}
-        for x in range(n):
-            first_rep.setdefault(int(conj_by[x]), x)
-        coset_reps = tuple(first_rep[int(c)] for c in members)
+        centralizer = np.flatnonzero(t[:, base] == t[base])
         classes.append(
             ConjugacyClass(
                 base_element=base,
-                members=tuple(int(c) for c in members),
-                centralizer=tuple(int(h) for h in centralizer),
-                coset_reps=coset_reps,
+                members=tuple(members.tolist()),
+                centralizer=tuple(centralizer.tolist()),
+                coset_reps=tuple(coset_reps.tolist()),
             )
         )
     group._classes = classes
@@ -538,18 +532,3 @@ def left_regular_matrix(group: FiniteGroup, phi) -> np.ndarray:
     phi = _as_coeffs(group, phi)
     idx = group.mult_table[:, group.inverse_table]   # idx[x, b] = x b^-1
     return phi[idx]
-
-
-def regular_actions(group: FiniteGroup, g: int) -> tuple[np.ndarray, np.ndarray]:
-    """Permutation matrices of the left and right regular actions of g.
-
-    ``lam`` realizes (lam(g) f)(x) = f(g^-1 x), ``rho`` realizes
-    (rho(g) f)(x) = f(x g); the two commute.
-    """
-    n = group.order
-    lam = np.zeros((n, n), dtype=complex)
-    rho = np.zeros((n, n), dtype=complex)
-    cols = np.arange(n)
-    lam[group.mult_table[g, cols], cols] = 1.0
-    rho[cols, group.mult_table[cols, g]] = 1.0
-    return lam, rho

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .groups import FiniteGroup, ConjugacyClass, conjugacy_classes, left_regular_matrix
+from .groups import FiniteGroup, ConjugacyClass, _as_coeffs, conjugacy_classes, left_regular_matrix
 
 __all__ = [
     "Irrep",
@@ -160,14 +160,16 @@ def _identity_class_index(classes: list[ConjugacyClass]) -> int:
 
 
 def _canonical_row_order(values: np.ndarray, dims: np.ndarray) -> np.ndarray:
-    def key(r: int):
-        trivial = bool(np.allclose(values[r], 1.0, atol=1e-9))
-        lex = tuple(
-            (round(float(z.real), 9), round(float(z.imag), 9)) for z in values[r]
-        )
-        return (not trivial, int(dims[r]), lex)
-
-    return np.array(sorted(range(values.shape[0]), key=key))
+    """Trivial row first, then by dimension, then lexicographically by the
+    (re, im) pairs of the row, each rounded to 9 decimals; stable on ties."""
+    trivial = np.all(np.isclose(values, 1.0, atol=1e-9), axis=1)
+    parts = np.stack([values.real, values.imag], axis=2).reshape(len(values), -1)
+    keys = np.rint(parts * 1e9)
+    # rint(x * 1e9) differs from Python's correctly rounded round(x, 9) only
+    # where the product itself was rounded onto a half-integer
+    for i in np.flatnonzero(np.abs(parts * 1e9 - keys) == 0.5):
+        keys.flat[i] = round(round(float(parts.flat[i]), 9) * 1e9)
+    return np.lexsort(np.vstack([keys.T[::-1], dims, ~trivial]))  # last key sorts first
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +358,7 @@ def _regular_extraction(
     """
     n = group.order
     dim = int(table.dims[alpha])
-    proj = isotypic_projector(group, table, alpha).matrix
+    proj = left_regular_matrix(group, isotypic_projector(group, table, alpha).matrix)
     basis = _orthonormal_range(proj, dim * dim)          # |G| x dim^2
     # restriction of lambda(g): rows of the basis get permuted, lam(g) Q = Q[g^-1 x]
     inv_rows = group.mult_table[group.inverse_table, :]  # inv_rows[g, x] = g^-1 x
@@ -463,11 +465,14 @@ def irreps(group: FiniteGroup, table: CharacterTable | None = None, seed: int = 
 def represent(group: FiniteGroup, representation: np.ndarray | None, a) -> np.ndarray:
     """The operator sum_g a(g) U(g) of a group-algebra element a.
 
-    ``representation`` is a per-element stack of matrices, shape (|G|, d, d);
-    ``None`` selects the left regular representation, in closed form.
+    ``representation`` is a per-element stack of matrices, shape (|G|, d, d).
+    ``None`` selects the left regular representation, which is faithful on the
+    group algebra: the operator is carried as the element a itself, standing
+    for the matrix lambda(a) = ``left_regular_matrix(group, a)``.  Every entry
+    of that matrix is a coefficient of a, so max|lambda(a)| = max|a|.
     """
     if representation is None:
-        return left_regular_matrix(group, a)
+        return _as_coeffs(group, a)
     t = np.asarray(representation)
     if t.shape[0] != group.order or t.shape[1] != t.shape[2]:
         raise ValueError("representation stack has wrong shape")
@@ -482,8 +487,10 @@ def isotypic_projector(
 ) -> IsotypicProjection:
     """P^alpha = (n^alpha/|G|) sum_g conj(chi^alpha(g)) U(g).
 
-    ``representation`` is a per-element stack of unitary matrices; ``None``
-    selects the left regular representation (computed in closed form).
+    ``representation`` is a per-element stack of unitary matrices.  With
+    ``None`` (the left regular representation) the result is the central
+    idempotent e_alpha = (n^alpha/|G|) conj(chi^alpha) of the group algebra,
+    a length-|G| vector with P^alpha = ``left_regular_matrix(group, e_alpha)``.
     """
     if alpha < 0 or alpha >= len(table.dims):
         raise KeyError(f"character row {alpha} missing")

@@ -8,8 +8,12 @@ characters, a highest-weight/lowering recursion for Clebsch-Gordan
 coefficients, and Wigner's factorial sum for the SU(2) little-d matrix.  The
 slow loops that the table pipeline replaced stay here as references compared
 bit for bit: composing every pair of permutations for the multiplication
-table, the dense (k, k, k) class-constant tensor, and one ``np.kron`` per
-element for the conjugation representation.
+table, the dense (k, k, k) class-constant tensor, one ``np.kron`` per
+element for the conjugation representation, the per-element search for coset
+representatives and the rounded-tuple sort key of the character-table rows.
+The library carries operators of the left regular representation as
+group-algebra elements; the dense |G| x |G| matrices (``regular_actions``,
+``as_dense``, ``dense_wigner_eckart_bruteforce``) exist only here.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from math import factorial
 import numpy as np
 
 from classops.groups import FiniteGroup, conjugacy_classes, left_regular_matrix
-from classops.class_operators import class_sum_element
+from classops.class_operators import class_sum_element, weighted_class_operator
 
 CATALOG_LEQ_24 = ["C1", "C2", "C3", "C4", "C6", "D3", "D4", "D5", "Q8", "S3", "S4"]
 ACCEPTANCE_GROUPS = ["C6", "S3", "D4", "Q8", "S4"]
@@ -70,6 +74,60 @@ def oracle_conjugation_stack(matrices: np.ndarray) -> np.ndarray:
     out = np.empty((n, d * d, d * d), dtype=complex)
     for g in range(n):
         out[g] = np.kron(matrices[g], matrices[g].conj())
+    return out
+
+
+def oracle_coset_reps(group: FiniteGroup, base: int) -> tuple[int, ...]:
+    """For each member c of the class of base (ascending), the smallest x with x base x^-1 = c."""
+    first: dict[int, int] = {}
+    for x in range(group.order):
+        first.setdefault(group.conjugate(base, x), x)
+    return tuple(first[c] for c in sorted(first))
+
+
+def oracle_canonical_row_order(values: np.ndarray, dims: np.ndarray) -> np.ndarray:
+    """Row order of a character table by the Python sort key on rounded value tuples."""
+
+    def key(r: int):
+        trivial = bool(np.allclose(values[r], 1.0, atol=1e-9))
+        lex = tuple(
+            (round(float(z.real), 9), round(float(z.imag), 9)) for z in values[r]
+        )
+        return (not trivial, int(dims[r]), lex)
+
+    return np.array(sorted(range(values.shape[0]), key=key))
+
+
+def regular_actions(group: FiniteGroup, g: int) -> tuple[np.ndarray, np.ndarray]:
+    """Permutation matrices of the left and right regular actions of g.
+
+    ``lam`` realizes (lam(g) f)(x) = f(g^-1 x), ``rho`` realizes
+    (rho(g) f)(x) = f(x g); the two commute.
+    """
+    n = group.order
+    lam = np.zeros((n, n), dtype=complex)
+    rho = np.zeros((n, n), dtype=complex)
+    cols = np.arange(n)
+    lam[group.mult_table[g, cols], cols] = 1.0
+    rho[cols, group.mult_table[cols, g]] = 1.0
+    return lam, rho
+
+
+def as_dense(group: FiniteGroup, representation, matrix: np.ndarray) -> np.ndarray:
+    """The operator a library result stands for: with representation ``None``
+    the result is a group-algebra element a and the operator is lambda(a)."""
+    return left_regular_matrix(group, matrix) if representation is None else matrix
+
+
+def dense_wigner_eckart_bruteforce(group: FiniteGroup, adapted, alpha: int, k: int, l: int, g0: int) -> dict:
+    """wigner_eckart_bruteforce through the dense |G| x |G| operator and two einsums."""
+    f = adapted[alpha].matrices[:, k, l].conj()
+    op = left_regular_matrix(group, weighted_class_operator(group, None, g0, f).matrix)
+    out = {}
+    for si, srep in enumerate(adapted):
+        applied = np.einsum("yx,xij->yij", op, srep.matrices.conj())
+        for gi, grep in enumerate(adapted):
+            out[(si, gi)] = np.einsum("yij,yuv->ijuv", applied, grep.matrices) * (srep.dim / group.order)
     return out
 
 

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from classops.groups import build_group, conjugacy_classes
+from classops.groups import build_group, conjugacy_classes, left_regular_matrix
 from classops.representations import (
     character_table,
     irreps,
@@ -64,7 +64,7 @@ def test_criterion_1_spectral_oracle_equivalence():
             brute = weighted_class_operator(
                 group, lam, cls.base_element, np.ones(group.order)
             ).matrix
-            spectral = spectral_class_operator(group, cls, table)
+            spectral = left_regular_matrix(group, spectral_class_operator(group, cls, table))
             worst = max(worst, float(np.max(np.abs(brute - spectral))))
     elapsed = time.perf_counter() - start
     report(
@@ -81,9 +81,9 @@ def test_criterion_2_s3_spectral_values():
     expected = {1: [1.0, -1.0, 0.0], 2: [1.0, 1.0, -0.5]}
     worst = 0.0
     for ci, eigenvalues in expected.items():
-        op = spectral_class_operator(group, classes[ci], table)
+        op = left_regular_matrix(group, spectral_class_operator(group, classes[ci], table))
         for alpha, value in enumerate(eigenvalues):
-            proj = isotypic_projector(group, table, alpha).matrix
+            proj = left_regular_matrix(group, isotypic_projector(group, table, alpha).matrix)
             worst = max(worst, float(np.max(np.abs(op @ proj - value * proj))))
     report("2 s3-spectral-values", worst < 1e-10, f"max deviation {worst:.2e}")
 
@@ -236,7 +236,8 @@ def test_criterion_8_property_suites():
         group = build_group(spec)
         table = character_table(group)
         projectors = [
-            isotypic_projector(group, table, alpha).matrix for alpha in range(len(table.dims))
+            left_regular_matrix(group, isotypic_projector(group, table, alpha).matrix)
+            for alpha in range(len(table.dims))
         ]
         if np.max(np.abs(sum(projectors) - np.eye(group.order))) > 1e-10:
             failures.append(f"projector-sum[{spec}]")

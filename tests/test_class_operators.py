@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from classops.groups import build_group, conjugacy_classes, left_regular_matrix, regular_actions
+from classops.groups import build_group, conjugacy_classes, left_regular_matrix
 from classops.representations import character_table, irreps
 from classops.class_operators import (
     centralizer_invariance_check,
@@ -17,7 +17,13 @@ from classops.class_operators import (
     transfer,
     weighted_class_operator,
 )
-from helpers import CATALOG_LEQ_24, literal_class_operator, regular_representation
+from helpers import (
+    CATALOG_LEQ_24,
+    as_dense,
+    literal_class_operator,
+    regular_actions,
+    regular_representation,
+)
 
 
 def test_zero_weight():
@@ -33,7 +39,7 @@ def test_identity_base_point():
     f = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     for lam in (regular_representation(group), None):
         op = weighted_class_operator(group, lam, 0, f)
-        assert np.max(np.abs(op.matrix - f.mean() * np.eye(8))) < 1e-13
+        assert np.max(np.abs(as_dense(group, lam, op.matrix) - f.mean() * np.eye(8))) < 1e-13
 
 
 def test_matches_explicit_sum():
@@ -52,7 +58,7 @@ def test_constant_weight_is_class_sum_operator():
     l0 = left_regular_matrix(group, class_sum_element(group, cls))
     for lam in (regular_representation(group), None):
         op = weighted_class_operator(group, lam, cls.base_element, np.ones(6))
-        assert np.max(np.abs(op.matrix - l0)) < 1e-12
+        assert np.max(np.abs(as_dense(group, lam, op.matrix) - l0)) < 1e-12
 
 
 def test_linearity_in_weight():
@@ -220,7 +226,7 @@ def test_spectral_identity_class():
     group = build_group("S4")
     table = character_table(group)
     identity_class = conjugacy_classes(group)[0]
-    op = spectral_class_operator(group, identity_class, table)
+    op = left_regular_matrix(group, spectral_class_operator(group, identity_class, table))
     assert np.max(np.abs(op - np.eye(group.order))) < 1e-10
 
 
@@ -229,11 +235,11 @@ def test_s3_spectral_eigenvalues_frozen():
     table = character_table(group)
     classes = conjugacy_classes(group)
     # transposition class: eigenvalues (1, -1, 0) on blocks of dims (1, 1, 4)
-    op = spectral_class_operator(group, classes[1], table)
+    op = left_regular_matrix(group, spectral_class_operator(group, classes[1], table))
     evals = np.sort(np.linalg.eigvalsh((op + op.conj().T) / 2))
     assert np.allclose(evals, [-1, 0, 0, 0, 0, 1], atol=1e-10)
     # 3-cycle class: eigenvalues (1, 1, -1/2)
-    op = spectral_class_operator(group, classes[2], table)
+    op = left_regular_matrix(group, spectral_class_operator(group, classes[2], table))
     evals = np.sort(np.linalg.eigvalsh((op + op.conj().T) / 2))
     assert np.allclose(evals, [-0.5, -0.5, -0.5, -0.5, 1, 1], atol=1e-10)
     # eigenvalue matched to its isotypic block via projector support
@@ -241,9 +247,9 @@ def test_s3_spectral_eigenvalues_frozen():
 
     expectations = {1: [1.0, -1.0, 0.0], 2: [1.0, 1.0, -0.5]}
     for ci, expected in expectations.items():
-        op = spectral_class_operator(group, classes[ci], table)
+        op = left_regular_matrix(group, spectral_class_operator(group, classes[ci], table))
         for alpha in range(3):
-            proj = isotypic_projector(group, table, alpha).matrix
+            proj = left_regular_matrix(group, isotypic_projector(group, table, alpha).matrix)
             assert np.max(np.abs(op @ proj - expected[alpha] * proj)) < 1e-10
 
 
@@ -253,17 +259,18 @@ def test_spectral_equals_bruteforce(spec):
     table = character_table(group)
     for lam in (regular_representation(group), None):
         for cls in conjugacy_classes(group):
-            brute = weighted_class_operator(
+            brute = as_dense(group, lam, weighted_class_operator(
                 group, lam, cls.base_element, np.ones(group.order)
-            ).matrix
-            assert np.max(np.abs(spectral_class_operator(group, cls, table) - brute)) < 1e-10
+            ).matrix)
+            spectral = left_regular_matrix(group, spectral_class_operator(group, cls, table))
+            assert np.max(np.abs(spectral - brute)) < 1e-10
 
 
 def test_class_operator_is_central():
     group = build_group("S4")
     table = character_table(group)
     for cls in conjugacy_classes(group):
-        op = spectral_class_operator(group, cls, table)
+        op = left_regular_matrix(group, spectral_class_operator(group, cls, table))
         for g in [1, 7, 13, 20]:
             lam_g, rho_g = regular_actions(group, g)
             assert np.max(np.abs(op @ lam_g - lam_g @ op)) < 1e-10

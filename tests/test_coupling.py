@@ -33,7 +33,13 @@ from classops.su2 import (
     su2_haar_quadrature,
     weighted_class_operator_su2,
 )
-from helpers import CATALOG_LEQ_24, oracle_cg_ladder, oracle_conjugation_stack, regular_representation
+from helpers import (
+    CATALOG_LEQ_24,
+    dense_wigner_eckart_bruteforce,
+    oracle_cg_ladder,
+    oracle_conjugation_stack,
+    regular_representation,
+)
 
 RNG = np.random.default_rng(21)
 
@@ -312,6 +318,23 @@ def test_wigner_eckart_s3_both_nontrivial_classes():
 
 def test_wigner_eckart_d4():
     assert _full_wigner_eckart("D4", 1) > 0
+
+
+@pytest.mark.parametrize("spec", ["S3", "D4", "S4"])
+def test_bruteforce_convolution_matches_dense_operator(spec):
+    group, table, reps = _tables_for(spec)
+    worst = 0.0
+    for cls in conjugacy_classes(group):
+        adapted, m_alphas = adapt_irreps_to_class(reps, cls)
+        for alpha in range(len(reps)):
+            for k in range(reps[alpha].dim):
+                for l in range(m_alphas[alpha]):
+                    args = (group, adapted, alpha, k, l, cls.base_element)
+                    brute, dense = wigner_eckart_bruteforce(*args), dense_wigner_eckart_bruteforce(*args)
+                    assert brute.keys() == dense.keys()
+                    for key in brute:
+                        worst = max(worst, float(np.max(np.abs(brute[key] - dense[key]))))
+    assert worst <= 1e-13
 
 
 def test_wigner_eckart_trivial_alpha_is_class_operator_eigenvalue():

@@ -14,9 +14,8 @@ from classops.groups import (
     inner_product,
     left_regular_matrix,
     parse_cycles,
-    regular_actions,
 )
-from helpers import CATALOG_LEQ_24, oracle_classes, oracle_mult_table
+from helpers import CATALOG_LEQ_24, oracle_classes, oracle_coset_reps, oracle_mult_table, regular_actions
 
 
 @pytest.mark.parametrize("spec,order", [
@@ -161,6 +160,15 @@ def test_catalog_group_at_the_order_cap_is_built(spec, cap):
 def test_closure_table_matches_composition_oracle(spec):
     group = build_group(spec)
     assert np.array_equal(group.mult_table, oracle_mult_table(group))
+
+
+@pytest.mark.parametrize("spec", [
+    "S5", "D30", "C150", ["(1 2 3)", "(1 2 3 4 5)"],
+], ids=["S5", "D30", "C150", "A5-generators"])
+def test_coset_reps_are_the_smallest_conjugators(spec):
+    group = build_group(spec)
+    for cls in conjugacy_classes(group):
+        assert cls.coset_reps == oracle_coset_reps(group, cls.base_element)
 
 
 def test_associativity_exhaustive_small():

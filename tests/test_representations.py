@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from classops.groups import build_group, conjugacy_classes, inner_product
+from classops.groups import build_group, conjugacy_classes, inner_product, left_regular_matrix
 from classops.representations import (
+    _canonical_row_order,
     _class_combination,
     _class_constant_slice,
     _class_quotients,
@@ -17,6 +18,7 @@ from classops.representations import (
 )
 from helpers import (
     CATALOG_LEQ_24,
+    oracle_canonical_row_order,
     oracle_character_table,
     oracle_class_constants,
     regular_representation,
@@ -215,7 +217,7 @@ def test_projectors():
     total = np.zeros((group.order, group.order), dtype=complex)
     projectors = []
     for alpha in range(len(table.dims)):
-        p = isotypic_projector(group, table, alpha).matrix
+        p = left_regular_matrix(group, isotypic_projector(group, table, alpha).matrix)
         projectors.append(p)
         assert np.max(np.abs(p @ p - p)) < 1e-10
         assert np.max(np.abs(p - p.conj().T)) < 1e-11
@@ -241,7 +243,7 @@ def test_projector_stack_argument_matches_default():
     table = character_table(group)
     lam = regular_representation(group)
     for alpha in range(3):
-        p1 = isotypic_projector(group, table, alpha).matrix
+        p1 = left_regular_matrix(group, isotypic_projector(group, table, alpha).matrix)
         p2 = isotypic_projector(group, table, alpha, lam).matrix
         assert np.max(np.abs(p1 - p2)) < 1e-12
     with pytest.raises(KeyError):
@@ -251,7 +253,7 @@ def test_projector_stack_argument_matches_default():
 def test_trivial_projector_is_averaging():
     group = build_group("Q8")
     table = character_table(group)
-    p = isotypic_projector(group, table, 0).matrix
+    p = left_regular_matrix(group, isotypic_projector(group, table, 0).matrix)
     assert np.max(np.abs(p - np.full((8, 8), 1 / 8))) < 1e-12
 
 
@@ -264,7 +266,7 @@ def test_matrix_element_functions():
     assert np.allclose(funcs[0, 0], 1.0)
     funcs, norm = matrix_element_functions(reps[2])
     assert norm == pytest.approx(np.sqrt(2))
-    p = isotypic_projector(group, table, 2).matrix
+    p = left_regular_matrix(group, isotypic_projector(group, table, 2).matrix)
     for i in range(2):
         for j in range(2):
             for k in range(2):
@@ -297,3 +299,16 @@ def test_canonical_row_ordering_deterministic():
     t2 = character_table(build_group("S4"))
     assert np.array_equal(t1.values, t2.values)
     assert t1.dims.tolist() == [1, 1, 2, 3, 3]
+
+
+@pytest.mark.parametrize("spec", [
+    "S4", "S5", "D30", "C150", "C300", ["(1 2)", "(1 2 3 4 5 6)"],
+], ids=["S4", "S5", "D30", "C150", "C300", "S6-generators"])
+def test_canonical_row_order_matches_rounded_tuple_key(spec):
+    table = character_table(build_group(spec))
+    rng = np.random.default_rng(11)
+    shuffled = rng.permutation(len(table.dims))
+    values, dims = table.values[shuffled], table.dims[shuffled]
+    order = _canonical_row_order(values, dims)
+    assert np.array_equal(order, oracle_canonical_row_order(values, dims))
+    assert np.array_equal(values[order], table.values)
