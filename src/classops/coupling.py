@@ -13,9 +13,11 @@ Index conventions (kept rigidly throughout):
   bases are orthonormal for the plain Frobenius inner product tr(A B^H), which
   makes the coefficient matrix exactly unitary.
 * Multiplicity-copy bases and phases are fixed deterministically: the copy
-  seeds are a pivoted-QR basis of the range of the averaging operator
-  P_00 = (n^gamma/|G|) sum_g conj(t^gamma_00(g)) Pi(g), with leading entries
-  rotated positive.
+  seeds are ``_orthonormal_range`` of the averaging operator
+  P_00 = (n^gamma/|G|) sum_g conj(t^gamma_00(g)) Pi(g), Gram-Schmidt with
+  the lowest index among columns of (nearly) equal residual norm, and every
+  copy, finite or SU(2), has its leading entry rotated positive by
+  ``_fix_column_phases``.
 * SU(2) tables are labeled by doubled spins and built in closed form from
   Condon-Shortley Clebsch-Gordan coefficients conjugated by the spin-sigma
   conjugation intertwiner.
@@ -284,18 +286,6 @@ def _conjugation_intertwiner(j2: int) -> np.ndarray:
     return y
 
 
-def _fix_copy_phases(e: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Rotate each multiplicity copy so its first sizable entry is positive real."""
-    e = e.copy()
-    for mi in range(e.shape[0]):
-        flat = e[mi].ravel()
-        idx = np.flatnonzero(np.abs(flat) > tol)
-        if idx.size:
-            lead = flat[idx[0]]
-            e[mi] *= np.abs(lead) / lead
-    return e
-
-
 def su2_coupling_table(sigma2: int) -> CouplingTable:
     """Coupling table of L(V^sigma) for SU(2); components are integer spins 0..2*sigma."""
     d = sigma2 + 1
@@ -304,8 +294,7 @@ def su2_coupling_table(sigma2: int) -> CouplingTable:
     for j_2 in range(0, 2 * sigma2 + 1, 2):
         cg = clebsch_gordan(sigma2, sigma2, j_2)          # (d, d, dJ)
         e = np.einsum("jb,ibM->Mij", y, cg)               # e^J_M[i, j]
-        e = _fix_copy_phases(e[None, ...])[0][None, ...]  # single copy, fixed phase
-        e = e.reshape(1, j_2 + 1, d, d)
+        e = _fix_column_phases(e.reshape(-1, 1)).reshape(1, j_2 + 1, d, d)  # one copy
         gammas.append(j_2)
         mults[j_2] = 1
         basis[j_2] = e

@@ -202,16 +202,15 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def element_order(self, g: int) -> int:
+    def element_orders(self) -> np.ndarray:
+        """Order of every element, from the powers of all elements at once."""
         if self._element_orders is None:
-            self._element_orders = np.zeros(self.order, dtype=np.int64)
-        if self._element_orders[g] == 0:
-            k, h = 1, g
-            while h != 0:
-                h = self.mul(h, g)
-                k += 1
-            self._element_orders[g] = k
-        return int(self._element_orders[g])
+            orders, power, k = np.zeros(self.order, dtype=np.int64), np.arange(self.order), 1
+            while not orders.all():
+                orders[(power == 0) & (orders == 0)] = k
+                power, k = self.mult_table[power, np.arange(self.order)], k + 1
+            self._element_orders = orders
+        return self._element_orders
 
     def element_index(self, label_or_index) -> int:
         """Resolve an element given as an index, an int-like string, or a label."""

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .groups import FiniteGroup, ConjugacyClass, _as_coeffs, conjugacy_classes, left_regular_matrix
 
@@ -194,19 +193,13 @@ def extend_from_generators(group: FiniteGroup, generator_matrices: list[np.ndarr
     return mats
 
 
-def _snap_root_of_unity(value: complex, order: int) -> complex:
-    angle = np.angle(value)
-    step = 2 * np.pi / order
-    k = int(round(angle / step)) % order
-    return np.exp(2j * np.pi * k / order)
-
-
 def _one_dim_irrep(group: FiniteGroup, row: np.ndarray, class_of: np.ndarray) -> np.ndarray:
-    """1-dim characters are homomorphisms into roots of unity; snap them exact."""
-    vals = np.empty(group.order, dtype=complex)
-    for g in range(group.order):
-        vals[g] = _snap_root_of_unity(row[class_of[g]], group.element_order(g))
-    return vals.reshape(-1, 1, 1)
+    """1-dim characters are homomorphisms into roots of unity; snap them exact, all
+    elements at once, as cos + i sin of 2 pi k / ord(g) (the bits of exp(2j pi k / ord(g)))."""
+    orders = group.element_orders()
+    k = np.rint(np.angle(row[class_of]) / (2 * np.pi / orders)).astype(np.int64) % orders
+    arg = 2 * np.pi * k / orders
+    return (np.cos(arg) + 1j * np.sin(arg)).reshape(-1, 1, 1)
 
 
 # -- Young's orthogonal form for S_n ----------------------------------------
@@ -327,13 +320,30 @@ def _quaternion_irrep(group: FiniteGroup) -> list[np.ndarray]:
 
 
 def _orthonormal_range(matrix: np.ndarray, rank: int) -> np.ndarray:
-    """Deterministic orthonormal basis of the range of an (approximate) projector."""
-    q, _, _ = scipy.linalg.qr(matrix, pivoting=True, mode="economic")
-    basis = q[:, :rank]
-    return _fix_column_phases(basis)
+    """Deterministic orthonormal basis of the range of an (approximate) projector.
+
+    Gram-Schmidt with column pivoting: each step takes the column of largest
+    residual norm and, among the columns within a relative 1e-8 of it, the
+    lowest index, so round-off never reorders columns of equal norm.  The
+    pivot's residual is orthogonalized twice against the basis so far, the
+    residual norms of all columns are downdated, and ``_fix_column_phases``
+    runs last.
+    """
+    a = np.asarray(matrix, dtype=complex)
+    q = np.zeros((a.shape[0], rank), dtype=complex)
+    res = np.sum(np.abs(a) ** 2, axis=0)
+    for k in range(rank):
+        norms = np.sqrt(np.maximum(res, 0.0))
+        v = a[:, np.argmax(norms >= (1.0 - 1e-8) * norms.max())]
+        for _ in range(2):
+            v = v - q[:, :k] @ (q[:, :k].conj().T @ v)
+        q[:, k] = v / np.linalg.norm(v)
+        res -= np.abs(q[:, k].conj() @ a) ** 2
+    return _fix_column_phases(q)
 
 
 def _fix_column_phases(basis: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    """Rotate each column so its first entry above ``tol`` is positive real."""
     basis = basis.copy()
     for col in range(basis.shape[1]):
         idx = np.flatnonzero(np.abs(basis[:, col]) > tol)
@@ -351,35 +361,33 @@ def _regular_extraction(
 ) -> np.ndarray:
     """Cut one unitary copy of irrep alpha out of the regular representation.
 
-    Projects onto the isotypic block of the left regular representation, then
-    splits the (n^alpha)-fold multiplicity with a group-averaged random
-    Hermitian operator; a fixed seed schedule retries accidental eigenvalue
-    clustering.
+    B = ``_orthonormal_range`` of the isotypic projector lambda(e_alpha) spans
+    the (dim^2)-dimensional block.  Right convolution by a random r,
+    R[g, x] = r(g^-1 x), commutes with every lambda(g), so B^H R B plus its
+    adjoint is a Hermitian element of the commutant whose eigenspaces are
+    dim-fold, one per multiplicity copy (Dixon 1970).  The lowest eigenspace
+    V gets the basis ``_orthonormal_range(V V^H, dim)``, never LAPACK's
+    arbitrary degenerate eigenvectors, and column j of every matrix is one
+    gather and one product, mats[:, :, j] = w[g^-1 x, j] @ conj(w).  A fixed
+    seed schedule retries accidental eigenvalue clustering.
     """
     n = group.order
     dim = int(table.dims[alpha])
     proj = left_regular_matrix(group, isotypic_projector(group, table, alpha).matrix)
     basis = _orthonormal_range(proj, dim * dim)          # |G| x dim^2
-    # restriction of lambda(g): rows of the basis get permuted, lam(g) Q = Q[g^-1 x]
     inv_rows = group.mult_table[group.inverse_table, :]  # inv_rows[g, x] = g^-1 x
     rng = np.random.default_rng(seed)
     for _ in range(8):
-        h = rng.standard_normal((dim * dim, dim * dim)) + 1j * rng.standard_normal((dim * dim, dim * dim))
-        h = h + h.conj().T
-        averaged = np.zeros_like(h)
-        for g in range(n):
-            lam_q = basis[inv_rows[g]]                   # lambda(g) applied to each basis column
-            small = basis.conj().T @ lam_q               # dim^2 x dim^2 unitary
-            averaged += small @ h @ small.conj().T
-        averaged /= n
-        evals, evecs = np.linalg.eigh(averaged)
+        r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        small = basis.conj().T @ (r[inv_rows] @ basis)   # R restricted to the block
+        evals, evecs = np.linalg.eigh(small + small.conj().T)
         groups_found = _cluster(evals, 1e-6 * max(1.0, np.abs(evals).max()))
         if len(groups_found) == dim and all(len(g) == dim for g in groups_found):
-            sub = _fix_column_phases(evecs[:, groups_found[0]])
-            w = basis @ sub                              # |G| x dim orthonormal
+            v = evecs[:, groups_found[0]]
+            w = basis @ _orthonormal_range(v @ v.conj().T, dim)  # |G| x dim orthonormal
             mats = np.empty((n, dim, dim), dtype=complex)
-            for g in range(n):
-                mats[g] = w.conj().T @ w[inv_rows[g]]
+            for j in range(dim):
+                mats[:, :, j] = w[:, j][inv_rows] @ w.conj()
             return unitarize(mats)
     raise ArithmeticError("multiplicity splitting stayed degenerate under the seed schedule")
 
@@ -432,8 +440,10 @@ def irreps(group: FiniteGroup, table: CharacterTable | None = None, seed: int = 
     elif family == "quaternion":
         candidates = _quaternion_irrep(group)
 
+    bases = np.array([c.base_element for c in table.classes])
+
     def trace_vector(mats: np.ndarray) -> np.ndarray:
-        return np.array([np.trace(mats[c.base_element]) for c in table.classes])
+        return np.trace(mats[bases], axis1=1, axis2=2)
 
     out: list[Irrep] = []
     for r in range(len(table.dims)):

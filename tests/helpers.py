@@ -10,7 +10,8 @@ slow loops that the table pipeline replaced stay here as references compared
 bit for bit: composing every pair of permutations for the multiplication
 table, the dense (k, k, k) class-constant tensor, one ``np.kron`` per
 element for the conjugation representation, the per-element search for coset
-representatives and the rounded-tuple sort key of the character-table rows.
+representatives, the rounded-tuple sort key of the character-table rows and
+the per-element root-of-unity snapping of the 1-dim irreps.
 The library carries operators of the left regular representation as
 group-algebra elements; the dense |G| x |G| matrices (``regular_actions``,
 ``as_dense``, ``dense_wigner_eckart_bruteforce``) exist only here.
@@ -83,6 +84,18 @@ def oracle_coset_reps(group: FiniteGroup, base: int) -> tuple[int, ...]:
     for x in range(group.order):
         first.setdefault(group.conjugate(base, x), x)
     return tuple(first[c] for c in sorted(first))
+
+
+def oracle_one_dim_irrep(group: FiniteGroup, row: np.ndarray, class_of: np.ndarray) -> np.ndarray:
+    """Each chi(g) snapped to the nearest ord(g)-th root of unity, one scalar exp per element."""
+    vals = np.empty(group.order, dtype=complex)
+    for g in range(group.order):
+        order, power = 1, g
+        while power != 0:
+            power, order = group.mul(power, g), order + 1
+        k = int(round(np.angle(row[class_of[g]]) / (2 * np.pi / order))) % order
+        vals[g] = np.exp(2j * np.pi * k / order)
+    return vals.reshape(-1, 1, 1)
 
 
 def oracle_canonical_row_order(values: np.ndarray, dims: np.ndarray) -> np.ndarray:

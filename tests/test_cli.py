@@ -90,6 +90,13 @@ def test_wrong_shape_group_file_from_a_new_process(tmp_path):
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "GroupConstructionError"
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    probe = "import sys, classops.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]"
+
+
 def test_numerical_breakdown_is_an_input_error(capsys, monkeypatch):
     def breakdown(*args, **kwargs):
         raise ArithmeticError("degenerate numerical spectrum persisted")

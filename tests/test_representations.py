@@ -5,10 +5,13 @@ import pytest
 
 from classops.groups import build_group, conjugacy_classes, inner_product, left_regular_matrix
 from classops.representations import (
+    CharacterTable,
     _canonical_row_order,
     _class_combination,
     _class_constant_slice,
     _class_quotients,
+    _one_dim_irrep,
+    _orthonormal_range,
     character_table,
     irreps,
     isotypic_projector,
@@ -21,6 +24,7 @@ from helpers import (
     oracle_canonical_row_order,
     oracle_character_table,
     oracle_class_constants,
+    oracle_one_dim_irrep,
     regular_representation,
 )
 
@@ -193,6 +197,7 @@ def test_d4_two_dim_rotation():
     (["(1 2)", "(1 2 3)"], 6),           # S3 without the catalog tag
     (["(1 2 3 4)", "(2 4)"], 8),         # D4 without the catalog tag
     (["(1 2 3)", "(1 2)(3 4)"], 12),     # A4: generic 3-dim extraction
+    (["(1 2 3)", "(1 2 3 4 5)"], 60),    # A5: generic 3-, 4- and 5-dim extraction
 ])
 def test_generic_fallback_irreps(gens, order):
     group = build_group({"generators": gens})
@@ -312,3 +317,48 @@ def test_canonical_row_order_matches_rounded_tuple_key(spec):
     order = _canonical_row_order(values, dims)
     assert np.array_equal(order, oracle_canonical_row_order(values, dims))
     assert np.array_equal(values[order], table.values)
+
+
+@pytest.mark.parametrize("spec", ["C60", "C150", "D60", "S5"])
+def test_one_dim_irreps_match_scalar_snapping_bit_for_bit(spec):
+    group = build_group(spec)
+    table = character_table(group)
+    for alpha in np.flatnonzero(table.dims == 1):
+        row = table.values[alpha]
+        assert np.array_equal(
+            _one_dim_irrep(group, row, table.class_of), oracle_one_dim_irrep(group, row, table.class_of)
+        )
+
+
+@pytest.mark.parametrize("gens", [["(1 2 3)", "(1 2 3 4 5)"], ["(1 2)", "(1 2 3 4 5)"]], ids=["A5", "S5"])
+def test_generic_irreps_stable_under_table_round_off(gens):
+    group = build_group({"generators": gens})
+    table = character_table(group)
+    rng = np.random.default_rng(3)
+    noise = rng.standard_normal(table.values.shape) + 1j * rng.standard_normal(table.values.shape)
+    perturbed = CharacterTable(table.classes, table.values + 1e-15 * noise, table.dims, table.class_of)
+    before, after = irreps(group, table), irreps(group, perturbed)
+    assert any(rep.dim > 1 for rep in before)
+    for a, b in zip(before, after):
+        assert np.max(np.abs(a.matrices - b.matrices)) < 1e-12
+
+
+def test_orthonormal_range_takes_the_lowest_of_tied_columns():
+    # columns 0 and 1 have equal norm; a 1e-15 push must not promote column 1
+    proj = np.diag([1.0, 1.0, 0.0]).astype(complex)
+    pushed = proj.copy()
+    pushed[1, 1] += 1e-15
+    for p in (proj, pushed):
+        assert np.max(np.abs(_orthonormal_range(p, 2) - np.eye(3)[:, :2])) < 1e-12
+    # a projector whose columns are all translates of one vector: every norm ties
+    group = build_group("S4")
+    table = character_table(group)
+    p = left_regular_matrix(group, isotypic_projector(group, table, 3).matrix)
+    basis = _orthonormal_range(p, 9)
+    assert np.max(np.abs(basis.conj().T @ basis - np.eye(9))) < 1e-12
+    assert np.max(np.abs(p @ basis - basis)) < 1e-12
+    first = p[:, 0] / np.linalg.norm(p[:, 0])
+    assert np.max(np.abs(basis[:, 0] - first * abs(first[0]) / first[0])) < 1e-12
+    rng = np.random.default_rng(4)
+    noise = 1e-15 * (rng.standard_normal(p.shape) + 1j * rng.standard_normal(p.shape))
+    assert np.max(np.abs(_orthonormal_range(p + noise, 9) - basis)) < 1e-12
