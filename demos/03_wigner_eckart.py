@@ -4,7 +4,9 @@ For a weight taken from an irreducible family of functions on the conjugacy
 class, the matrix coefficients of the weighted class operator factor into a
 coupling coefficient times a reduced matrix element.  Both sides are computed
 independently: a brute-force operator on the group algebra (finite case) or a
-sphere quadrature (SU(2)), against the coupling-table prediction.
+sphere quadrature (SU(2)), against the coupling-table prediction.  The
+finite coupling table of sigma is decomposed once and rotated into the class's
+Z0-fixed bases, as the wigner-eckart command does for every class.
 """
 
 import numpy as np
@@ -16,9 +18,11 @@ from classops import (
     conjugacy_classes,
     conjugation_decomposition,
     irreps,
+    rotate_coupling_table,
     su2_coupling_table,
     wigner_eckart_bruteforce,
     wigner_eckart_matrix,
+    z_fixed_basis,
 )
 from classops.su2 import SphereQuadrature, WignerD, fixed_column_index, weighted_class_operator_su2
 
@@ -28,11 +32,12 @@ table = character_table(group)
 reps = irreps(group, table)
 cls = conjugacy_classes(group)[1]
 g0 = cls.base_element
-adapted, m_alphas = adapt_irreps_to_class(reps, cls)
+bases = [z_fixed_basis(a, rep.matrices, cls.centralizer) for a, rep in enumerate(reps)]
+adapted, m_alphas = adapt_irreps_to_class(reps, cls, bases)
 print(f"S3, class of {group.labels[g0]}; fixed-subspace dims per irrep: {m_alphas}")
 
 alpha, sigma = 2, 2  # standard weight family, standard block
-tab = conjugation_decomposition(group, adapted, table, sigma)
+tab = rotate_coupling_table(conjugation_decomposition(group, reps, table, sigma), [zb.basis for zb in bases])
 for k in range(adapted[alpha].dim):
     pred, rmes = wigner_eckart_matrix(
         tab, alpha, adapted[alpha].dim, range(m_alphas[alpha]), k, 0,

@@ -72,6 +72,7 @@ from .coupling import (
     product_expansion_residual,
     product_expansion_residual_su2,
     reduced_matrix_elements,
+    rotate_coupling_table,
     su2_coupling_table,
     su2_z_fixed_basis,
     tensor_operator_scan,

@@ -103,6 +103,13 @@ def _group_and_classes(cfg: RunConfig) -> tuple[FiniteGroup, list]:
     raise UsageError(f"element {cfg.class_selector!r} not found in any class")
 
 
+def _tables(cfg: RunConfig, group: FiniteGroup) -> tuple:
+    """The run's character table, irreps and the coupling table of every sigma, each built once."""
+    table = character_table(group, seed=cfg.seed)
+    irreps_list = irreps(group, table, seed=cfg.seed)
+    return table, irreps_list, [conjugation_decomposition(group, irreps_list, table, s) for s in range(len(irreps_list))]
+
+
 def _emit(cfg: RunConfig, text: str) -> None:
     """Write a rendered document to --output, or to stdout without one."""
     if not cfg.output:
@@ -153,13 +160,12 @@ def run_wigner_eckart(cfg: RunConfig) -> int:
         skipped, max_off = [], 0.0
     else:
         group, classes = _group_and_classes(cfg)
-        table = character_table(group, seed=cfg.seed)
-        irreps_list = irreps(group, table, seed=cfg.seed)
+        table, irreps_list, coupling = _tables(cfg, group)
         rows, reduced, skipped, max_off = [], [], [], 0.0
         for cls in classes:
             r, rr, sk, off = verify.wigner_eckart_report(
                 group, cls, seed=cfg.seed, tolerances=cfg.tolerances,
-                table=table, irreps_list=irreps_list,
+                table=table, irreps_list=irreps_list, coupling=coupling,
             )
             rows += r
             reduced += rr
@@ -189,13 +195,7 @@ def run_export_tables(cfg: RunConfig) -> int:
     if not cfg.output:
         raise UsageError("export-tables requires --output")
     group, _ = _group_and_classes(cfg)
-    table = character_table(group, seed=cfg.seed)
-    irreps_list = irreps(group, table, seed=cfg.seed)
-    coupling = [
-        conjugation_decomposition(group, irreps_list, table, sigma)
-        for sigma in range(len(irreps_list))
-    ]
-    _emit(cfg, json_text(tables_document(group, table, irreps_list, coupling)))
+    _emit(cfg, json_text(tables_document(group, *_tables(cfg, group))))
     return 0
 
 
@@ -261,6 +261,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _PARSER = _build_parser()
 
+# the wigner-eckart options (dest: flag) that each mode ignores, keyed by su2_mode
+_IGNORED_BY_MODE = {
+    True: {"class_selector": "--class"},
+    False: {"psi": "--psi", "max_spin_x2": "--max-spin-x2", "quadrature": "--quadrature"},
+}
+
 
 def main(argv: list[str] | None = None) -> int:
     args = vars(_PARSER.parse_args(argv))
@@ -268,6 +274,9 @@ def main(argv: list[str] | None = None) -> int:
         if "tolerances" in args:
             args["tolerances"] = _parse_tolerances(args["tolerances"])
         cfg = RunConfig(**args)
+        ignored = [flag for dest, flag in _IGNORED_BY_MODE[cfg.su2_mode].items() if dest in args]
+        if cfg.command == "wigner-eckart" and ignored:
+            raise UsageError(f"{', '.join(ignored)} has no effect in {cfg.group} wigner-eckart")
         return _COMMANDS[cfg.command][0](cfg)
     except (ValueError, ArithmeticError, OSError) as exc:
         # usage and input errors (GroupConstructionError, UsageError and JSON

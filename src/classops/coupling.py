@@ -14,10 +14,14 @@ Index conventions (kept rigidly throughout):
   makes the coefficient matrix exactly unitary.
 * Multiplicity-copy bases and phases are fixed deterministically: the copy
   seeds are ``_orthonormal_range`` of the averaging operator
-  P_00 = (n^gamma/|G|) sum_g conj(t^gamma_00(g)) Pi(g), Gram-Schmidt with
-  the lowest index among columns of (nearly) equal residual norm, and every
-  copy, finite or SU(2), has its leading entry rotated positive by
+  K_0 = (n^gamma/|G|) sum_g conj(t^gamma_00(g)) T(g) (x) conj(T(g)), Gram-Schmidt
+  with the lowest index among columns of (nearly) equal residual norm, and
+  every copy, finite or SU(2), has its leading entry rotated positive by
   ``_fix_column_phases``.
+* The coefficients belong to sigma alone; a class C0 only picks the Z0-fixed
+  basis W_alpha of each irrep.  ``rotate_coupling_table`` carries one table per
+  sigma into that basis and re-seeds its copies by the rule above, so it
+  equals ``conjugation_decomposition`` of the adapted irreps up to round-off.
 * SU(2) tables are labeled by doubled spins and built in closed form from
   Condon-Shortley Clebsch-Gordan coefficients conjugated by the spin-sigma
   conjugation intertwiner.
@@ -25,7 +29,7 @@ Index conventions (kept rigidly throughout):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from math import comb, copysign, factorial, sqrt
 
 import numpy as np
@@ -47,6 +51,7 @@ __all__ = [
     "FrobeniusRow",
     "TensorOperatorFamily",
     "conjugation_decomposition",
+    "rotate_coupling_table",
     "su2_coupling_table",
     "clebsch_gordan",
     "z_fixed_basis",
@@ -83,37 +88,18 @@ class CouplingTable:
     def coefficient_matrix(self) -> np.ndarray:
         """Unitary change of basis, rows (i, j) and columns (gamma, m, n)."""
         d = self.sigma_dim
-        cols = [
-            self.coeffs[g].reshape(d * d, -1)
-            for g in self.gammas
-        ]
-        return np.concatenate(cols, axis=1)
+        return np.concatenate([self.coeffs[g].reshape(d * d, -1) for g in self.gammas], axis=1)
 
     def unitarity_residual(self) -> float:
         c = self.coefficient_matrix()
         eye = np.eye(c.shape[0])
-        return float(
-            max(
-                np.max(np.abs(c @ c.conj().T - eye)),
-                np.max(np.abs(c.conj().T @ c - eye)),
-            )
-        )
+        return float(max(np.max(np.abs(c @ c.conj().T - eye)), np.max(np.abs(c.conj().T @ c - eye))))
 
     def reconstruction_residual(self) -> float:
         """max over (i, j) of |E_ij - sum_gmn c(...) e^gamma_mn|."""
         d = self.sigma_dim
-        worst = 0.0
-        for i in range(d):
-            for j in range(d):
-                acc = np.zeros((d, d), dtype=complex)
-                for g in self.gammas:
-                    acc += np.einsum(
-                        "mn,mnab->ab", self.coeffs[g][i, j], self.basis[g]
-                    )
-                target = np.zeros((d, d))
-                target[i, j] = 1.0
-                worst = max(worst, float(np.max(np.abs(acc - target))))
-        return worst
+        e = np.concatenate([self.basis[g].reshape(-1, d * d) for g in self.gammas])
+        return float(np.max(np.abs(self.coefficient_matrix() @ e - np.eye(d * d))))
 
 
 @dataclass
@@ -163,14 +149,6 @@ class TensorOperatorFamily:
 # ---------------------------------------------------------------------------
 
 
-def _conjugation_stack(matrices: np.ndarray) -> np.ndarray:
-    """Vectorized conjugation representation: Pi[g] = kron(T(g), conj(T(g))), bit for bit
-    (one broadcast of the multiply np.kron does)."""
-    n, d = matrices.shape[0], matrices.shape[1]
-    out = matrices[:, :, None, :, None] * matrices.conj()[:, None, :, None, :]
-    return out.reshape(n, d * d, d * d)
-
-
 def conjugation_decomposition(
     group: FiniteGroup,
     irreps_list: list[Irrep],
@@ -179,54 +157,60 @@ def conjugation_decomposition(
 ) -> CouplingTable:
     """Decompose L(V^sigma) and return the coupling coefficients.
 
-    Multiplicities come from the character table.  The adapted basis of each
-    gamma-isotypic block is built from the
-    matrix-element averaging operators K_q = (n^gamma/|G|) sum_g
-    conj(t^gamma_{q0}(g)) Pi(g): the range of K_0 carries one vector per
-    multiplicity copy, and e_{m q} = K_q f_m then transforms with exactly the
-    stored t^gamma matrices.
+    Multiplicities come from the character table.  Each gamma-block comes from
+    the averages K_q F = (n^gamma/|G|) sum_g conj(t^gamma_{q0}(g)) T(g) F T(g)^H,
+    summed over T(g) directly: the copy seeds F_m are ``_orthonormal_range`` of
+    K_0 (one (d^2, |G|) @ (|G|, d^2) product), and the copies e_{m q} = K_q F_m
+    transform with exactly the stored t^gamma.  Another basis of the irreps
+    needs no new decomposition: see ``rotate_coupling_table``.
     """
-    n = group.order
-    t_sigma = irreps_list[sigma].matrices
-    d = irreps_list[sigma].dim
-    pi = _conjugation_stack(t_sigma)
+    n, d, t_sigma = group.order, irreps_list[sigma].dim, irreps_list[sigma].matrices
+    t_flat = t_sigma.reshape(n, d * d)
     chars = table.values[:, table.class_of]
     mult_all = (chars.conj() @ (np.abs(chars[sigma]) ** 2)).real / n
-    gammas, mults, coeffs, basis = [], {}, {}, {}
+    mults, coeffs, basis = {}, {}, {}
     for gamma, mult in enumerate(mult_all):
         m = int(round(mult))
         if abs(mult - m) > 1e-8:
             raise ArithmeticError(f"non-integer multiplicity {mult} for component {gamma}")
         if m == 0:
             continue
-        t_gamma = irreps_list[gamma].matrices
         d_gamma = irreps_list[gamma].dim
-        k_ops = [
-            (d_gamma / n) * np.tensordot(t_gamma[:, q, 0].conj(), pi, axes=1)
-            for q in range(d_gamma)
-        ]
-        seeds = _orthonormal_range(k_ops[0], m)  # (d^2, m), deterministic phases
-        e = np.empty((m, d_gamma, d, d), dtype=complex)
-        for mi in range(m):
-            for q in range(d_gamma):
-                e[mi, q] = (k_ops[q] @ seeds[:, mi]).reshape(d, d)
-        c = np.conj(e).transpose(2, 3, 0, 1)  # c[i, j, m, q] = conj(e[m, q][i, j])
-        gammas.append(gamma)
+        w = (d_gamma / n) * irreps_list[gamma].matrices[:, :, 0].conj()  # w[g, q]
+        # K_0[(a b), (c e)] = sum_g w[g, 0] T_ac(g) conj(T_be(g))
+        k0 = (w[:, 0, None] * t_flat).T @ t_flat.conj()
+        k0 = k0.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+        seeds = _orthonormal_range(k0, m).T.reshape(m, d, d)  # deterministic phases
+        sandwiches = (t_sigma[:, None] @ seeds @ t_sigma.conj().transpose(0, 2, 1)[:, None]).reshape(n, -1)
+        e = (w.T @ sandwiches).reshape(d_gamma, m, d, d).transpose(1, 0, 2, 3)
         mults[gamma] = m
-        coeffs[gamma] = c
+        coeffs[gamma] = np.conj(e).transpose(2, 3, 0, 1)  # c[i, j, m, q] = conj(e[m, q][i, j])
         basis[gamma] = e
-    total = sum(mults[g] * irreps_list[g].dim for g in gammas)
-    if total != d * d:
+    if sum(m * irreps_list[g].dim for g, m in mults.items()) != d * d:
         raise ArithmeticError("component dimensions do not fill L(V^sigma)")
     return CouplingTable(
-        sigma=sigma,
-        sigma_dim=d,
-        kind="finite",
-        gammas=gammas,
-        multiplicities=mults,
-        coeffs=coeffs,
-        basis=basis,
+        sigma=sigma, sigma_dim=d, kind="finite", gammas=list(mults), multiplicities=mults, coeffs=coeffs, basis=basis
     )
+
+
+def rotate_coupling_table(table: CouplingTable, bases: list[np.ndarray]) -> CouplingTable:
+    """The table of sigma for the irreps W_alpha^H T_alpha W_alpha, with no pass over G.
+
+    Copies turn by e'_{m n} = sum_q (W_gamma)_{q n} W_sigma^H e_{m q} W_sigma and
+    are re-seeded as ``conjugation_decomposition`` seeds them: E = [vec e'_{m 0}]
+    spans the rotated K_0 = E E^H, so e_{m q} = sum_m' U_{m' m} e'_{m' q} with
+    U = E^H ``_orthonormal_range``(E E^H, m).
+    """
+    d, w_sigma = table.sigma_dim, bases[table.sigma]
+    coeffs, basis = {}, {}
+    for gamma in table.gammas:
+        m = table.multiplicities[gamma]
+        e = bases[gamma].T @ (w_sigma.conj().T @ table.basis[gamma] @ w_sigma).reshape(m, -1, d * d)
+        lead = e[:, 0].T
+        u = lead.conj().T @ _orthonormal_range(lead @ lead.conj().T, m)
+        basis[gamma] = (u.T @ e.reshape(m, -1)).reshape(m, -1, d, d)
+        coeffs[gamma] = np.conj(basis[gamma]).transpose(2, 3, 0, 1)
+    return replace(table, coeffs=coeffs, basis=basis)
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +284,7 @@ def su2_coupling_table(sigma2: int) -> CouplingTable:
         basis[j_2] = e
         coeffs[j_2] = np.conj(e).transpose(2, 3, 0, 1)
     return CouplingTable(
-        sigma=sigma2,
-        sigma_dim=d,
-        kind="su2",
-        gammas=gammas,
-        multiplicities=mults,
-        coeffs=coeffs,
-        basis=basis,
+        sigma=sigma2, sigma_dim=d, kind="su2", gammas=gammas, multiplicities=mults, coeffs=coeffs, basis=basis
     )
 
 
@@ -339,17 +317,15 @@ def su2_z_fixed_basis(j2: int) -> ZFixedBasis:
 
 
 def adapt_irreps_to_class(
-    irreps_list: list[Irrep], cls: ConjugacyClass
+    irreps_list: list[Irrep], cls: ConjugacyClass, bases: list[ZFixedBasis] | None = None
 ) -> tuple[list[Irrep], list[int]]:
-    """Rotate every irrep so its leading basis vectors are Z0(g0)-fixed."""
-    adapted, m_alphas = [], []
-    for ai, rep in enumerate(irreps_list):
-        zb = z_fixed_basis(ai, rep.matrices, cls.centralizer)
-        w = zb.basis
-        mats = np.einsum("ij,gjk,kl->gil", w.conj().T, rep.matrices, w)
-        adapted.append(Irrep(label=rep.label, dim=rep.dim, matrices=mats))
-        m_alphas.append(zb.m_alpha)
-    return adapted, m_alphas
+    """Rotate every irrep so its leading basis vectors are Z0(g0)-fixed,
+    T' = W^H T W with W the ``z_fixed_basis`` of each irrep (``bases``, if the
+    caller already has them for this class)."""
+    if bases is None:
+        bases = [z_fixed_basis(ai, rep.matrices, cls.centralizer) for ai, rep in enumerate(irreps_list)]
+    adapted = [replace(rep, matrices=zb.basis.conj().T @ rep.matrices @ zb.basis) for rep, zb in zip(irreps_list, bases)]
+    return adapted, [zb.m_alpha for zb in bases]
 
 
 def frobenius_multiplicity_check(
@@ -369,7 +345,7 @@ def frobenius_multiplicity_check(
     rows = []
     for ai, rep in enumerate(irreps_list):
         zb = z_fixed_basis(ai, rep.matrices, cls.centralizer)
-        chi = table.element_values(group, ai)
+        chi = table.element_values(ai)
         induced = np.sum(chi.conj() * fix_counts).real / group.order
         induced_int = int(round(induced))
         if abs(induced - induced_int) > 1e-8:
@@ -572,14 +548,17 @@ def wigner_eckart_bruteforce(
     pushed = weighted_class_operator(group, None, g0, f).matrix
     support = np.flatnonzero(pushed)
     shifts = group.mult_table[group.inverse_table[support]]   # shifts[s, y] = c_s^-1 y
-    out = {}
+    n, out = group.order, {}
     for si, srep in enumerate(adapted):
         phi = srep.matrices.conj()
         applied = np.zeros_like(phi)
         for c, shift in zip(support, shifts):
             applied += pushed[c] * phi[shift]
+        # np.tensordot(applied, t^gamma, axes=(0, 0)), transposing applied once for all gamma
+        applied = applied.transpose(1, 2, 0).reshape(-1, n)
         for gi, grep in enumerate(adapted):
-            out[(si, gi)] = np.tensordot(applied, grep.matrices, axes=(0, 0)) * (srep.dim / group.order)
+            prod = np.dot(applied, grep.matrices.reshape(n, -1)) * (srep.dim / n)
+            out[(si, gi)] = prod.reshape((srep.dim,) * 2 + (grep.dim,) * 2)
     return out
 
 

@@ -55,7 +55,7 @@ class CharacterTable:
     def class_sizes(self) -> np.ndarray:
         return np.array([c.size for c in self.classes])
 
-    def element_values(self, group: FiniteGroup, alpha: int) -> np.ndarray:
+    def element_values(self, alpha: int) -> np.ndarray:
         """Character of row alpha as a function on the group."""
         return self.values[alpha][self.class_of]
 
@@ -331,14 +331,15 @@ def _orthonormal_range(matrix: np.ndarray, rank: int) -> np.ndarray:
     """
     a = np.asarray(matrix, dtype=complex)
     q = np.zeros((a.shape[0], rank), dtype=complex)
-    res = np.sum(np.abs(a) ** 2, axis=0)
+    res = (np.abs(a) ** 2).sum(axis=0)
     for k in range(rank):
         norms = np.sqrt(np.maximum(res, 0.0))
-        v = a[:, np.argmax(norms >= (1.0 - 1e-8) * norms.max())]
-        for _ in range(2):
+        v = a[:, (norms >= (1.0 - 1e-8) * norms.max()).argmax()]
+        for _ in range(2 if k else 0):
             v = v - q[:, :k] @ (q[:, :k].conj().T @ v)
         q[:, k] = v / np.linalg.norm(v)
-        res -= np.abs(q[:, k].conj() @ a) ** 2
+        if k + 1 < rank:
+            res -= np.abs(q[:, k].conj() @ a) ** 2
     return _fix_column_phases(q)
 
 
@@ -346,9 +347,9 @@ def _fix_column_phases(basis: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     """Rotate each column so its first entry above ``tol`` is positive real."""
     basis = basis.copy()
     for col in range(basis.shape[1]):
-        idx = np.flatnonzero(np.abs(basis[:, col]) > tol)
-        if idx.size:
-            lead = basis[idx[0], col]
+        above = np.abs(basis[:, col]) > tol
+        if above.any():
+            lead = basis[above.argmax(), col]
             basis[:, col] *= np.abs(lead) / lead
     return basis
 
@@ -408,7 +409,7 @@ def unitarize(matrices: np.ndarray) -> np.ndarray:
     evals, evecs = np.linalg.eigh(gram)
     root = (evecs * np.sqrt(evals)) @ evecs.conj().T
     root_inv = (evecs / np.sqrt(evals)) @ evecs.conj().T
-    return np.einsum("ij,gjk,kl->gil", root, matrices, root_inv)
+    return root @ matrices @ root_inv
 
 
 def schur_defect(matrices: np.ndarray, seed: int = 0, trials: int = 2) -> float:
@@ -421,7 +422,7 @@ def schur_defect(matrices: np.ndarray, seed: int = 0, trials: int = 2) -> float:
     for _ in range(trials):
         x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         x = x + x.conj().T
-        avg = np.mean(np.einsum("gij,jk,glk->gil", matrices, x, matrices.conj()), axis=0)
+        avg = np.mean(matrices @ x @ matrices.conj().transpose(0, 2, 1), axis=0)
         scalar = np.trace(avg) / dim
         worst = max(worst, float(np.max(np.abs(avg - scalar * np.eye(dim)))))
     return worst
@@ -505,7 +506,7 @@ def isotypic_projector(
     if alpha < 0 or alpha >= len(table.dims):
         raise KeyError(f"character row {alpha} missing")
     dim = int(table.dims[alpha])
-    chi_g = table.element_values(group, alpha)
+    chi_g = table.element_values(alpha)
     matrix = (dim / group.order) * represent(group, representation, chi_g.conj())
     return IsotypicProjection(alpha=alpha, matrix=matrix)
 

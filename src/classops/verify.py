@@ -24,11 +24,14 @@ from .class_operators import (
     weighted_class_operator,
 )
 from .coupling import (
+    CouplingTable,
     adapt_irreps_to_class,
     conjugation_decomposition,
+    rotate_coupling_table,
     tensor_operator_scan,
     wigner_eckart_bruteforce,
     wigner_eckart_matrix,
+    z_fixed_basis,
 )
 from .su2 import SphereQuadrature, class_operator_quadrature, closed_form_eigenvalue
 
@@ -199,9 +202,12 @@ def wigner_eckart_report(
     tolerances: dict | None = None,
     table: CharacterTable | None = None,
     irreps_list: list[Irrep] | None = None,
+    coupling: list[CouplingTable] | None = None,
 ):
     """Compare the Wigner-Eckart prediction with brute-force inner products.
 
+    ``coupling`` holds the run's ``conjugation_decomposition`` of every sigma
+    (built here if not given); each class rotates it into its Z0-fixed bases.
     Returns (rows, reduced_rows, skipped, max_off_pattern): one row per
     (alpha, k, l, sigma), the reduced-matrix-element table, notes for alpha
     without Z0-fixed columns, and the largest off-pattern magnitude seen.
@@ -214,8 +220,11 @@ def wigner_eckart_report(
         irreps_list = irreps(group, table, seed=seed)
     g0 = cls.base_element
     g0_label = group.labels[g0]
-    adapted, m_alphas = adapt_irreps_to_class(irreps_list, cls)
-    tables = {s: conjugation_decomposition(group, adapted, table, s) for s in range(len(adapted))}
+    if coupling is None:
+        coupling = [conjugation_decomposition(group, irreps_list, table, s) for s in range(len(irreps_list))]
+    bases = [z_fixed_basis(ai, rep.matrices, cls.centralizer) for ai, rep in enumerate(irreps_list)]
+    adapted, m_alphas = adapt_irreps_to_class(irreps_list, cls, bases)
+    tables = [rotate_coupling_table(tab, [zb.basis for zb in bases]) for tab in coupling]
     rows: list[WignerEckartRow] = []
     reduced_rows: list[ReducedElementRow] = []
     max_off = 0.0
@@ -236,12 +245,12 @@ def wigner_eckart_report(
                     )
                     d = adapted[sigma].dim
                     expect = np.einsum("jv,ui->ijuv", np.eye(d), pred)
-                    dev = float(np.max(np.abs(brute[(sigma, sigma)] - expect)))
+                    dev = float(np.abs(brute[(sigma, sigma)] - expect).max())
                     off = brute[(sigma, sigma)] * (1.0 - np.eye(d))[None, :, None, :]
-                    max_off = max(max_off, float(np.max(np.abs(off))))
+                    max_off = max(max_off, float(np.abs(off).max()))
                     for gamma in range(len(adapted)):
                         if gamma != sigma:
-                            max_off = max(max_off, float(np.max(np.abs(brute[(sigma, gamma)]))))
+                            max_off = max(max_off, float(np.abs(brute[(sigma, gamma)]).max()))
                     key = (group.name, sigma, alpha, k, l, g0_label)
                     _add_comparison(rows, reduced_rows, key, dev, rmes, tol)
     return rows, reduced_rows, _skipped(g0_label, m_alphas), max_off

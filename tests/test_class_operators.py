@@ -284,6 +284,6 @@ def test_class_sum_character_expansion(spec):
     for ci, cls in enumerate(table.classes):
         expansion = np.zeros(group.order, dtype=complex)
         for alpha in range(len(table.dims)):
-            expansion += table.values[alpha, ci].conjugate() * table.element_values(group, alpha)
+            expansion += table.values[alpha, ci].conjugate() * table.element_values(alpha)
         expansion /= group.order
         assert np.max(np.abs(class_sum_element(group, cls) - expansion)) < 1e-10

@@ -317,6 +317,34 @@ def test_export_tables_refuses_options_it_would_ignore(option, tmp_path):
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize("option", [
+    ["--group", "S3", "--psi", "1"],
+    ["--group", "S3", "--max-spin-x2", "3"],
+    ["--group", "S3", "--quadrature", "5", "6"],
+    ["--group", "S3", "--psi", "1", "--max-spin-x2", "3", "--quadrature", "5", "6"],
+    ["--group", "su2", "--class", "3"],
+])
+def test_wigner_eckart_refuses_options_its_mode_ignores(option, capsys):
+    code, out, err = run(["wigner-eckart", *option], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "UsageError"
+
+
+def test_wigner_eckart_decomposes_each_irrep_once(capsys, monkeypatch):
+    calls = []
+    decompose = cli.conjugation_decomposition
+
+    def counted(group, irreps_list, table, sigma):
+        calls.append(sigma)
+        return decompose(group, irreps_list, table, sigma)
+
+    monkeypatch.setattr(cli, "conjugation_decomposition", counted)
+    monkeypatch.setattr(cli.verify, "conjugation_decomposition", counted)
+    code, out, _ = run(["wigner-eckart", "--group", "S4", "--class", "all"], capsys)
+    assert code == 0 and json.loads(out)["passed"] is True
+    assert sorted(calls) == [0, 1, 2, 3, 4]
+
+
 def test_oversized_catalog_group_exits_before_the_closure(capsys, monkeypatch):
     def closure_must_not_run(*args, **kwargs):
         raise AssertionError("the closure ran for a catalog group above the order cap")

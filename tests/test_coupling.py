@@ -1,5 +1,7 @@
 """Coupling tables, Frobenius reciprocity, and the Wigner-Eckart factorization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from classops.groups import build_group, conjugacy_classes
 from classops.representations import character_table, irreps
 from classops.class_operators import weighted_class_operator
 from classops.coupling import (
-    _conjugation_stack,
     adapt_irreps_to_class,
     clebsch_gordan,
     conjugation_decomposition,
@@ -15,6 +16,7 @@ from classops.coupling import (
     product_expansion_residual,
     product_expansion_residual_su2,
     reduced_matrix_elements,
+    rotate_coupling_table,
     su2_coupling_table,
     su2_z_fixed_basis,
     tensor_operator_scan,
@@ -24,6 +26,7 @@ from classops.coupling import (
     wigner_eckart_matrix,
     z_fixed_basis,
 )
+from classops.representations import _orthonormal_range
 from classops.su2 import (
     MAX_J2,
     SphereQuadrature,
@@ -56,13 +59,68 @@ def _tables_for(spec):
 # ---------------------------------------------------------------------------
 
 
+def _stacked_decomposition(group, reps, sigma: int, gamma: int, m: int) -> np.ndarray:
+    """Copies e[m, q] of gamma in L(V^sigma) through the dense (|G|, d^2, d^2)
+    conjugation stack: one tensordot per averaging operator K_q, seeds from K_0."""
+    d, d_gamma = reps[sigma].dim, reps[gamma].dim
+    pi = oracle_conjugation_stack(reps[sigma].matrices)
+    k_ops = [
+        (d_gamma / group.order) * np.tensordot(reps[gamma].matrices[:, q, 0].conj(), pi, axes=1)
+        for q in range(d_gamma)
+    ]
+    seeds = _orthonormal_range(k_ops[0], m)
+    return np.array([[(k @ seeds[:, mi]).reshape(d, d) for k in k_ops] for mi in range(m)])
+
+
+# an irrep of each dimension 1..6: S3's sign and standard, S4's 3-dim and S5's
+# 4-, 5- and 6-dim ones (L(V^6) of S5 holds its 4- and 5-dim irreps twice)
 @pytest.mark.parametrize("dim", range(1, 7))
-def test_conjugation_stack_matches_kron_loop(dim):
-    rng = np.random.default_rng(dim)
-    mats = rng.standard_normal((7, dim, dim)) + 1j * rng.standard_normal((7, dim, dim))
-    stack = _conjugation_stack(mats)
-    assert stack.shape == (7, dim * dim, dim * dim)
-    assert stack.tobytes() == oracle_conjugation_stack(mats).tobytes()
+def test_conjugation_decomposition_matches_stack_oracle(dim):
+    spec = {1: "S3", 2: "S3", 3: "S4"}.get(dim, "S5")
+    group, table, reps = _tables_for(spec)
+    sigma = max(i for i, rep in enumerate(reps) if rep.dim == dim)
+    tab = conjugation_decomposition(group, reps, table, sigma)
+    for gamma in tab.gammas:
+        stacked = _stacked_decomposition(group, reps, sigma, gamma, tab.multiplicity(gamma))
+        assert np.max(np.abs(tab.basis[gamma] - stacked)) < 1e-13
+    if dim == 6:
+        assert max(tab.multiplicities.values()) == 2
+
+
+def test_conjugation_decomposition_never_builds_the_stack():
+    # The conjugation stack of S5's 6-dim irrep takes 120 * 36**2 * 16 B =
+    # 2.5 MB.  Built from T(g) directly the decomposition peaked at 0.56 MB
+    # traced (CPython 3.11, numpy 2.4), the largest piece being the (|G|, m,
+    # d, d) sandwiches of one multiplicity-2 component.
+    group, table, reps = _tables_for("S5")
+    sigma = max(i for i, rep in enumerate(reps) if rep.dim == 6)
+    tracemalloc.start()
+    try:
+        tab = conjugation_decomposition(group, reps, table, sigma)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tab.reconstruction_residual() < 1e-12
+    assert peak < 1_250_000, f"peak traced allocation {peak} B"
+
+
+@pytest.mark.parametrize(
+    "spec", ["S4", "D10", "Q8", "S5", ["(1 2 3)", "(1 2 3 4 5)"]], ids=["S4", "D10", "Q8", "S5", "A5-generators"]
+)
+def test_rotated_tables_match_a_fresh_decomposition(spec):
+    group, table, reps = _tables_for(spec)
+    tables = [conjugation_decomposition(group, reps, table, s) for s in range(len(reps))]
+    for cls in conjugacy_classes(group):
+        bases = [z_fixed_basis(a, rep.matrices, cls.centralizer) for a, rep in enumerate(reps)]
+        adapted, _ = adapt_irreps_to_class(reps, cls, bases)
+        for tab in tables:
+            rotated = rotate_coupling_table(tab, [zb.basis for zb in bases])
+            fresh = conjugation_decomposition(group, adapted, table, tab.sigma)
+            assert rotated.gammas == fresh.gammas and rotated.multiplicities == fresh.multiplicities
+            for gamma in fresh.gammas:
+                assert np.max(np.abs(rotated.coeffs[gamma] - fresh.coeffs[gamma])) < 1e-12
+            assert rotated.unitarity_residual() < 1e-12
+            assert rotated.reconstruction_residual() < 1e-12
 
 
 def test_trivial_sigma_table():

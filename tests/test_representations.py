@@ -231,7 +231,7 @@ def test_projectors():
             assert np.max(np.abs(lam[g] @ p - p @ lam[g])) < 1e-11
         # restriction of left translation carries an n^alpha-fold multiple:
         # trace over the range is n^alpha chi^alpha(g)
-        chi = table.element_values(group, alpha)
+        chi = table.element_values(alpha)
         for g in range(group.order):
             assert abs(np.trace(lam[g] @ p) - table.dims[alpha] * chi[g]) < 1e-9
         total += p
