@@ -222,14 +222,13 @@ def spectral_class_operator(
     """Spectral form of the class operator on the group algebra.
 
     sum_alpha chi^alpha(C0)/n^alpha e_alpha over the central idempotents
-    e_alpha = (n^alpha/|G|) conj(chi^alpha); equals weighted_class_operator
-    with weight 1.  Summed on the k classes, returned as a length-|G| element.
+    e_alpha = (n^alpha/|G|) conj(chi^alpha); the dims cancel, leaving
+    (1/|G|) sum_alpha chi^alpha(C0) conj(chi^alpha), one product over the
+    table.  Equals weighted_class_operator with weight 1.  Summed on the k
+    classes, returned as a length-|G| element.
     """
     if table is None:
         table = character_table(group)
-    class_index = table.class_of[cls.base_element]
-    on_classes = np.zeros(len(table.classes), dtype=complex)
-    for alpha, dim in enumerate(table.dims):
-        idempotent = (int(dim) / group.order) * table.values[alpha].conj()
-        on_classes += (table.values[alpha, class_index] / dim) * idempotent
+    column = table.values[:, table.class_of[cls.base_element]]
+    on_classes = (column.conj() @ table.values).conj() / group.order
     return on_classes[table.class_of]

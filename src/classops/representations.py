@@ -1,12 +1,13 @@
 """Irreducible unitary representations, characters and isotypic projectors.
 
-Character tables are computed Burnside-Dixon style from the class-algebra
-structure constants; concrete unitary irreps come from explicit catalog
-constructions (roots of unity, dihedral 2x2 blocks, Young's orthogonal form
-for S_n, the standard Q8 pair) with a generic fallback that splits the regular
-representation.  Row order of the character table is canonical: trivial
-character first, then by (dimension, lexicographic value order), and the
-irrep list follows the same order.
+Character tables come from Dixon's method: the common eigenvectors of the
+class-sum matrices are the central characters, so one Hermitian eigensolve of
+a random combination of class sums gives the whole table.  Concrete unitary
+irreps come from explicit catalog constructions (roots of unity, dihedral 2x2
+blocks, Young's orthogonal form for S_n, the standard Q8 pair) with a generic
+fallback that splits the regular representation.  Row order of the
+character table is canonical: trivial character first, then by (dimension,
+lexicographic value order), and the irrep list follows the same order.
 """
 
 from __future__ import annotations
@@ -88,24 +89,21 @@ def _class_combination(class_of: np.ndarray, quotient: np.ndarray, coeff: np.nda
     return (np.bincount(jk, w.real, k * k) + 1j * np.bincount(jk, w.imag, k * k)).reshape(k, k)
 
 
-def _class_constant_slice(class_of: np.ndarray, quotient: np.ndarray, j: int) -> np.ndarray:
-    """a[:, j, :] as a (k, k) matrix: one count over J."""
-    k = quotient.shape[1]
-    ik = np.broadcast_to(class_of[:, None] * k + np.arange(k), quotient.shape)
-    return np.bincount(ik[quotient == j], minlength=k * k).reshape(k, k).astype(float)
-
-
-def character_table(group: FiniteGroup, seed: int = 42, gap_tol: float = 1e-8) -> CharacterTable:
+def character_table(group: FiniteGroup, seed: int = 42) -> CharacterTable:
     """Compute the full character table (Dixon's method).
 
-    The class-sum matrices A_i (a[i] acting on the class labels) commute and
-    share the eigenvectors omega^alpha with omega_i = |C_i| chi(C_i) / n.
+    The class-sum matrices A_i (a[i] acting on the class labels) commute, and
+    A_i omega = omega_i omega for each central character
+    omega_i = |C_i| chi(C_i) / n, so their common eigenvectors are the omegas.
     Conjugating by diag(1/sqrt|C_i|) makes them normal, and A_{i^-1} = A_i^H
     in that gauge, so a random complex combination plus its adjoint is a
-    Hermitian matrix whose eigenvectors are the characters.  Degenerate
-    spectra are retried with fresh random combinations.  The combination is
-    one weighted count over J, and omega needs only the slice a[:, j*, :] of
-    the eigenvector's pivot class j*, so no (k, k, k) array is ever built.
+    Hermitian matrix whose eigenvectors, scaled back by sqrt|C_i| and set to 1
+    at the identity class, are the omegas.  Degenerate spectra are retried
+    with fresh random combinations, and runs of crowded eigenvalues are split
+    again by the skew part of the combination.  The combination is one
+    weighted count over J, so no (k, k, k) array is ever built.  Then
+    n^2 = |G| / sum_i |omega_i|^2 / |C_i| and chi = n omega / |C|, all rows
+    at once; chi(e) is n exactly.
     """
     classes = conjugacy_classes(group)
     k = len(classes)
@@ -119,43 +117,56 @@ def character_table(group: FiniteGroup, seed: int = 42, gap_tol: float = 1e-8) -
         m = (_class_combination(class_of, quotient, coeff) / d[:, None]) * d[None, :]
         h = m + m.conj().T
         evals, evecs = np.linalg.eigh(h)
-        if k == 1 or np.min(np.diff(np.sort(evals))) > gap_tol * max(1.0, np.max(np.abs(evals))):
+        if k == 1 or np.min(np.diff(np.sort(evals))) > 1e-8 * max(1.0, np.max(np.abs(evals))):
             vecs = evecs
             break
     if vecs is None:
         raise ArithmeticError(
             "degenerate numerical spectrum persisted; raise working precision"
         )
-    # back to the omega gauge, one contiguous row per eigenvector (a strided v
-    # would change the bits of slice @ v)
-    v_rows = np.ascontiguousarray((vecs * d[:, None]).T)
-    pivots = np.argmax(np.abs(v_rows), axis=1)
-    rows = [None] * k
-    for j_star in np.unique(pivots):
-        # one slice per pivot class, dropped before the next (all of them are the k^3 tensor)
-        a_slice = _class_constant_slice(class_of, quotient, j_star)
-        for col in np.flatnonzero(pivots == j_star):
-            v = v_rows[col]
-            omega = (a_slice @ v) / v[j_star]
-            dim_sq = group.order / np.sum(np.abs(omega) ** 2 / sizes)
-            dim = np.sqrt(dim_sq)
-            if abs(dim - round(dim)) > 1e-6:
-                raise ArithmeticError(f"non-integer irrep dimension {dim}; raise working precision")
-            rows[col] = round(dim) * omega / sizes
-    values = np.array(rows)
+    vecs = _split_crowded_eigenvectors(m, evals, vecs)
+    # one omega per row; the identity class is index 0 (classes start from base 0)
+    omega = (vecs * d[:, None]).T
+    omega /= omega[:, :1]
+    omega[:, 0] = 1.0
+    dim = np.sqrt(group.order / np.sum(np.abs(omega) ** 2 / sizes, axis=1))
+    dims = np.rint(dim).astype(int)
+    off = np.abs(dim - dims) > 1e-6
+    if off.any():
+        raise ArithmeticError(f"non-integer irrep dimension {dim[off][0]}; raise working precision")
+    values = dims[:, None] * omega / sizes
     # kill numerical dust so sort keys and golden files are stable
     values.real[np.abs(values.real) < 1e-12] = 0.0
     values.imag[np.abs(values.imag) < 1e-12] = 0.0
-    dims = values[:, [_identity_class_index(classes)]].real.round().astype(int).ravel()
     order = _canonical_row_order(values, dims)
     return CharacterTable(classes=classes, values=values[order], dims=dims[order], class_of=class_of)
 
 
-def _identity_class_index(classes: list[ConjugacyClass]) -> int:
-    for i, c in enumerate(classes):
-        if c.base_element == 0:
-            return i
-    raise AssertionError("identity class missing")
+def _split_crowded_eigenvectors(m: np.ndarray, evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Re-split the eigenvectors of h = m + m^H whose eigenvalues crowd together.
+
+    eigh pins an eigenvector only to about eps |h| / gap, and k random
+    eigenvalues come as close as about |h| / k^2.  Each run of eigenvalues
+    closer than 1e-4 |h| still spans the right subspace to about 1e4 eps;
+    inside it the omegas are the eigenvectors of the skew part of m, whose
+    eigenvalues the crowding in h does not touch.  Rotates vecs in place.
+    """
+    close = np.diff(evals) < 1e-4 * np.max(np.abs(evals))
+    if not close.any():
+        return vecs
+    # runs of consecutive close gaps, as [start, stop) in the sorted spectrum
+    edges = np.diff(np.r_[0, close.astype(np.int8), 0])
+    starts, stops = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) + 1
+    cols = np.concatenate([np.arange(a, b) for a, b in zip(starts, stops)])
+    m_cols = m @ vecs[:, cols]
+    at = 0
+    for a, b in zip(starts, stops):
+        sub = vecs[:, a:b]
+        g = sub.conj().T @ m_cols[:, at:at + b - a]
+        at += b - a
+        _, rot = np.linalg.eigh((g - g.conj().T) / 2j)
+        vecs[:, a:b] = sub @ rot
+    return vecs
 
 
 def _canonical_row_order(values: np.ndarray, dims: np.ndarray) -> np.ndarray:
@@ -412,14 +423,15 @@ def unitarize(matrices: np.ndarray) -> np.ndarray:
     return root @ matrices @ root_inv
 
 
-def schur_defect(matrices: np.ndarray, seed: int = 0, trials: int = 2) -> float:
-    """Distance of the averaged commutant from scalars; ~0 iff irreducible."""
+def schur_defect(matrices: np.ndarray, seed: int = 0) -> float:
+    """Distance of the averaged commutant from scalars over two random
+    Hermitian probes; ~0 iff irreducible."""
     n, dim = matrices.shape[0], matrices.shape[1]
     if dim == 1:
         return 0.0
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(2):
         x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         x = x + x.conj().T
         avg = np.mean(matrices @ x @ matrices.conj().transpose(0, 2, 1), axis=0)

@@ -125,11 +125,7 @@ def finite_class_suite(
         record("conjugation_covariance", cls, dev_cov)
         reports.append(centralizer)
         # class-sum expansion in irreducible characters, a class function
-        ci = table.class_of[g0]
-        expansion = np.zeros(len(table.classes), dtype=complex)
-        for alpha in range(len(table.dims)):
-            expansion += table.values[alpha, ci].conjugate() * table.values[alpha]
-        expansion /= n
+        expansion = table.values[:, table.class_of[g0]].conj() @ table.values / n
         record(
             "class_sum_expansion", cls,
             np.max(np.abs(class_sum_element(group, cls) - expansion[table.class_of])),

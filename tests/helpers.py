@@ -8,9 +8,11 @@ characters, a highest-weight/lowering recursion for Clebsch-Gordan
 coefficients, and Wigner's factorial sum for the SU(2) little-d matrix.  The
 slow loops that the table pipeline replaced stay here as references compared
 bit for bit: composing every pair of permutations for the multiplication
-table, the dense (k, k, k) class-constant tensor, the per-element search for
-coset representatives, the rounded-tuple sort key of the character-table rows
-and the per-element root-of-unity snapping of the 1-dim irreps.  The dense
+table, the dense (k, k, k) class-constant tensor (it checks the weighted class
+sums of ``_class_combination``; the characters themselves are read off the
+eigenvectors), the per-element search for coset representatives, the
+rounded-tuple sort key of the character-table rows and the per-element
+root-of-unity snapping of the 1-dim irreps.  The dense
 conjugation stack (one ``np.kron`` per element) is the reference route of the
 coupling decomposition, which sums over the irrep matrices instead.
 The library carries operators of the left regular representation as
