@@ -419,20 +419,8 @@ def _weighted_triple_sum(
     return acc.reshape((d_alpha, d_alpha) + (d_sigma,) * 4)
 
 
-def _triple_residual(
-    t_alpha: np.ndarray,
-    t_sigma: np.ndarray,
-    weights: np.ndarray,
-    n_alpha: int,
-    c_alpha: np.ndarray | None,
-) -> float:
-    lhs = _weighted_triple_sum(weights, t_alpha, t_sigma)
-    if c_alpha is None:
-        rhs = np.zeros_like(lhs)
-    else:
-        rhs = (
-            np.einsum("simk,prml->klirsp", c_alpha.conj(), c_alpha) / n_alpha
-        )
+def _triple_residual(lhs: np.ndarray, n_alpha: int, c_alpha: np.ndarray | None) -> float:
+    rhs = 0.0 if c_alpha is None else np.einsum("simk,prml->klirsp", c_alpha.conj(), c_alpha) / n_alpha
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -448,25 +436,50 @@ def triple_product_residual(
     checked against an identically-zero right-hand side.
     """
     weights = np.full(group.order, 1.0 / group.order)
-    return _triple_residual(
-        irreps_list[alpha].matrices,
-        irreps_list[table.sigma].matrices,
-        weights,
-        irreps_list[alpha].dim,
-        table.coeffs.get(alpha),
-    )
+    lhs = _weighted_triple_sum(weights, irreps_list[alpha].matrices, irreps_list[table.sigma].matrices)
+    return _triple_residual(lhs, irreps_list[alpha].dim, table.coeffs.get(alpha))
 
 
 def triple_product_residual_su2(
     table: CouplingTable, alpha2: int, angles: np.ndarray, weights: np.ndarray
 ) -> float:
-    """SU(2) version of the triple-product identity via Haar quadrature nodes."""
+    """SU(2) version of the triple-product identity on quadrature nodes (phi,
+    theta, psi), any node set; the sum separates (``_triple_sum_su2``)."""
+    lhs = _triple_sum_su2(alpha2, table.sigma, angles, weights)
+    return _triple_residual(lhs, alpha2 + 1, table.coeffs.get(alpha2))
+
+
+def _triple_sum_su2(alpha2: int, sigma2: int, angles: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_g w_g conj(t^alpha_kl) conj(t^sigma_ir) t^sigma_sp, shape (k, l, i, r, s, p).
+
+    The summand is e^{ia(phi - pi/2)} e^{ib(psi + pi/2)} d^alpha_kl d^sigma_ir
+    d^sigma_sp with a = -m_k - m_i + m_s, b = -m_l - m_r + m_p, so per distinct
+    theta it is the moment M[a, b] = sum_g w_g e^{ia(phi_g - pi/2)} e^{ib(psi_g + pi/2)}
+    (one small matmul) times a product of little-d evaluated once per theta.
+    """
     phi, theta, psi = np.asarray(angles, dtype=float).T
-    t_alpha = WignerD(alpha2).euler(phi, theta, psi)
-    t_sigma = WignerD(table.sigma).euler(phi, theta, psi)
-    return _triple_residual(
-        t_alpha, t_sigma, np.asarray(weights), alpha2 + 1, table.coeffs.get(alpha2)
-    )
+    d_alpha, d_sigma = alpha2 + 1, sigma2 + 1
+    # a = k + i - s - alpha2/2 sits at position k + i - s + sigma2; b likewise over (l, r, p)
+    orders = np.arange(d_alpha + 2 * sigma2) - sigma2 - alpha2 / 2
+    left = _node_phases(phi - np.pi / 2, orders) * np.asarray(weights)[:, None]
+    right = _node_phases(psi + np.pi / 2, orders)
+    k, i, s = np.ix_(range(d_alpha), range(d_sigma), range(d_sigma))
+    position = (k + i - s + sigma2).ravel()
+    nodes, where = np.unique(theta, return_inverse=True)
+    alpha_d, sigma_d = WignerD(alpha2).little_d(nodes), WignerD(sigma2).little_d(nodes)
+    lhs = np.zeros((d_alpha * d_sigma**2,) * 2, dtype=complex)
+    groups = np.split(np.argsort(where, kind="stable"), np.cumsum(np.bincount(where))[:-1])
+    for t, group in enumerate(groups):
+        moments = left[group].T @ right[group]
+        d_prod = np.multiply.outer(alpha_d[t], np.multiply.outer(sigma_d[t], sigma_d[t]))
+        lhs += moments[np.ix_(position, position)] * d_prod.transpose(0, 2, 4, 1, 3, 5).reshape(lhs.shape)
+    return lhs.reshape((d_alpha, d_sigma, d_sigma) * 2).transpose(0, 3, 1, 4, 2, 5)
+
+
+def _node_phases(angles: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """e^{i a x} for every node angle x and order a, one exp per distinct angle."""
+    values, where = np.unique(angles, return_inverse=True)
+    return np.exp(1j * np.multiply.outer(values, orders))[where]
 
 
 # ---------------------------------------------------------------------------

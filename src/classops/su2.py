@@ -23,6 +23,9 @@ tridiagonal J_y and the exact eigenvalues m (Feng, Wang, Yang & Jin, Phys.
 Rev. E 92, 043307, 2015): no factorials and no cancelling sums, so it stays
 unitary to round-off at every spin up to MAX_J2.  Whole grids of Euler angles
 are evaluated at once, one little-d per distinct theta.
+Class-sphere integrals separate: phi enters D-function products as phases
+e^{i n (phi - pi/2)} whose uniform-rule sums are closed-form, aliasing included
+(``_phi_average``), so only theta is summed, with one little-d per spin and rule.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "MAX_J2",
@@ -171,6 +175,13 @@ def _jy_eigenbasis(j2: int) -> np.ndarray:
     return vectors
 
 
+def _little_d_column(j2: int, theta: np.ndarray, col: int) -> np.ndarray:
+    """Column ``col`` of WignerD(j2).little_d(theta), shape (T, d), at O(d^2) per node."""
+    vectors = _jy_eigenbasis(j2)
+    phases = np.exp(-1j * np.multiply.outer(theta, np.arange(-j2, j2 + 1, 2) / 2.0))
+    return ((phases * vectors[col].conj()) @ vectors.T).real
+
+
 class WignerD:
     """The spin-(j2/2) unitary irreducible representation of SU(2)."""
 
@@ -288,73 +299,71 @@ def class_operator_quadrature(j2: int, psi: float, quad: SphereQuadrature) -> np
     """Quadrature of the class-operator integral in the spin-(j2/2) representation.
 
     Integrates D(g(phi) h(theta) g(psi) h(theta)^-1 g(phi)^-1) over the class
-    sphere.  The uniform phi average multiplies entry (m', m) by the discrete
-    phase mean of e^{i(m'-m)(phi - pi/2)}, which keeps the aliasing behaviour
-    of the finite phi rule while letting the theta sum run vectorized.
+    sphere: the theta sum runs over the rule's nodes, and the uniform phi
+    average of entry (m', m) is the closed-form moment of order m' - m on the
+    rule (``_phi_average``), aliasing included.
     """
-    j2 = _check_spin(j2)
-    psi = _check_psi(psi)
+    return _class_operators(_check_spin(j2), [_check_psi(psi)], quad)[0]
+
+
+def _class_operators(j2: int, psis, quad: SphereQuadrature) -> np.ndarray:
+    """class_operator_quadrature for every angle in ``psis``, shape (len(psis), d, d),
+    from one little-d stack."""
     rep = WignerD(j2)
     d_stack = rep.little_d(quad.theta)                      # (T, d, d)
     # core = sum_t w_t d_t E(psi) d_t^T, contracted over (t, j) as one matmul
-    left = (d_stack * quad.theta_weights[:, None, None]) * rep.weight_phases(psi)
-    core = np.tensordot(left, d_stack, axes=([0, 2], [0, 2]))
-    phase_mean = _phi_phases(quad.phi, rep.dim).mean(axis=1)[_difference_index(rep.dim)]
-    return phase_mean * core
+    left = (d_stack * quad.theta_weights[:, None, None]) * rep.weight_phases(np.asarray(psis)[:, None, None, None])
+    core = np.tensordot(left, d_stack, axes=([1, 3], [0, 2]))
+    return core * _phi_average(rep.dim, [0], quad.n_phi)
 
 
-def _phi_phases(phi: np.ndarray, dim: int) -> np.ndarray:
-    """e^{i k (phi - pi/2)} for every weight difference k = -(d-1), ..., d-1; shape (2d-1, P)."""
-    return np.exp(1j * np.multiply.outer(np.arange(1 - dim, dim), phi - np.pi / 2.0))
+def _phi_average(dim: int, shifts, n_phi: int) -> np.ndarray:
+    """(1/P) sum_p e^{i n (phi_p - pi/2)} on the uniform P-point phi rule, e^{-i n pi/2}
+    where P divides n and 0 otherwise, for n = m_i - m_l - shift = l - i - shift at
+    every shift and entry (i, l): a (len(shifts), dim, dim) Toeplitz view, no copy."""
+    n = np.arange(1 - dim, dim) - np.asarray(shifts)[:, None]
+    average = np.where(n % n_phi == 0, np.array([1, -1j, -1, 1j])[n % 4], 0)
+    return sliding_window_view(average, dim, axis=1)[:, ::-1]
 
 
-def _difference_index(dim: int) -> np.ndarray:
-    """Row of _phi_phases holding m_i - m_l for entry (i, l): m_i - m_l = l - i."""
-    idx = np.arange(dim)
-    return idx[None, :] - idx[:, None] + dim - 1
-
-
-def weighted_class_operator_su2(
-    j2: int,
-    psi: float,
-    weight_terms,
-    quad: SphereQuadrature,
-) -> np.ndarray:
+def weighted_class_operator_su2(j2: int, psi: float, weight_terms, quad: SphereQuadrature) -> np.ndarray:
     """Weighted class operator with a band-limited weight on the class sphere.
 
     ``weight_terms`` is an iterable of (l2, i, coeff): the weight function is
     sum coeff * conj(D^{l}_{i, m=0}) evaluated at the coset representative
     g(phi) h(theta).  Only integer l (even l2) is admissible; half-integer
-    spins have no circle-fixed vector so no such weight exists.
+    spins have no circle-fixed vector so no such weight exists.  The phi sum is
+    closed-form on the rule; each weight spin costs one column of little-d.
     """
     j2 = _check_spin(j2)
     psi = _check_psi(psi)
     terms = [(int(l2), int(i), complex(c)) for (l2, i, c) in weight_terms]
     for l2, i, _ in terms:
         if l2 % 2:
-            raise ValueError(
-                "half-integer weight spin rejected: no circle-fixed vector exists"
-            )
+            raise ValueError("half-integer weight spin rejected: no circle-fixed vector exists")
         if not 0 <= i <= l2:
             raise ValueError(f"weight row index {i} out of range for l2={l2}")
+    core = _weighted_core(j2, psi, quad)
+    rows = {l2: _weighted_rows(core, l2, quad) for l2 in {l2 for l2, _, _ in terms}}
+    return sum((c * rows[l2][i] for l2, i, c in terms), np.zeros((j2 + 1, j2 + 1), dtype=complex))
+
+
+def _weighted_core(j2: int, psi: float, quad: SphereQuadrature) -> np.ndarray:
+    """w_t d_t E(psi) d_t^T on every theta node, shape (T, d, d)."""
     rep = WignerD(j2)
-    d_stack = rep.little_d(quad.theta)                      # (T, d, d)
-    conj_core = (d_stack * rep.weight_phases(psi)) @ d_stack.transpose(0, 2, 1)  # d E(psi) d^T
-    # weight values at each node
-    values = np.zeros((quad.n_phi, quad.n_theta), dtype=complex)
-    for l2, i, coeff in terms:
-        wrep = WignerD(l2)
-        col = fixed_column_index(l2)
-        wd = wrep.little_d(quad.theta)[:, i, col]           # (T,)
-        lphase = np.exp(0.5j * wrep.m2[i] * (quad.phi - np.pi / 2.0))
-        right = wrep.weight_phases(np.pi / 2.0)[col]
-        # D^{l}(g(phi)h(theta))_{i, col} = e^{i m_i (phi-pi/2)} d_{i,col}(theta) * right
-        values += coeff * np.conj(np.multiply.outer(lphase, wd) * right)
-    # sum over nodes of w_t f(phi, theta) E(phi-pi/2) core_t E(phi-pi/2)^H: the
-    # phi sum only sees the weight difference m_i - m_l of entry (i, l)
-    phi_sums = _phi_phases(quad.phi, rep.dim) @ (values * quad.theta_weights)  # (2d-1, T)
-    out = np.einsum("til,ilt->il", conj_core, phi_sums[_difference_index(rep.dim)])
-    return out / quad.n_phi
+    d_stack = rep.little_d(quad.theta)
+    return (d_stack * (quad.theta_weights[:, None, None] * rep.weight_phases(psi))) @ d_stack.transpose(0, 2, 1)
+
+
+def _weighted_rows(core: np.ndarray, l2: int, quad: SphereQuadrature) -> np.ndarray:
+    """Weighted class operators for the weights conj(D^{l}_{k, m=0}) of every
+    row k, shape (l2 + 1, d, d): one (k, T) @ (T, d^2) product with the core,
+    entry (i, l) of row k masked by the phi moment of order m_i - m_l - m_k."""
+    t, d = core.shape[:2]
+    column = _little_d_column(l2, quad.theta, fixed_column_index(l2))   # (T, l2 + 1)
+    out = (column.T @ core.reshape(t, d * d)).reshape(l2 + 1, d, d)
+    out *= _phi_average(d, l2 // 2 - np.arange(l2 + 1), quad.n_phi)
+    return out
 
 
 def ad_map(g: SU2Element) -> np.ndarray:

@@ -28,12 +28,14 @@ from .coupling import (
     adapt_irreps_to_class,
     conjugation_decomposition,
     rotate_coupling_table,
+    su2_coupling_table,
     tensor_operator_scan,
     wigner_eckart_bruteforce,
     wigner_eckart_matrix,
     z_fixed_basis,
 )
-from .su2 import SphereQuadrature, class_operator_quadrature, closed_form_eigenvalue
+from .su2 import MAX_J2, SphereQuadrature, WignerD, closed_form_eigenvalue, fixed_column_index
+from .su2 import _check_psi, _class_operators, _weighted_core, _weighted_rows
 
 __all__ = [
     "DEFAULT_TOLERANCES",
@@ -81,8 +83,7 @@ def finite_class_suite(
     representation are compared as their group-algebra elements, so no
     |G| x |G| matrix is built.
     """
-    tol = dict(DEFAULT_TOLERANCES)
-    tol.update(tolerances or {})
+    tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     if table is None:
         table = character_table(group, seed=seed)
     if classes is None:
@@ -153,18 +154,19 @@ def su2_convergence_rows(
     rules=SU2_TABLE_RULES,
 ) -> list[Su2ConvergenceRow]:
     """Class-operator quadrature error against the closed form, for every
-    (j2, psi) and every sphere rule (n_theta, n_phi)."""
+    (j2, psi) and every sphere rule (n_theta, n_phi), in that nesting order;
+    little-d is evaluated once per (j2, rule)."""
+    j2_values, psi_values = [int(j2) for j2 in j2_values], [float(psi) for psi in psi_values]
     # the closed form validates spin and angle before any rule is built
-    targets = [
-        (int(j2), float(psi), closed_form_eigenvalue(j2, psi)) for j2 in j2_values for psi in psi_values
-    ]
+    targets = [[closed_form_eigenvalue(j2, psi) for psi in psi_values] for j2 in j2_values]
     quads = [SphereQuadrature.build(n_theta, n_phi) for n_theta, n_phi in rules]
     rows = []
-    for j2, psi, target in targets:
-        for quad in quads:
-            op = class_operator_quadrature(j2, psi, quad)
-            err = float(np.max(np.abs(op - target * np.eye(j2 + 1))))
-            rows.append(Su2ConvergenceRow(j2, psi, quad.n_theta, quad.n_phi, err, target))
+    for j2, j2_targets in zip(j2_values, targets):
+        ops = [_class_operators(j2, psi_values, quad) for quad in quads]
+        for p, (psi, target) in enumerate(zip(psi_values, j2_targets)):
+            for quad, op in zip(quads, ops):
+                err = float(np.max(np.abs(op[p] - target * np.eye(j2 + 1))))
+                rows.append(Su2ConvergenceRow(j2, psi, quad.n_theta, quad.n_phi, err, target))
     return rows
 
 
@@ -208,8 +210,7 @@ def wigner_eckart_report(
     (alpha, k, l, sigma), the reduced-matrix-element table, notes for alpha
     without Z0-fixed columns, and the largest off-pattern magnitude seen.
     """
-    tol = dict(DEFAULT_TOLERANCES)
-    tol.update(tolerances or {})
+    tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     if table is None:
         table = character_table(group, seed=seed)
     if irreps_list is None:
@@ -262,18 +263,16 @@ def su2_wigner_eckart_report(
 
     The weights run over every component of L(V^sigma), up to doubled spin
     2 * max_spin_x2, which must not exceed MAX_J2; ``rule`` is the
-    (n_theta, n_phi) sphere rule, built only once the spin range is accepted.
+    (n_theta, n_phi) sphere rule, built only once the spin range and psi are
+    accepted.  Each sigma builds its weighted core once, each alpha all its rows k.
     """
-    from .coupling import su2_coupling_table
-    from .su2 import MAX_J2, WignerD, fixed_column_index, weighted_class_operator_su2
-
     if 2 * max_spin_x2 > MAX_J2:
         raise ValueError(
             f"max_spin_x2={max_spin_x2} needs weights of doubled spin {2 * max_spin_x2}, "
             f"above MAX_J2={MAX_J2}"
         )
-    tol = dict(DEFAULT_TOLERANCES)
-    tol.update(tolerances or {})
+    psi = _check_psi(psi)
+    tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     quad = SphereQuadrature.build(*rule)
     rows: list[WignerEckartRow] = []
     reduced_rows: list[ReducedElementRow] = []
@@ -281,15 +280,15 @@ def su2_wigner_eckart_report(
     for sigma2 in range(1, max_spin_x2 + 1):
         tab = su2_coupling_table(sigma2)
         t_sigma_g0 = WignerD(sigma2).euler(0.0, 0.0, psi)
+        core = _weighted_core(sigma2, psi, quad)
         for alpha2 in tab.gammas:
             col = fixed_column_index(alpha2)
+            quadr = _weighted_rows(core, alpha2, quad)
             for k in range(alpha2 + 1):
-                pred, rmes = wigner_eckart_matrix(
-                    tab, alpha2, alpha2 + 1, [col], k, col, t_sigma_g0
-                )
-                quadr = weighted_class_operator_su2(sigma2, psi, [(alpha2, k, 1.0)], quad)
-                dev = float(np.max(np.abs(pred - quadr)))
+                pred, rmes = wigner_eckart_matrix(tab, alpha2, alpha2 + 1, [col], k, col, t_sigma_g0)
+                dev = float(np.max(np.abs(pred - quadr[k])))
                 _add_comparison(rows, reduced_rows, ("SU2", sigma2, alpha2, k, col, g0_label), dev, rmes, tol)
+        del tab, core, quadr   # free sigma's O(d^4) table before the next one is built
     return rows, reduced_rows
 
 
@@ -318,8 +317,7 @@ def scan_rows(
 ):
     """Tensor-operator vanishing scan in the regular representation, on
     group-algebra elements."""
-    tol = dict(DEFAULT_TOLERANCES)
-    tol.update(tolerances or {})
+    tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     adapted, m_alphas = adapt_irreps_to_class(irreps_list, cls)
     families = tensor_operator_scan(
         group, None, cls.base_element, adapted, m_alphas, tol=tol["scan_vanishing"]

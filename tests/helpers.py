@@ -17,7 +17,10 @@ conjugation stack (one ``np.kron`` per element) is the reference route of the
 coupling decomposition, which sums over the irrep matrices instead.
 The library carries operators of the left regular representation as
 group-algebra elements; the dense |G| x |G| matrices (``regular_actions``,
-``as_dense``, ``dense_wigner_eckart_bruteforce``) exist only here.
+``as_dense``, ``dense_wigner_eckart_bruteforce``) exist only here.  The SU(2)
+integrals separate in the library (phi in closed form on the rule, one theta
+sum); here the phi sums run over the rule's nodes as a (2d-1, P) phase table,
+and the triple product runs node by node over full Wigner-D stacks.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ import numpy as np
 
 from classops.groups import FiniteGroup, conjugacy_classes, left_regular_matrix
 from classops.class_operators import class_sum_element, weighted_class_operator
+from classops.coupling import _weighted_triple_sum
+from classops.su2 import WignerD, fixed_column_index
 
 CATALOG_LEQ_24 = ["C1", "C2", "C3", "C4", "C6", "D3", "D4", "D5", "Q8", "S3", "S4"]
 ACCEPTANCE_GROUPS = ["C6", "S3", "D4", "Q8", "S4"]
@@ -317,3 +322,51 @@ def oracle_little_d(j2: int, theta) -> np.ndarray:
                 acc = acc + (-1) ** (k - shift) * pref / denom * power
             out[..., r, col] = acc
     return out
+
+
+def _phi_phases(phi: np.ndarray, dim: int) -> np.ndarray:
+    """e^{i k (phi - pi/2)} for every weight difference k = -(d-1), ..., d-1; shape (2d-1, P)."""
+    return np.exp(1j * np.multiply.outer(np.arange(1 - dim, dim), phi - np.pi / 2.0))
+
+
+def _difference_index(dim: int) -> np.ndarray:
+    """Row of _phi_phases holding m_i - m_l for entry (i, l): m_i - m_l = l - i."""
+    idx = np.arange(dim)
+    return idx[None, :] - idx[:, None] + dim - 1
+
+
+def oracle_phi_sum_class_operator(j2: int, psi: float, quad) -> np.ndarray:
+    """class_operator_quadrature with its phi average summed over the rule's nodes."""
+    rep = WignerD(j2)
+    d_stack = rep.little_d(quad.theta)
+    left = (d_stack * quad.theta_weights[:, None, None]) * rep.weight_phases(psi)
+    core = np.tensordot(left, d_stack, axes=([0, 2], [0, 2]))
+    return _phi_phases(quad.phi, rep.dim).mean(axis=1)[_difference_index(rep.dim)] * core
+
+
+def oracle_phi_sum_weighted_operator(j2: int, psi: float, weight_terms, quad) -> np.ndarray:
+    """weighted_class_operator_su2 with the weight tabulated on every (phi, theta)
+    node and the phi sum taken over the rule's nodes."""
+    rep = WignerD(j2)
+    d_stack = rep.little_d(quad.theta)
+    conj_core = (d_stack * rep.weight_phases(psi)) @ d_stack.transpose(0, 2, 1)
+    values = np.zeros((quad.n_phi, quad.n_theta), dtype=complex)
+    for l2, i, coeff in weight_terms:
+        wrep = WignerD(l2)
+        col = fixed_column_index(l2)
+        wd = wrep.little_d(quad.theta)[:, i, col]
+        lphase = np.exp(0.5j * wrep.m2[i] * (quad.phi - np.pi / 2.0))
+        right = wrep.weight_phases(np.pi / 2.0)[col]
+        values += coeff * np.conj(np.multiply.outer(lphase, wd) * right)
+    phi_sums = _phi_phases(quad.phi, rep.dim) @ (values * quad.theta_weights)
+    out = np.einsum("til,ilt->il", conj_core, phi_sums[_difference_index(rep.dim)])
+    return out / quad.n_phi
+
+
+def oracle_triple_sum_su2(alpha2: int, sigma2: int, angles: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_g w_g conj(t^alpha_kl) conj(t^sigma_ir) t^sigma_sp node by node, from the
+    full Wigner-D stacks on every node; shape (k, l, i, r, s, p)."""
+    phi, theta, psi = np.asarray(angles, dtype=float).T
+    t_alpha = WignerD(alpha2).euler(phi, theta, psi)
+    t_sigma = WignerD(sigma2).euler(phi, theta, psi)
+    return _weighted_triple_sum(np.asarray(weights), t_alpha, t_sigma)

@@ -90,6 +90,20 @@ def test_wrong_shape_group_file_from_a_new_process(tmp_path):
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "GroupConstructionError"
 
 
+@pytest.mark.parametrize("psi", ["inf", "nan"])
+def test_su2_wigner_eckart_refuses_nonfinite_psi_before_evaluating(psi):
+    # psi is validated before any Wigner matrix is evaluated: no numpy warning
+    # may reach stderr ahead of the JSON error
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "classops.cli", "wigner-eckart", "--group", "su2", "--psi", psi],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "psi" in json.loads(lines[0])["message"]
+
+
 def test_cli_import_leaves_scipy_unloaded():
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     probe = "import sys, classops.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

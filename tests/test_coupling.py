@@ -22,6 +22,7 @@ from classops.coupling import (
     tensor_operator_scan,
     triple_product_residual,
     triple_product_residual_su2,
+    _triple_sum_su2,
     wigner_eckart_bruteforce,
     wigner_eckart_matrix,
     z_fixed_basis,
@@ -41,6 +42,7 @@ from helpers import (
     dense_wigner_eckart_bruteforce,
     oracle_cg_ladder,
     oracle_conjugation_stack,
+    oracle_triple_sum_su2,
     regular_representation,
 )
 
@@ -263,6 +265,23 @@ def test_triple_product_su2(sigma2):
     band = (6 + 2 * sigma2) // 2 + 2
     angles, weights = su2_haar_quadrature(2 * band + 3, band + 2, 4 * band + 6)
     assert triple_product_residual_su2(tab, 2 * sigma2 + 2, angles, weights) < 1e-9
+
+
+@pytest.mark.parametrize("sigma2", [1, 2, 3, 4])
+def test_separated_triple_sum_matches_node_wise_oracle(sigma2):
+    # on the exact Haar grids only zero phase orders survive; on random nodes,
+    # every theta distinct, every order a and b counts
+    samples = haar_random(np.random.default_rng(40 + sigma2), 50)
+    random_angles = np.array([g.euler_angles() for g in samples])
+    assert len(np.unique(random_angles[:, 1])) == 50
+    random_weights = np.random.default_rng(sigma2).uniform(0.5, 1.5, 50) / 50
+    for alpha2 in [*su2_coupling_table(sigma2).gammas, 2 * sigma2 + 2]:
+        band = (alpha2 + 2 * sigma2) // 2 + 2
+        grid = su2_haar_quadrature(2 * band + 3, band + 2, 4 * band + 6)
+        for angles, weights in [grid, (random_angles, random_weights)]:
+            expect = oracle_triple_sum_su2(alpha2, sigma2, angles, weights)
+            got = _triple_sum_su2(alpha2, sigma2, angles, weights)
+            assert np.max(np.abs(got - expect)) < 1e-13
 
 
 # ---------------------------------------------------------------------------

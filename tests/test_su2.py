@@ -18,7 +18,9 @@ from classops.su2 import (
     su2_haar_quadrature,
     weighted_class_operator_su2,
 )
-from helpers import oracle_little_d
+from classops.coupling import su2_coupling_table, wigner_eckart_matrix
+from classops.verify import SU2_TABLE_RULES, su2_convergence_rows, su2_wigner_eckart_report
+from helpers import oracle_little_d, oracle_phi_sum_class_operator, oracle_phi_sum_weighted_operator
 
 RNG = np.random.default_rng(12)
 
@@ -308,6 +310,80 @@ def test_weighted_operator_rejects_half_integer_weight():
     with pytest.raises(ValueError):
         fixed_column_index(3)
     assert fixed_column_index(4) == 2
+
+
+# ---------------------------------------------------------------------------
+# separated integrals: the closed-form phi moments against phi sums over the nodes
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rule", [(4, 8), (8, 5), (16, 3)])
+def test_phi_closed_form_matches_node_sum_on_aliased_rules(rule):
+    # weight differences reach n_phi here, so the phi rule aliases; the closed
+    # form must give exactly what the nodes sum, aliasing included
+    quad = SphereQuadrature.build(*rule)
+    aliased = 0.0
+    for j2 in range(13):
+        for psi in PSI_GRID:
+            expect = oracle_phi_sum_class_operator(j2, psi, quad)
+            assert np.max(np.abs(class_operator_quadrature(j2, psi, quad) - expect)) < 1e-13
+            aliased = max(aliased, float(np.max(np.abs(expect - np.diag(np.diag(expect))))))
+        for l2 in range(0, 9, 2):
+            for i in range(l2 + 1):
+                terms = [(l2, i, 1.0), (l2 // 2 * 2, l2 // 2, 0.5 - 0.25j)]
+                expect = oracle_phi_sum_weighted_operator(j2, 2.1, terms, quad)
+                got = weighted_class_operator_su2(j2, 2.1, terms, quad)
+                assert np.max(np.abs(got - expect)) < 1e-13
+    assert aliased > 1e-3
+
+
+def test_separated_integrals_match_node_sums_up_to_j2_40():
+    for j2 in range(41):
+        quad = SphereQuadrature.build(*sphere_rule_for_spin(j2, (2, 2)))
+        for psi in (0.4, 2.9):
+            expect = oracle_phi_sum_class_operator(j2, psi, quad)
+            assert np.max(np.abs(class_operator_quadrature(j2, psi, quad) - expect)) < 1e-13
+    for j2, rule in [(13, (24, 48)), (28, (21, 41)), (40, (41, 81)), (40, (12, 30))]:
+        quad = SphereQuadrature.build(*rule)
+        terms = [(0, 0, 1.0), (2, 1, -0.5j), (20, 3, 0.25), (40, 20, 1.5), (40, 33, 0.5 + 1j)]
+        expect = oracle_phi_sum_weighted_operator(j2, 1.7, terms, quad)
+        got = weighted_class_operator_su2(j2, 1.7, terms, quad)
+        assert np.max(np.abs(got - expect)) < 1e-13
+
+
+@pytest.mark.parametrize("rule", [(24, 48), (6, 5)])
+def test_batched_wigner_eckart_rows_match_per_term_operators(rule):
+    # every (sigma, alpha, k) row of the report, half-integer sigma included,
+    # against the prediction minus a per-term operator summed over the phi nodes
+    psi = 1.3
+    quad = SphereQuadrature.build(*rule)
+    rows, _ = su2_wigner_eckart_report(8, psi, rule)
+    it = iter(rows)
+    for sigma2 in range(1, 9):
+        tab = su2_coupling_table(sigma2)
+        t_sigma_g0 = WignerD(sigma2).euler(0.0, 0.0, psi)
+        for alpha2 in tab.gammas:
+            col = fixed_column_index(alpha2)
+            for k in range(alpha2 + 1):
+                row = next(it)
+                assert (row.sigma, row.alpha, row.k, row.l) == (sigma2, alpha2, k, col)
+                pred, _ = wigner_eckart_matrix(tab, alpha2, alpha2 + 1, [col], k, col, t_sigma_g0)
+                expect = oracle_phi_sum_weighted_operator(sigma2, psi, [(alpha2, k, 1.0)], quad)
+                assert abs(row.max_dev - np.max(np.abs(pred - expect))) < 1e-13
+    assert next(it, None) is None
+
+
+def test_convergence_rows_keep_the_per_point_order():
+    batched = su2_convergence_rows()
+    single = [
+        row
+        for j2 in range(1, 13)
+        for psi in PSI_GRID
+        for row in su2_convergence_rows([j2], [psi], SU2_TABLE_RULES)
+    ]
+    key = lambda r: (r.j2, r.psi, r.n_theta, r.n_phi, r.closed_form_value)  # noqa: E731
+    assert [key(r) for r in batched] == [key(r) for r in single]
+    assert max(abs(a.max_abs_error - b.max_abs_error) for a, b in zip(batched, single)) < 1e-14
 
 
 def test_weighted_operator_covariance():
