@@ -58,8 +58,10 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 def parse_cycles(text: str, degree: int | None = None) -> tuple[int, ...]:
     """Parse cycle notation like ``"(1 2)(3 4)"`` into a 0-based image tuple.
 
-    Points inside cycles are 1-based, separated by spaces or commas.  The
-    empty string or ``"e"`` denotes the identity.
+    Points inside cycles are 1-based, separated by spaces or commas, and at
+    most ``DEFAULT_ORDER_CAP`` (the degree of the largest catalog cyclic
+    group), checked before the image is allocated.  The empty string or
+    ``"e"`` denotes the identity.
     """
     text = text.strip()
     cycles: list[list[int]] = []
@@ -72,6 +74,8 @@ def parse_cycles(text: str, degree: int | None = None) -> tuple[int, ...]:
             cyc = [int(p) - 1 for p in pts]
             if any(p < 0 for p in cyc):
                 raise GroupConstructionError(f"points must be >= 1 in {text!r}")
+            if any(p >= DEFAULT_ORDER_CAP for p in cyc):
+                raise GroupConstructionError(f"points must be <= {DEFAULT_ORDER_CAP} in {text!r}")
             if len(set(cyc)) != len(cyc):
                 raise GroupConstructionError(f"repeated point in cycle {chunk!r}")
             cycles.append(cyc)
@@ -383,9 +387,13 @@ def group_from_generators(
 
 def group_from_table(table, labels: list[str] | None = None, name: str = "G") -> FiniteGroup:
     """Build a group from an explicit table, validating all axioms."""
-    table = np.asarray(table)
+    message = "'table' must be a square array of integer element indices"
+    try:
+        table = np.asarray(table)
+    except ValueError:  # ragged rows
+        raise GroupConstructionError(message) from None
     if table.ndim != 2 or table.dtype.kind not in "iu":
-        raise GroupConstructionError("'table' must be a square array of integer element indices")
+        raise GroupConstructionError(message)
     group = FiniteGroup(table, labels=labels, name=name)
     group.validate()
     return group

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .groups import FiniteGroup, build_group
+from .groups import FiniteGroup, GroupConstructionError, build_group
 from .representations import CharacterTable, Irrep
 from .coupling import CouplingTable
 
@@ -56,7 +57,10 @@ def decode_complex_array(data) -> np.ndarray:
 def load_group_file(path) -> FiniteGroup:
     """Read a group descriptor document (catalog / generators / table) from disk."""
     with open(path, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
+        try:
+            spec = json.load(fh)
+        except RecursionError:
+            raise GroupConstructionError(f"group file {str(path)!r} is nested too deeply") from None
     return build_group(spec)
 
 
@@ -131,8 +135,111 @@ def format_float(x: float) -> str:
 
 
 def json_text(document: dict) -> str:
-    """The one JSON encoding of every document this package writes."""
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    """The one JSON encoding of every document this package writes.
+
+    The text is byte for byte what ``json.dumps`` writes with sorted keys and
+    an indent of 2, plus a newline, but it does not call that: with any indent
+    the json module leaves its C encoder and formats every value in a Python
+    generator.  Here a flat list of ints, of strings or of floats is one
+    ``join``, and a rectangular nested list of floats (the ``[re, im]``
+    arrays) is one ``join`` of its float reprs and the separators between
+    them.  Object keys must be strings; any other key, like any value JSON has
+    no form for, raises ``TypeError``.
+    """
+    return _text(document, "\n") + "\n"
+
+
+_ESCAPE = json.encoder.encode_basestring_ascii
+# float.__repr__ of the values JSON spells differently
+_SPECIAL_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_FLAT_FORMATS = {int: int.__repr__, float: float.__repr__, str: _ESCAPE}
+
+
+def _text(o, nl: str) -> str:
+    """One JSON value; ``nl`` is the newline and indent of its own line."""
+    if isinstance(o, str):
+        return _ESCAPE(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        text = float.__repr__(o)
+        return _SPECIAL_FLOATS.get(text, text)
+    if isinstance(o, (list, tuple)):
+        return _list_text(o, nl)
+    if isinstance(o, dict):
+        return _dict_text(o, nl)
+    return json.dumps(o)  # raises the json module's TypeError
+
+
+def _dict_text(o: dict, nl: str) -> str:
+    if not o:
+        return "{}"
+    inner = nl + "  "
+    items = [_ESCAPE(k) + ": " + _text(v, inner) for k, v in sorted(o.items())]
+    return "{" + inner + ("," + inner).join(items) + nl + "}"
+
+
+def _list_text(o: list, nl: str) -> str:
+    if not o:
+        return "[]"
+    inner = nl + "  "
+    kind = type(o[0])
+    if kind is list or kind is tuple:
+        block = _float_block_text(o, nl)
+        if block is not None:
+            return block
+    elif kind in _FLAT_FORMATS and set(map(type, o)) == {kind}:
+        text = ("," + inner).join(map(_FLAT_FORMATS[kind], o))
+        return "[" + inner + (_spell_special(text) if kind is float else text) + nl + "]"
+    return "[" + inner + ("," + inner).join([_text(v, inner) for v in o]) + nl + "]"
+
+
+def _float_block_text(rows: list, nl: str) -> str | None:
+    """A rectangular nested list of floats as one join; None for any other list.
+
+    The leaves are the floats in row-major order, each on its own line.
+    Between two leaves stands the separator of how many trailing axes roll
+    over there: ``,`` alone, or ``r`` closing and ``r`` opening brackets.
+    """
+    shape = []
+    leaves = rows
+    while (kinds := set(map(type, leaves))) != {float}:
+        sizes = set(map(len, leaves)) if kinds <= {list, tuple} else ()
+        if len(sizes) != 1 or 0 in sizes:
+            return None
+        shape.append(sizes.pop())
+        leaves = list(chain.from_iterable(leaves))
+    depth = len(shape) + 1
+    indents = [nl + "  " * i for i in range(depth + 1)]
+
+    def separator(r: int) -> str:
+        closing = "".join(indents[i] + "]" for i in range(depth - 1, depth - r - 1, -1))
+        opening = "".join(indents[i] + "[" for i in range(depth - r, depth))
+        return closing + "," + opening + indents[depth]
+
+    gaps = [separator(0)] * (shape[-1] - 1)
+    for r, size in enumerate(reversed([len(rows)] + shape[:-1]), 1):
+        gaps = (gaps + [separator(r)]) * size
+        gaps.pop()
+    parts = [""] * (2 * len(leaves) - 1)
+    parts[0::2] = map(float.__repr__, leaves)
+    parts[1::2] = gaps
+    head = "[" + "".join(indents[i] + "[" for i in range(1, depth)) + indents[depth]
+    tail = "".join(indents[i] + "]" for i in range(depth - 1, -1, -1))
+    return head + _spell_special("".join(parts)) + tail
+
+
+def _spell_special(text: str) -> str:
+    """JSON's names for nan and infinities in a text of float reprs and separators."""
+    if "n" not in text:  # no finite float repr has an "n"
+        return text
+    return text.replace("nan", "NaN").replace("inf", "Infinity")
 
 
 def write_json(path, document: dict) -> None:

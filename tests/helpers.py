@@ -21,10 +21,13 @@ group-algebra elements; the dense |G| x |G| matrices (``regular_actions``,
 integrals separate in the library (phi in closed form on the rule, one theta
 sum); here the phi sums run over the rule's nodes as a (2d-1, P) phase table,
 and the triple product runs node by node over full Wigner-D stacks.
+Every document the package writes is compared with the standard library's
+indent-2 JSON rendering, which the package reproduces without calling it.
 """
 
 from __future__ import annotations
 
+import json
 from math import factorial
 
 import numpy as np
@@ -370,3 +373,8 @@ def oracle_triple_sum_su2(alpha2: int, sigma2: int, angles: np.ndarray, weights:
     t_alpha = WignerD(alpha2).euler(phi, theta, psi)
     t_sigma = WignerD(sigma2).euler(phi, theta, psi)
     return _weighted_triple_sum(np.asarray(weights), t_alpha, t_sigma)
+
+
+def oracle_json_text(document) -> str:
+    """The json module's own rendering of what ``serialize.json_text`` writes."""
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"

@@ -64,6 +64,7 @@ WRONG_SHAPE_DOCUMENTS = [
     {"table": 5},
     {"catalog": 5},
     {"generators": 5},
+    {"table": [[0, 1], [1]]},
 ]
 
 
@@ -119,6 +120,26 @@ def test_numerical_breakdown_is_an_input_error(capsys, monkeypatch):
     code, out, err = run(["scan", "--group", "S3"], capsys)
     assert code == 2 and out == ""
     assert json.loads(err) == {"error": "ArithmeticError", "message": "degenerate numerical spectrum persisted"}
+
+
+def test_deeply_nested_group_file_is_an_input_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(["finite-verify", "--group", f"file:{deep}"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "GroupConstructionError"
+
+
+def test_cycle_point_above_the_cap_exits_before_the_closure(tmp_path, capsys, monkeypatch):
+    def closure_must_not_run(*args, **kwargs):
+        raise AssertionError("the closure ran for a generator above the point limit")
+
+    monkeypatch.setattr("classops.groups._closure", closure_must_not_run)
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"generators": ["(1 1000000)"]}))
+    code, out, err = run(["finite-verify", "--group", f"file:{wide}"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "GroupConstructionError", "message": "points must be <= 10080 in '(1 1000000)'"}
 
 
 def test_finite_verify_missing_file(capsys):

@@ -1,5 +1,7 @@
 """Group construction, conjugacy structure, and group-algebra operations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,24 @@ def test_cycle_notation_round_trip():
         parse_cycles("(1 2")
     with pytest.raises(GroupConstructionError):
         parse_cycles("(1 1)")
+
+
+def test_cycle_points_above_the_order_cap_are_refused_before_allocating():
+    # the largest catalog cyclic group moves every point up to the cap
+    assert len(parse_cycles(f"(1 {groups.DEFAULT_ORDER_CAP})")) == groups.DEFAULT_ORDER_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(GroupConstructionError, match="points must be <= 10080"):
+            parse_cycles("(3 1000000)(1 2)")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # the image of a million points would be 8 MB of list alone
+
+
+def test_ragged_table_is_refused_with_the_shape_message():
+    with pytest.raises(GroupConstructionError, match="'table' must be a square array of integer element indices"):
+        build_group({"table": [[0, 1], [1]]})
 
 
 def test_build_group_descriptors():

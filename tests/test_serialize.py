@@ -1,10 +1,13 @@
 """JSON/CSV encodings: round trips, schemas, group files."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from classops import cli, serialize
 from classops.groups import GroupConstructionError, build_group
 from classops.representations import character_table, irreps
 from classops.coupling import conjugation_decomposition, su2_coupling_table
@@ -17,10 +20,12 @@ from classops.serialize import (
     decode_complex_array,
     encode_complex_array,
     format_float,
+    json_text,
     load_group_file,
     tables_document,
     write_json,
 )
+from helpers import oracle_json_text
 
 
 def test_complex_array_round_trip():
@@ -107,3 +112,133 @@ def test_coupling_table_round_trip(make):
 
 def test_report_schema_name():
     assert REPORT_SCHEMA == "classop-report/1"
+
+
+# ---------------------------------------------------------------------------
+# json_text against the json module's indent-2 rendering
+# ---------------------------------------------------------------------------
+
+
+def assert_same_text(text: str, expected: str) -> None:
+    # pytest's own diff of two texts of a megabyte runs for minutes
+    if text != expected:
+        at = next((i for i, (a, b) in enumerate(zip(text, expected)) if a != b), min(len(text), len(expected)))
+        window = slice(max(0, at - 40), at + 40)
+        pytest.fail(f"texts part at offset {at}: {text[window]!r} != {expected[window]!r}")
+
+
+def _full_tables_document(group):
+    table = character_table(group, seed=3)
+    reps = irreps(group, table, seed=3)
+    coupling = [conjugation_decomposition(group, reps, table, s) for s in range(len(reps))]
+    return tables_document(group, table, reps, coupling)
+
+
+def _a5_from_file(tmp_path):
+    path = tmp_path / "a5.json"
+    path.write_text(json.dumps({"generators": ["(1 2 3)", "(1 2 3 4 5)"], "name": "A5"}))
+    return load_group_file(path)
+
+
+@pytest.mark.parametrize("make", [
+    lambda tmp_path: _full_tables_document(build_group("C12")),
+    lambda tmp_path: _full_tables_document(build_group("S4")),
+    lambda tmp_path: _full_tables_document(_a5_from_file(tmp_path)),
+    lambda tmp_path: _full_tables_document(build_group({"table": build_group("D4").mult_table.tolist(), "name": "T"})),
+    lambda tmp_path: coupling_table_document(su2_coupling_table(2)),
+], ids=["C12", "S4", "file-A5", "table-D4", "su2-coupling-2"])
+def test_json_text_is_the_indent_2_rendering_of_tables(make, tmp_path):
+    document = make(tmp_path)
+    assert_same_text(json_text(document), oracle_json_text(document))
+
+
+@pytest.mark.parametrize("argv", [
+    ["finite-verify", "--group", "S3", "--n-random", "2"],
+    ["wigner-eckart", "--group", "D4"],
+    ["wigner-eckart", "--group", "su2", "--max-spin-x2", "3", "--psi", "1.1"],
+    ["scan", "--group", "Q8"],
+    ["su2-verify"],
+    ["su2-verify", "--j2", "5", "--psi", "0.4", "--quadrature", "8", "16"],
+], ids=lambda argv: "-".join(argv[:3]))
+def test_json_text_is_the_indent_2_rendering_of_reports(argv, monkeypatch, capsys):
+    documents = []
+
+    def recording(document):
+        documents.append(document)
+        return json_text(document)
+
+    monkeypatch.setattr(serialize, "json_text", recording)
+    assert cli.main(argv) in (0, 1)
+    out = capsys.readouterr().out
+    assert len(documents) == 1
+    assert_same_text(out, oracle_json_text(documents[0]))
+
+
+ADVERSARIAL_DOCUMENT = {
+    "floats": [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-7, 0.1],
+    "float block": [[[1.5, math.nan], [-0.0, -math.inf]], [[5e-324, 1e16], [math.inf, 2.0]]],
+    "int then float": [1, 2.0],
+    "bool then float": [True, 1.0],
+    "empty rows": [[], []],
+    "one empty row": [[]],
+    "ragged": [[1.0], [2.0, 3.0]],
+    "ragged deeper": [[[1.0, 2.0]], [[3.0]]],
+    "tuples": (1.0, (2.0, 3.0), [(4.0, 5.0), (6.0, 7.0)]),
+    "nan": math.nan,
+    "minus infinity": -math.inf,
+    "numpy scalar": np.float64(0.1),
+    "numpy scalar in a block": [[np.float64(1.0), 2.0], [3.0, 4.0]],
+    "strings spelling floats": ["nan", "inf", "-Infinity"],
+    "ints": [0, -1, 10**20, True],
+    "empty": {},
+    "empty list": [],
+    "scalars": [None, True, False, "", 0],
+    "rows of dicts": [{"b": [1.0, 2.0], "a": None}, {}],
+    "caf\u00e9 \u043a\u043b\u044e\u0447 \x00\x1f\t\"\\ \U0001f600": "\u00ff\x7f\x01\n\u2028 \ud83d\ude00",
+}
+
+
+def test_json_text_is_the_indent_2_rendering_of_an_adversarial_document():
+    assert_same_text(json_text(ADVERSARIAL_DOCUMENT), oracle_json_text(ADVERSARIAL_DOCUMENT))
+
+
+def test_json_text_rejects_what_json_rejects():
+    for value in (np.int64(3), {1j: 2}, [np.array([1.0, 2.0])], [[np.array([1.0]), 2.0]]):
+        with pytest.raises(TypeError):
+            oracle_json_text(value)
+        with pytest.raises(TypeError):
+            json_text(value)
+
+
+_LEAVES = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16]),
+    st.floats().map(np.float64),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(),
+)
+
+
+@st.composite
+def _float_blocks(draw):
+    """Rectangular nested lists of floats of depth 1 to 4, empty axes included."""
+    shape = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    size = math.prod(shape)
+    values = draw(st.lists(st.floats(), min_size=size, max_size=size))
+    return np.array(values, dtype=float).reshape(shape).tolist()
+
+
+_JSON_VALUES = st.recursive(
+    _LEAVES | _float_blocks(),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_JSON_VALUES)
+def test_json_text_matches_the_indent_2_rendering_on_generated_values(value):
+    assert_same_text(json_text(value), oracle_json_text(value))
