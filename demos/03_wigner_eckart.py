@@ -38,15 +38,22 @@ print(f"S3, class of {group.labels[g0]}; fixed-subspace dims per irrep: {m_alpha
 
 alpha, sigma = 2, 2  # standard weight family, standard block
 tab = rotate_coupling_table(conjugation_decomposition(group, reps, table, sigma), [zb.basis for zb in bases])
+# the brute force takes every weight (alpha, k, l) at once and streams the inner
+# products by columns (gamma, u, v); keep the rows and columns of (sigma, sigma)
+weights = [(alpha, k, 0) for k in range(adapted[alpha].dim)]
+d = adapted[sigma].dim
+first_row = sum(rep.dim**2 for rep in adapted[:sigma])
+brute = np.zeros((len(weights), d * d, d * d), dtype=complex)
+for gamma, columns, block in wigner_eckart_bruteforce(group, adapted, g0, weights):
+    if gamma == sigma:
+        brute[:, :, columns] = block[:, first_row:first_row + d * d]
+brute = brute.reshape(-1, d, d, d, d)  # [weight, i, j, u, v]
 for k in range(adapted[alpha].dim):
     pred, rmes = wigner_eckart_matrix(
         tab, alpha, adapted[alpha].dim, range(m_alphas[alpha]), k, 0,
         adapted[sigma].matrices[g0], g0=g0,
     )
-    brute = wigner_eckart_bruteforce(group, adapted, alpha, k, 0, g0)[(sigma, sigma)]
-    dev = max(
-        np.max(np.abs(brute[:, j, :, j] - pred.T)) for j in range(adapted[sigma].dim)
-    )
+    dev = max(np.max(np.abs(brute[k][:, j, :, j] - pred.T)) for j in range(d))
     print(
         f"  weight conj(t^std_{{{k},0}}): reduced element {rmes[0].value:+.6f}, "
         f"prediction vs brute force: {dev:.2e}"

@@ -63,6 +63,10 @@ class CheckReport:
     passed: bool
 
 
+# Coefficients in one stack of right translates in centralizer_invariance_check
+_STACK_ENTRIES = 1 << 14
+
+
 def left_translate(group: FiniteGroup, g: int, f) -> np.ndarray:
     """(lambda(g) f)(x) = f(g^-1 x)."""
     f = _as_coeffs(group, f)
@@ -86,30 +90,40 @@ def weighted_class_operator(
     T(x) T(g0) T(x^-1) = T(x g0 x^-1), so f is pushed forward along
     x -> x g0 x^-1 to the element transfer(f)/|C0| supported on C0 ~ G/Z0,
     which is represented once (``represent``; ``None`` is the left regular one).
+    ``f`` may also be a stack of weights, shape (r, |G|): one ``np.bincount``
+    over the bins image + |G| * row pushes every row, summed in the order of a
+    single call, and ``matrix`` gets the leading axis r.
     """
-    f = _as_coeffs(group, f)
+    f = _as_coeffs(group, f, stack=True)
     n = group.order
     image = group.mult_table[group.mult_table[:, g0], group.inverse_table]  # x g0 x^-1
-    pushed = (np.bincount(image, f.real, n) + 1j * np.bincount(image, f.imag, n)) / n
-    return WeightedClassOperator(g0=g0, weight=f, matrix=represent(group, representation, pushed))
+    bins = (image + n * np.arange(f.size // n)[:, None]).ravel()
+    pushed = np.bincount(bins, f.real.ravel(), f.size) + 1j * np.bincount(bins, f.imag.ravel(), f.size)
+    return WeightedClassOperator(g0=g0, weight=f, matrix=represent(group, representation, pushed.reshape(f.shape) / n))
 
 
 def covariance_deviation(
     group: FiniteGroup,
     representation: np.ndarray | None,
     op: WeightedClassOperator,
-    g: int,
+    g,
 ) -> tuple[WeightedClassOperator, float]:
-    """T(g) T(f; g0) T(g)^-1 and its largest deviation from T(lambda(g) f; g0)."""
+    """T(g) T(f; g0) T(g)^-1 and its largest deviation from T(lambda(g) f; g0).
+
+    For an operator of stacked weights ``g`` holds one element per weight.
+    """
+    g = np.asarray(g)
+    g_inv = group.inverse_table[g]
     if representation is None:
         # lambda(g) lambda(a) lambda(g)^-1 = lambda(g a g^-1), with coefficient a(g^-1 y g) at y
-        conjugated = op.matrix[group.mult_table[group.mult_table[group.inverse_table[g]], g]]
+        moved = group.mult_table[group.mult_table[g_inv], g[..., None]]
+        conjugated = np.take_along_axis(op.matrix, moved, axis=-1)
     else:
         t = np.asarray(representation)
-        conjugated = t[g] @ op.matrix @ t[group.inverse_table[g]]
-    shifted = left_translate(group, g, op.weight)
+        conjugated = t[g] @ op.matrix @ t[g_inv]
+    shifted = np.take_along_axis(op.weight, group.mult_table[g_inv], axis=-1)  # f(g^-1 x)
     direct = weighted_class_operator(group, representation, op.g0, shifted)
-    dev = float(np.max(np.abs(conjugated - direct.matrix)))
+    dev = float(np.max(np.abs(conjugated - direct.matrix), initial=0.0))
     return WeightedClassOperator(g0=op.g0, weight=shifted, matrix=conjugated), dev
 
 
@@ -141,13 +155,23 @@ def centralizer_invariance_check(
     f,
     tol: float = 1e-12,
 ) -> CheckReport:
-    """Verify T(rho(h) f; g0) = T(f; g0) for every h in the centralizer of g0."""
+    """Verify T(rho(h) f; g0) = T(f; g0) for every h in the centralizer of g0.
+
+    The right translates are pushed as stacks of at most ``_STACK_ENTRIES``
+    coefficients, all of them at once for groups of order up to 128; the
+    first is the translate by the identity, f itself.
+    """
     cls = _class_of(group, g0)
-    base = weighted_class_operator(group, representation, g0, f)
+    f = _as_coeffs(group, f)
+    centralizer = np.asarray(cls.centralizer)  # ascending, so element 0, the identity, first
+    step = max(1, _STACK_ENTRIES // group.order)
     worst = 0.0
-    for h in cls.centralizer:
-        shifted = weighted_class_operator(group, representation, g0, right_translate(group, h, f))
-        worst = max(worst, float(np.max(np.abs(shifted.matrix - base.matrix))))
+    for lo in range(0, len(centralizer), step):
+        translates = f[group.mult_table[:, centralizer[lo:lo + step]].T]  # row h: f(x h)
+        shifted = weighted_class_operator(group, representation, g0, translates).matrix
+        if lo == 0:
+            base = shifted[0]
+        worst = max(worst, float(np.max(np.abs(shifted - base))))
     return CheckReport(
         check="centralizer_invariance",
         group=group.name,
@@ -169,13 +193,13 @@ def transfer(group: FiniteGroup, cls: ConjugacyClass, f) -> np.ndarray:
     """Average f over right Z0-cosets: ftilde(x.) = (1/|Z0|) sum_h f(x h).
 
     The result is a class function indexed like ``cls.members`` (via the fixed
-    coset-representative table).
+    coset-representative table); a stack of weights (r, |G|) gives one per row.
     """
-    f = _as_coeffs(group, f)
+    f = _as_coeffs(group, f, stack=True)
     reps = np.array(cls.coset_reps)
     z = np.array(cls.centralizer)
     coset_elements = group.mult_table[reps[:, None], z[None, :]]
-    return f[coset_elements].mean(axis=1)
+    return f[..., coset_elements].mean(axis=-1)
 
 
 def class_left_translate(group: FiniteGroup, cls: ConjugacyClass, g: int, phi) -> np.ndarray:
@@ -196,13 +220,14 @@ def class_operator_from_classfunction(
     """Ttilde(phi; g0) = (1/|C0|) sum over the class of phi(x.) T(x g0 x^-1).
 
     For any f with transfer(f) = phi this equals weighted_class_operator(f):
-    the factorization through G/Z0.
+    the factorization through G/Z0.  A stack of class functions (r, |C0|)
+    gives a stack of operators.
     """
     phi = np.asarray(phi, dtype=complex)
-    if phi.shape != (cls.size,):
+    if phi.shape[-1:] != (cls.size,) or phi.ndim > 2:
         raise ValueError(f"class function must have length {cls.size}")
-    weight = np.zeros(group.order, dtype=complex)
-    weight[list(cls.members)] = phi  # descent witness; informational only
+    weight = np.zeros(phi.shape[:-1] + (group.order,), dtype=complex)
+    weight[..., list(cls.members)] = phi  # descent witness; informational only
     matrix = represent(group, representation, weight) / cls.size
     return WeightedClassOperator(g0=cls.base_element, weight=weight, matrix=matrix)
 

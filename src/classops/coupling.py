@@ -540,39 +540,58 @@ def wigner_eckart_matrix(
     return pred, rmes
 
 
+# Complex entries of one intermediate of wigner_eckart_bruteforce (2 MB)
+_BRUTE_CHUNK_ENTRIES = 1 << 17
+
+
 def wigner_eckart_bruteforce(
     group: FiniteGroup,
     adapted: list[Irrep],
-    alpha: int,
-    k: int,
-    l: int,
     g0: int,
-) -> dict[tuple[int, int], np.ndarray]:
-    """All inner products n^sigma <op conj t^sigma_ij | conj t^gamma_uv> by brute force.
+    weights,
+):
+    """All inner products n^sigma <op_w conj t^sigma_ij | conj t^gamma_uv> by brute force.
 
-    ``op`` is the weighted class operator on the group algebra with weight
-    conj(t^alpha_kl), computed entirely from group_core/class_ops machinery;
-    returns arrays indexed [i, j, u, v] for every (sigma, gamma) pair.  Its
-    element p lives on C0, so op acts as the convolution
-    (op phi)(y) = sum_{c in C0} p(c) phi(c^-1 y), applied literally to the
-    matrix coefficients (the multiplication law of T^sigma is not used).
+    ``op_w`` is the weighted class operator on the group algebra with weight
+    conj(t^alpha_kl), one for each (alpha, k, l) of ``weights``; one
+    ``weighted_class_operator`` call pushes them all to the stack P
+    (weights x |C0|).  Each op_w lives on C0 and acts as the convolution
+    (op phi)(y) = sum_{c in C0} p(c) phi(c^-1 y), so with y = c x
+
+        n^sigma <op_w phi | conj t> = (n^sigma/|G|) sum_x phi(x) sum_c p_w(c) t(c x).
+
+    The translates t^gamma_uv(c x) are gathered from the stored matrices (the
+    multiplication law of the irreps is not used).  Per chunk of columns
+    (gamma, u, v), one P @ translates product gives the sums over c for every
+    weight, and one (sum_sigma d_sigma^2, |G|) product takes the sums over x
+    against every conj t^sigma_ij.  A chunk holds at most
+    ``_BRUTE_CHUNK_ENTRIES`` numbers per intermediate, or one column.
+
+    Yields (gamma, columns, block): ``columns`` slices the flattened (u, v) of
+    gamma, and block[w, (sigma, i, j), (u, v)] holds the inner products of
+    weight w, the rows running over every sigma in order.
     """
-    f = adapted[alpha].matrices[:, k, l].conj()
-    pushed = weighted_class_operator(group, None, g0, f).matrix
-    support = np.flatnonzero(pushed)
-    shifts = group.mult_table[group.inverse_table[support]]   # shifts[s, y] = c_s^-1 y
-    n, out = group.order, {}
-    for si, srep in enumerate(adapted):
-        phi = srep.matrices.conj()
-        applied = np.zeros_like(phi)
-        for c, shift in zip(support, shifts):
-            applied += pushed[c] * phi[shift]
-        # np.tensordot(applied, t^gamma, axes=(0, 0)), transposing applied once for all gamma
-        applied = applied.transpose(1, 2, 0).reshape(-1, n)
-        for gi, grep in enumerate(adapted):
-            prod = np.dot(applied, grep.matrices.reshape(n, -1)) * (srep.dim / n)
-            out[(si, gi)] = prod.reshape((srep.dim,) * 2 + (grep.dim,) * 2)
-    return out
+    n = group.order
+    alpha, k, l = np.asarray(weights, dtype=np.intp).reshape(-1, 3).T
+    dims = np.array([rep.dim for rep in adapted])
+    coeffs = [rep.matrices.reshape(n, -1).T for rep in adapted]  # t^gamma[(u, v), x]
+    stack = np.empty((len(alpha), n), dtype=complex)
+    for a, t in enumerate(coeffs):  # irrep by irrep: no copy of all sum_gamma d_gamma^2 rows
+        chosen = alpha == a
+        stack[chosen] = t[k[chosen] * dims[a] + l[chosen]].conj()
+    support = np.unique(group.mult_table[group.mult_table[:, g0], group.inverse_table])  # C0
+    pushed = weighted_class_operator(group, None, g0, stack).matrix[:, support]
+    phi = np.concatenate([t.conj() * (d / n) for t, d in zip(coeffs, dims)])
+    translates = group.mult_table[support]  # translates[c, x] = c x
+    step = max(1, _BRUTE_CHUNK_ENTRIES // (n * max(len(support), len(pushed))))
+    for gamma, d in enumerate(dims):
+        for lo in range(0, d * d, step):
+            columns = slice(lo, min(lo + step, d * d))
+            rows = coeffs[gamma][columns]
+            summed = pushed @ rows[:, translates]  # [(u, v), w, x] = sum_c p_w(c) t^gamma_uv(c x)
+            block = phi @ summed.reshape(-1, n).T
+            del summed  # not held while the caller reduces the block
+            yield gamma, columns, block.reshape(len(phi), len(rows), -1).transpose(2, 0, 1)
 
 
 def tensor_operator_scan(
@@ -587,19 +606,21 @@ def tensor_operator_scan(
 
     For alpha admitting fixed columns, the family over i of
     T~(conj t^alpha_{i,col}; g0) is reported with its largest entry norm; an
-    empirical answer, no claim beyond the computed instances.
+    empirical answer, no claim beyond the computed instances.  The weights of
+    every (alpha, col, i) are pushed as one stack.
     """
-    rows = []
-    for ai, rep in enumerate(adapted):
-        for col in range(m_alphas[ai]):
-            worst = 0.0
-            for i in range(rep.dim):
-                f = rep.matrices[:, i, col].conj()
-                op = weighted_class_operator(group, representation, g0, f).matrix
-                worst = max(worst, float(np.max(np.abs(op))))
-            rows.append(
-                TensorOperatorFamily(
-                    cls=group.labels[g0], alpha=ai, column=col, max_norm=worst, vanishes=worst < tol
-                )
-            )
-    return rows
+    n = group.order
+    families = [(ai, col) for ai, m in enumerate(m_alphas) for col in range(m)]
+    # rows (alpha, col, i) of weights conj(t^alpha_{i,col})
+    stack = np.concatenate(
+        [rep.matrices[:, :, :m].transpose(2, 1, 0).reshape(-1, n) for rep, m in zip(adapted, m_alphas)]
+    ).conj()
+    ops = weighted_class_operator(group, representation, g0, stack).matrix
+    starts = np.cumsum([0] + [adapted[ai].dim for ai, _ in families[:-1]])
+    worst = np.maximum.reduceat(np.abs(ops).reshape(len(stack), -1).max(axis=1), starts)
+    return [
+        TensorOperatorFamily(
+            cls=group.labels[g0], alpha=ai, column=col, max_norm=float(w), vanishes=bool(w < tol)
+        )
+        for (ai, col), w in zip(families, worst)
+    ]

@@ -53,15 +53,17 @@ class GroupConstructionError(ValueError):
 # ---------------------------------------------------------------------------
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
+_POINT_RE = re.compile(r"[0-9]+")   # ASCII digits only: int() also takes "2_0" and non-ASCII digits
+_CAP_DIGITS = len(str(DEFAULT_ORDER_CAP))
 
 
 def parse_cycles(text: str, degree: int | None = None) -> tuple[int, ...]:
     """Parse cycle notation like ``"(1 2)(3 4)"`` into a 0-based image tuple.
 
-    Points inside cycles are 1-based, separated by spaces or commas, and at
-    most ``DEFAULT_ORDER_CAP`` (the degree of the largest catalog cyclic
-    group), checked before the image is allocated.  The empty string or
-    ``"e"`` denotes the identity.
+    Points inside cycles are 1-based ASCII digit strings, separated by spaces
+    or commas, and at most ``DEFAULT_ORDER_CAP`` (the degree of the largest
+    catalog cyclic group), checked before the image is allocated.  The empty
+    string or ``"e"`` denotes the identity.
     """
     text = text.strip()
     cycles: list[list[int]] = []
@@ -71,7 +73,11 @@ def parse_cycles(text: str, degree: int | None = None) -> tuple[int, ...]:
             raise GroupConstructionError(f"cannot parse cycle notation: {text!r}")
         for chunk in body:
             pts = [p for p in re.split(r"[\s,]+", chunk.strip()) if p]
-            cyc = [int(p) - 1 for p in pts]
+            bad = [p for p in pts if not _POINT_RE.fullmatch(p)]
+            if bad:
+                raise GroupConstructionError(f"point {bad[0]!r} is not a decimal number in {text!r}")
+            # a point longer than the cap's digits is above it; int() never sees it
+            cyc = [int(p) - 1 if len(p.lstrip("0")) <= _CAP_DIGITS else DEFAULT_ORDER_CAP for p in pts]
             if any(p < 0 for p in cyc):
                 raise GroupConstructionError(f"points must be >= 1 in {text!r}")
             if any(p >= DEFAULT_ORDER_CAP for p in cyc):
@@ -504,9 +510,10 @@ def conjugacy_classes(group: FiniteGroup) -> list[ConjugacyClass]:
 # ---------------------------------------------------------------------------
 
 
-def _as_coeffs(group: FiniteGroup, phi) -> np.ndarray:
+def _as_coeffs(group: FiniteGroup, phi, stack: bool = False) -> np.ndarray:
+    """phi as a complex coefficient vector; with ``stack``, a stack (r, |G|) of them too."""
     arr = np.asarray(phi, dtype=complex)
-    if arr.shape != (group.order,):
+    if arr.shape[-1:] != (group.order,) or arr.ndim > (2 if stack else 1):
         raise ValueError(f"expected a coefficient vector of length {group.order}, got shape {arr.shape}")
     return arr
 

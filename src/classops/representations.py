@@ -492,14 +492,17 @@ def represent(group: FiniteGroup, representation: np.ndarray | None, a) -> np.nd
     ``None`` selects the left regular representation, which is faithful on the
     group algebra: the operator is carried as the element a itself, standing
     for the matrix lambda(a) = ``left_regular_matrix(group, a)``.  Every entry
-    of that matrix is a coefficient of a, so max|lambda(a)| = max|a|.
+    of that matrix is a coefficient of a, so max|lambda(a)| = max|a|.  A stack
+    of elements, shape (r, |G|), gives a stack of operators.
     """
     if representation is None:
-        return _as_coeffs(group, a)
+        return _as_coeffs(group, a, stack=True)
     t = np.asarray(representation)
     if t.shape[0] != group.order or t.shape[1] != t.shape[2]:
         raise ValueError("representation stack has wrong shape")
-    return np.tensordot(a, t, axes=1)
+    a = np.asarray(a)
+    # one (1, |G|) @ (|G|, d^2) product per element, a stack's rows as single elements
+    return (a[..., None, :] @ t.reshape(group.order, -1)).reshape(a.shape[:-1] + t.shape[1:])
 
 
 def isotypic_projector(

@@ -25,6 +25,7 @@ from .class_operators import (
 )
 from .coupling import (
     CouplingTable,
+    ReducedMatrixElement,
     adapt_irreps_to_class,
     conjugation_decomposition,
     rotate_coupling_table,
@@ -81,7 +82,10 @@ def finite_class_suite(
     random weights, conjugation covariance, right-centralizer invariance, and
     the character expansion of the class sum.  Operators of the left regular
     representation are compared as their group-algebra elements, so no
-    |G| x |G| matrix is built.
+    |G| x |G| matrix is built.  The ``n_random`` weights of a class and their
+    covariance elements are drawn in turn (weight, element, weight, ...), then
+    checked as one stack: one push-forward, one transfer and one conjugation
+    gather for all of them.
     """
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     if table is None:
@@ -110,21 +114,18 @@ def finite_class_suite(
         average = weighted_class_operator(group, None, g0, np.ones(n)).matrix
         spectral = spectral_class_operator(group, cls, table)
         record("spectral_form", cls, np.max(np.abs(average - spectral)))
-        # coset factorization + covariance + centralizer invariance
-        dev_fact = dev_cov = 0.0
-        for _ in range(n_random):
-            f = _random_weight(rng, n)
-            op = weighted_class_operator(group, None, g0, f)
-            through = class_operator_from_classfunction(group, None, cls, transfer(group, cls, f))
-            dev_fact = max(dev_fact, float(np.max(np.abs(op.matrix - through.matrix))))
-            _, dev = covariance_deviation(group, None, op, int(rng.integers(n)))
-            dev_cov = max(dev_cov, dev)
-        centralizer = centralizer_invariance_check(
-            group, None, g0, _random_weight(rng, n), tol=tol["centralizer_invariance"]
+        # coset factorization + covariance on the stacked weights, then centralizer invariance
+        weights = np.empty((n_random, n), dtype=complex)
+        elements = np.empty(n_random, dtype=np.intp)
+        for i in range(n_random):
+            weights[i], elements[i] = _random_weight(rng, n), rng.integers(n)
+        op = weighted_class_operator(group, None, g0, weights)
+        through = class_operator_from_classfunction(group, None, cls, transfer(group, cls, weights))
+        record("coset_factorization", cls, np.max(np.abs(op.matrix - through.matrix), initial=0.0))
+        record("conjugation_covariance", cls, covariance_deviation(group, None, op, elements)[1])
+        reports.append(
+            centralizer_invariance_check(group, None, g0, _random_weight(rng, n), tol=tol["centralizer_invariance"])
         )
-        record("coset_factorization", cls, dev_fact)
-        record("conjugation_covariance", cls, dev_cov)
-        reports.append(centralizer)
         # class-sum expansion in irreducible characters, a class function
         expansion = table.values[:, table.class_of[g0]].conj() @ table.values / n
         record(
@@ -222,35 +223,52 @@ def wigner_eckart_report(
     bases = [z_fixed_basis(ai, rep.matrices, cls.centralizer) for ai, rep in enumerate(irreps_list)]
     adapted, m_alphas = adapt_irreps_to_class(irreps_list, cls, bases)
     tables = [rotate_coupling_table(tab, [zb.basis for zb in bases]) for tab in coupling]
+    weights = [(alpha, k, l) for alpha, rep in enumerate(adapted) for k in range(rep.dim) for l in range(m_alphas[alpha])]
+    predictions = [_wigner_eckart_predictions(tab, adapted, m_alphas, g0) for tab in tables]
+    dims = [rep.dim for rep in adapted]
+    starts = np.cumsum([0] + [d * d for d in dims])
+    dev = np.zeros((len(adapted), len(weights)))
+    max_off = 0.0
+    for gamma, columns, block in wigner_eckart_bruteforce(group, adapted, g0, weights):
+        # the rows sigma = gamma hold the pattern delta_jv M[u, i]; every other entry is off it
+        d = dims[gamma]
+        i, j = np.divmod(np.arange(d * d), d)
+        u, v = i[columns], j[columns]
+        on_pattern = j[:, None] == v
+        rows_of_gamma = slice(starts[gamma], starts[gamma + 1])
+        expect = predictions[gamma][0][:, u, i[:, None]] * on_pattern
+        dev[gamma] = np.maximum(dev[gamma], np.abs(block[:, rows_of_gamma] - expect).max(axis=(1, 2)))
+        off = np.abs(block)
+        off[:, rows_of_gamma][:, on_pattern] = 0.0
+        max_off = max(max_off, float(off.max()))
     rows: list[WignerEckartRow] = []
     reduced_rows: list[ReducedElementRow] = []
-    max_off = 0.0
-    for alpha in range(len(adapted)):
-        for k in range(adapted[alpha].dim):
-            for l in range(m_alphas[alpha]):
-                brute = wigner_eckart_bruteforce(group, adapted, alpha, k, l, g0)
-                for sigma in range(len(adapted)):
-                    pred, rmes = wigner_eckart_matrix(
-                        tables[sigma],
-                        alpha,
-                        adapted[alpha].dim,
-                        range(m_alphas[alpha]),
-                        k,
-                        l,
-                        adapted[sigma].matrices[g0],
-                        g0=g0,
-                    )
-                    d = adapted[sigma].dim
-                    expect = np.einsum("jv,ui->ijuv", np.eye(d), pred)
-                    dev = float(np.abs(brute[(sigma, sigma)] - expect).max())
-                    off = brute[(sigma, sigma)] * (1.0 - np.eye(d))[None, :, None, :]
-                    max_off = max(max_off, float(np.abs(off).max()))
-                    for gamma in range(len(adapted)):
-                        if gamma != sigma:
-                            max_off = max(max_off, float(np.abs(brute[(sigma, gamma)]).max()))
-                    key = (group.name, sigma, alpha, k, l, g0_label)
-                    _add_comparison(rows, reduced_rows, key, dev, rmes, tol)
+    for (alpha, k, l), devs in zip(weights, dev.T.tolist()):
+        for sigma, deviation in enumerate(devs):
+            rmes = predictions[sigma][1][alpha][l] if k == 0 else []
+            _add_comparison(rows, reduced_rows, (group.name, sigma, alpha, k, l, g0_label), deviation, rmes, tol)
     return rows, reduced_rows, _skipped(g0_label, m_alphas), max_off
+
+
+def _wigner_eckart_predictions(table: CouplingTable, adapted: list[Irrep], m_alphas: list[int], g0: int):
+    """The predicted coefficients M[u, i] of ``wigner_eckart_matrix`` for every
+    weight (alpha, k, l) of a class, stacked in that order, and the reduced
+    matrix elements per (alpha, l); one einsum per alpha for each."""
+    t_sigma_g0 = adapted[table.sigma].matrices[g0]
+    preds, reduced = [], []
+    for alpha, (rep, m) in enumerate(zip(adapted, m_alphas)):
+        c = table.coeffs.get(alpha)
+        if c is None or m == 0:
+            preds.append(np.zeros((rep.dim * m,) + t_sigma_g0.shape, dtype=complex))
+            reduced.append([[] for _ in range(m)])
+            continue
+        values = np.einsum("prml,pr->lm", c[..., :m], t_sigma_g0) / rep.dim
+        preds.append(np.einsum("uimk,lm->klui", c.conj(), values).reshape((-1,) + t_sigma_g0.shape))
+        reduced.append([
+            [ReducedMatrixElement(table.sigma, alpha, l, mi, g0, complex(v)) for mi, v in enumerate(row)]
+            for l, row in enumerate(values)
+        ])
+    return np.concatenate(preds), reduced
 
 
 def su2_wigner_eckart_report(

@@ -17,7 +17,14 @@ conjugation stack (one ``np.kron`` per element) is the reference route of the
 coupling decomposition, which sums over the irrep matrices instead.
 The library carries operators of the left regular representation as
 group-algebra elements; the dense |G| x |G| matrices (``regular_actions``,
-``as_dense``, ``dense_wigner_eckart_bruteforce``) exist only here.  The SU(2)
+``as_dense``, ``dense_wigner_eckart_bruteforce``) exist only here.  The
+library checks a class with every weight in one stack; the loops it replaced,
+one weight at a time, are the oracles here: ``oracle_finite_class_suite``
+(the same random draws, one push-forward per weight and per right translate),
+``oracle_wigner_eckart_bruteforce`` (the convolution summed support element
+by support element), ``oracle_wigner_eckart_rows`` (the comparison weight by
+weight and sigma by sigma) and ``oracle_tensor_operator_scan``;
+``collect_bruteforce`` assembles the library's streamed inner products.  The SU(2)
 integrals separate in the library (phi in closed form on the rule, one theta
 sum); here the phi sums run over the rule's nodes as a (2d-1, P) phase table,
 and the triple product runs node by node over full Wigner-D stacks.
@@ -33,9 +40,24 @@ from math import factorial
 import numpy as np
 
 from classops.groups import FiniteGroup, conjugacy_classes, left_regular_matrix
-from classops.class_operators import class_sum_element, weighted_class_operator
-from classops.coupling import _weighted_triple_sum
+from classops.class_operators import (
+    CheckReport,
+    class_operator_from_classfunction,
+    class_sum_element,
+    covariance_deviation,
+    right_translate,
+    spectral_class_operator,
+    transfer,
+    weighted_class_operator,
+)
+from classops.coupling import (
+    TensorOperatorFamily,
+    _weighted_triple_sum,
+    wigner_eckart_bruteforce,
+    wigner_eckart_matrix,
+)
 from classops.su2 import WignerD, fixed_column_index
+from classops.verify import DEFAULT_TOLERANCES, WignerEckartRow, _random_weight
 
 CATALOG_LEQ_24 = ["C1", "C2", "C3", "C4", "C6", "D3", "D4", "D5", "Q8", "S3", "S4"]
 ACCEPTANCE_GROUPS = ["C6", "S3", "D4", "Q8", "S4"]
@@ -144,7 +166,7 @@ def as_dense(group: FiniteGroup, representation, matrix: np.ndarray) -> np.ndarr
 
 
 def dense_wigner_eckart_bruteforce(group: FiniteGroup, adapted, alpha: int, k: int, l: int, g0: int) -> dict:
-    """wigner_eckart_bruteforce through the dense |G| x |G| operator and two einsums."""
+    """wigner_eckart_bruteforce of one weight through the dense |G| x |G| operator and two einsums."""
     f = adapted[alpha].matrices[:, k, l].conj()
     op = left_regular_matrix(group, weighted_class_operator(group, None, g0, f).matrix)
     out = {}
@@ -153,6 +175,117 @@ def dense_wigner_eckart_bruteforce(group: FiniteGroup, adapted, alpha: int, k: i
         for gi, grep in enumerate(adapted):
             out[(si, gi)] = np.einsum("yij,yuv->ijuv", applied, grep.matrices) * (srep.dim / group.order)
     return out
+
+
+def collect_bruteforce(group: FiniteGroup, adapted, g0: int, weights) -> dict:
+    """The chunks ``wigner_eckart_bruteforce`` yields, assembled into one array per
+    (sigma, gamma), indexed [w, i, j, u, v]."""
+    dims = [rep.dim for rep in adapted]
+    starts = np.cumsum([0] + [d * d for d in dims])
+    full = {g: np.full((len(weights), starts[-1], d * d), np.nan, dtype=complex) for g, d in enumerate(dims)}
+    for gamma, columns, block in wigner_eckart_bruteforce(group, adapted, g0, weights):
+        full[gamma][:, :, columns] = block
+    assert not any(np.isnan(a).any() for a in full.values()), "a column of inner products was never yielded"
+    return {
+        (s, g): full[g][:, starts[s]:starts[s + 1]].reshape(-1, ds, ds, dg, dg)
+        for s, ds in enumerate(dims) for g, dg in enumerate(dims)
+    }
+
+
+def oracle_wigner_eckart_bruteforce(group: FiniteGroup, adapted, alpha: int, k: int, l: int, g0: int) -> dict:
+    """wigner_eckart_bruteforce of one weight, its convolution summed support
+    element by support element: (op phi)(y) = sum_c p(c) phi(c^-1 y)."""
+    f = adapted[alpha].matrices[:, k, l].conj()
+    pushed = weighted_class_operator(group, None, g0, f).matrix
+    support = np.flatnonzero(pushed)
+    shifts = group.mult_table[group.inverse_table[support]]   # shifts[s, y] = c_s^-1 y
+    n, out = group.order, {}
+    for si, srep in enumerate(adapted):
+        phi = srep.matrices.conj()
+        applied = np.zeros_like(phi)
+        for c, shift in zip(support, shifts):
+            applied += pushed[c] * phi[shift]
+        applied = applied.transpose(1, 2, 0).reshape(-1, n)
+        for gi, grep in enumerate(adapted):
+            prod = np.dot(applied, grep.matrices.reshape(n, -1)) * (srep.dim / n)
+            out[(si, gi)] = prod.reshape((srep.dim,) * 2 + (grep.dim,) * 2)
+    return out
+
+
+def oracle_wigner_eckart_rows(group: FiniteGroup, adapted, m_alphas, tables, g0: int, bruteforce=None):
+    """wigner_eckart_report's comparison, weight by weight and sigma by sigma:
+    (rows, max_off_pattern) from ``wigner_eckart_matrix`` and a per-weight
+    brute force (``oracle_wigner_eckart_bruteforce`` unless given)."""
+    bruteforce = bruteforce or oracle_wigner_eckart_bruteforce
+    tol = DEFAULT_TOLERANCES["wigner_eckart_match"]
+    rows, max_off = [], 0.0
+    for alpha in range(len(adapted)):
+        for k in range(adapted[alpha].dim):
+            for l in range(m_alphas[alpha]):
+                brute = bruteforce(group, adapted, alpha, k, l, g0)
+                for sigma in range(len(adapted)):
+                    pred, _ = wigner_eckart_matrix(
+                        tables[sigma], alpha, adapted[alpha].dim, range(m_alphas[alpha]), k, l,
+                        adapted[sigma].matrices[g0], g0=g0,
+                    )
+                    d = adapted[sigma].dim
+                    dev = float(np.abs(brute[(sigma, sigma)] - np.einsum("jv,ui->ijuv", np.eye(d), pred)).max())
+                    off = brute[(sigma, sigma)] * (1.0 - np.eye(d))[None, :, None, :]
+                    max_off = max([max_off, float(np.abs(off).max())] + [
+                        float(np.abs(brute[(sigma, gamma)]).max()) for gamma in range(len(adapted)) if gamma != sigma
+                    ])
+                    rows.append(WignerEckartRow(group.name, sigma, alpha, k, l, group.labels[g0], dev, dev <= tol))
+    return rows, max_off
+
+
+def oracle_tensor_operator_scan(group: FiniteGroup, representation, g0: int, adapted, m_alphas, tol: float = 1e-10):
+    """tensor_operator_scan with one weighted_class_operator call per weight."""
+    rows = []
+    for ai, rep in enumerate(adapted):
+        for col in range(m_alphas[ai]):
+            worst = 0.0
+            for i in range(rep.dim):
+                op = weighted_class_operator(group, representation, g0, rep.matrices[:, i, col].conj()).matrix
+                worst = max(worst, float(np.max(np.abs(op))))
+            rows.append(TensorOperatorFamily(group.labels[g0], ai, col, worst, worst < tol))
+    return rows
+
+
+def oracle_finite_class_suite(group: FiniteGroup, table, classes=None, seed: int = 42, n_random: int = 20) -> list:
+    """finite_class_suite weight by weight, drawing the same random sequence: one
+    weighted_class_operator, transfer and covariance per random weight, one per
+    right translate of the centralizer weight."""
+    tol = DEFAULT_TOLERANCES
+    rng = np.random.default_rng(seed)
+    n = group.order
+    reports = []
+
+    def record(check, cls, dev):
+        reports.append(CheckReport(check, group.name, group.labels[cls.base_element], float(dev), tol[check], bool(dev <= tol[check])))
+
+    for cls in classes or conjugacy_classes(group):
+        g0 = cls.base_element
+        average = weighted_class_operator(group, None, g0, np.ones(n)).matrix
+        record("spectral_form", cls, np.max(np.abs(average - spectral_class_operator(group, cls, table))))
+        dev_fact = dev_cov = 0.0
+        for _ in range(n_random):
+            f = _random_weight(rng, n)
+            op = weighted_class_operator(group, None, g0, f)
+            through = class_operator_from_classfunction(group, None, cls, transfer(group, cls, f))
+            dev_fact = max(dev_fact, float(np.max(np.abs(op.matrix - through.matrix))))
+            dev_cov = max(dev_cov, covariance_deviation(group, None, op, int(rng.integers(n)))[1])
+        f = _random_weight(rng, n)
+        base = weighted_class_operator(group, None, g0, f).matrix
+        dev_cent = 0.0
+        for h in cls.centralizer:
+            shifted = weighted_class_operator(group, None, g0, right_translate(group, h, f)).matrix
+            dev_cent = max(dev_cent, float(np.max(np.abs(shifted - base))))
+        record("coset_factorization", cls, dev_fact)
+        record("conjugation_covariance", cls, dev_cov)
+        record("centralizer_invariance", cls, dev_cent)
+        expansion = table.values[:, table.class_of[g0]].conj() @ table.values / n
+        record("class_sum_expansion", cls, np.max(np.abs(class_sum_element(group, cls) - expansion[table.class_of])))
+    return reports
 
 
 def regular_representation(group: FiniteGroup) -> np.ndarray:

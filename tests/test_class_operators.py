@@ -11,6 +11,7 @@ from classops.class_operators import (
     class_operator_from_classfunction,
     class_sum_element,
     covariance_conjugate,
+    covariance_deviation,
     left_translate,
     right_translate,
     spectral_class_operator,
@@ -70,6 +71,31 @@ def test_linearity_in_weight():
         b = 2.0 * weighted_class_operator(group, lam, 2, f).matrix
         c = 1j * weighted_class_operator(group, lam, 2, g).matrix
         assert np.max(np.abs(a - b - c)) < 1e-13
+
+
+@pytest.mark.parametrize("spec", ["S4", "D6", "Q8"])
+def test_weight_stack_rows_equal_single_calls_bit_for_bit(spec):
+    group = build_group(spec)
+    reps = irreps(group, character_table(group))
+    rng = np.random.default_rng(3)
+    stack = rng.standard_normal((5, group.order)) + 1j * rng.standard_normal((5, group.order))
+    elements = rng.integers(group.order, size=5)
+    for cls in conjugacy_classes(group):
+        g0 = cls.base_element
+        for representation in (None, reps[-1].matrices):
+            op = weighted_class_operator(group, representation, g0, stack)
+            assert op.matrix.shape[0] == 5
+            singles = [weighted_class_operator(group, representation, g0, f) for f in stack]
+            for row, single in zip(op.matrix, singles):
+                assert np.array_equal(row, single.matrix)
+            moved, dev = covariance_deviation(group, representation, op, elements)
+            moved_singles = [covariance_deviation(group, representation, s, g) for s, g in zip(singles, elements)]
+            assert dev == max(d for _, d in moved_singles)
+            for row, weight, (single, _) in zip(moved.matrix, moved.weight, moved_singles):
+                assert np.array_equal(row, single.matrix) and np.array_equal(weight, single.weight)
+        # numpy may order the coset mean of a stack differently: equal to round-off
+        for phi, f in zip(transfer(group, cls, stack), stack):
+            assert np.max(np.abs(phi - transfer(group, cls, f))) <= 1e-15
 
 
 def test_dimension_mismatch():

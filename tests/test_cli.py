@@ -142,6 +142,16 @@ def test_cycle_point_above_the_cap_exits_before_the_closure(tmp_path, capsys, mo
     assert json.loads(err) == {"error": "GroupConstructionError", "message": "points must be <= 10080 in '(1 1000000)'"}
 
 
+@pytest.mark.parametrize("point", ["2_0", "\u0663", "b"])
+def test_cycle_point_that_is_not_ascii_digits_is_a_group_error(point, tmp_path, capsys):
+    odd = tmp_path / "odd.json"
+    odd.write_text(json.dumps({"generators": [f"(1 {point})"]}))
+    code, out, err = run(["finite-verify", "--group", f"file:{odd}"], capsys)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "GroupConstructionError"
+
+
 def test_finite_verify_missing_file(capsys):
     code, _, err = run(["finite-verify", "--group", "file:/nonexistent/g.json"], capsys)
     assert code == 2

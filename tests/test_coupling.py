@@ -1,6 +1,7 @@
 """Coupling tables, Frobenius reciprocity, and the Wigner-Eckart factorization."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,18 +40,32 @@ from classops.su2 import (
 )
 from helpers import (
     CATALOG_LEQ_24,
+    collect_bruteforce,
     dense_wigner_eckart_bruteforce,
     oracle_cg_ladder,
     oracle_conjugation_stack,
+    oracle_tensor_operator_scan,
     oracle_triple_sum_su2,
+    oracle_wigner_eckart_bruteforce,
     regular_representation,
 )
+from classops.serialize import load_group_file
 
 RNG = np.random.default_rng(21)
 
 
 def _tables_for(spec):
     group = build_group(spec)
+    table = character_table(group)
+    reps = irreps(group, table)
+    return group, table, reps
+
+
+def _file_a5(tmp_path):
+    """A5 read from a generator document: its irreps come from the generic extraction."""
+    path = tmp_path / "a5.json"
+    path.write_text('{"generators": ["(1 2 3)", "(1 2 3 4 5)"], "name": "A5"}')
+    group = load_group_file(str(path))
     table = character_table(group)
     reps = irreps(group, table)
     return group, table, reps
@@ -360,31 +375,35 @@ def test_frobenius_s3_transpositions():
 # ---------------------------------------------------------------------------
 
 
+def _class_weights(adapted, m_alphas):
+    """Every weight (alpha, k, l) of a class, in report order."""
+    return [(a, k, l) for a, rep in enumerate(adapted) for k in range(rep.dim) for l in range(m_alphas[a])]
+
+
 def _full_wigner_eckart(spec, class_index, match_tol=1e-9, sparse_tol=1e-10):
     group, table, reps = _tables_for(spec)
     cls = conjugacy_classes(group)[class_index]
     g0 = cls.base_element
     adapted, m_alphas = adapt_irreps_to_class(reps, cls)
     tables = {s: conjugation_decomposition(group, adapted, table, s) for s in range(len(reps))}
+    weights = _class_weights(adapted, m_alphas)
+    brute = collect_bruteforce(group, adapted, g0, weights)
     checked = 0
-    for alpha in range(len(reps)):
-        for k in range(reps[alpha].dim):
-            for l in range(m_alphas[alpha]):
-                brute = wigner_eckart_bruteforce(group, adapted, alpha, k, l, g0)
-                for sigma in range(len(reps)):
-                    pred, _ = wigner_eckart_matrix(
-                        tables[sigma], alpha, reps[alpha].dim, range(m_alphas[alpha]),
-                        k, l, adapted[sigma].matrices[g0], g0=g0,
-                    )
-                    d = reps[sigma].dim
-                    expected = np.einsum("jv,ui->ijuv", np.eye(d), pred)
-                    assert np.max(np.abs(brute[(sigma, sigma)] - expected)) < match_tol
-                    off = brute[(sigma, sigma)] * (1.0 - np.eye(d))[None, :, None, :]
-                    assert np.max(np.abs(off)) < sparse_tol
-                    for gamma in range(len(reps)):
-                        if gamma != sigma:
-                            assert np.max(np.abs(brute[(sigma, gamma)])) < sparse_tol
-                    checked += 1
+    for w, (alpha, k, l) in enumerate(weights):
+        for sigma in range(len(reps)):
+            pred, _ = wigner_eckart_matrix(
+                tables[sigma], alpha, reps[alpha].dim, range(m_alphas[alpha]),
+                k, l, adapted[sigma].matrices[g0], g0=g0,
+            )
+            d = reps[sigma].dim
+            expected = np.einsum("jv,ui->ijuv", np.eye(d), pred)
+            assert np.max(np.abs(brute[(sigma, sigma)][w] - expected)) < match_tol
+            off = brute[(sigma, sigma)][w] * (1.0 - np.eye(d))[None, :, None, :]
+            assert np.max(np.abs(off)) < sparse_tol
+            for gamma in range(len(reps)):
+                if gamma != sigma:
+                    assert np.max(np.abs(brute[(sigma, gamma)][w])) < sparse_tol
+            checked += 1
     return checked
 
 
@@ -403,15 +422,45 @@ def test_bruteforce_convolution_matches_dense_operator(spec):
     worst = 0.0
     for cls in conjugacy_classes(group):
         adapted, m_alphas = adapt_irreps_to_class(reps, cls)
-        for alpha in range(len(reps)):
-            for k in range(reps[alpha].dim):
-                for l in range(m_alphas[alpha]):
-                    args = (group, adapted, alpha, k, l, cls.base_element)
-                    brute, dense = wigner_eckart_bruteforce(*args), dense_wigner_eckart_bruteforce(*args)
-                    assert brute.keys() == dense.keys()
-                    for key in brute:
-                        worst = max(worst, float(np.max(np.abs(brute[key] - dense[key]))))
+        weights = _class_weights(adapted, m_alphas)
+        brute = collect_bruteforce(group, adapted, cls.base_element, weights)
+        for w, (alpha, k, l) in enumerate(weights):
+            dense = dense_wigner_eckart_bruteforce(group, adapted, alpha, k, l, cls.base_element)
+            assert brute.keys() == dense.keys()
+            for key in brute:
+                worst = max(worst, float(np.max(np.abs(brute[key][w] - dense[key]))))
     assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("spec", ["S4", "D6", "Q8", "file:A5"])
+def test_bruteforce_matches_per_support_oracle_on_every_class(spec, tmp_path):
+    group, table, reps = _file_a5(tmp_path) if spec == "file:A5" else _tables_for(spec)
+    worst = 0.0
+    for cls in conjugacy_classes(group):
+        adapted, m_alphas = adapt_irreps_to_class(reps, cls)
+        weights = _class_weights(adapted, m_alphas)
+        assert len(weights) == cls.size   # sum_alpha n^alpha m^alpha = |G/Z0|
+        brute = collect_bruteforce(group, adapted, cls.base_element, weights)
+        for w, (alpha, k, l) in enumerate(weights):
+            oracle = oracle_wigner_eckart_bruteforce(group, adapted, alpha, k, l, cls.base_element)
+            for key, value in oracle.items():
+                worst = max(worst, float(np.max(np.abs(brute[key][w] - value))))
+    assert worst <= 1e-13
+
+
+def test_bruteforce_chunks_cover_every_column(monkeypatch):
+    # with chunks of one column the streamed inner products are still the oracle's
+    monkeypatch.setattr("classops.coupling._BRUTE_CHUNK_ENTRIES", 1)
+    group, table, reps = _tables_for("S4")
+    cls = conjugacy_classes(group)[3]
+    adapted, m_alphas = adapt_irreps_to_class(reps, cls)
+    weights = _class_weights(adapted, m_alphas)[::-1]   # any order of weights
+    columns = [c for _, c, _ in wigner_eckart_bruteforce(group, adapted, cls.base_element, weights)]
+    assert len(columns) == sum(rep.dim**2 for rep in reps)
+    brute = collect_bruteforce(group, adapted, cls.base_element, weights)
+    for w, (alpha, k, l) in enumerate(weights):
+        oracle = oracle_wigner_eckart_bruteforce(group, adapted, alpha, k, l, cls.base_element)
+        assert max(np.max(np.abs(brute[key][w] - v)) for key, v in oracle.items()) <= 1e-13
 
 
 def test_wigner_eckart_trivial_alpha_is_class_operator_eigenvalue():
@@ -519,3 +568,26 @@ def test_scan_trivial_alpha_never_vanishes_for_regular():
         rows = tensor_operator_scan(group, lam, cls.base_element, adapted, m_alphas)
         trivial_rows = [r for r in rows if r.alpha == 0]
         assert trivial_rows and not trivial_rows[0].vanishes
+
+
+@pytest.mark.parametrize("spec", ["S4", "D6", "Q8"])
+def test_scan_matches_per_weight_oracle(spec):
+    group, table, reps = _tables_for(spec)
+    for cls in conjugacy_classes(group):
+        adapted, m_alphas = adapt_irreps_to_class(reps, cls)
+        for representation in (None, reps[-1].matrices):
+            args = (group, representation, cls.base_element, adapted, m_alphas)
+            assert tensor_operator_scan(*args) == oracle_tensor_operator_scan(*args)
+
+
+def test_scan_sees_a_corrupted_weight_as_the_oracle_does():
+    group, table, reps = _tables_for("S4")
+    cls = conjugacy_classes(group)[1]
+    adapted, m_alphas = adapt_irreps_to_class(reps, cls)
+    clean = tensor_operator_scan(group, None, cls.base_element, adapted, m_alphas)
+    alpha = max(a for a, m in enumerate(m_alphas) if m > 0 and adapted[a].dim > 1)
+    corrupted = [replace(rep, matrices=rep.matrices.copy()) for rep in adapted]
+    corrupted[alpha].matrices[:, -1, 0] *= 10.0   # the weight of (alpha, column 0, last i)
+    rows = tensor_operator_scan(group, None, cls.base_element, corrupted, m_alphas)
+    assert rows == oracle_tensor_operator_scan(group, None, cls.base_element, corrupted, m_alphas)
+    assert [(r.alpha, r.column) for r, c in zip(rows, clean) if r.max_norm != c.max_norm] == [(alpha, 0)]

@@ -102,6 +102,19 @@ def test_cycle_notation_round_trip():
         parse_cycles("(1 1)")
 
 
+@pytest.mark.parametrize("text", ["(1 2_0)", "(1 \u0663)", "(a b)", "(1 +2)", "(1 2.0)"])
+def test_cycle_points_must_be_ascii_decimal_numbers(text):
+    # int() alone would read "2_0" as 20 and the Arabic-Indic digit three as 3
+    with pytest.raises(GroupConstructionError, match="is not a decimal number"):
+        parse_cycles(text)
+
+
+def test_cycle_point_with_more_digits_than_int_parses_is_above_the_cap():
+    with pytest.raises(GroupConstructionError, match="points must be <= 10080"):
+        parse_cycles("(1 " + "9" * 5000 + ")")
+    assert parse_cycles("(1 0002)") == parse_cycles("(1 2)")
+
+
 def test_cycle_points_above_the_order_cap_are_refused_before_allocating():
     # the largest catalog cyclic group moves every point up to the cap
     assert len(parse_cycles(f"(1 {groups.DEFAULT_ORDER_CAP})")) == groups.DEFAULT_ORDER_CAP

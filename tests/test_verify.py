@@ -1,16 +1,28 @@
-"""Resource footprint of the verification drivers, identity checks and table builders."""
+"""Resource footprint of the verification drivers, identity checks and table
+builders, and the batched drivers against their per-weight oracles."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import classops
-from classops.coupling import su2_coupling_table, triple_product_residual_su2
+from classops import verify
+from classops.coupling import (
+    adapt_irreps_to_class,
+    conjugation_decomposition,
+    rotate_coupling_table,
+    su2_coupling_table,
+    triple_product_residual_su2,
+    z_fixed_basis,
+)
 from classops.groups import build_group, conjugacy_classes
 from classops.representations import CharacterTable, character_table, irreps
+from classops.serialize import load_group_file
 from classops.su2 import su2_haar_quadrature
-from classops.verify import finite_class_suite, scan_rows, wigner_eckart_report
+from classops.verify import DEFAULT_TOLERANCES, finite_class_suite, scan_rows, wigner_eckart_report
+from helpers import oracle_finite_class_suite, oracle_wigner_eckart_bruteforce, oracle_wigner_eckart_rows
 
 
 def test_finite_suite_never_allocates_a_dense_regular_stack():
@@ -110,3 +122,119 @@ def test_finite_suite_at_order_1000_stays_below_one_dense_matrix():
         tracemalloc.stop()
     assert len(reports) == 5 and all(r.passed for r in reports)
     assert peak < 4_000_000, f"peak traced allocation {peak} B"
+
+
+def _group(spec, tmp_path):
+    if spec != "file:A5":
+        return build_group(spec)
+    path = tmp_path / "a5.json"
+    path.write_text('{"generators": ["(1 2 3)", "(1 2 3 4 5)"], "name": "A5"}')
+    return load_group_file(str(path))
+
+
+@pytest.mark.parametrize("spec", ["Q8", "S4", "D6", "C12", "file:A5"])
+def test_finite_suite_matches_per_weight_oracle(spec, tmp_path):
+    group = _group(spec, tmp_path)
+    table = character_table(group)
+    got = finite_class_suite(group, seed=11, table=table)
+    want = oracle_finite_class_suite(group, table, seed=11)
+    assert [(r.check, r.cls, r.tolerance, r.passed) for r in got] == [
+        (r.check, r.cls, r.tolerance, r.passed) for r in want
+    ]
+    assert all(r.passed for r in got)
+    assert max(abs(a.max_deviation - b.max_deviation) for a, b in zip(got, want)) <= 1e-15
+
+
+def _class_setup(group, cls, table, reps):
+    """The report's own route to the adapted irreps and rotated coupling tables."""
+    coupling = [conjugation_decomposition(group, reps, table, s) for s in range(len(reps))]
+    bases = [z_fixed_basis(a, rep.matrices, cls.centralizer) for a, rep in enumerate(reps)]
+    adapted, m_alphas = adapt_irreps_to_class(reps, cls, bases)
+    return coupling, adapted, m_alphas, [rotate_coupling_table(t, [zb.basis for zb in bases]) for t in coupling]
+
+
+@pytest.mark.parametrize("spec", ["S4", "D6", "Q8", "file:A5"])
+def test_wigner_eckart_report_matches_per_weight_oracle(spec, tmp_path):
+    group = _group(spec, tmp_path)
+    table = character_table(group)
+    reps = irreps(group, table)
+    for cls in conjugacy_classes(group):
+        coupling, adapted, m_alphas, tables = _class_setup(group, cls, table, reps)
+        rows, _, _, max_off = wigner_eckart_report(group, cls, table=table, irreps_list=reps, coupling=coupling)
+        want, want_off = oracle_wigner_eckart_rows(group, adapted, m_alphas, tables, cls.base_element)
+        assert [(r.sigma, r.alpha, r.k, r.l, r.passed) for r in rows] == [
+            (r.sigma, r.alpha, r.k, r.l, r.passed) for r in want
+        ]
+        assert max(abs(a.max_dev - b.max_dev) for a, b in zip(rows, want)) <= 1e-13
+        assert abs(max_off - want_off) <= 1e-13
+
+
+def _s4_transpositions():
+    group = build_group("S4")
+    table = character_table(group)
+    reps = irreps(group, table)
+    cls = conjugacy_classes(group)[1]
+    return group, table, reps, cls, _class_setup(group, cls, table, reps)
+
+
+def test_wigner_eckart_report_fails_on_a_corrupted_irrep_as_the_oracle_does(monkeypatch):
+    group, table, reps, cls, (coupling, adapted, m_alphas, tables) = _s4_transpositions()
+    alpha = next(a for a, rep in enumerate(adapted) if rep.dim == 2)
+    corrupted = [replace(rep, matrices=rep.matrices.copy()) for rep in adapted]
+    moved = next(g for g in range(group.order) if g not in (0, cls.base_element))
+    corrupted[alpha].matrices[moved] *= -1.0   # no longer a homomorphism
+    monkeypatch.setattr(verify, "adapt_irreps_to_class", lambda *args: (corrupted, m_alphas))
+    rows, _, _, max_off = wigner_eckart_report(group, cls, table=table, irreps_list=reps, coupling=coupling)
+    want, want_off = oracle_wigner_eckart_rows(group, corrupted, m_alphas, tables, cls.base_element)
+    assert not all(r.passed for r in rows)
+    assert [r.passed for r in rows] == [r.passed for r in want]
+    sparsity = DEFAULT_TOLERANCES["wigner_eckart_sparsity"]
+    assert (max_off > sparsity) == (want_off > sparsity)
+
+
+def test_wigner_eckart_report_fails_on_an_off_pattern_block(monkeypatch):
+    # one inner product of (sigma, gamma = trivial) with sigma != gamma lifted above the sparsity bound
+    group, table, reps, cls, (coupling, adapted, m_alphas, tables) = _s4_transpositions()
+    sigma, lift = len(reps) - 1, 10 * DEFAULT_TOLERANCES["wigner_eckart_sparsity"]
+    first_row = sum(rep.dim**2 for rep in reps[:sigma])
+    batched = verify.wigner_eckart_bruteforce
+
+    def lifted_batched(*args):
+        for gamma, columns, block in batched(*args):
+            if gamma == 0:
+                block = block.copy()
+                block[0, first_row, 0] += lift
+            yield gamma, columns, block
+
+    def lifted_oracle(*args):
+        out = oracle_wigner_eckart_bruteforce(*args)
+        if args[2:5] == (0, 0, 0):   # the first weight
+            out[(sigma, 0)] = out[(sigma, 0)].copy()
+            out[(sigma, 0)][0, 0, 0, 0] += lift
+        return out
+
+    monkeypatch.setattr(verify, "wigner_eckart_bruteforce", lifted_batched)
+    rows, _, _, max_off = wigner_eckart_report(group, cls, table=table, irreps_list=reps, coupling=coupling)
+    want, want_off = oracle_wigner_eckart_rows(group, adapted, m_alphas, tables, cls.base_element, lifted_oracle)
+    assert all(r.passed for r in rows) and all(r.passed for r in want)
+    assert max_off > DEFAULT_TOLERANCES["wigner_eckart_sparsity"]
+    assert want_off > DEFAULT_TOLERANCES["wigner_eckart_sparsity"]
+
+
+def test_wigner_eckart_report_reduces_one_column_chunks_like_whole_blocks(monkeypatch):
+    # S4 fits each gamma in one chunk; in chunks of one column every deviation
+    # and the off-pattern maximum must still gather over all chunks.  A
+    # corrupted irrep makes the deviations large and different per column.
+    group, table, reps, cls, (coupling, adapted, m_alphas, tables) = _s4_transpositions()
+    corrupted = [replace(rep, matrices=rep.matrices.copy()) for rep in adapted]
+    corrupted[-1].matrices[5] *= -1.0
+    monkeypatch.setattr(verify, "adapt_irreps_to_class", lambda *args: (corrupted, m_alphas))
+    whole = wigner_eckart_report(group, cls, table=table, irreps_list=reps, coupling=coupling)
+    monkeypatch.setattr("classops.coupling._BRUTE_CHUNK_ENTRIES", 1)
+    chunked = wigner_eckart_report(group, cls, table=table, irreps_list=reps, coupling=coupling)
+    assert not all(r.passed for r in whole[0])
+    assert [(r.sigma, r.alpha, r.k, r.l, r.passed) for r in chunked[0]] == [
+        (r.sigma, r.alpha, r.k, r.l, r.passed) for r in whole[0]
+    ]
+    assert max(abs(a.max_dev - b.max_dev) for a, b in zip(chunked[0], whole[0])) <= 1e-13
+    assert whole[3] > 0.1 and abs(chunked[3] - whole[3]) <= 1e-13
