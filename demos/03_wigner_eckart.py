@@ -48,16 +48,13 @@ for gamma, columns, block in wigner_eckart_bruteforce(group, adapted, g0, weight
     if gamma == sigma:
         brute[:, :, columns] = block[:, first_row:first_row + d * d]
 brute = brute.reshape(-1, d, d, d, d)  # [weight, i, j, u, v]
+# one kernel call predicts every weight (k, l) of the pair (alpha, sigma):
+# pred[k, l, u, i] and the reduced matrix elements reduced[l, m]
+pred, reduced = wigner_eckart_matrix(tab, alpha, adapted[alpha].dim, [0], adapted[sigma].matrices[g0])
+print(f"  reduced matrix element of column 0: {reduced[0, 0]:+.6f}")
 for k in range(adapted[alpha].dim):
-    pred, rmes = wigner_eckart_matrix(
-        tab, alpha, adapted[alpha].dim, range(m_alphas[alpha]), k, 0,
-        adapted[sigma].matrices[g0], g0=g0,
-    )
-    dev = max(np.max(np.abs(brute[k][:, j, :, j] - pred.T)) for j in range(d))
-    print(
-        f"  weight conj(t^std_{{{k},0}}): reduced element {rmes[0].value:+.6f}, "
-        f"prediction vs brute force: {dev:.2e}"
-    )
+    dev = max(np.max(np.abs(brute[k][:, j, :, j] - pred[k, 0].T)) for j in range(d))
+    print(f"  weight conj(t^std_{{{k},0}}): prediction vs brute force: {dev:.2e}")
 
 # -- SU(2): spin-1/2 block, spin-1 weight -------------------------------------
 print("\nSU(2), sigma = 1/2, class angle psi = pi/2, weight spin l = 1")
@@ -66,10 +63,8 @@ quad = SphereQuadrature.build(24, 48)
 su2_tab = su2_coupling_table(sigma2)
 col = fixed_column_index(alpha2)
 t_g0 = WignerD(sigma2).euler(0.0, 0.0, psi)
+pred, reduced = wigner_eckart_matrix(su2_tab, alpha2, alpha2 + 1, [col], t_g0)
+print(f"  reduced matrix element of the m = 0 column: {reduced[0, 0]:+.6f}")
 for k in range(alpha2 + 1):
-    pred, rmes = wigner_eckart_matrix(su2_tab, alpha2, alpha2 + 1, [col], k, col, t_g0)
     quadr = weighted_class_operator_su2(sigma2, psi, [(alpha2, k, 1.0)], quad)
-    print(
-        f"  weight conj(D^1_{{{k},0}}): reduced element {rmes[0].value:+.6f}, "
-        f"prediction vs quadrature: {np.max(np.abs(pred - quadr)):.2e}"
-    )
+    print(f"  weight conj(D^1_{{{k},0}}): prediction vs quadrature: {np.max(np.abs(pred[k, 0] - quadr)):.2e}")

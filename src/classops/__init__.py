@@ -62,7 +62,6 @@ from .su2 import (
 from .coupling import (
     CouplingTable,
     FrobeniusRow,
-    ReducedMatrixElement,
     TensorOperatorFamily,
     ZFixedBasis,
     adapt_irreps_to_class,
@@ -71,7 +70,6 @@ from .coupling import (
     frobenius_multiplicity_check,
     product_expansion_residual,
     product_expansion_residual_su2,
-    reduced_matrix_elements,
     rotate_coupling_table,
     su2_coupling_table,
     su2_z_fixed_basis,

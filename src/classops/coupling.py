@@ -5,13 +5,16 @@ Index conventions (kept rigidly throughout):
 * For an irrep sigma of dimension d, the operator space L(V^sigma) is spanned
   by the matrix units E_ij, and the conjugation action A -> T(g) A T(g)^-1 has
   the vectorized (row-major) matrix kron(T(g), conj(T(g))).
-* A coupling table stores, for every irreducible constituent gamma, the
-  coefficients ``coeffs[gamma][i, j, m, n] = c(sigma i; sigmabar j | gamma m n)``
-  of the expansion E_ij = sum c(...) e^gamma_mn, together with the adapted
-  orthonormal basis ``basis[gamma][m, n]`` (matrices on V^sigma).  The adapted
-  copies transform with exactly the stored irrep matrices of gamma, and both
-  bases are orthonormal for the plain Frobenius inner product tr(A B^H), which
-  makes the coefficient matrix exactly unitary.
+* A coupling table stores one array per irreducible constituent gamma: the
+  adapted orthonormal basis ``basis[gamma][m, n]`` (matrices on V^sigma) of
+  its copies m.  The coupling coefficients of the expansion
+  E_ij = sum c(sigma i; sigmabar j | gamma m n) e^gamma_mn are no second array:
+  c[i, j, m, n] = conj(e^gamma_mn[i, j]), so ``c.conj()`` is the view
+  ``basis[gamma].transpose(2, 3, 0, 1)`` and every consumer folds the
+  conjugation into its einsum.  The adapted copies transform with exactly the
+  stored irrep matrices of gamma, and both bases are orthonormal for the
+  plain Frobenius inner product tr(A B^H), which makes the coefficient matrix
+  exactly unitary.
 * Multiplicity-copy bases and phases are fixed deterministically: the copy
   seeds are ``_orthonormal_range`` of the averaging operator
   K_0 = (n^gamma/|G|) sum_g conj(t^gamma_00(g)) T(g) (x) conj(T(g)), Gram-Schmidt
@@ -42,12 +45,11 @@ from .representations import (
     _orthonormal_range,
 )
 from .class_operators import weighted_class_operator
-from .su2 import WignerD, fixed_column_index
+from .su2 import WignerD
 
 __all__ = [
     "CouplingTable",
     "ZFixedBasis",
-    "ReducedMatrixElement",
     "FrobeniusRow",
     "TensorOperatorFamily",
     "conjugation_decomposition",
@@ -62,7 +64,6 @@ __all__ = [
     "product_expansion_residual_su2",
     "triple_product_residual",
     "triple_product_residual_su2",
-    "reduced_matrix_elements",
     "wigner_eckart_matrix",
     "wigner_eckart_bruteforce",
     "tensor_operator_scan",
@@ -71,24 +72,34 @@ __all__ = [
 
 @dataclass
 class CouplingTable:
-    """Canonical decomposition of L(V^sigma) under conjugation."""
+    """Canonical decomposition of L(V^sigma) under conjugation; the components
+    gamma are the keys of ``basis``, in insertion order."""
 
-    sigma: int                     # irrep index (finite) or doubled spin (su2)
-    sigma_dim: int
-    kind: str                      # "finite" or "su2"
-    gammas: list[int]
-    multiplicities: dict[int, int]
-    coeffs: dict[int, np.ndarray]  # gamma -> (d, d, m, n_gamma)
-    basis: dict[int, np.ndarray]   # gamma -> (m, n_gamma, d, d)
+    sigma: int                    # irrep index (finite) or doubled spin (su2)
+    kind: str                     # "finite" or "su2"
+    basis: dict[int, np.ndarray]  # gamma -> (m, n_gamma, d, d)
+
+    @property
+    def sigma_dim(self) -> int:
+        return next(iter(self.basis.values())).shape[-1]
+
+    @property
+    def gammas(self) -> list[int]:
+        return list(self.basis)
+
+    @property
+    def multiplicities(self) -> dict[int, int]:
+        return {gamma: e.shape[0] for gamma, e in self.basis.items()}
 
     def multiplicity(self, gamma: int) -> int:
         """m(sigma; gamma), a.k.a. the 3j symbol {sigma sigmabar gamma}."""
         return self.multiplicities.get(gamma, 0)
 
     def coefficient_matrix(self) -> np.ndarray:
-        """Unitary change of basis, rows (i, j) and columns (gamma, m, n)."""
+        """Unitary change of basis E^H, rows (i, j) and columns (gamma, m, n),
+        where the rows (gamma, m, n) of E are the flattened e^gamma_mn."""
         d = self.sigma_dim
-        return np.concatenate([self.coeffs[g].reshape(d * d, -1) for g in self.gammas], axis=1)
+        return np.concatenate([self.basis[g].reshape(-1, d * d) for g in self.gammas]).conj().T
 
     def unitarity_residual(self) -> float:
         c = self.coefficient_matrix()
@@ -96,10 +107,10 @@ class CouplingTable:
         return float(max(np.max(np.abs(c @ c.conj().T - eye)), np.max(np.abs(c.conj().T @ c - eye))))
 
     def reconstruction_residual(self) -> float:
-        """max over (i, j) of |E_ij - sum_gmn c(...) e^gamma_mn|."""
-        d = self.sigma_dim
-        e = np.concatenate([self.basis[g].reshape(-1, d * d) for g in self.gammas])
-        return float(np.max(np.abs(self.coefficient_matrix() @ e - np.eye(d * d))))
+        """max over (i, j) of |E_ij - sum_gmn c(...) e^gamma_mn|.  With c = conj(e)
+        that is |E^H E - I|, the completeness half of ``unitarity_residual``."""
+        c = self.coefficient_matrix()
+        return float(np.max(np.abs(c @ c.conj().T - np.eye(c.shape[0]))))
 
 
 @dataclass
@@ -109,16 +120,6 @@ class ZFixedBasis:
     alpha: int
     m_alpha: int
     basis: np.ndarray
-
-
-@dataclass
-class ReducedMatrixElement:
-    sigma: int
-    alpha: int
-    l: int
-    m: int
-    g0: int
-    value: complex
 
 
 @dataclass
@@ -168,7 +169,7 @@ def conjugation_decomposition(
     t_flat = t_sigma.reshape(n, d * d)
     chars = table.values[:, table.class_of]
     mult_all = (chars.conj() @ (np.abs(chars[sigma]) ** 2)).real / n
-    mults, coeffs, basis = {}, {}, {}
+    basis = {}
     for gamma, mult in enumerate(mult_all):
         m = int(round(mult))
         if abs(mult - m) > 1e-8:
@@ -182,15 +183,10 @@ def conjugation_decomposition(
         k0 = k0.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
         seeds = _orthonormal_range(k0, m).T.reshape(m, d, d)  # deterministic phases
         sandwiches = (t_sigma[:, None] @ seeds @ t_sigma.conj().transpose(0, 2, 1)[:, None]).reshape(n, -1)
-        e = (w.T @ sandwiches).reshape(d_gamma, m, d, d).transpose(1, 0, 2, 3)
-        mults[gamma] = m
-        coeffs[gamma] = np.conj(e).transpose(2, 3, 0, 1)  # c[i, j, m, q] = conj(e[m, q][i, j])
-        basis[gamma] = e
-    if sum(m * irreps_list[g].dim for g, m in mults.items()) != d * d:
+        basis[gamma] = (w.T @ sandwiches).reshape(d_gamma, m, d, d).transpose(1, 0, 2, 3)
+    if sum(e.shape[0] * e.shape[1] for e in basis.values()) != d * d:
         raise ArithmeticError("component dimensions do not fill L(V^sigma)")
-    return CouplingTable(
-        sigma=sigma, sigma_dim=d, kind="finite", gammas=list(mults), multiplicities=mults, coeffs=coeffs, basis=basis
-    )
+    return CouplingTable(sigma=sigma, kind="finite", basis=basis)
 
 
 def rotate_coupling_table(table: CouplingTable, bases: list[np.ndarray]) -> CouplingTable:
@@ -202,15 +198,14 @@ def rotate_coupling_table(table: CouplingTable, bases: list[np.ndarray]) -> Coup
     U = E^H ``_orthonormal_range``(E E^H, m).
     """
     d, w_sigma = table.sigma_dim, bases[table.sigma]
-    coeffs, basis = {}, {}
-    for gamma in table.gammas:
-        m = table.multiplicities[gamma]
-        e = bases[gamma].T @ (w_sigma.conj().T @ table.basis[gamma] @ w_sigma).reshape(m, -1, d * d)
+    basis = {}
+    for gamma, copies in table.basis.items():
+        m = copies.shape[0]
+        e = bases[gamma].T @ (w_sigma.conj().T @ copies @ w_sigma).reshape(m, -1, d * d)
         lead = e[:, 0].T
         u = lead.conj().T @ _orthonormal_range(lead @ lead.conj().T, m)
         basis[gamma] = (u.T @ e.reshape(m, -1)).reshape(m, -1, d, d)
-        coeffs[gamma] = np.conj(basis[gamma]).transpose(2, 3, 0, 1)
-    return replace(table, coeffs=coeffs, basis=basis)
+    return replace(table, basis=basis)
 
 
 # ---------------------------------------------------------------------------
@@ -274,18 +269,12 @@ def su2_coupling_table(sigma2: int) -> CouplingTable:
     """Coupling table of L(V^sigma) for SU(2); components are integer spins 0..2*sigma."""
     d = sigma2 + 1
     y = _conjugation_intertwiner(sigma2)
-    gammas, mults, coeffs, basis = [], {}, {}, {}
+    basis = {}
     for j_2 in range(0, 2 * sigma2 + 1, 2):
         cg = clebsch_gordan(sigma2, sigma2, j_2)          # (d, d, dJ)
         e = np.einsum("jb,ibM->Mij", y, cg)               # e^J_M[i, j]
-        e = _fix_column_phases(e.reshape(-1, 1)).reshape(1, j_2 + 1, d, d)  # one copy
-        gammas.append(j_2)
-        mults[j_2] = 1
-        basis[j_2] = e
-        coeffs[j_2] = np.conj(e).transpose(2, 3, 0, 1)
-    return CouplingTable(
-        sigma=sigma2, sigma_dim=d, kind="su2", gammas=gammas, multiplicities=mults, coeffs=coeffs, basis=basis
-    )
+        basis[j_2] = _fix_column_phases(e.reshape(-1, 1)).reshape(1, j_2 + 1, d, d)  # one copy
+    return CouplingTable(sigma=sigma2, kind="su2", basis=basis)
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +353,9 @@ def _expansion_residual(
 ) -> float:
     lhs = np.einsum("gir,gsp->girsp", t_sigma.conj(), t_sigma)
     rhs = np.zeros_like(lhs)
-    for gamma in table.gammas:
-        c = table.coeffs[gamma]
+    for gamma, e in table.basis.items():  # c(sigma s; sigmabar i | gamma m q) = conj(e[m, q, s, i])
         rhs += np.einsum(
-            "simq,gqn,prmn->girsp", c.conj(), gamma_stacks[gamma], c, optimize=True
+            "mqsi,gqn,mnpr->girsp", e, gamma_stacks[gamma], e.conj(), optimize=True
         )
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -419,8 +407,8 @@ def _weighted_triple_sum(
     return acc.reshape((d_alpha, d_alpha) + (d_sigma,) * 4)
 
 
-def _triple_residual(lhs: np.ndarray, n_alpha: int, c_alpha: np.ndarray | None) -> float:
-    rhs = 0.0 if c_alpha is None else np.einsum("simk,prml->klirsp", c_alpha.conj(), c_alpha) / n_alpha
+def _triple_residual(lhs: np.ndarray, n_alpha: int, e_alpha: np.ndarray | None) -> float:
+    rhs = 0.0 if e_alpha is None else np.einsum("mksi,mlpr->klirsp", e_alpha, e_alpha.conj()) / n_alpha
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -437,7 +425,7 @@ def triple_product_residual(
     """
     weights = np.full(group.order, 1.0 / group.order)
     lhs = _weighted_triple_sum(weights, irreps_list[alpha].matrices, irreps_list[table.sigma].matrices)
-    return _triple_residual(lhs, irreps_list[alpha].dim, table.coeffs.get(alpha))
+    return _triple_residual(lhs, irreps_list[alpha].dim, table.basis.get(alpha))
 
 
 def triple_product_residual_su2(
@@ -446,7 +434,7 @@ def triple_product_residual_su2(
     """SU(2) version of the triple-product identity on quadrature nodes (phi,
     theta, psi), any node set; the sum separates (``_triple_sum_su2``)."""
     lhs = _triple_sum_su2(alpha2, table.sigma, angles, weights)
-    return _triple_residual(lhs, alpha2 + 1, table.coeffs.get(alpha2))
+    return _triple_residual(lhs, alpha2 + 1, table.basis.get(alpha2))
 
 
 def _triple_sum_su2(alpha2: int, sigma2: int, angles: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -483,61 +471,37 @@ def _node_phases(angles: np.ndarray, orders: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Wigner-Eckart: predictions, reduced matrix elements, brute force
+# Wigner-Eckart: predictions with reduced matrix elements, brute force
 # ---------------------------------------------------------------------------
-
-
-def reduced_matrix_elements(
-    table: CouplingTable,
-    alpha: int,
-    n_alpha: int,
-    l: int,
-    t_sigma_g0: np.ndarray,
-    g0: int = -1,
-) -> list[ReducedMatrixElement]:
-    """(1/n^alpha) sum_pr c(sigma p; sigmabar r | alpha m l) t^sigma_pr(g0), per copy m."""
-    c = table.coeffs.get(alpha)
-    if c is None:
-        return []
-    vals = np.einsum("prm,pr->m", c[:, :, :, l], t_sigma_g0) / n_alpha
-    return [
-        ReducedMatrixElement(sigma=table.sigma, alpha=alpha, l=l, m=mi, g0=g0, value=complex(v))
-        for mi, v in enumerate(vals)
-    ]
 
 
 def wigner_eckart_matrix(
     table: CouplingTable,
     alpha: int,
     n_alpha: int,
-    fixed_columns,
-    k: int,
-    l: int,
+    columns,
     t_sigma_g0: np.ndarray,
-    g0: int = -1,
-) -> tuple[np.ndarray, list[ReducedMatrixElement]]:
-    """Predicted coefficients of the weighted class operator with weight conj(t^alpha_kl).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Predicted coefficients of the weighted class operators with the weights
+    conj(t^alpha_kl), for every row k and every column l of the sequence
+    ``columns``, with their reduced matrix elements.
 
-    Returns the matrix M[u, i] with
+    Returns pred[k, l, u, i] with
     n^sigma < lambda~(conj t^alpha_kl; g0) conj t^sigma_ij | conj t^gamma_uv >
-    = delta_{gamma sigma} delta_{jv} M[u, i], plus the reduced matrix elements.
-    The column l must be Z0-fixed (for adapted finite irreps these are
-    0..m_alpha-1, for SU(2) weight bases the m = 0 index) so the weight
-    descends to the coset space.
+    = delta_{gamma sigma} delta_{jv} pred[k, l, u, i], and
+    reduced[l, m] = (1/n^alpha) sum_pr c(sigma p; sigmabar r | alpha m l) t^sigma_pr(g0),
+    so that pred[k, l] = sum_m c(sigma u; sigmabar i | alpha m k)^* reduced[l, m].
+    One einsum each, with c = conj(e^alpha) folded in.  The prediction holds
+    for Z0-fixed columns l only (for adapted finite irreps 0..m_alpha-1, for
+    SU(2) weight bases the m = 0 index), where the weight descends to G/Z0;
+    the caller lists those.  Without alpha in L(V^sigma) every prediction is
+    zero and there are no reduced matrix elements.
     """
-    if l not in tuple(fixed_columns):
-        raise ValueError(
-            f"column {l} is not Z0-fixed (fixed columns: {tuple(fixed_columns)}); "
-            "weight does not descend to G/Z0"
-        )
-    rmes = reduced_matrix_elements(table, alpha, n_alpha, l, t_sigma_g0, g0=g0)
-    d = table.sigma_dim
-    pred = np.zeros((d, d), dtype=complex)
-    c = table.coeffs.get(alpha)
-    if c is not None:
-        rme_vec = np.array([r.value for r in rmes])
-        pred = np.einsum("uim,m->ui", c[:, :, :, k].conj(), rme_vec)
-    return pred, rmes
+    e = table.basis.get(alpha)
+    if e is None:
+        return np.zeros((n_alpha, len(columns)) + t_sigma_g0.shape, dtype=complex), np.zeros((len(columns), 0))
+    reduced = np.einsum("mlpr,pr->lm", e.conj()[:, columns], t_sigma_g0) / n_alpha
+    return np.einsum("mkui,lm->klui", e, reduced), reduced
 
 
 # Complex entries of one intermediate of wigner_eckart_bruteforce (2 MB)

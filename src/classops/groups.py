@@ -220,7 +220,8 @@ class FiniteGroup:
         return self._element_orders
 
     def element_index(self, label_or_index) -> int:
-        """Resolve an element given as an index, an int-like string, or a label."""
+        """Resolve an element given as an index, a label, or an index written in
+        ASCII digits (``int()`` would also take ``"2_0"`` and non-ASCII digits)."""
         if isinstance(label_or_index, (int, np.integer)):
             idx = int(label_or_index)
             if not 0 <= idx < self.order:
@@ -229,10 +230,10 @@ class FiniteGroup:
         text = str(label_or_index)
         if text in self.labels:
             return self.labels.index(text)
-        try:
+        # an index with more digits than the order is above it; int() never sees it
+        if _POINT_RE.fullmatch(text) and len(text.lstrip("0")) <= len(str(self.order)):
             return self.element_index(int(text))
-        except ValueError:
-            raise GroupConstructionError(f"unknown element {label_or_index!r}") from None
+        raise GroupConstructionError(f"unknown element {label_or_index!r}")
 
     def validate(self) -> None:
         """Check associativity, identity and inverses; raise on failure.

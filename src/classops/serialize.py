@@ -104,6 +104,9 @@ def tables_document(
 
 
 def coupling_table_document(table: CouplingTable) -> dict:
+    """The ``/1`` document of a table.  Besides ``"basis"`` it restates what the
+    basis determines: the components, their multiplicities, sigma's dimension
+    and the coupling coefficients c[i, j, m, n] = conj(e[m, n, i, j])."""
     return {
         "sigma": table.sigma,
         "sigma_dim": table.sigma_dim,
@@ -111,23 +114,37 @@ def coupling_table_document(table: CouplingTable) -> dict:
         "gammas": list(table.gammas),
         "multiplicities": {str(g): m for g, m in table.multiplicities.items()},
         "coefficients": {
-            str(g): encode_complex_array(table.coeffs[g]) for g in table.gammas
+            str(g): encode_complex_array(np.conj(e).transpose(2, 3, 0, 1)) for g, e in table.basis.items()
         },
-        "basis": {str(g): encode_complex_array(table.basis[g]) for g in table.gammas},
+        "basis": {str(g): encode_complex_array(e) for g, e in table.basis.items()},
     }
 
 
 def coupling_table_from_document(doc: dict) -> CouplingTable:
+    """The table of a ``/1`` document, built from its ``"basis"``.
+
+    Raises ``ValueError`` when ``"gammas"``, ``"sigma_dim"``,
+    ``"multiplicities"`` or ``"coefficients"`` disagree with that basis; the
+    coefficients must be its conjugate transpose exactly, since a float repr
+    parses back to the same float.
+    """
     gammas = [int(g) for g in doc["gammas"]]
-    return CouplingTable(
-        sigma=int(doc["sigma"]),
-        sigma_dim=int(doc["sigma_dim"]),
-        kind=doc["kind"],
-        gammas=gammas,
-        multiplicities={int(g): int(m) for g, m in doc["multiplicities"].items()},
-        coeffs={int(g): decode_complex_array(doc["coefficients"][str(g)]) for g in gammas},
-        basis={int(g): decode_complex_array(doc["basis"][str(g)]) for g in gammas},
-    )
+    if not gammas or sorted(map(str, gammas)) != sorted(doc["basis"]):
+        raise ValueError(f"coupling table gammas {gammas} do not list the components of its basis")
+    basis = {g: decode_complex_array(doc["basis"][str(g)]) for g in gammas}
+    d = int(doc["sigma_dim"])
+    if any(e.ndim != 4 or e.shape[2:] != (d, d) for e in basis.values()):
+        raise ValueError(f"coupling table basis does not hold {d} x {d} matrices")
+    table = CouplingTable(sigma=int(doc["sigma"]), kind=doc["kind"], basis=basis)
+    if {int(g): int(m) for g, m in doc["multiplicities"].items()} != table.multiplicities:
+        raise ValueError("coupling table multiplicities disagree with its basis")
+    coefficients = doc["coefficients"]
+    if sorted(coefficients) != sorted(doc["basis"]) or not all(
+        np.array_equal(decode_complex_array(coefficients[str(g)]), np.conj(e).transpose(2, 3, 0, 1))
+        for g, e in basis.items()
+    ):
+        raise ValueError("coupling table coefficients are not the conjugate transpose of its basis")
+    return table
 
 
 def format_float(x: float) -> str:

@@ -25,7 +25,6 @@ from .class_operators import (
 )
 from .coupling import (
     CouplingTable,
-    ReducedMatrixElement,
     adapt_irreps_to_class,
     conjugation_decomposition,
     rotate_coupling_table,
@@ -224,19 +223,25 @@ def wigner_eckart_report(
     adapted, m_alphas = adapt_irreps_to_class(irreps_list, cls, bases)
     tables = [rotate_coupling_table(tab, [zb.basis for zb in bases]) for tab in coupling]
     weights = [(alpha, k, l) for alpha, rep in enumerate(adapted) for k in range(rep.dim) for l in range(m_alphas[alpha])]
-    predictions = [_wigner_eckart_predictions(tab, adapted, m_alphas, g0) for tab in tables]
+    # kernel[sigma][alpha] = (pred[k, l, u, i], reduced[l, m]); predictions[sigma] stacks rows (alpha, k, l)
+    kernel = [
+        [wigner_eckart_matrix(tab, alpha, rep.dim, range(m), adapted[tab.sigma].matrices[g0])
+         for alpha, (rep, m) in enumerate(zip(adapted, m_alphas))]
+        for tab in tables
+    ]
+    predictions = [np.concatenate([pred.reshape(-1, *pred.shape[2:]) for pred, _ in preds]) for preds in kernel]
     dims = [rep.dim for rep in adapted]
     starts = np.cumsum([0] + [d * d for d in dims])
     dev = np.zeros((len(adapted), len(weights)))
     max_off = 0.0
     for gamma, columns, block in wigner_eckart_bruteforce(group, adapted, g0, weights):
-        # the rows sigma = gamma hold the pattern delta_jv M[u, i]; every other entry is off it
+        # the rows sigma = gamma hold the pattern delta_jv pred[k, l, u, i]; every other entry is off it
         d = dims[gamma]
         i, j = np.divmod(np.arange(d * d), d)
         u, v = i[columns], j[columns]
         on_pattern = j[:, None] == v
         rows_of_gamma = slice(starts[gamma], starts[gamma + 1])
-        expect = predictions[gamma][0][:, u, i[:, None]] * on_pattern
+        expect = predictions[gamma][:, u, i[:, None]] * on_pattern
         dev[gamma] = np.maximum(dev[gamma], np.abs(block[:, rows_of_gamma] - expect).max(axis=(1, 2)))
         off = np.abs(block)
         off[:, rows_of_gamma][:, on_pattern] = 0.0
@@ -245,30 +250,9 @@ def wigner_eckart_report(
     reduced_rows: list[ReducedElementRow] = []
     for (alpha, k, l), devs in zip(weights, dev.T.tolist()):
         for sigma, deviation in enumerate(devs):
-            rmes = predictions[sigma][1][alpha][l] if k == 0 else []
-            _add_comparison(rows, reduced_rows, (group.name, sigma, alpha, k, l, g0_label), deviation, rmes, tol)
+            reduced = kernel[sigma][alpha][1][l]
+            _add_comparison(rows, reduced_rows, (group.name, sigma, alpha, k, l, g0_label), deviation, reduced, tol)
     return rows, reduced_rows, _skipped(g0_label, m_alphas), max_off
-
-
-def _wigner_eckart_predictions(table: CouplingTable, adapted: list[Irrep], m_alphas: list[int], g0: int):
-    """The predicted coefficients M[u, i] of ``wigner_eckart_matrix`` for every
-    weight (alpha, k, l) of a class, stacked in that order, and the reduced
-    matrix elements per (alpha, l); one einsum per alpha for each."""
-    t_sigma_g0 = adapted[table.sigma].matrices[g0]
-    preds, reduced = [], []
-    for alpha, (rep, m) in enumerate(zip(adapted, m_alphas)):
-        c = table.coeffs.get(alpha)
-        if c is None or m == 0:
-            preds.append(np.zeros((rep.dim * m,) + t_sigma_g0.shape, dtype=complex))
-            reduced.append([[] for _ in range(m)])
-            continue
-        values = np.einsum("prml,pr->lm", c[..., :m], t_sigma_g0) / rep.dim
-        preds.append(np.einsum("uimk,lm->klui", c.conj(), values).reshape((-1,) + t_sigma_g0.shape))
-        reduced.append([
-            [ReducedMatrixElement(table.sigma, alpha, l, mi, g0, complex(v)) for mi, v in enumerate(row)]
-            for l, row in enumerate(values)
-        ])
-    return np.concatenate(preds), reduced
 
 
 def su2_wigner_eckart_report(
@@ -282,7 +266,8 @@ def su2_wigner_eckart_report(
     The weights run over every component of L(V^sigma), up to doubled spin
     2 * max_spin_x2, which must not exceed MAX_J2; ``rule`` is the
     (n_theta, n_phi) sphere rule, built only once the spin range and psi are
-    accepted.  Each sigma builds its weighted core once, each alpha all its rows k.
+    accepted.  Each sigma builds its weighted core once, each alpha all its
+    rows k, predicted by one ``wigner_eckart_matrix`` call.
     """
     if 2 * max_spin_x2 > MAX_J2:
         raise ValueError(
@@ -302,21 +287,21 @@ def su2_wigner_eckart_report(
         for alpha2 in tab.gammas:
             col = fixed_column_index(alpha2)
             quadr = _weighted_rows(core, alpha2, quad)
-            for k in range(alpha2 + 1):
-                pred, rmes = wigner_eckart_matrix(tab, alpha2, alpha2 + 1, [col], k, col, t_sigma_g0)
-                dev = float(np.max(np.abs(pred - quadr[k])))
-                _add_comparison(rows, reduced_rows, ("SU2", sigma2, alpha2, k, col, g0_label), dev, rmes, tol)
-        del tab, core, quadr   # free sigma's O(d^4) table before the next one is built
+            pred, reduced = wigner_eckart_matrix(tab, alpha2, alpha2 + 1, [col], t_sigma_g0)
+            devs = np.abs(pred[:, 0] - quadr).max(axis=(1, 2))
+            for k, dev in enumerate(devs.tolist()):
+                _add_comparison(rows, reduced_rows, ("SU2", sigma2, alpha2, k, col, g0_label), dev, reduced[0], tol)
+        del tab, core, quadr, pred   # free sigma's O(d^4) table before the next one is built
     return rows, reduced_rows
 
 
-def _add_comparison(rows, reduced_rows, key, dev, rmes, tol) -> None:
+def _add_comparison(rows, reduced_rows, key, dev, reduced, tol) -> None:
     """Record one Wigner-Eckart comparison, keyed by (group, sigma, alpha, k, l,
-    g0), and at k = 0 the reduced matrix elements it produced."""
+    g0), and at k = 0 the reduced matrix elements ``reduced[m]`` of its column l."""
     group, sigma, alpha, k, l, g0 = key
     rows.append(WignerEckartRow(group, sigma, alpha, k, l, g0, dev, bool(dev <= tol["wigner_eckart_match"])))
     if k == 0:
-        reduced_rows.extend(ReducedElementRow(group, sigma, alpha, l, r.m, g0, r.value) for r in rmes)
+        reduced_rows.extend(ReducedElementRow(group, sigma, alpha, l, m, g0, complex(v)) for m, v in enumerate(reduced))
 
 
 def _skipped(label: str, m_alphas: list[int]) -> list[dict]:

@@ -23,7 +23,10 @@ one weight at a time, are the oracles here: ``oracle_finite_class_suite``
 (the same random draws, one push-forward per weight and per right translate),
 ``oracle_wigner_eckart_bruteforce`` (the convolution summed support element
 by support element), ``oracle_wigner_eckart_rows`` (the comparison weight by
-weight and sigma by sigma) and ``oracle_tensor_operator_scan``;
+weight and sigma by sigma) and ``oracle_tensor_operator_scan``.  The library
+predicts every weight (k, l) of an (alpha, sigma) pair with two einsums on
+the stored basis; ``oracle_wigner_eckart_matrix`` predicts one weight at a
+time from the coupling coefficients c = conj(basis) written out as an array;
 ``collect_bruteforce`` assembles the library's streamed inner products.  The SU(2)
 integrals separate in the library (phi in closed form on the rule, one theta
 sum); here the phi sums run over the rule's nodes as a (2d-1, P) phase table,
@@ -54,10 +57,9 @@ from classops.coupling import (
     TensorOperatorFamily,
     _weighted_triple_sum,
     wigner_eckart_bruteforce,
-    wigner_eckart_matrix,
 )
 from classops.su2 import WignerD, fixed_column_index
-from classops.verify import DEFAULT_TOLERANCES, WignerEckartRow, _random_weight
+from classops.verify import DEFAULT_TOLERANCES, ReducedElementRow, WignerEckartRow, _random_weight
 
 CATALOG_LEQ_24 = ["C1", "C2", "C3", "C4", "C6", "D3", "D4", "D5", "Q8", "S3", "S4"]
 ACCEPTANCE_GROUPS = ["C6", "S3", "D4", "Q8", "S4"]
@@ -212,22 +214,36 @@ def oracle_wigner_eckart_bruteforce(group: FiniteGroup, adapted, alpha: int, k: 
     return out
 
 
+def oracle_wigner_eckart_matrix(table, alpha: int, n_alpha: int, k: int, l: int, t_sigma_g0: np.ndarray):
+    """wigner_eckart_matrix of the one weight conj(t^alpha_kl): (pred[u, i], reduced[m])
+    from two einsums on the explicit coefficients c = conj(basis).transpose(2, 3, 0, 1)."""
+    if alpha not in table.basis:
+        return np.zeros(t_sigma_g0.shape, dtype=complex), np.zeros(0, dtype=complex)
+    c = np.conj(table.basis[alpha]).transpose(2, 3, 0, 1)
+    reduced = np.einsum("prm,pr->m", c[:, :, :, l], t_sigma_g0) / n_alpha
+    return np.einsum("uim,m->ui", c[:, :, :, k].conj(), reduced), reduced
+
+
 def oracle_wigner_eckart_rows(group: FiniteGroup, adapted, m_alphas, tables, g0: int, bruteforce=None):
     """wigner_eckart_report's comparison, weight by weight and sigma by sigma:
-    (rows, max_off_pattern) from ``wigner_eckart_matrix`` and a per-weight
-    brute force (``oracle_wigner_eckart_bruteforce`` unless given)."""
+    (rows, reduced_rows, max_off_pattern) from ``oracle_wigner_eckart_matrix``
+    and a per-weight brute force (``oracle_wigner_eckart_bruteforce`` unless given)."""
     bruteforce = bruteforce or oracle_wigner_eckart_bruteforce
     tol = DEFAULT_TOLERANCES["wigner_eckart_match"]
-    rows, max_off = [], 0.0
+    rows, reduced_rows, max_off = [], [], 0.0
     for alpha in range(len(adapted)):
         for k in range(adapted[alpha].dim):
             for l in range(m_alphas[alpha]):
                 brute = bruteforce(group, adapted, alpha, k, l, g0)
                 for sigma in range(len(adapted)):
-                    pred, _ = wigner_eckart_matrix(
-                        tables[sigma], alpha, adapted[alpha].dim, range(m_alphas[alpha]), k, l,
-                        adapted[sigma].matrices[g0], g0=g0,
+                    pred, reduced = oracle_wigner_eckart_matrix(
+                        tables[sigma], alpha, adapted[alpha].dim, k, l, adapted[sigma].matrices[g0]
                     )
+                    if k == 0:
+                        reduced_rows.extend(
+                            ReducedElementRow(group.name, sigma, alpha, l, m, group.labels[g0], complex(v))
+                            for m, v in enumerate(reduced)
+                        )
                     d = adapted[sigma].dim
                     dev = float(np.abs(brute[(sigma, sigma)] - np.einsum("jv,ui->ijuv", np.eye(d), pred)).max())
                     off = brute[(sigma, sigma)] * (1.0 - np.eye(d))[None, :, None, :]
@@ -235,7 +251,7 @@ def oracle_wigner_eckart_rows(group: FiniteGroup, adapted, m_alphas, tables, g0:
                         float(np.abs(brute[(sigma, gamma)]).max()) for gamma in range(len(adapted)) if gamma != sigma
                     ])
                     rows.append(WignerEckartRow(group.name, sigma, alpha, k, l, group.labels[g0], dev, dev <= tol))
-    return rows, max_off
+    return rows, reduced_rows, max_off
 
 
 def oracle_tensor_operator_scan(group: FiniteGroup, representation, g0: int, adapted, m_alphas, tol: float = 1e-10):

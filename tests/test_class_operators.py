@@ -164,6 +164,20 @@ def test_centralizer_invariance(spec):
             assert report.max_deviation < 1e-12
 
 
+@pytest.mark.parametrize("spec", ["S3", "D4", "Q8", "S4"])
+def test_centralizer_invariance_at_every_class_member(spec):
+    # g0 need not be the base element of its class: the translates run over
+    # the centralizer of g0 itself, and the report is labeled by g0
+    group = build_group(spec)
+    rng = np.random.default_rng(16)
+    f = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
+    for cls in conjugacy_classes(group):
+        for g0 in cls.members:
+            report = centralizer_invariance_check(group, None, g0, f)
+            assert report.passed and report.max_deviation < 1e-12, (spec, group.labels[g0], report)
+            assert report.cls == group.labels[g0]
+
+
 def test_abelian_right_translation_trivial():
     group = build_group("C6")
     lam = regular_representation(group)

@@ -11,6 +11,7 @@ import pytest
 
 from classops import cli
 from classops.cli import main
+from classops.groups import build_group
 from classops.serialize import csv_lines, decode_complex_array, format_float
 from classops.su2 import MAX_J2
 
@@ -48,6 +49,26 @@ def test_finite_verify_single_class(capsys):
     code, out, _ = run(["finite-verify", "--group", "S3", "--class", "(1 2)"], capsys)
     assert code == 0
     assert len(json.loads(out)["checks"]) == 5
+
+
+@pytest.mark.parametrize(
+    "selector", ["\u0663", "3_0", "+3", " 3", "1" * 5000], ids=["arabic-indic", "underscore", "sign", "space", "5000-digits"]
+)
+def test_class_index_must_be_ascii_digits(selector, capsys):
+    # int() would take an Arabic-Indic three, an underscore or a sign
+    code, out, err = run(["finite-verify", "--group", "S3", "--class", selector], capsys)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "GroupConstructionError"
+
+
+def test_class_index_selects_that_element(capsys):
+    code, by_index, _ = run(["finite-verify", "--group", "S3", "--class", "3"], capsys)
+    assert code == 0
+    label = build_group("S3").labels[3]
+    code, by_label, _ = run(["finite-verify", "--group", "S3", "--class", label], capsys)
+    assert code == 0
+    assert json.loads(by_index)["checks"] == json.loads(by_label)["checks"]
 
 
 def test_finite_verify_bad_group_file(tmp_path, capsys):

@@ -16,7 +16,6 @@ from classops.coupling import (
     frobenius_multiplicity_check,
     product_expansion_residual,
     product_expansion_residual_su2,
-    reduced_matrix_elements,
     rotate_coupling_table,
     su2_coupling_table,
     su2_z_fixed_basis,
@@ -47,6 +46,7 @@ from helpers import (
     oracle_tensor_operator_scan,
     oracle_triple_sum_su2,
     oracle_wigner_eckart_bruteforce,
+    oracle_wigner_eckart_matrix,
     regular_representation,
 )
 from classops.serialize import load_group_file
@@ -135,7 +135,7 @@ def test_rotated_tables_match_a_fresh_decomposition(spec):
             fresh = conjugation_decomposition(group, adapted, table, tab.sigma)
             assert rotated.gammas == fresh.gammas and rotated.multiplicities == fresh.multiplicities
             for gamma in fresh.gammas:
-                assert np.max(np.abs(rotated.coeffs[gamma] - fresh.coeffs[gamma])) < 1e-12
+                assert np.max(np.abs(rotated.basis[gamma] - fresh.basis[gamma])) < 1e-12
             assert rotated.unitarity_residual() < 1e-12
             assert rotated.reconstruction_residual() < 1e-12
 
@@ -144,7 +144,7 @@ def test_trivial_sigma_table():
     group, table, reps = _tables_for("S3")
     tab = conjugation_decomposition(group, reps, table, 0)
     assert tab.gammas == [0] and tab.multiplicities[0] == 1
-    assert np.allclose(tab.coeffs[0], 1.0)
+    assert np.allclose(tab.basis[0], 1.0)
 
 
 def test_s3_standard_decomposition():
@@ -180,6 +180,18 @@ def test_product_expansion_exhaustive_finite(spec):
     for sigma in range(len(reps)):
         tab = conjugation_decomposition(group, reps, table, sigma)
         assert product_expansion_residual(group, reps, tab) < 1e-10
+
+
+def test_expansions_tell_a_coefficient_from_its_conjugate():
+    # C7 x| C3 has complex 3-dim irreps, so their coupling bases are complex:
+    # c and conj(c) exchanged in either identity leave a residual near 1
+    group, table, reps = _tables_for(["(1 2 3 4 5 6 7)", "(2 3 5)(4 7 6)"])
+    assert group.order == 21 and max(np.abs(rep.matrices.imag).max() for rep in reps) > 0.1
+    for sigma in range(len(reps)):
+        tab = conjugation_decomposition(group, reps, table, sigma)
+        assert product_expansion_residual(group, reps, tab) < 1e-10
+        for alpha in range(len(reps)):
+            assert triple_product_residual(group, reps, tab, alpha) < 1e-10
 
 
 def test_product_expansion_at_identity_reduces_to_unitarity():
@@ -388,15 +400,17 @@ def _full_wigner_eckart(spec, class_index, match_tol=1e-9, sparse_tol=1e-10):
     tables = {s: conjugation_decomposition(group, adapted, table, s) for s in range(len(reps))}
     weights = _class_weights(adapted, m_alphas)
     brute = collect_bruteforce(group, adapted, g0, weights)
+    predictions = {
+        (sigma, alpha): wigner_eckart_matrix(
+            tables[sigma], alpha, reps[alpha].dim, range(m_alphas[alpha]), adapted[sigma].matrices[g0]
+        )[0]
+        for sigma in range(len(reps)) for alpha in range(len(reps))
+    }
     checked = 0
     for w, (alpha, k, l) in enumerate(weights):
         for sigma in range(len(reps)):
-            pred, _ = wigner_eckart_matrix(
-                tables[sigma], alpha, reps[alpha].dim, range(m_alphas[alpha]),
-                k, l, adapted[sigma].matrices[g0], g0=g0,
-            )
             d = reps[sigma].dim
-            expected = np.einsum("jv,ui->ijuv", np.eye(d), pred)
+            expected = np.einsum("jv,ui->ijuv", np.eye(d), predictions[(sigma, alpha)][k, l])
             assert np.max(np.abs(brute[(sigma, sigma)][w] - expected)) < match_tol
             off = brute[(sigma, sigma)][w] * (1.0 - np.eye(d))[None, :, None, :]
             assert np.max(np.abs(off)) < sparse_tol
@@ -469,21 +483,10 @@ def test_wigner_eckart_trivial_alpha_is_class_operator_eigenvalue():
     adapted, m_alphas = adapt_irreps_to_class(reps, cls)
     for sigma in range(3):
         tab = conjugation_decomposition(group, adapted, table, sigma)
-        pred, rmes = wigner_eckart_matrix(
-            tab, 0, 1, [0], 0, 0, adapted[sigma].matrices[cls.base_element], g0=cls.base_element
-        )
+        pred, reduced = wigner_eckart_matrix(tab, 0, 1, [0], adapted[sigma].matrices[cls.base_element])
         expected = (table.values[sigma, 1] / table.dims[sigma]) * np.eye(reps[sigma].dim)
-        assert np.max(np.abs(pred - expected)) < 1e-10
-        assert len(rmes) == 1
-
-
-def test_wigner_eckart_rejects_unfixed_column():
-    group, table, reps = _tables_for("S3")
-    cls = conjugacy_classes(group)[1]
-    adapted, m_alphas = adapt_irreps_to_class(reps, cls)
-    tab = conjugation_decomposition(group, adapted, table, 2)
-    with pytest.raises(ValueError, match="not Z0-fixed"):
-        wigner_eckart_matrix(tab, 2, 2, range(1), 0, 1, adapted[2].matrices[cls.base_element])
+        assert np.max(np.abs(pred[0, 0] - expected)) < 1e-10
+        assert reduced.shape == (1, 1)
 
 
 def test_reduced_matrix_elements_structure():
@@ -492,17 +495,74 @@ def test_reduced_matrix_elements_structure():
     g0 = cls.base_element
     adapted, m_alphas = adapt_irreps_to_class(reps, cls)
     tab = conjugation_decomposition(group, adapted, table, 2)
-    rmes = reduced_matrix_elements(tab, 2, 2, 0, adapted[2].matrices[g0], g0=g0)
-    assert len(rmes) == 1  # multiplicity of the standard in L(V^std) is 1
-    assert rmes[0].alpha == 2 and rmes[0].sigma == 2 and rmes[0].g0 == g0
-    # absent component gives no reduced elements
-    assert reduced_matrix_elements(tab, 99, 1, 0, adapted[2].matrices[g0]) == []
+    pred, reduced = wigner_eckart_matrix(tab, 2, 2, [0], adapted[2].matrices[g0])
+    assert pred.shape == (2, 1, 2, 2)   # rows k, listed columns l, then (u, i)
+    assert reduced.shape == (1, 1)      # multiplicity of the standard in L(V^std) is 1
+    # absent component gives no reduced elements and a zero prediction
+    pred, absent = wigner_eckart_matrix(tab, 99, 1, [0], adapted[2].matrices[g0])
+    assert absent.shape == (1, 0) and not pred.any()
     # base-point well-definedness: any h in Z0 leaves g0, hence the values, unchanged
     for h in cls.centralizer:
         conj_g0 = group.conjugate(g0, h)
         assert conj_g0 == g0
-        again = reduced_matrix_elements(tab, 2, 2, 0, adapted[2].matrices[conj_g0], g0=conj_g0)
-        assert abs(again[0].value - rmes[0].value) == 0
+        _, again = wigner_eckart_matrix(tab, 2, 2, [0], adapted[2].matrices[conj_g0])
+        assert abs(again[0, 0] - reduced[0, 0]) == 0
+
+
+@pytest.mark.parametrize("spec", ["S3", "S4", "D5", "Q8", "file:A5"])
+def test_wigner_eckart_kernel_equals_per_weight_oracle(spec, tmp_path):
+    # every class, every sigma, every alpha, every weight (k, l): bit for bit
+    group, table, reps = _file_a5(tmp_path) if spec == "file:A5" else _tables_for(spec)
+    coupling = [conjugation_decomposition(group, reps, table, s) for s in range(len(reps))]
+    compared = 0
+    for cls in conjugacy_classes(group):
+        bases = [z_fixed_basis(a, rep.matrices, cls.centralizer) for a, rep in enumerate(reps)]
+        adapted, m_alphas = adapt_irreps_to_class(reps, cls, bases)
+        for tab in (rotate_coupling_table(t, [zb.basis for zb in bases]) for t in coupling):
+            t_g0 = adapted[tab.sigma].matrices[cls.base_element]
+            for alpha, (rep, m) in enumerate(zip(adapted, m_alphas)):
+                pred, reduced = wigner_eckart_matrix(tab, alpha, rep.dim, range(m), t_g0)
+                assert pred.shape == (rep.dim, m) + t_g0.shape
+                assert reduced.shape == (m, tab.multiplicity(alpha))
+                for k in range(rep.dim):
+                    for l in range(m):
+                        want_pred, want_reduced = oracle_wigner_eckart_matrix(tab, alpha, rep.dim, k, l, t_g0)
+                        assert np.array_equal(pred[k, l], want_pred)
+                        assert np.array_equal(reduced[l], want_reduced)
+                        compared += 1
+    assert compared == sum(cls.size for cls in conjugacy_classes(group)) * len(reps)
+
+
+@pytest.mark.parametrize("sigma2", range(1, 8))
+def test_su2_wigner_eckart_kernel_equals_per_weight_oracle(sigma2):
+    tab = su2_coupling_table(sigma2)
+    t_sigma_g0 = WignerD(sigma2).euler(0.0, 0.0, 1.3)
+    for alpha2 in tab.gammas:
+        col = fixed_column_index(alpha2)
+        pred, reduced = wigner_eckart_matrix(tab, alpha2, alpha2 + 1, [col], t_sigma_g0)
+        assert pred.shape == (alpha2 + 1, 1, sigma2 + 1, sigma2 + 1) and reduced.shape == (1, 1)
+        for k in range(alpha2 + 1):
+            want_pred, want_reduced = oracle_wigner_eckart_matrix(tab, alpha2, alpha2 + 1, k, col, t_sigma_g0)
+            assert np.array_equal(pred[k, 0], want_pred)
+            assert np.array_equal(reduced[0], want_reduced)
+
+
+def test_su2_coupling_table_holds_one_array(monkeypatch):
+    # sigma = 40: the basis is 41**4 floats (22.6 MB); a second, conjugated and
+    # transposed copy of it would double what the table retains.  The
+    # Clebsch-Gordan arrays are computed before tracing starts and handed out
+    # as fresh copies: traced, Racah's integer sums take seconds.
+    cg = {j_2: clebsch_gordan(40, 40, j_2) for j_2 in range(0, 81, 2)}
+    monkeypatch.setattr("classops.coupling.clebsch_gordan", lambda j1_2, j2_2, j_2: cg[j_2].copy())
+    tracemalloc.start()
+    try:
+        tab = su2_coupling_table(40)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    basis_bytes = sum(e.nbytes for e in tab.basis.values())
+    assert basis_bytes == 41**4 * 8
+    assert retained <= 1.1 * basis_bytes, f"table retains {retained} B for a {basis_bytes} B basis"
 
 
 def test_wigner_eckart_su2_vs_quadrature():
@@ -513,12 +573,10 @@ def test_wigner_eckart_su2_vs_quadrature():
             t_sigma_g0 = WignerD(sigma2).euler(0.0, 0.0, psi)
             for alpha2 in tab.gammas:
                 col = fixed_column_index(alpha2)
+                pred, _ = wigner_eckart_matrix(tab, alpha2, alpha2 + 1, [col], t_sigma_g0)
                 for k in range(alpha2 + 1):
-                    pred, _ = wigner_eckart_matrix(
-                        tab, alpha2, alpha2 + 1, [col], k, col, t_sigma_g0
-                    )
                     quadr = weighted_class_operator_su2(sigma2, psi, [(alpha2, k, 1.0)], quad)
-                    assert np.max(np.abs(pred - quadr)) < 1e-8
+                    assert np.max(np.abs(pred[k, 0] - quadr)) < 1e-8
 
 
 def test_su2_spin_half_weight_matches_prediction():
@@ -527,10 +585,10 @@ def test_su2_spin_half_weight_matches_prediction():
     psi = 2 * np.pi / 3
     tab = su2_coupling_table(1)
     t_half_g0 = WignerD(1).euler(0.0, 0.0, psi)
+    pred, _ = wigner_eckart_matrix(tab, 2, 3, [1], t_half_g0)
     for k in range(3):
-        pred, _ = wigner_eckart_matrix(tab, 2, 3, [1], k, 1, t_half_g0)
         quadr = weighted_class_operator_su2(1, psi, [(2, k, 1.0)], quad)
-        assert np.max(np.abs(pred - quadr)) < 1e-10
+        assert np.max(np.abs(pred[k, 0] - quadr)) < 1e-10
 
 
 # ---------------------------------------------------------------------------

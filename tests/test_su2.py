@@ -18,9 +18,14 @@ from classops.su2 import (
     su2_haar_quadrature,
     weighted_class_operator_su2,
 )
-from classops.coupling import su2_coupling_table, wigner_eckart_matrix
+from classops.coupling import su2_coupling_table
 from classops.verify import SU2_TABLE_RULES, su2_convergence_rows, su2_wigner_eckart_report
-from helpers import oracle_little_d, oracle_phi_sum_class_operator, oracle_phi_sum_weighted_operator
+from helpers import (
+    oracle_little_d,
+    oracle_phi_sum_class_operator,
+    oracle_phi_sum_weighted_operator,
+    oracle_wigner_eckart_matrix,
+)
 
 RNG = np.random.default_rng(12)
 
@@ -367,7 +372,7 @@ def test_batched_wigner_eckart_rows_match_per_term_operators(rule):
             for k in range(alpha2 + 1):
                 row = next(it)
                 assert (row.sigma, row.alpha, row.k, row.l) == (sigma2, alpha2, k, col)
-                pred, _ = wigner_eckart_matrix(tab, alpha2, alpha2 + 1, [col], k, col, t_sigma_g0)
+                pred, _ = oracle_wigner_eckart_matrix(tab, alpha2, alpha2 + 1, k, col, t_sigma_g0)
                 expect = oracle_phi_sum_weighted_operator(sigma2, psi, [(alpha2, k, 1.0)], quad)
                 assert abs(row.max_dev - np.max(np.abs(pred - expect))) < 1e-13
     assert next(it, None) is None

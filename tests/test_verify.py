@@ -160,8 +160,9 @@ def test_wigner_eckart_report_matches_per_weight_oracle(spec, tmp_path):
     reps = irreps(group, table)
     for cls in conjugacy_classes(group):
         coupling, adapted, m_alphas, tables = _class_setup(group, cls, table, reps)
-        rows, _, _, max_off = wigner_eckart_report(group, cls, table=table, irreps_list=reps, coupling=coupling)
-        want, want_off = oracle_wigner_eckart_rows(group, adapted, m_alphas, tables, cls.base_element)
+        rows, reduced, _, max_off = wigner_eckart_report(group, cls, table=table, irreps_list=reps, coupling=coupling)
+        want, want_reduced, want_off = oracle_wigner_eckart_rows(group, adapted, m_alphas, tables, cls.base_element)
+        assert reduced == want_reduced   # every (alpha, l, sigma, m), in report order, bit for bit
         assert [(r.sigma, r.alpha, r.k, r.l, r.passed) for r in rows] == [
             (r.sigma, r.alpha, r.k, r.l, r.passed) for r in want
         ]
@@ -185,7 +186,7 @@ def test_wigner_eckart_report_fails_on_a_corrupted_irrep_as_the_oracle_does(monk
     corrupted[alpha].matrices[moved] *= -1.0   # no longer a homomorphism
     monkeypatch.setattr(verify, "adapt_irreps_to_class", lambda *args: (corrupted, m_alphas))
     rows, _, _, max_off = wigner_eckart_report(group, cls, table=table, irreps_list=reps, coupling=coupling)
-    want, want_off = oracle_wigner_eckart_rows(group, corrupted, m_alphas, tables, cls.base_element)
+    want, _, want_off = oracle_wigner_eckart_rows(group, corrupted, m_alphas, tables, cls.base_element)
     assert not all(r.passed for r in rows)
     assert [r.passed for r in rows] == [r.passed for r in want]
     sparsity = DEFAULT_TOLERANCES["wigner_eckart_sparsity"]
@@ -215,7 +216,7 @@ def test_wigner_eckart_report_fails_on_an_off_pattern_block(monkeypatch):
 
     monkeypatch.setattr(verify, "wigner_eckart_bruteforce", lifted_batched)
     rows, _, _, max_off = wigner_eckart_report(group, cls, table=table, irreps_list=reps, coupling=coupling)
-    want, want_off = oracle_wigner_eckart_rows(group, adapted, m_alphas, tables, cls.base_element, lifted_oracle)
+    want, _, want_off = oracle_wigner_eckart_rows(group, adapted, m_alphas, tables, cls.base_element, lifted_oracle)
     assert all(r.passed for r in rows) and all(r.passed for r in want)
     assert max_off > DEFAULT_TOLERANCES["wigner_eckart_sparsity"]
     assert want_off > DEFAULT_TOLERANCES["wigner_eckart_sparsity"]
