@@ -34,13 +34,11 @@ from .representations import (
     represent,
 )
 from .class_operators import (
-    CheckReport,
     WeightedClassOperator,
-    centralizer_invariance_check,
+    centralizer_invariance_deviation,
     class_left_translate,
     class_operator_from_classfunction,
     class_sum_element,
-    covariance_conjugate,
     covariance_deviation,
     left_translate,
     right_translate,
@@ -72,7 +70,6 @@ from .coupling import (
     product_expansion_residual_su2,
     rotate_coupling_table,
     su2_coupling_table,
-    su2_z_fixed_basis,
     tensor_operator_scan,
     triple_product_residual,
     triple_product_residual_su2,
@@ -80,5 +77,6 @@ from .coupling import (
     wigner_eckart_matrix,
     z_fixed_basis,
 )
+from .verify import CheckReport
 
 __version__ = "0.1.0"

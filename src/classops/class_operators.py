@@ -6,6 +6,9 @@ Everything here is normalized so that the weight identically 1 reproduces the
 multiplication operator of the class sum on the group algebra: the invariant
 measure on G/Z0 has total mass 1, matching the normalized Haar sum on G.
 
+The identities are measured here as deviations; ``verify`` decides whether
+they pass, against its tolerances.
+
 Wherever a representation may be ``None`` it is the left regular one, and an
 operator in it is carried as its group-algebra element a: lambda(a) is
 ``left_regular_matrix(group, a)``, whose entries are the coefficients of a,
@@ -23,11 +26,9 @@ from .representations import CharacterTable, character_table, represent
 
 __all__ = [
     "WeightedClassOperator",
-    "CheckReport",
     "weighted_class_operator",
     "covariance_deviation",
-    "covariance_conjugate",
-    "centralizer_invariance_check",
+    "centralizer_invariance_deviation",
     "transfer",
     "class_left_translate",
     "left_translate",
@@ -40,7 +41,8 @@ __all__ = [
 
 @dataclass
 class WeightedClassOperator:
-    """T(f; g0) in a concrete representation, with its defining data.
+    """T(f; g0) in a concrete representation, with its defining data:
+    ``matrix`` is T(weight; g0), whichever function built it.
 
     For the left regular representation (``None``) ``matrix`` holds the
     group-algebra element a with T(f; g0) = ``left_regular_matrix(group, a)``.
@@ -51,19 +53,7 @@ class WeightedClassOperator:
     matrix: np.ndarray
 
 
-@dataclass
-class CheckReport:
-    """One verification record, as emitted by the CLI report files."""
-
-    check: str
-    group: str
-    cls: str
-    max_deviation: float
-    tolerance: float
-    passed: bool
-
-
-# Coefficients in one stack of right translates in centralizer_invariance_check
+# Coefficients in one stack of right translates in centralizer_invariance_deviation
 _STACK_ENTRIES = 1 << 14
 
 
@@ -92,10 +82,13 @@ def weighted_class_operator(
     which is represented once (``represent``; ``None`` is the left regular one).
     ``f`` may also be a stack of weights, shape (r, |G|): one ``np.bincount``
     over the bins image + |G| * row pushes every row, summed in the order of a
-    single call, and ``matrix`` gets the leading axis r.
+    single call, and ``matrix`` gets the leading axis r.  g0 must be an
+    element index, 0 <= g0 < |G|.
     """
     f = _as_coeffs(group, f, stack=True)
     n = group.order
+    if not 0 <= g0 < n:
+        raise ValueError(f"g0 = {g0} is not an element index of a group of order {n}")
     image = group.mult_table[group.mult_table[:, g0], group.inverse_table]  # x g0 x^-1
     bins = (image + n * np.arange(f.size // n)[:, None]).ravel()
     pushed = np.bincount(bins, f.real.ravel(), f.size) + 1j * np.bincount(bins, f.imag.ravel(), f.size)
@@ -127,60 +120,29 @@ def covariance_deviation(
     return WeightedClassOperator(g0=op.g0, weight=shifted, matrix=conjugated), dev
 
 
-def covariance_conjugate(
-    group: FiniteGroup,
-    representation: np.ndarray | None,
-    op: WeightedClassOperator,
-    g: int,
-    tol: float = 1e-10,
-) -> WeightedClassOperator:
-    """Conjugate T(f; g0) by T(g) and assert it equals T(lambda(g) f; g0).
-
-    A tolerance violation means the representation is not a homomorphism or a
-    normalization got double-applied somewhere.
-    """
-    moved, dev = covariance_deviation(group, representation, op, g)
-    if dev > tol * max(1.0, op.matrix.shape[0]):
-        raise ArithmeticError(
-            f"covariance identity violated (deviation {dev:.3e}); "
-            "representation or normalization bug"
-        )
-    return moved
-
-
-def centralizer_invariance_check(
+def centralizer_invariance_deviation(
     group: FiniteGroup,
     representation: np.ndarray | None,
     g0: int,
     f,
-    tol: float = 1e-12,
-) -> CheckReport:
-    """Verify T(rho(h) f; g0) = T(f; g0) for every h in the centralizer of g0,
-    any member of its class.
+) -> float:
+    """Largest deviation of T(rho(h) f; g0) from T(f; g0) over every h in the
+    centralizer of g0, any member of its class.
 
     The right translates are pushed as stacks of at most ``_STACK_ENTRIES``
-    coefficients, all of them at once for groups of order up to 128; the
-    first is the translate by the identity, f itself.
+    coefficients, all of them at once for groups of order up to 128.
     """
     t = group.mult_table
     f = _as_coeffs(group, f)
-    centralizer = np.flatnonzero(t[:, g0] == t[g0])  # ascending, so element 0, the identity, first
+    base = weighted_class_operator(group, representation, g0, f).matrix  # refuses a bad g0 before t[:, g0]
+    centralizer = np.flatnonzero(t[:, g0] == t[g0])[1:]  # ascending; drops the identity, whose translate is f
     step = max(1, _STACK_ENTRIES // group.order)
     worst = 0.0
     for lo in range(0, len(centralizer), step):
         translates = f[t[:, centralizer[lo:lo + step]].T]  # row h: f(x h)
         shifted = weighted_class_operator(group, representation, g0, translates).matrix
-        if lo == 0:
-            base = shifted[0]
         worst = max(worst, float(np.max(np.abs(shifted - base))))
-    return CheckReport(
-        check="centralizer_invariance",
-        group=group.name,
-        cls=group.labels[g0],
-        max_deviation=worst,
-        tolerance=tol,
-        passed=worst <= tol,
-    )
+    return worst
 
 
 def transfer(group: FiniteGroup, cls: ConjugacyClass, f) -> np.ndarray:
@@ -215,15 +177,19 @@ def class_operator_from_classfunction(
 
     For any f with transfer(f) = phi this equals weighted_class_operator(f):
     the factorization through G/Z0.  A stack of class functions (r, |C0|)
-    gives a stack of operators.
+    gives a stack of operators.  The returned ``weight`` is such an f, the one
+    constant on cosets: f(x) = phi(x g0 x^-1), so T(weight; g0) = ``matrix``.
     """
     phi = np.asarray(phi, dtype=complex)
     if phi.shape[-1:] != (cls.size,) or phi.ndim > 2:
         raise ValueError(f"class function must have length {cls.size}")
-    weight = np.zeros(phi.shape[:-1] + (group.order,), dtype=complex)
-    weight[..., list(cls.members)] = phi  # descent witness; informational only
-    matrix = represent(group, representation, weight) / cls.size
-    return WeightedClassOperator(g0=cls.base_element, weight=weight, matrix=matrix)
+    on_class = np.zeros(phi.shape[:-1] + (group.order,), dtype=complex)
+    on_class[..., list(cls.members)] = phi
+    matrix = represent(group, representation, on_class)
+    matrix /= cls.size
+    t, g0 = group.mult_table, cls.base_element
+    weight = phi[..., np.searchsorted(cls.members, t[t[:, g0], group.inverse_table])]  # members ascend
+    return WeightedClassOperator(g0=g0, weight=weight, matrix=matrix)
 
 
 def class_sum_element(group: FiniteGroup, cls: ConjugacyClass) -> np.ndarray:

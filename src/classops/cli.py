@@ -21,7 +21,6 @@ from pathlib import Path
 
 from .groups import FiniteGroup, build_group, conjugacy_classes
 from .representations import character_table, irreps
-from .class_operators import CheckReport
 from .coupling import TensorOperatorFamily, conjugation_decomposition
 from .serialize import json_text, load_group_file, render_report, tables_document
 from .su2 import sphere_rule_for_spin
@@ -132,7 +131,7 @@ def run_finite_verify(cfg: RunConfig) -> int:
     checks = verify.finite_class_suite(
         group, classes, seed=cfg.seed, n_random=cfg.n_random, tolerances=cfg.tolerances
     )
-    sections = [("checks", "finite-verify checks", CheckReport, checks)]
+    sections = [("checks", "finite-verify checks", verify.CheckReport, checks)]
     return _report(cfg, sections, all(r.passed for r in checks))
 
 

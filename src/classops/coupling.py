@@ -57,7 +57,6 @@ __all__ = [
     "su2_coupling_table",
     "clebsch_gordan",
     "z_fixed_basis",
-    "su2_z_fixed_basis",
     "adapt_irreps_to_class",
     "frobenius_multiplicity_check",
     "product_expansion_residual",
@@ -294,15 +293,6 @@ def z_fixed_basis(alpha: int, matrices: np.ndarray, centralizer) -> ZFixedBasis:
         return ZFixedBasis(alpha=alpha, m_alpha=d, basis=fixed)
     comp = _orthonormal_range(np.eye(d) - avg, d - m_alpha)
     return ZFixedBasis(alpha=alpha, m_alpha=m_alpha, basis=np.hstack([fixed, comp]))
-
-
-def su2_z_fixed_basis(j2: int) -> ZFixedBasis:
-    """Circle-fixed basis for spin j2/2: the m = 0 weight vector, if any, first."""
-    d = j2 + 1
-    if j2 % 2:
-        return ZFixedBasis(alpha=j2, m_alpha=0, basis=np.eye(d, dtype=complex))
-    order = [j2 // 2] + [i for i in range(d) if i != j2 // 2]
-    return ZFixedBasis(alpha=j2, m_alpha=1, basis=np.eye(d, dtype=complex)[:, order])
 
 
 def adapt_irreps_to_class(

@@ -206,9 +206,6 @@ class FiniteGroup:
         """Return ``by * x * by^-1``."""
         return int(self.mult_table[self.mult_table[by, x], self.inverse_table[by]])
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def element_orders(self) -> np.ndarray:
         """Order of every element, from the powers of all elements at once."""
         if self._element_orders is None:
@@ -373,12 +370,26 @@ def symmetric_group(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     return _closure(gens, f"S{n}", ("symmetric", n), order_cap)
 
 
-def quaternion_group(order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def quaternion_group(n: int = 8, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+    """Q8, the only quaternion group in the catalog: n must be 8."""
+    if n != 8:
+        raise GroupConstructionError("only Q8 is in the quaternion catalog")
     _check_catalog_order(8, order_cap)
     # left-regular action of Q8 on itself, points ordered 1,-1,i,-i,j,-j,k,-k
     gen_i = parse_cycles("(1 3 2 4)(5 7 6 8)")
     gen_j = parse_cycles("(1 5 2 6)(3 8 4 7)")
     return _closure([gen_i, gen_j], "Q8", ("quaternion", 8), order_cap)
+
+
+# family -> constructor(n, order_cap); "<letter><n>" names the family by its initial
+_CATALOG = {
+    "cyclic": cyclic_group,
+    "dihedral": dihedral_group,
+    "symmetric": symmetric_group,
+    "quaternion": quaternion_group,
+}
+_FAMILY_OF_LETTER = {family[0].upper(): family for family in _CATALOG}
+_CATALOG_RE = re.compile(rf"^([{''.join(_FAMILY_OF_LETTER)}])(\d+)$", re.IGNORECASE)
 
 
 def group_from_generators(
@@ -412,9 +423,6 @@ def _string_list(value, what: str) -> list[str]:
     return list(value)
 
 
-_CATALOG_RE = re.compile(r"^([CDSQ])(\d+)$", re.IGNORECASE)
-
-
 def build_group(spec, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Build a group from a construction descriptor.
 
@@ -426,22 +434,15 @@ def build_group(spec, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     * mapping ``{"table": [[...], ...]}`` (explicit multiplication table)
     * list of cycle-notation strings (same as the generators mapping)
 
+    Both catalog forms go through one family -> constructor table and accept the
+    same groups; the quaternion family holds only Q8, so it needs n = 8 in both.
     A descriptor of any other shape raises ``GroupConstructionError``.
     """
     if isinstance(spec, str):
         match = _CATALOG_RE.match(spec.strip())
         if not match:
             raise GroupConstructionError(f"unknown catalog group {spec!r}")
-        letter, n = match.group(1).upper(), int(match.group(2))
-        if letter == "C":
-            return cyclic_group(n, order_cap)
-        if letter == "D":
-            return dihedral_group(n, order_cap)
-        if letter == "S":
-            return symmetric_group(n, order_cap)
-        if n != 8:
-            raise GroupConstructionError("only Q8 is in the quaternion catalog")
-        return quaternion_group(order_cap)
+        return _CATALOG[_FAMILY_OF_LETTER[match.group(1).upper()]](int(match.group(2)), order_cap)
     if isinstance(spec, (list, tuple)):
         return group_from_generators(_string_list(spec, "generators"), order_cap=order_cap)
     if isinstance(spec, dict):
@@ -451,16 +452,9 @@ def build_group(spec, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
                     or not isinstance(cat.get("n", 0), int):
                 raise GroupConstructionError("'catalog' must be {\"family\": string, \"n\": integer}")
             family = cat.get("family", "").lower()
-            n = cat.get("n", 0)
-            builders = {
-                "cyclic": lambda: cyclic_group(n, order_cap),
-                "dihedral": lambda: dihedral_group(n, order_cap),
-                "symmetric": lambda: symmetric_group(n, order_cap),
-                "quaternion": lambda: quaternion_group(order_cap),
-            }
-            if family not in builders:
+            if family not in _CATALOG:
                 raise GroupConstructionError(f"unknown catalog family {family!r}")
-            return builders[family]()
+            return _CATALOG[family](cat.get("n", 0), order_cap)
         if "generators" in spec:
             return group_from_generators(_string_list(spec["generators"], "'generators'"), order_cap=order_cap)
         if "table" in spec:

@@ -295,26 +295,29 @@ def closed_form_eigenvalue(j2: int, psi: float) -> float:
     return float(np.sin((j2 + 1) * psi / 2.0) / ((j2 + 1) * np.sin(psi / 2.0)))
 
 
-def class_operator_quadrature(j2: int, psi: float, quad: SphereQuadrature) -> np.ndarray:
+def class_operator_quadrature(j2: int, psi, quad: SphereQuadrature) -> np.ndarray:
     """Quadrature of the class-operator integral in the spin-(j2/2) representation.
 
     Integrates D(g(phi) h(theta) g(psi) h(theta)^-1 g(phi)^-1) over the class
     sphere: the theta sum runs over the rule's nodes, and the uniform phi
     average of entry (m', m) is the closed-form moment of order m' - m on the
-    rule (``_phi_average``), aliasing included.
+    rule (``_phi_average``), aliasing included.  ``psi`` is one angle, shape
+    (d, d), or a 1-D sequence of angles, shape (len(psi), d, d), all from one
+    little-d stack.
     """
-    return _class_operators(_check_spin(j2), [_check_psi(psi)], quad)[0]
-
-
-def _class_operators(j2: int, psis, quad: SphereQuadrature) -> np.ndarray:
-    """class_operator_quadrature for every angle in ``psis``, shape (len(psis), d, d),
-    from one little-d stack."""
     rep = WignerD(j2)
+    psis = np.asarray(psi, dtype=float)
+    if psis.ndim > 1:
+        raise ValueError("psi must be one angle or a 1-D sequence of angles")
+    for angle in psis.ravel():
+        _check_psi(angle)
     d_stack = rep.little_d(quad.theta)                      # (T, d, d)
-    # core = sum_t w_t d_t E(psi) d_t^T, contracted over (t, j) as one matmul
-    left = (d_stack * quad.theta_weights[:, None, None]) * rep.weight_phases(np.asarray(psis)[:, None, None, None])
-    core = np.tensordot(left, d_stack, axes=([1, 3], [0, 2]))
-    return core * _phi_average(rep.dim, [0], quad.n_phi)
+    t, d = d_stack.shape[:2]
+    # core = sum_t w_t d_t E(psi) d_t^T: one matmul per angle, the same bits alone or in a sequence
+    left = (d_stack * quad.theta_weights[:, None, None]) * rep.weight_phases(psis.reshape(-1, 1, 1, 1))
+    core = left.transpose(0, 2, 1, 3).reshape(-1, d, t * d) @ d_stack.transpose(0, 2, 1).reshape(t * d, d)
+    out = core * _phi_average(d, [0], quad.n_phi)
+    return out if psis.ndim else out[0]
 
 
 def _phi_average(dim: int, shifts, n_phi: int) -> np.ndarray:
@@ -339,8 +342,7 @@ def weighted_class_operator_su2(j2: int, psi: float, weight_terms, quad: SphereQ
     psi = _check_psi(psi)
     terms = [(int(l2), int(i), complex(c)) for (l2, i, c) in weight_terms]
     for l2, i, _ in terms:
-        if l2 % 2:
-            raise ValueError("half-integer weight spin rejected: no circle-fixed vector exists")
+        fixed_column_index(l2)  # refuses half-integer weight spins: they have no circle-fixed vector
         if not 0 <= i <= l2:
             raise ValueError(f"weight row index {i} out of range for l2={l2}")
     core = _weighted_core(j2, psi, quad)
@@ -386,14 +388,13 @@ def su2_haar_quadrature(
     Returns (angles, weights) with angles of shape (N, 3) holding Euler
     triples (phi, theta, psi) and weights summing to 1.  Exact for integrands
     that are band-limited below the node counts (matrix elements of small
-    spins and their products).
+    spins and their products).  The (phi, theta) rule is the class-sphere rule
+    ``SphereQuadrature.build(n_theta, n_phi)``; psi runs uniformly over [-2pi, 2pi).
     """
-    if min(n_phi, n_theta, n_psi) < 2:
+    if n_psi < 2:
         raise ValueError("node counts must be >= 2")
-    x, w = np.polynomial.legendre.leggauss(n_theta)
-    theta = np.arccos(x)
-    phi = 2 * np.pi * np.arange(n_phi) / n_phi
+    sphere = SphereQuadrature.build(n_theta, n_phi)
     psi = -2 * np.pi + 4 * np.pi * np.arange(n_psi) / n_psi
-    angles = np.stack(np.meshgrid(phi, theta, psi, indexing="ij"), axis=-1).reshape(-1, 3)
-    weights = np.tile(np.repeat(w / 2.0 / n_phi / n_psi, n_psi), n_phi)
+    angles = np.stack(np.meshgrid(sphere.phi, sphere.theta, psi, indexing="ij"), axis=-1).reshape(-1, 3)
+    weights = np.tile(np.repeat(sphere.theta_weights / n_phi / n_psi, n_psi), n_phi)
     return angles, weights

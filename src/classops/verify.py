@@ -2,7 +2,8 @@
 
 These functions are the bodies of the CLI subcommands and are reused verbatim
 by the acceptance test suite, so the command-line tool and the tests always
-agree on what was checked.
+agree on what was checked.  The library measures deviations; every verdict,
+a deviation against a tolerance of ``DEFAULT_TOLERANCES``, is taken here.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ import numpy as np
 from .groups import FiniteGroup, ConjugacyClass, conjugacy_classes
 from .representations import CharacterTable, Irrep, character_table, irreps
 from .class_operators import (
-    CheckReport,
-    centralizer_invariance_check,
+    centralizer_invariance_deviation,
     class_operator_from_classfunction,
     class_sum_element,
     covariance_deviation,
@@ -35,10 +35,11 @@ from .coupling import (
     z_fixed_basis,
 )
 from .su2 import MAX_J2, SphereQuadrature, WignerD, closed_form_eigenvalue, fixed_column_index
-from .su2 import _check_psi, _class_operators, _weighted_core, _weighted_rows
+from .su2 import class_operator_quadrature, _check_psi, _weighted_core, _weighted_rows
 
 __all__ = [
     "DEFAULT_TOLERANCES",
+    "CheckReport",
     "finite_class_suite",
     "Su2ConvergenceRow",
     "su2_convergence_rows",
@@ -60,6 +61,18 @@ DEFAULT_TOLERANCES = {
     "wigner_eckart_sparsity": 1e-10,
     "scan_vanishing": 1e-10,
 }
+
+
+@dataclass
+class CheckReport:
+    """One verification record, as emitted by the CLI report files."""
+
+    check: str
+    group: str
+    cls: str
+    max_deviation: float
+    tolerance: float
+    passed: bool
 
 
 def _random_weight(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -122,9 +135,7 @@ def finite_class_suite(
         through = class_operator_from_classfunction(group, None, cls, transfer(group, cls, weights))
         record("coset_factorization", cls, np.max(np.abs(op.matrix - through.matrix), initial=0.0))
         record("conjugation_covariance", cls, covariance_deviation(group, None, op, elements)[1])
-        reports.append(
-            centralizer_invariance_check(group, None, g0, _random_weight(rng, n), tol=tol["centralizer_invariance"])
-        )
+        record("centralizer_invariance", cls, centralizer_invariance_deviation(group, None, g0, _random_weight(rng, n)))
         # class-sum expansion in irreducible characters, a class function
         expansion = table.values[:, table.class_of[g0]].conj() @ table.values / n
         record(
@@ -162,7 +173,7 @@ def su2_convergence_rows(
     quads = [SphereQuadrature.build(n_theta, n_phi) for n_theta, n_phi in rules]
     rows = []
     for j2, j2_targets in zip(j2_values, targets):
-        ops = [_class_operators(j2, psi_values, quad) for quad in quads]
+        ops = [class_operator_quadrature(j2, psi_values, quad) for quad in quads]
         for p, (psi, target) in enumerate(zip(psi_values, j2_targets)):
             for quad, op in zip(quads, ops):
                 err = float(np.max(np.abs(op[p] - target * np.eye(j2 + 1))))

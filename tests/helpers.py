@@ -44,7 +44,6 @@ import numpy as np
 
 from classops.groups import FiniteGroup, conjugacy_classes, left_regular_matrix
 from classops.class_operators import (
-    CheckReport,
     class_operator_from_classfunction,
     class_sum_element,
     covariance_deviation,
@@ -59,7 +58,7 @@ from classops.coupling import (
     wigner_eckart_bruteforce,
 )
 from classops.su2 import WignerD, fixed_column_index
-from classops.verify import DEFAULT_TOLERANCES, ReducedElementRow, WignerEckartRow, _random_weight
+from classops.verify import DEFAULT_TOLERANCES, CheckReport, ReducedElementRow, WignerEckartRow, _random_weight
 
 CATALOG_LEQ_24 = ["C1", "C2", "C3", "C4", "C6", "D3", "D4", "D5", "Q8", "S3", "S4"]
 ACCEPTANCE_GROUPS = ["C6", "S3", "D4", "Q8", "S4"]
@@ -513,6 +512,18 @@ def oracle_phi_sum_weighted_operator(j2: int, psi: float, weight_terms, quad) ->
     phi_sums = _phi_phases(quad.phi, rep.dim) @ (values * quad.theta_weights)
     out = np.einsum("til,ilt->il", conj_core, phi_sums[_difference_index(rep.dim)])
     return out / quad.n_phi
+
+
+def oracle_su2_haar_quadrature(n_phi: int, n_theta: int, n_psi: int) -> tuple[np.ndarray, np.ndarray]:
+    """su2_haar_quadrature with its Gauss-Legendre theta rule and uniform phi
+    grid built here rather than taken from SphereQuadrature.build."""
+    x, w = np.polynomial.legendre.leggauss(n_theta)
+    theta = np.arccos(x)
+    phi = 2 * np.pi * np.arange(n_phi) / n_phi
+    psi = -2 * np.pi + 4 * np.pi * np.arange(n_psi) / n_psi
+    angles = np.stack(np.meshgrid(phi, theta, psi, indexing="ij"), axis=-1).reshape(-1, 3)
+    weights = np.tile(np.repeat(w / 2.0 / n_phi / n_psi, n_psi), n_phi)
+    return angles, weights
 
 
 def oracle_triple_sum_su2(alpha2: int, sigma2: int, angles: np.ndarray, weights: np.ndarray) -> np.ndarray:

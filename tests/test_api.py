@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import classops
-from classops import coupling, su2
+from classops import coupling, su2, verify
 
 MODULES = ["groups", "representations", "class_operators", "su2", "coupling", "verify", "serialize", "cli"]
 
@@ -23,6 +23,16 @@ def test_every_package_level_name_resolves():
     exported = {n for name in MODULES for n in getattr(importlib.import_module(f"classops.{name}"), "__all__", [])}
     # every name the package re-exports is one a module exports
     assert not [n for n in public if n not in exported and n not in MODULES]
+
+
+def test_removed_names_are_gone_and_check_records_live_in_verify():
+    for name in ("covariance_conjugate", "centralizer_invariance_check", "su2_z_fixed_basis"):
+        assert not hasattr(classops, name), name
+    assert not hasattr(classops.class_operators, "CheckReport")
+    assert not hasattr(su2, "_class_operators")
+    assert not hasattr(classops.FiniteGroup, "elements")
+    assert classops.CheckReport is verify.CheckReport
+    assert classops.centralizer_invariance_deviation is classops.class_operators.centralizer_invariance_deviation
 
 
 @pytest.mark.parametrize("call", ["product_expansion", "triple_product"])

@@ -6,11 +6,10 @@ import pytest
 from classops.groups import build_group, conjugacy_classes, left_regular_matrix
 from classops.representations import character_table, irreps
 from classops.class_operators import (
-    centralizer_invariance_check,
+    centralizer_invariance_deviation,
     class_left_translate,
     class_operator_from_classfunction,
     class_sum_element,
-    covariance_conjugate,
     covariance_deviation,
     left_translate,
     right_translate,
@@ -104,6 +103,17 @@ def test_dimension_mismatch():
         weighted_class_operator(group, np.zeros((5, 2, 2)), 0, np.ones(6))
 
 
+@pytest.mark.parametrize("g0", [-1, 24])
+def test_base_point_outside_the_group_is_refused(g0):
+    # -1 would otherwise index the last element, and |G| would raise a bare IndexError
+    group = build_group("S4")
+    f = np.random.default_rng(0).standard_normal(24)
+    with pytest.raises(ValueError, match="element index"):
+        weighted_class_operator(group, None, g0, f)
+    with pytest.raises(ValueError, match="element index"):
+        centralizer_invariance_deviation(group, None, g0, f)
+
+
 @pytest.mark.parametrize("spec", ["S4", "Q8"])
 def test_conjugation_covariance(spec):
     group = build_group(spec)
@@ -114,11 +124,12 @@ def test_conjugation_covariance(spec):
             f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             op = weighted_class_operator(group, lam, cls.base_element, f)
             for g in range(n):
-                moved = covariance_conjugate(group, lam, op, g, tol=1e-11)
+                moved, dev = covariance_deviation(group, lam, op, g)
+                assert dev < 1e-11
                 direct = weighted_class_operator(group, lam, cls.base_element, left_translate(group, g, f))
                 assert np.max(np.abs(moved.matrix - direct.matrix)) < 1e-11
             # identity conjugation leaves the operator unchanged
-            same = covariance_conjugate(group, lam, op, 0)
+            same, _ = covariance_deviation(group, lam, op, 0)
             assert np.max(np.abs(same.matrix - op.matrix)) < 1e-14
 
 
@@ -130,8 +141,8 @@ def test_covariance_detects_broken_representation():
     op = weighted_class_operator(group, lam, 1, f)
     broken = lam.copy()
     broken[3] = np.eye(6)  # no longer a homomorphism
-    with pytest.raises(ArithmeticError):
-        covariance_conjugate(group, broken, op, 3, tol=1e-11)
+    _, dev = covariance_deviation(group, broken, op, 3)
+    assert dev > 1e-11
 
 
 def test_central_conjugation_fixes_operator():
@@ -145,7 +156,8 @@ def test_central_conjugation_fixes_operator():
     )
     cls = conjugacy_classes(group)[1]
     op = weighted_class_operator(group, lam, cls.base_element, f)
-    moved = covariance_conjugate(group, lam, op, central)
+    moved, dev = covariance_deviation(group, lam, op, central)
+    assert dev < 1e-11
     direct = weighted_class_operator(
         group, lam, cls.base_element, left_translate(group, central, f)
     )
@@ -159,23 +171,20 @@ def test_centralizer_invariance(spec):
     f = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
     for lam in (regular_representation(group), None):
         for cls in conjugacy_classes(group):
-            report = centralizer_invariance_check(group, lam, cls.base_element, f)
-            assert report.passed, report
-            assert report.max_deviation < 1e-12
+            assert centralizer_invariance_deviation(group, lam, cls.base_element, f) < 1e-12
 
 
 @pytest.mark.parametrize("spec", ["S3", "D4", "Q8", "S4"])
 def test_centralizer_invariance_at_every_class_member(spec):
     # g0 need not be the base element of its class: the translates run over
-    # the centralizer of g0 itself, and the report is labeled by g0
+    # the centralizer of g0 itself
     group = build_group(spec)
     rng = np.random.default_rng(16)
     f = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
     for cls in conjugacy_classes(group):
         for g0 in cls.members:
-            report = centralizer_invariance_check(group, None, g0, f)
-            assert report.passed and report.max_deviation < 1e-12, (spec, group.labels[g0], report)
-            assert report.cls == group.labels[g0]
+            dev = centralizer_invariance_deviation(group, None, g0, f)
+            assert dev < 1e-12, (spec, group.labels[g0], dev)
 
 
 def test_abelian_right_translation_trivial():
@@ -234,6 +243,27 @@ def test_classfunction_operator_singleton_class():
     )
     op = class_operator_from_classfunction(group, lam, central, np.array([2.5 - 1j]))
     assert np.max(np.abs(op.matrix - (2.5 - 1j) * lam[central.base_element])) < 1e-13
+
+
+@pytest.mark.parametrize("spec", ["S4", "D4", "Q8"])
+def test_classfunction_weight_is_a_witness_of_its_operator(spec):
+    # the returned weight transfers to phi and gives the operator itself, so
+    # covariance measured on the operator reads round-off, not a false deviation
+    group = build_group(spec)
+    reps = irreps(group, character_table(group))
+    rng = np.random.default_rng(0)
+    for cls in conjugacy_classes(group):
+        g0 = cls.base_element
+        for shape in ((cls.size,), (3, cls.size)):
+            phi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for representation in (None, reps[-1].matrices):
+                op = class_operator_from_classfunction(group, representation, cls, phi)
+                assert op.weight.shape == shape[:-1] + (group.order,)
+                assert np.max(np.abs(transfer(group, cls, op.weight) - phi)) < 1e-13
+                again = weighted_class_operator(group, representation, g0, op.weight).matrix
+                assert np.max(np.abs(again - op.matrix)) < 1e-13, (spec, cls.base_element)
+                elements = rng.integers(group.order, size=shape[:-1])
+                assert covariance_deviation(group, representation, op, elements)[1] < 1e-11
 
 
 def test_classfunction_size_check():

@@ -98,6 +98,15 @@ def test_wrong_shape_group_file_is_an_input_error(document, tmp_path, capsys):
     assert json.loads(err)["error"] == "GroupConstructionError"
 
 
+@pytest.mark.parametrize("catalog", [{"family": "quaternion", "n": 5}, {"family": "quaternion"}])
+def test_quaternion_group_file_other_than_q8_is_a_group_error(catalog, tmp_path, capsys):
+    bad = tmp_path / "q.json"
+    bad.write_text(json.dumps({"catalog": catalog}))
+    code, out, err = run(["finite-verify", "--group", f"file:{bad}"], capsys)
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "GroupConstructionError", "message": "only Q8 is in the quaternion catalog"}
+
+
 def test_wrong_shape_group_file_from_a_new_process(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2]")

@@ -18,7 +18,6 @@ from classops.coupling import (
     product_expansion_residual_su2,
     rotate_coupling_table,
     su2_coupling_table,
-    su2_z_fixed_basis,
     tensor_operator_scan,
     triple_product_residual,
     triple_product_residual_su2,
@@ -335,13 +334,6 @@ def test_z_fixed_basis_s3_standard():
         assert np.max(np.abs(reps[2].matrices[h] @ w[:, 0] - w[:, 0])) < 1e-12
         image = reps[2].matrices[h] @ w[:, 1]
         assert abs(w[:, 0].conj() @ image) < 1e-12
-
-
-def test_su2_z_fixed_basis():
-    zb = su2_z_fixed_basis(4)
-    assert zb.m_alpha == 1
-    assert zb.basis[:, 0].tolist() == [0, 0, 1, 0, 0]  # m = 0 vector first
-    assert su2_z_fixed_basis(3).m_alpha == 0
 
 
 @pytest.mark.parametrize("spec", CATALOG_LEQ_24)

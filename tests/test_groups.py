@@ -149,6 +149,29 @@ def test_build_group_descriptors():
         build_group({"table": [[0, 1], [1, 1]]})
 
 
+@pytest.mark.parametrize("family,n", [
+    ("cyclic", 1), ("cyclic", 6), ("dihedral", 1), ("dihedral", 2), ("dihedral", 5),
+    ("symmetric", 1), ("symmetric", 4), ("quaternion", 8),
+])
+def test_every_catalog_spelling_builds_the_same_group(family, n):
+    letter = family[0]
+    spellings = [f"{letter.upper()}{n}", f"{letter}{n}", f" {letter.upper()}{n} ", f"{letter.upper()}0{n}"] + [
+        {"catalog": {"family": name, "n": n}} for name in (family, family.upper(), family.capitalize())
+    ]
+    expected = getattr(groups, f"{family}_group")(n)
+    for spec in spellings:
+        group = build_group(spec)
+        assert np.array_equal(group.mult_table, expected.mult_table), spec
+        assert (group.name, group.labels, group.family) == (expected.name, expected.labels, expected.family), spec
+
+
+@pytest.mark.parametrize("spec", ["Q5", "q4", {"catalog": {"family": "quaternion", "n": 5}}, {"catalog": {"family": "quaternion"}}])
+def test_quaternion_catalog_holds_only_q8_in_both_forms(spec):
+    with pytest.raises(GroupConstructionError, match="only Q8"):
+        build_group(spec)
+    assert groups.quaternion_group().order == 8
+
+
 def test_non_associative_table_rejected():
     # latin square with identity that is not associative
     table = [

@@ -24,6 +24,7 @@ from helpers import (
     oracle_little_d,
     oracle_phi_sum_class_operator,
     oracle_phi_sum_weighted_operator,
+    oracle_su2_haar_quadrature,
     oracle_wigner_eckart_matrix,
 )
 
@@ -255,6 +256,19 @@ def test_quadrature_reference_values():
         class_operator_quadrature(1, 2 * np.pi, quad)
 
 
+@pytest.mark.parametrize("rule", SU2_TABLE_RULES)
+def test_quadrature_of_an_angle_sequence_stacks_the_single_angles(rule):
+    quad = SphereQuadrature.build(*rule)
+    for j2 in range(0, 13):
+        stacked = class_operator_quadrature(j2, PSI_GRID, quad)
+        assert stacked.shape == (len(PSI_GRID), j2 + 1, j2 + 1)
+        assert np.array_equal(stacked, np.stack([class_operator_quadrature(j2, psi, quad) for psi in PSI_GRID]))
+    with pytest.raises(ValueError):
+        class_operator_quadrature(1, [1.0, 2 * np.pi], quad)
+    with pytest.raises(ValueError):
+        class_operator_quadrature(1, [[1.0]], quad)
+
+
 @pytest.mark.parametrize("j2", [20, 21])
 def test_sphere_rule_for_spin_is_tight(j2):
     # the derived rule is exact; one node fewer in either direction aliases
@@ -405,6 +419,13 @@ def test_weighted_operator_covariance():
             coeffs = [(l2, s, wrep(g)[s, i]) for s in range(l2 + 1)]
             moved = weighted_class_operator_su2(j2, psi, coeffs, quad)
             assert np.max(np.abs(conjugated - moved)) < 1e-10
+
+
+@pytest.mark.parametrize("counts", [(5, 4, 8), (9, 6, 18), (13, 8, 26), (2, 2, 2), (12, 8, 24), (19, 10, 38)])
+def test_haar_quadrature_matches_its_own_formula_bit_for_bit(counts):
+    angles, weights = su2_haar_quadrature(*counts)
+    oracle_angles, oracle_weights = oracle_su2_haar_quadrature(*counts)
+    assert np.array_equal(angles, oracle_angles) and np.array_equal(weights, oracle_weights)
 
 
 def test_haar_quadrature_schur_orthogonality():
