@@ -78,9 +78,6 @@ class RunConfig:
     def su2_mode(self) -> bool:
         return self.group.lower() in ("su2", "catalog:su2")
 
-    def tolerance(self, name: str) -> float:
-        return self.tolerances.get(name, verify.DEFAULT_TOLERANCES[name])
-
     def echo(self) -> dict:
         """The settings a report records: every field but the output path."""
         names = {"class_selector": "class", "fmt": "format"}
@@ -144,10 +141,8 @@ def run_su2_verify(cfg: RunConfig) -> int:
         rows = verify.su2_convergence_rows(rules=cfg.quadrature)
     else:
         rows = verify.su2_convergence_rows([cfg.j2], [cfg.psi], [cfg.quadrature])
-    finest = max(r.n_theta for r in rows)
-    passed = all(r.max_abs_error <= cfg.tolerance("su2_final_error") for r in rows if r.n_theta == finest)
     sections = [("convergence", "su2 class-operator convergence", verify.Su2ConvergenceRow, rows)]
-    return _report(cfg, sections, passed)
+    return _report(cfg, sections, verify.su2_convergence_passed(rows, cfg.tolerances))
 
 
 def run_wigner_eckart(cfg: RunConfig) -> int:
@@ -170,7 +165,7 @@ def run_wigner_eckart(cfg: RunConfig) -> int:
             reduced += rr
             skipped += sk
             max_off = max(max_off, off)
-    passed = all(r.passed for r in rows) and max_off <= cfg.tolerance("wigner_eckart_sparsity")
+    passed = verify.wigner_eckart_passed(rows, max_off, cfg.tolerances)
     sections = [
         ("comparisons", "wigner-eckart comparisons", verify.WignerEckartRow, rows),
         ("reduced_matrix_elements", "reduced matrix elements", verify.ReducedElementRow, reduced),

@@ -105,12 +105,6 @@ class CouplingTable:
         eye = np.eye(c.shape[0])
         return float(max(np.max(np.abs(c @ c.conj().T - eye)), np.max(np.abs(c.conj().T @ c - eye))))
 
-    def reconstruction_residual(self) -> float:
-        """max over (i, j) of |E_ij - sum_gmn c(...) e^gamma_mn|.  With c = conj(e)
-        that is |E^H E - I|, the completeness half of ``unitarity_residual``."""
-        c = self.coefficient_matrix()
-        return float(np.max(np.abs(c @ c.conj().T - np.eye(c.shape[0]))))
-
 
 @dataclass
 class ZFixedBasis:
@@ -157,8 +151,9 @@ def conjugation_decomposition(
 ) -> CouplingTable:
     """Decompose L(V^sigma) and return the coupling coefficients.
 
-    Multiplicities come from the character table.  Each gamma-block comes from
-    the averages K_q F = (n^gamma/|G|) sum_g conj(t^gamma_{q0}(g)) T(g) F T(g)^H,
+    Multiplicities are sums over the classes C of the character table of
+    |C| conj(chi^gamma(C)) |chi^sigma(C)|^2 / |G|.  Each gamma-block comes from the
+    averages K_q F = (n^gamma/|G|) sum_g conj(t^gamma_{q0}(g)) T(g) F T(g)^H,
     summed over T(g) directly: the copy seeds F_m are ``_orthonormal_range`` of
     K_0 (one (d^2, |G|) @ (|G|, d^2) product), and the copies e_{m q} = K_q F_m
     transform with exactly the stored t^gamma.  Another basis of the irreps
@@ -166,15 +161,14 @@ def conjugation_decomposition(
     """
     n, d, t_sigma = group.order, irreps_list[sigma].dim, irreps_list[sigma].matrices
     t_flat = t_sigma.reshape(n, d * d)
-    chars = table.values[:, table.class_of]
-    mult_all = (chars.conj() @ (np.abs(chars[sigma]) ** 2)).real / n
+    mults = ((table.values.conj() * table.class_sizes) @ (np.abs(table.values[sigma]) ** 2)).real / n
+    counts = np.rint(mults).astype(int)
+    if (off := np.abs(mults - counts) > 1e-8).any():
+        gamma = int(np.argmax(off))
+        raise ArithmeticError(f"non-integer multiplicity {mults[gamma]} for component {gamma}")
     basis = {}
-    for gamma, mult in enumerate(mult_all):
-        m = int(round(mult))
-        if abs(mult - m) > 1e-8:
-            raise ArithmeticError(f"non-integer multiplicity {mult} for component {gamma}")
-        if m == 0:
-            continue
+    for gamma in np.flatnonzero(counts).tolist():
+        m = int(counts[gamma])
         d_gamma = irreps_list[gamma].dim
         w = (d_gamma / n) * irreps_list[gamma].matrices[:, :, 0].conj()  # w[g, q]
         # K_0[(a b), (c e)] = sum_g w[g, 0] T_ac(g) conj(T_be(g))

@@ -54,7 +54,7 @@ class CharacterTable:
 
     @property
     def class_sizes(self) -> np.ndarray:
-        return np.array([c.size for c in self.classes])
+        return np.bincount(self.class_of)
 
     def element_values(self, alpha: int) -> np.ndarray:
         """Character of row alpha as a function on the group."""

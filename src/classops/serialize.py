@@ -1,17 +1,17 @@
 """Versioned JSON/CSV encodings for tables, reports and group input files.
 
-Complex numbers are stored as [re, im] pairs; floats in CSV are rendered in
-scientific notation with 17 significant digits so diffs of golden files are
-meaningful.  All writers are deterministic: no timestamps, sorted keys.
-Reports are rendered in either format from the same dataclass records.
+Documents hold numbers as they are: Python scalars and float64 or complex128
+arrays.  ``json_text`` alone spells them, a complex number as an [re, im]
+pair; floats in CSV are rendered in scientific notation with 17 significant
+digits so diffs of golden files are meaningful.  All writers are
+deterministic: no timestamps, sorted keys.  Reports are rendered in either
+format from the same dataclass records.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import fields
-from itertools import chain
-from pathlib import Path
 
 import numpy as np
 
@@ -22,14 +22,11 @@ from .coupling import CouplingTable
 __all__ = [
     "TABLES_SCHEMA",
     "REPORT_SCHEMA",
-    "encode_complex",
-    "encode_complex_array",
     "decode_complex_array",
     "load_group_file",
     "tables_document",
     "coupling_table_from_document",
     "json_text",
-    "write_json",
     "format_float",
     "csv_lines",
     "render_report",
@@ -37,16 +34,6 @@ __all__ = [
 
 TABLES_SCHEMA = "classop-tables/1"
 REPORT_SCHEMA = "classop-report/1"
-
-
-def encode_complex(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def encode_complex_array(arr: np.ndarray) -> list:
-    arr = np.asarray(arr, dtype=complex)
-    stacked = np.stack([arr.real, arr.imag], axis=-1)
-    return stacked.tolist()
 
 
 def decode_complex_array(data) -> np.ndarray:
@@ -68,9 +55,9 @@ def tables_document(
     group: FiniteGroup,
     table: CharacterTable,
     irreps_list: list[Irrep],
-    coupling_tables: list[CouplingTable] | None = None,
+    coupling_tables: list[CouplingTable],
 ) -> dict:
-    doc = {
+    return {
         "schema": TABLES_SCHEMA,
         "group": {
             "name": group.name,
@@ -87,20 +74,18 @@ def tables_document(
         },
         "character_table": {
             "dims": table.dims.tolist(),
-            "values": encode_complex_array(table.values),
+            "values": table.values,
         },
         "irreps": [
             {
                 "label": rep.label,
                 "dim": rep.dim,
-                "matrices": encode_complex_array(rep.matrices),
+                "matrices": rep.matrices,
             }
             for rep in irreps_list
         ],
+        "coupling": [coupling_table_document(t) for t in coupling_tables],
     }
-    if coupling_tables is not None:
-        doc["coupling"] = [coupling_table_document(t) for t in coupling_tables]
-    return doc
 
 
 def coupling_table_document(table: CouplingTable) -> dict:
@@ -113,10 +98,11 @@ def coupling_table_document(table: CouplingTable) -> dict:
         "kind": table.kind,
         "gammas": list(table.gammas),
         "multiplicities": {str(g): m for g, m in table.multiplicities.items()},
+        # complex even where an SU(2) basis is real, so every entry is [re, im]
         "coefficients": {
-            str(g): encode_complex_array(np.conj(e).transpose(2, 3, 0, 1)) for g, e in table.basis.items()
+            str(g): np.asarray(np.conj(e).transpose(2, 3, 0, 1), complex) for g, e in table.basis.items()
         },
-        "basis": {str(g): encode_complex_array(e) for g, e in table.basis.items()},
+        "basis": {str(g): np.asarray(e, complex) for g, e in table.basis.items()},
     }
 
 
@@ -151,24 +137,21 @@ def format_float(x: float) -> str:
     return f"{float(x):.16e}"
 
 
-def json_text(document: dict) -> str:
+def json_text(document) -> str:
     """The one JSON encoding of every document this package writes.
 
     The text is byte for byte what ``json.dumps`` writes with sorted keys and
-    an indent of 2, plus a newline, but it does not call that: with any indent
-    the json module leaves its C encoder and formats every value in a Python
-    generator.  Here a flat list of ints, of strings or of floats is one
-    ``join``, and a rectangular nested list of floats (the ``[re, im]``
-    arrays) is one ``join`` of its float reprs and the separators between
-    them.  Object keys must be strings; any other key, like any value JSON has
-    no form for, raises ``TypeError``.
+    an indent of 2, plus a newline, once every float64 or complex128 array is
+    its nested lists and every complex number its ``[re, im]`` pair.  With any
+    indent the json module formats every value in a Python generator; here a
+    flat list of ints, of strings or of floats is one ``join``, and so is an
+    array, straight from its shape.  Object keys must be strings; any other
+    key, like any value JSON has no form for, raises ``TypeError``.
     """
     return _text(document, "\n") + "\n"
 
 
 _ESCAPE = json.encoder.encode_basestring_ascii
-# float.__repr__ of the values JSON spells differently
-_SPECIAL_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _FLAT_FORMATS = {int: int.__repr__, float: float.__repr__, str: _ESCAPE}
 
 
@@ -185,12 +168,15 @@ def _text(o, nl: str) -> str:
     if isinstance(o, int):
         return int.__repr__(o)
     if isinstance(o, float):
-        text = float.__repr__(o)
-        return _SPECIAL_FLOATS.get(text, text)
+        return _spell_special(float.__repr__(o))
     if isinstance(o, (list, tuple)):
         return _list_text(o, nl)
     if isinstance(o, dict):
         return _dict_text(o, nl)
+    if isinstance(o, complex):
+        return _list_text([o.real, o.imag], nl)
+    if isinstance(o, np.ndarray) and o.dtype in (np.float64, np.complex128):
+        return _array_text(o, nl)
     return json.dumps(o)  # raises the json module's TypeError
 
 
@@ -207,32 +193,24 @@ def _list_text(o: list, nl: str) -> str:
         return "[]"
     inner = nl + "  "
     kind = type(o[0])
-    if kind is list or kind is tuple:
-        block = _float_block_text(o, nl)
-        if block is not None:
-            return block
-    elif kind in _FLAT_FORMATS and set(map(type, o)) == {kind}:
+    if kind in _FLAT_FORMATS and set(map(type, o)) == {kind}:
         text = ("," + inner).join(map(_FLAT_FORMATS[kind], o))
         return "[" + inner + (_spell_special(text) if kind is float else text) + nl + "]"
     return "[" + inner + ("," + inner).join([_text(v, inner) for v in o]) + nl + "]"
 
 
-def _float_block_text(rows: list, nl: str) -> str | None:
-    """A rectangular nested list of floats as one join; None for any other list.
+def _array_text(a: np.ndarray, nl: str) -> str:
+    """A float64 or complex128 array in one join, complex values as a trailing [re, im] axis.
 
     The leaves are the floats in row-major order, each on its own line.
     Between two leaves stands the separator of how many trailing axes roll
     over there: ``,`` alone, or ``r`` closing and ``r`` opening brackets.
     """
-    shape = []
-    leaves = rows
-    while (kinds := set(map(type, leaves))) != {float}:
-        sizes = set(map(len, leaves)) if kinds <= {list, tuple} else ()
-        if len(sizes) != 1 or 0 in sizes:
-            return None
-        shape.append(sizes.pop())
-        leaves = list(chain.from_iterable(leaves))
-    depth = len(shape) + 1
+    if a.dtype == np.complex128:
+        a = np.stack([a.real, a.imag], axis=-1)
+    if a.size == 0 or a.ndim == 0:  # brackets without leaves, or one float
+        return _text(a.tolist(), nl)
+    depth = a.ndim
     indents = [nl + "  " * i for i in range(depth + 1)]
 
     def separator(r: int) -> str:
@@ -240,12 +218,12 @@ def _float_block_text(rows: list, nl: str) -> str | None:
         opening = "".join(indents[i] + "[" for i in range(depth - r, depth))
         return closing + "," + opening + indents[depth]
 
-    gaps = [separator(0)] * (shape[-1] - 1)
-    for r, size in enumerate(reversed([len(rows)] + shape[:-1]), 1):
+    gaps = [separator(0)] * (a.shape[-1] - 1)
+    for r, size in enumerate(reversed(a.shape[:-1]), 1):
         gaps = (gaps + [separator(r)]) * size
         gaps.pop()
-    parts = [""] * (2 * len(leaves) - 1)
-    parts[0::2] = map(float.__repr__, leaves)
+    parts = [""] * (2 * a.size - 1)
+    parts[0::2] = map(float.__repr__, a.ravel().tolist())
     parts[1::2] = gaps
     head = "[" + "".join(indents[i] + "[" for i in range(1, depth)) + indents[depth]
     tail = "".join(indents[i] + "]" for i in range(depth - 1, -1, -1))
@@ -257,10 +235,6 @@ def _spell_special(text: str) -> str:
     if "n" not in text:  # no finite float repr has an "n"
         return text
     return text.replace("nan", "NaN").replace("inf", "Infinity")
-
-
-def write_json(path, document: dict) -> None:
-    Path(path).write_text(json_text(document), encoding="utf-8")
 
 
 def csv_lines(header: list[str], rows: list[list]) -> list[str]:
@@ -289,25 +263,19 @@ def render_report(fmt: str, sections, **members) -> str:
     ``sections`` holds ``(json key, CSV title, record type, records)``; the
     columns are the record type's fields, in declaration order, renamed
     through ``_COLUMN_RENAMES``.  ``members`` are the other top-level JSON
-    members (``config``, ``passed``, ...), which CSV output leaves out.  In
-    JSON a complex value becomes ``[re, im]``; in CSV every cell is rendered by
-    ``csv_lines``.
+    members (``config``, ``passed``, ...), which CSV output leaves out.  JSON
+    text comes from ``json_text``, which writes a complex value as
+    ``[re, im]``; in CSV every cell is rendered by ``csv_lines``.
     """
     columns = [[(f.name, _COLUMN_RENAMES.get(f.name, f.name)) for f in fields(record_type)]
                for _, _, record_type, _ in sections]
     if fmt == "json":
         document = {"schema": REPORT_SCHEMA, **members}
         for (key, _, _, records), cols in zip(sections, columns):
-            document[key] = [
-                {name: _json_value(getattr(r, attr)) for attr, name in cols} for r in records
-            ]
+            document[key] = [{name: getattr(r, attr) for attr, name in cols} for r in records]
         return json_text(document)
     lines: list[str] = []
     for (_, title, _, records), cols in zip(sections, columns):
         lines.append(f"# {title}")
         lines.extend(csv_lines([name for _, name in cols], [[getattr(r, attr) for attr, _ in cols] for r in records]))
     return "\n".join(lines) + "\n"
-
-
-def _json_value(v):
-    return encode_complex(v) if isinstance(v, complex) else v

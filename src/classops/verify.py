@@ -3,7 +3,8 @@
 These functions are the bodies of the CLI subcommands and are reused verbatim
 by the acceptance test suite, so the command-line tool and the tests always
 agree on what was checked.  The library measures deviations; every verdict,
-a deviation against a tolerance of ``DEFAULT_TOLERANCES``, is taken here.
+a deviation against a tolerance of ``DEFAULT_TOLERANCES``, is taken here, for
+one record (``passed``) or for a whole run (``su2_convergence_passed``, ...).
 """
 
 from __future__ import annotations
@@ -43,10 +44,12 @@ __all__ = [
     "finite_class_suite",
     "Su2ConvergenceRow",
     "su2_convergence_rows",
+    "su2_convergence_passed",
     "WignerEckartRow",
     "ReducedElementRow",
     "wigner_eckart_report",
     "su2_wigner_eckart_report",
+    "wigner_eckart_passed",
     "scan_rows",
 ]
 
@@ -181,6 +184,13 @@ def su2_convergence_rows(
     return rows
 
 
+def su2_convergence_passed(rows: list[Su2ConvergenceRow], tolerances: dict | None = None) -> bool:
+    """True when every row of the finest rule is within ``su2_final_error``."""
+    tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}["su2_final_error"]
+    finest = max(r.n_theta for r in rows)
+    return all(r.max_abs_error <= tol for r in rows if r.n_theta == finest)
+
+
 @dataclass
 class WignerEckartRow:
     group: str
@@ -304,6 +314,12 @@ def su2_wigner_eckart_report(
                 _add_comparison(rows, reduced_rows, ("SU2", sigma2, alpha2, k, col, g0_label), dev, reduced[0], tol)
         del tab, core, quadr, pred   # free sigma's O(d^4) table before the next one is built
     return rows, reduced_rows
+
+
+def wigner_eckart_passed(rows: list[WignerEckartRow], max_off: float, tolerances: dict | None = None) -> bool:
+    """True when every row passed and no entry off the pattern exceeds ``wigner_eckart_sparsity``."""
+    tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}["wigner_eckart_sparsity"]
+    return all(r.passed for r in rows) and max_off <= tol
 
 
 def _add_comparison(rows, reduced_rows, key, dev, reduced, tol) -> None:

@@ -303,6 +303,14 @@ def oracle_finite_class_suite(group: FiniteGroup, table, classes=None, seed: int
     return reports
 
 
+def oracle_multiplicities(table, sigma: int) -> dict[int, int]:
+    """m(sigma; gamma) = (1/|G|) sum_g conj(chi^gamma(g)) |chi^sigma(g)|^2 over
+    the elements, each rounded to the nearest integer; zeros left out."""
+    chars = table.values[:, table.class_of]
+    mults = (chars.conj() @ (np.abs(chars[sigma]) ** 2)).real / len(table.class_of)
+    return {gamma: round(m) for gamma, m in enumerate(mults.tolist()) if round(m)}
+
+
 def regular_representation(group: FiniteGroup) -> np.ndarray:
     """Dense stack of left-translation permutation matrices, shape (|G|, |G|, |G|)."""
     n = group.order
@@ -536,5 +544,19 @@ def oracle_triple_sum_su2(alpha2: int, sigma2: int, angles: np.ndarray, weights:
 
 
 def oracle_json_text(document) -> str:
-    """The json module's own rendering of what ``serialize.json_text`` writes."""
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    """The json module's own rendering of what ``serialize.json_text`` writes:
+    float64 and complex128 arrays become their nested lists, and every complex
+    number its [re, im] pair, before ``json.dumps`` sees the document."""
+    return json.dumps(_nested_lists(document), indent=2, sort_keys=True) + "\n"
+
+
+def _nested_lists(o):
+    if isinstance(o, np.ndarray) and o.dtype in (np.float64, np.complex128):
+        o = o.tolist()
+    if isinstance(o, complex):
+        return [o.real, o.imag]
+    if isinstance(o, (list, tuple)):
+        return [_nested_lists(v) for v in o]
+    if isinstance(o, dict):
+        return {k: _nested_lists(v) for k, v in o.items()}
+    return o

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import classops
+import classops.cli
 from classops import coupling, su2, verify
 
 MODULES = ["groups", "representations", "class_operators", "su2", "coupling", "verify", "serialize", "cli"]
@@ -31,6 +32,10 @@ def test_removed_names_are_gone_and_check_records_live_in_verify():
     assert not hasattr(classops.class_operators, "CheckReport")
     assert not hasattr(su2, "_class_operators")
     assert not hasattr(classops.FiniteGroup, "elements")
+    for name in ("encode_complex", "encode_complex_array", "write_json"):
+        assert not hasattr(classops.serialize, name), name
+    assert not hasattr(classops.CouplingTable, "reconstruction_residual")
+    assert not hasattr(classops.cli.RunConfig, "tolerance")
     assert classops.CheckReport is verify.CheckReport
     assert classops.centralizer_invariance_deviation is classops.class_operators.centralizer_invariance_deviation
 

@@ -220,6 +220,19 @@ def test_tolerance_override_forces_failure(capsys):
     assert json.loads(out)["passed"] is False
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["su2-verify", "--j2", "5", "--psi", "1", "--tol", "su2_final_error=1e-30"], 1),
+    (["su2-verify", "--tol", "su2_final_error=1e-30"], 1),
+    # S3's largest off-pattern entry is 6.1e-17; SU(2)'s pattern is exact
+    (["wigner-eckart", "--group", "S3", "--tol", "wigner_eckart_sparsity=1e-300"], 1),
+    (["wigner-eckart", "--group", "su2", "--max-spin-x2", "2", "--tol", "wigner_eckart_sparsity=1e-300"], 0),
+], ids=["su2-point", "su2-table", "we-S3", "we-su2"])
+def test_run_verdict_follows_its_tolerance(argv, expected, capsys):
+    code, out, _ = run(argv, capsys)
+    assert code == expected
+    assert json.loads(out)["passed"] is (expected == 0)
+
+
 def test_unknown_tolerance_rejected(capsys):
     code, _, err = run(["finite-verify", "--group", "S3", "--tol", "nope=1"], capsys)
     assert code == 2
