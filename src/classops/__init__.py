@@ -13,12 +13,10 @@ from .groups import (
     GroupConstructionError,
     build_group,
     conjugacy_classes,
-    convolve,
     cyclic_group,
     dihedral_group,
     group_from_generators,
     group_from_table,
-    inner_product,
     left_regular_matrix,
     quaternion_group,
     symmetric_group,
@@ -26,36 +24,30 @@ from .groups import (
 from .representations import (
     CharacterTable,
     Irrep,
-    IsotypicProjection,
     character_table,
     irreps,
     isotypic_projector,
-    matrix_element_functions,
     represent,
 )
 from .class_operators import (
     WeightedClassOperator,
     centralizer_invariance_deviation,
-    class_left_translate,
     class_operator_from_classfunction,
     class_sum_element,
     covariance_deviation,
-    left_translate,
-    right_translate,
     spectral_class_operator,
     transfer,
     weighted_class_operator,
 )
 from .su2 import (
-    SU2Element,
     SphereQuadrature,
     WignerD,
-    ad_map,
     class_operator_quadrature,
     closed_form_eigenvalue,
     haar_random,
     su2_haar_quadrature,
     weighted_class_operator_su2,
+    weighted_class_operator_rows_su2,
 )
 from .coupling import (
     CouplingTable,
@@ -66,12 +58,10 @@ from .coupling import (
     clebsch_gordan,
     conjugation_decomposition,
     frobenius_multiplicity_check,
-    product_expansion_residual,
     product_expansion_residual_su2,
     rotate_coupling_table,
     su2_coupling_table,
     tensor_operator_scan,
-    triple_product_residual,
     triple_product_residual_su2,
     wigner_eckart_bruteforce,
     wigner_eckart_matrix,

@@ -30,9 +30,6 @@ __all__ = [
     "covariance_deviation",
     "centralizer_invariance_deviation",
     "transfer",
-    "class_left_translate",
-    "left_translate",
-    "right_translate",
     "class_operator_from_classfunction",
     "spectral_class_operator",
     "class_sum_element",
@@ -55,18 +52,6 @@ class WeightedClassOperator:
 
 # Coefficients in one stack of right translates in centralizer_invariance_deviation
 _STACK_ENTRIES = 1 << 14
-
-
-def left_translate(group: FiniteGroup, g: int, f) -> np.ndarray:
-    """(lambda(g) f)(x) = f(g^-1 x)."""
-    f = _as_coeffs(group, f)
-    return f[group.mult_table[group.inverse_table[g]]]
-
-
-def right_translate(group: FiniteGroup, h: int, f) -> np.ndarray:
-    """(rho(h) f)(x) = f(x h)."""
-    f = _as_coeffs(group, f)
-    return f[group.mult_table[:, h]]
 
 
 def weighted_class_operator(
@@ -156,15 +141,6 @@ def transfer(group: FiniteGroup, cls: ConjugacyClass, f) -> np.ndarray:
     z = np.array(cls.centralizer)
     coset_elements = group.mult_table[reps[:, None], z[None, :]]
     return f[..., coset_elements].mean(axis=-1)
-
-
-def class_left_translate(group: FiniteGroup, cls: ConjugacyClass, g: int, phi) -> np.ndarray:
-    """Left translation transported to class functions: value at c is phi(g^-1 c g)."""
-    phi = np.asarray(phi, dtype=complex)
-    if phi.shape != (cls.size,):
-        raise ValueError(f"class function must have length {cls.size}")
-    moved = group.mult_table[group.mult_table[group.inverse_table[g], list(cls.members)], g]
-    return phi[np.searchsorted(cls.members, moved)]  # members ascend
 
 
 def class_operator_from_classfunction(

@@ -158,8 +158,7 @@ def run_wigner_eckart(cfg: RunConfig) -> int:
         rows, reduced, skipped, max_off = [], [], [], 0.0
         for cls in classes:
             r, rr, sk, off = verify.wigner_eckart_report(
-                group, cls, seed=cfg.seed, tolerances=cfg.tolerances,
-                table=table, irreps_list=irreps_list, coupling=coupling,
+                group, cls, table, irreps_list, coupling, tolerances=cfg.tolerances
             )
             rows += r
             reduced += rr

@@ -59,9 +59,7 @@ __all__ = [
     "z_fixed_basis",
     "adapt_irreps_to_class",
     "frobenius_multiplicity_check",
-    "product_expansion_residual",
     "product_expansion_residual_su2",
-    "triple_product_residual",
     "triple_product_residual_su2",
     "wigner_eckart_matrix",
     "wigner_eckart_bruteforce",
@@ -89,21 +87,6 @@ class CouplingTable:
     @property
     def multiplicities(self) -> dict[int, int]:
         return {gamma: e.shape[0] for gamma, e in self.basis.items()}
-
-    def multiplicity(self, gamma: int) -> int:
-        """m(sigma; gamma), a.k.a. the 3j symbol {sigma sigmabar gamma}."""
-        return self.multiplicities.get(gamma, 0)
-
-    def coefficient_matrix(self) -> np.ndarray:
-        """Unitary change of basis E^H, rows (i, j) and columns (gamma, m, n),
-        where the rows (gamma, m, n) of E are the flattened e^gamma_mn."""
-        d = self.sigma_dim
-        return np.concatenate([self.basis[g].reshape(-1, d * d) for g in self.gammas]).conj().T
-
-    def unitarity_residual(self) -> float:
-        c = self.coefficient_matrix()
-        eye = np.eye(c.shape[0])
-        return float(max(np.max(np.abs(c @ c.conj().T - eye)), np.max(np.abs(c.conj().T @ c - eye))))
 
 
 @dataclass
@@ -344,72 +327,18 @@ def _expansion_residual(
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def product_expansion_residual(
-    group: FiniteGroup,
-    irreps_list: list[Irrep],
-    table: CouplingTable,
-    elements=None,
-) -> float:
-    """Max deviation in the matrix-element product expansion, over the elements."""
-    if elements is None:
-        elements = np.arange(group.order)
-    elements = np.asarray(elements)
-    t_sigma = irreps_list[table.sigma].matrices[elements]
-    stacks = {g: irreps_list[g].matrices[elements] for g in table.gammas}
+def product_expansion_residual_su2(table: CouplingTable, angles) -> float:
+    """Max deviation in the matrix-element product expansion of SU(2), over the
+    elements of Euler angles (phi, theta, psi), shape (N, 3)."""
+    phi, theta, psi = np.asarray(angles, dtype=float).reshape(-1, 3).T
+    t_sigma = WignerD(table.sigma).euler(phi, theta, psi)
+    stacks = {j_2: WignerD(j_2).euler(phi, theta, psi) for j_2 in table.gammas}
     return _expansion_residual(t_sigma, stacks, table)
-
-
-def product_expansion_residual_su2(table: CouplingTable, elements) -> float:
-    """Same identity for SU(2), evaluated at explicit group elements."""
-    angles = np.array([g.euler_angles() for g in elements], dtype=float).reshape(-1, 3).T
-    t_sigma = WignerD(table.sigma).euler(*angles)
-    stacks = {j_2: WignerD(j_2).euler(*angles) for j_2 in table.gammas}
-    return _expansion_residual(t_sigma, stacks, table)
-
-
-# Entries of one chunk of the node-wise outer product in _weighted_triple_sum.
-_TRIPLE_CHUNK_ENTRIES = 1 << 17
-
-
-def _weighted_triple_sum(
-    weights: np.ndarray, t_alpha: np.ndarray, t_sigma: np.ndarray
-) -> np.ndarray:
-    """sum_g w_g conj(t_alpha)_kl conj(t_sigma)_ir t_sigma_sp, shape (k, l, i, r, s, p).
-
-    Accumulated as a.T @ b over chunks of nodes, with rows a[g] = w_g conj(t_alpha(g))
-    (x) conj(t_sigma(g)) and b[g] = t_sigma(g), so the (nodes, d_alpha^2 d_sigma^2)
-    outer product never exists at once.
-    """
-    n, d_alpha, d_sigma = len(weights), t_alpha.shape[1], t_sigma.shape[1]
-    left, right = t_alpha.reshape(n, -1), t_sigma.reshape(n, -1)
-    acc = np.zeros((left.shape[1] * right.shape[1], right.shape[1]), dtype=complex)
-    step = max(1, _TRIPLE_CHUNK_ENTRIES // acc.shape[0])
-    for lo in range(0, n, step):
-        block = slice(lo, lo + step)
-        a = (weights[block, None] * left[block].conj())[:, :, None] * right[block, None, :].conj()
-        acc += a.reshape(a.shape[0], -1).T @ right[block]
-    return acc.reshape((d_alpha, d_alpha) + (d_sigma,) * 4)
 
 
 def _triple_residual(lhs: np.ndarray, n_alpha: int, e_alpha: np.ndarray | None) -> float:
     rhs = 0.0 if e_alpha is None else np.einsum("mksi,mlpr->klirsp", e_alpha, e_alpha.conj()) / n_alpha
     return float(np.max(np.abs(lhs - rhs)))
-
-
-def triple_product_residual(
-    group: FiniteGroup,
-    irreps_list: list[Irrep],
-    table: CouplingTable,
-    alpha: int,
-) -> float:
-    """Residual of the averaged triple product against the coupling-coefficient form.
-
-    Components gamma absent from L(V^sigma) must average to zero; that case is
-    checked against an identically-zero right-hand side.
-    """
-    weights = np.full(group.order, 1.0 / group.order)
-    lhs = _weighted_triple_sum(weights, irreps_list[alpha].matrices, irreps_list[table.sigma].matrices)
-    return _triple_residual(lhs, irreps_list[alpha].dim, table.basis.get(alpha))
 
 
 def triple_product_residual_su2(

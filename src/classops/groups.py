@@ -7,10 +7,9 @@ Conventions used throughout the package:
   composed as functions, ``(p * q)(x) = p(q(x))``.
 * A group-algebra element is a plain complex ndarray of length |G| holding the
   coefficient function g -> phi(g).
-* Convolution carries the 1/|G| normalization inside the sum,
-  ``(kappa * rho)(x) = (1/|G|) sum_g kappa(g) rho(g^-1 x)``, and the left
-  multiplication operator therefore convolves with the rescaled function
-  |G|*phi.  These two conventions live here and nowhere else.
+* The product of the group algebra is the unnormalized convolution
+  ``(phi psi)(x) = sum_g phi(g) psi(g^-1 x)``, whose matrix is
+  ``left_regular_matrix(group, phi)``.
 """
 
 from __future__ import annotations
@@ -34,8 +33,6 @@ __all__ = [
     "group_from_generators",
     "group_from_table",
     "conjugacy_classes",
-    "convolve",
-    "inner_product",
     "left_regular_matrix",
     "parse_cycles",
     "cycle_notation",
@@ -513,26 +510,11 @@ def _as_coeffs(group: FiniteGroup, phi, stack: bool = False) -> np.ndarray:
     return arr
 
 
-def convolve(group: FiniteGroup, phi, psi) -> np.ndarray:
-    """Normalized convolution ``(phi * psi)(x) = (1/|G|) sum_g phi(g) psi(g^-1 x)``."""
-    phi = _as_coeffs(group, phi)
-    psi = _as_coeffs(group, psi)
-    idx = group.mult_table[group.inverse_table, :]   # idx[g, x] = g^-1 x
-    return phi @ psi[idx] / group.order
-
-
-def inner_product(group: FiniteGroup, phi, psi) -> complex:
-    """Group-algebra inner product, conjugate-linear in the second argument."""
-    phi = _as_coeffs(group, phi)
-    psi = _as_coeffs(group, psi)
-    return complex(phi @ psi.conj() / group.order)
-
-
 def left_regular_matrix(group: FiniteGroup, phi) -> np.ndarray:
     """Matrix of left multiplication by phi on the group algebra.
 
-    Acts as convolution with |G|*phi: column b is the coefficient vector of
-    phi applied to the delta function at b, ``M[x, b] = phi(x b^-1)``.
+    Column b is the coefficient vector of phi times the delta function at b,
+    ``M[x, b] = phi(x b^-1)``, so ``M @ psi`` is the product phi psi.
     """
     phi = _as_coeffs(group, phi)
     idx = group.mult_table[:, group.inverse_table]   # idx[x, b] = x b^-1

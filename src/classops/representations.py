@@ -21,11 +21,9 @@ from .groups import FiniteGroup, ConjugacyClass, _as_coeffs, conjugacy_classes, 
 __all__ = [
     "Irrep",
     "CharacterTable",
-    "IsotypicProjection",
     "character_table",
     "irreps",
     "isotypic_projector",
-    "matrix_element_functions",
     "represent",
     "unitarize",
     "schur_defect",
@@ -40,9 +38,6 @@ class Irrep:
     label: str
     dim: int
     matrices: np.ndarray  # shape (|G|, dim, dim), complex
-
-    def character(self, classes: list[ConjugacyClass]) -> np.ndarray:
-        return np.array([np.trace(self.matrices[c.base_element]) for c in classes])
 
 
 @dataclass
@@ -59,12 +54,6 @@ class CharacterTable:
     def element_values(self, alpha: int) -> np.ndarray:
         """Character of row alpha as a function on the group."""
         return self.values[alpha][self.class_of]
-
-
-@dataclass
-class IsotypicProjection:
-    alpha: int
-    matrix: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +374,7 @@ def _regular_extraction(
     """
     n = group.order
     dim = int(table.dims[alpha])
-    proj = left_regular_matrix(group, isotypic_projector(group, table, alpha).matrix)
+    proj = left_regular_matrix(group, isotypic_projector(group, table, alpha))
     basis = _orthonormal_range(proj, dim * dim)          # |G| x dim^2
     inv_rows = group.mult_table[group.inverse_table, :]  # inv_rows[g, x] = g^-1 x
     rng = np.random.default_rng(seed)
@@ -481,7 +470,7 @@ def irreps(group: FiniteGroup, table: CharacterTable | None = None, seed: int = 
 
 
 # ---------------------------------------------------------------------------
-# projectors and matrix-element functions
+# group-algebra elements and projectors
 # ---------------------------------------------------------------------------
 
 
@@ -505,33 +494,12 @@ def represent(group: FiniteGroup, representation: np.ndarray | None, a) -> np.nd
     return (a[..., None, :] @ t.reshape(group.order, -1)).reshape(a.shape[:-1] + t.shape[1:])
 
 
-def isotypic_projector(
-    group: FiniteGroup,
-    table: CharacterTable,
-    alpha: int,
-    representation: np.ndarray | None = None,
-) -> IsotypicProjection:
-    """P^alpha = (n^alpha/|G|) sum_g conj(chi^alpha(g)) U(g).
+def isotypic_projector(group: FiniteGroup, table: CharacterTable, alpha: int) -> np.ndarray:
+    """The central idempotent e_alpha = (n^alpha/|G|) conj(chi^alpha) of the group algebra.
 
-    ``representation`` is a per-element stack of unitary matrices.  With
-    ``None`` (the left regular representation) the result is the central
-    idempotent e_alpha = (n^alpha/|G|) conj(chi^alpha) of the group algebra,
-    a length-|G| vector with P^alpha = ``left_regular_matrix(group, e_alpha)``.
+    A length-|G| vector; the isotypic projector of the regular representation
+    is ``left_regular_matrix(group, e_alpha)``.
     """
     if alpha < 0 or alpha >= len(table.dims):
         raise KeyError(f"character row {alpha} missing")
-    dim = int(table.dims[alpha])
-    chi_g = table.element_values(alpha)
-    matrix = (dim / group.order) * represent(group, representation, chi_g.conj())
-    return IsotypicProjection(alpha=alpha, matrix=matrix)
-
-
-def matrix_element_functions(irrep: Irrep) -> tuple[np.ndarray, float]:
-    """Functions g -> conj(t^alpha_ij(g)) plus their normalization sqrt(n^alpha).
-
-    Returned array has shape (dim, dim, |G|); entry [i, j] is the coefficient
-    vector of conj(t_ij).  After multiplying by sqrt(n^alpha) the functions
-    are orthonormal for the group-algebra inner product.
-    """
-    funcs = np.conj(irrep.matrices).transpose(1, 2, 0)
-    return funcs, float(np.sqrt(irrep.dim))
+    return (int(table.dims[alpha]) / group.order) * table.element_values(alpha).conj()

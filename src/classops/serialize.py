@@ -5,7 +5,8 @@ arrays.  ``json_text`` alone spells them, a complex number as an [re, im]
 pair; floats in CSV are rendered in scientific notation with 17 significant
 digits so diffs of golden files are meaningful.  All writers are
 deterministic: no timestamps, sorted keys.  Reports are rendered in either
-format from the same dataclass records.
+format from the same dataclass records.  The only documents read back are
+group descriptor files.
 """
 
 from __future__ import annotations
@@ -22,10 +23,8 @@ from .coupling import CouplingTable
 __all__ = [
     "TABLES_SCHEMA",
     "REPORT_SCHEMA",
-    "decode_complex_array",
     "load_group_file",
     "tables_document",
-    "coupling_table_from_document",
     "json_text",
     "format_float",
     "csv_lines",
@@ -34,11 +33,6 @@ __all__ = [
 
 TABLES_SCHEMA = "classop-tables/1"
 REPORT_SCHEMA = "classop-report/1"
-
-
-def decode_complex_array(data) -> np.ndarray:
-    raw = np.asarray(data, dtype=float)
-    return raw[..., 0] + 1j * raw[..., 1]
 
 
 def load_group_file(path) -> FiniteGroup:
@@ -104,33 +98,6 @@ def coupling_table_document(table: CouplingTable) -> dict:
         },
         "basis": {str(g): np.asarray(e, complex) for g, e in table.basis.items()},
     }
-
-
-def coupling_table_from_document(doc: dict) -> CouplingTable:
-    """The table of a ``/1`` document, built from its ``"basis"``.
-
-    Raises ``ValueError`` when ``"gammas"``, ``"sigma_dim"``,
-    ``"multiplicities"`` or ``"coefficients"`` disagree with that basis; the
-    coefficients must be its conjugate transpose exactly, since a float repr
-    parses back to the same float.
-    """
-    gammas = [int(g) for g in doc["gammas"]]
-    if not gammas or sorted(map(str, gammas)) != sorted(doc["basis"]):
-        raise ValueError(f"coupling table gammas {gammas} do not list the components of its basis")
-    basis = {g: decode_complex_array(doc["basis"][str(g)]) for g in gammas}
-    d = int(doc["sigma_dim"])
-    if any(e.ndim != 4 or e.shape[2:] != (d, d) for e in basis.values()):
-        raise ValueError(f"coupling table basis does not hold {d} x {d} matrices")
-    table = CouplingTable(sigma=int(doc["sigma"]), kind=doc["kind"], basis=basis)
-    if {int(g): int(m) for g, m in doc["multiplicities"].items()} != table.multiplicities:
-        raise ValueError("coupling table multiplicities disagree with its basis")
-    coefficients = doc["coefficients"]
-    if sorted(coefficients) != sorted(doc["basis"]) or not all(
-        np.array_equal(decode_complex_array(coefficients[str(g)]), np.conj(e).transpose(2, 3, 0, 1))
-        for g, e in basis.items()
-    ):
-        raise ValueError("coupling table coefficients are not the conjugate transpose of its basis")
-    return table
 
 
 def format_float(x: float) -> str:

@@ -38,15 +38,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "MAX_J2",
-    "PAULI",
-    "SU2Element",
     "WignerD",
     "SphereQuadrature",
     "sphere_rule_for_spin",
     "class_operator_quadrature",
     "closed_form_eigenvalue",
     "weighted_class_operator_su2",
-    "ad_map",
+    "weighted_class_operator_rows_su2",
     "haar_random",
     "su2_haar_quadrature",
     "fixed_column_index",
@@ -56,92 +54,25 @@ __all__ = [
 # unitary to 1e-12 (tests/test_su2.py checks every j2 up to the cap).
 MAX_J2 = 120
 
-PAULI = np.array(
-    [
-        [[0.0, 1.0], [1.0, 0.0]],
-        [[0.0, -1.0j], [1.0j, 0.0]],
-        [[1.0, 0.0], [0.0, -1.0]],
-    ],
-    dtype=complex,
-)
 
+def haar_random(rng: np.random.Generator, count: int) -> np.ndarray:
+    """Euler angles (phi, theta, psi) of ``count`` Haar-uniform samples, shape (count, 3).
 
-class SU2Element:
-    """An SU(2) element stored by its Cayley-Klein parameters (a, b)."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: complex, b: complex, renormalize: bool = True):
-        if renormalize:
-            norm = np.sqrt(abs(a) ** 2 + abs(b) ** 2)
-            if not 0.5 < norm < 2.0:
-                raise ValueError("(a, b) is too far from the unit sphere")
-            a, b = a / norm, b / norm
-        self.a = complex(a)
-        self.b = complex(b)
-
-    @classmethod
-    def identity(cls) -> "SU2Element":
-        return cls(1.0, 0.0, renormalize=False)
-
-    @classmethod
-    def from_euler(cls, phi: float, theta: float, psi: float) -> "SU2Element":
-        a = np.cos(theta / 2) * np.exp(0.5j * (phi + psi))
-        b = 1j * np.sin(theta / 2) * np.exp(0.5j * (phi - psi))
-        return cls(a, b)
-
-    @classmethod
-    def exp(cls, vec: np.ndarray) -> "SU2Element":
-        """exp(i x . sigma) for a real 3-vector x."""
-        vec = np.asarray(vec, dtype=float)
-        r = float(np.linalg.norm(vec))
-        if r < 1e-300:
-            return cls.identity()
-        unit = vec / r
-        a = np.cos(r) + 1j * np.sin(r) * unit[2]
-        b = 1j * np.sin(r) * (unit[0] - 1j * unit[1])
-        return cls(a, b)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.a, self.b], [-np.conj(self.b), np.conj(self.a)]], dtype=complex
-        )
-
-    def __mul__(self, other: "SU2Element") -> "SU2Element":
-        a = self.a * other.a + self.b * (-np.conj(other.b))
-        b = self.a * other.b + self.b * np.conj(other.a)
-        return SU2Element(a, b)
-
-    def inverse(self) -> "SU2Element":
-        return SU2Element(np.conj(self.a), -self.b, renormalize=False)
-
-    def euler_angles(self) -> tuple[float, float, float]:
-        """Angles (phi, theta, psi) with phi in [0, 2pi), theta in [0, pi],
-        psi in [-2pi, 2pi), composing back to this element."""
-        theta = 2.0 * np.arctan2(abs(self.b), abs(self.a))
-        if abs(self.b) < 1e-15:
-            phi, psi = 0.0, 2.0 * np.angle(self.a)
-        elif abs(self.a) < 1e-15:
-            psi, phi = 0.0, 2.0 * (np.angle(self.b) - np.pi / 2)
-        else:
-            s = 2.0 * np.angle(self.a)               # phi + psi, mod 4pi
-            d = 2.0 * (np.angle(self.b) - np.pi / 2)  # phi - psi, mod 4pi
-            phi, psi = (s + d) / 2.0, (s - d) / 2.0
-        phi_mod = float(np.mod(phi, 2 * np.pi))
-        psi = psi + (phi - phi_mod)                   # keep phi+psi, phi-psi intact mod 4pi
-        psi = float(np.mod(psi + 2 * np.pi, 4 * np.pi) - 2 * np.pi)
-        return phi_mod, float(theta), psi
-
-    def __repr__(self) -> str:
-        return f"SU2Element(a={self.a:.6f}, b={self.b:.6f})"
-
-
-def haar_random(rng: np.random.Generator, count: int) -> list[SU2Element]:
-    """Haar-uniform samples (uniform on the unit 3-sphere)."""
+    A sample is a uniform point x of the unit 3-sphere, the element with
+    a = x0 + i x1 and b = x2 + i x3.  Its angles have phi in [0, 2pi), theta
+    in [0, pi] and psi in [-2pi, 2pi), and compose back to it; where |b| (or
+    |a|) is below 1e-15, phi (or psi) is 0.
+    """
     raw = rng.standard_normal((count, 4))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    return [SU2Element(x[0] + 1j * x[1], x[2] + 1j * x[3], renormalize=False) for x in raw]
+    abs_a, abs_b = np.hypot(raw[:, 0], raw[:, 1]), np.hypot(raw[:, 2], raw[:, 3])
+    s = 2.0 * np.arctan2(raw[:, 1], raw[:, 0])                 # phi + psi, mod 4pi
+    d = 2.0 * (np.arctan2(raw[:, 3], raw[:, 2]) - np.pi / 2)   # phi - psi, mod 4pi
+    phi = np.where(abs_b < 1e-15, 0.0, np.where(abs_a < 1e-15, d, (s + d) / 2.0))
+    psi = np.where(abs_b < 1e-15, s, np.where(abs_a < 1e-15, 0.0, (s - d) / 2.0))
+    phi_mod = np.mod(phi, 2 * np.pi)
+    psi = np.mod(psi + (phi - phi_mod) + 2 * np.pi, 4 * np.pi) - 2 * np.pi  # keeps phi+psi, phi-psi mod 4pi
+    return np.stack([phi_mod, 2.0 * np.arctan2(abs_b, abs_a), psi], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -222,17 +153,6 @@ class WignerD:
         out *= left[..., :, None]
         return out
 
-    def __call__(self, g: SU2Element) -> np.ndarray:
-        return self.euler(*g.euler_angles())
-
-    def character(self, psi: float) -> float:
-        """Character of g(psi): sin((2j+1) psi/2) / sin(psi/2)."""
-        half = psi / 2.0
-        if abs(np.sin(half)) < 1e-12:
-            sign = np.cos((self.j2 + 1) * half) / np.cos(half) if abs(np.cos(half)) > 1e-12 else 1.0
-            return float(self.dim * np.sign(sign) if self.j2 else 1.0)
-        return float(np.sin((self.j2 + 1) * half) / np.sin(half))
-
 
 def fixed_column_index(j2: int) -> int:
     """Index of the circle-fixed (m = 0) column for an integer spin."""
@@ -269,10 +189,6 @@ class SphereQuadrature:
         theta = np.arccos(x)
         phi = 2 * np.pi * np.arange(n_phi) / n_phi
         return cls(n_theta=n_theta, n_phi=n_phi, theta=theta, theta_weights=w / 2.0, phi=phi)
-
-    @property
-    def total_weight(self) -> float:
-        return float(np.sum(self.theta_weights))
 
 
 def sphere_rule_for_spin(j2: int, floor: tuple[int, int]) -> tuple[int, int]:
@@ -335,26 +251,35 @@ def weighted_class_operator_su2(j2: int, psi: float, weight_terms, quad: SphereQ
     ``weight_terms`` is an iterable of (l2, i, coeff): the weight function is
     sum coeff * conj(D^{l}_{i, m=0}) evaluated at the coset representative
     g(phi) h(theta).  Only integer l (even l2) is admissible; half-integer
-    spins have no circle-fixed vector so no such weight exists.  The phi sum is
+    spins have no circle-fixed vector so no such weight exists.  The terms are
+    summed from ``weighted_class_operator_rows_su2``.
+    """
+    terms = [(int(l2), int(i), complex(c)) for (l2, i, c) in weight_terms]
+    for l2, i, _ in terms:
+        if not 0 <= i <= l2:
+            raise ValueError(f"weight row index {i} out of range for l2={l2}")
+    rows = dict(weighted_class_operator_rows_su2(j2, psi, {l2 for l2, _, _ in terms}, quad))
+    return sum((c * rows[l2][i] for l2, i, c in terms), np.zeros((int(j2) + 1,) * 2, dtype=complex))
+
+
+def weighted_class_operator_rows_su2(j2: int, psi: float, weight_spins, quad: SphereQuadrature):
+    """The weighted class operators of every row of each weight spin, one spin at a time.
+
+    Yields (l2, rows) for each doubled weight spin l2 of ``weight_spins``, in
+    order, where rows[k], shape (d, d), has the weight conj(D^{l}_{k, m=0}).
+    The spins and psi are checked, and the core w_t d_t E(psi) d_t^T on every
+    theta node is built once, before the first spin.  The phi sum is
     closed-form on the rule; each weight spin costs one column of little-d.
     """
     j2 = _check_spin(j2)
     psi = _check_psi(psi)
-    terms = [(int(l2), int(i), complex(c)) for (l2, i, c) in weight_terms]
-    for l2, i, _ in terms:
+    spins = [int(l2) for l2 in weight_spins]
+    for l2 in spins:
         fixed_column_index(l2)  # refuses half-integer weight spins: they have no circle-fixed vector
-        if not 0 <= i <= l2:
-            raise ValueError(f"weight row index {i} out of range for l2={l2}")
-    core = _weighted_core(j2, psi, quad)
-    rows = {l2: _weighted_rows(core, l2, quad) for l2 in {l2 for l2, _, _ in terms}}
-    return sum((c * rows[l2][i] for l2, i, c in terms), np.zeros((j2 + 1, j2 + 1), dtype=complex))
-
-
-def _weighted_core(j2: int, psi: float, quad: SphereQuadrature) -> np.ndarray:
-    """w_t d_t E(psi) d_t^T on every theta node, shape (T, d, d)."""
     rep = WignerD(j2)
     d_stack = rep.little_d(quad.theta)
-    return (d_stack * (quad.theta_weights[:, None, None] * rep.weight_phases(psi))) @ d_stack.transpose(0, 2, 1)
+    core = (d_stack * (quad.theta_weights[:, None, None] * rep.weight_phases(psi))) @ d_stack.transpose(0, 2, 1)
+    return ((l2, _weighted_rows(core, l2, quad)) for l2 in spins)
 
 
 def _weighted_rows(core: np.ndarray, l2: int, quad: SphereQuadrature) -> np.ndarray:
@@ -365,18 +290,6 @@ def _weighted_rows(core: np.ndarray, l2: int, quad: SphereQuadrature) -> np.ndar
     column = _little_d_column(l2, quad.theta, fixed_column_index(l2))   # (T, l2 + 1)
     out = (column.T @ core.reshape(t, d * d)).reshape(l2 + 1, d, d)
     out *= _phi_average(d, l2 // 2 - np.arange(l2 + 1), quad.n_phi)
-    return out
-
-
-def ad_map(g: SU2Element) -> np.ndarray:
-    """Adjoint action on the Lie algebra in the basis {i sigma_alpha}: SO(3) image."""
-    m = g.matrix
-    minv = g.inverse().matrix
-    out = np.empty((3, 3))
-    for alpha in range(3):
-        conj = m @ PAULI[alpha] @ minv
-        for beta in range(3):
-            out[beta, alpha] = 0.5 * np.trace(PAULI[beta] @ conj).real
     return out
 
 

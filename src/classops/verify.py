@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import FiniteGroup, ConjugacyClass, conjugacy_classes
-from .representations import CharacterTable, Irrep, character_table, irreps
+from .representations import CharacterTable, Irrep, character_table
 from .class_operators import (
     centralizer_invariance_deviation,
     class_operator_from_classfunction,
@@ -27,7 +27,6 @@ from .class_operators import (
 from .coupling import (
     CouplingTable,
     adapt_irreps_to_class,
-    conjugation_decomposition,
     rotate_coupling_table,
     su2_coupling_table,
     tensor_operator_scan,
@@ -35,8 +34,15 @@ from .coupling import (
     wigner_eckart_matrix,
     z_fixed_basis,
 )
-from .su2 import MAX_J2, SphereQuadrature, WignerD, closed_form_eigenvalue, fixed_column_index
-from .su2 import class_operator_quadrature, _check_psi, _weighted_core, _weighted_rows
+from .su2 import (
+    MAX_J2,
+    SphereQuadrature,
+    WignerD,
+    class_operator_quadrature,
+    closed_form_eigenvalue,
+    fixed_column_index,
+    weighted_class_operator_rows_su2,
+)
 
 __all__ = [
     "DEFAULT_TOLERANCES",
@@ -217,29 +223,23 @@ class ReducedElementRow:
 def wigner_eckart_report(
     group: FiniteGroup,
     cls: ConjugacyClass,
-    seed: int = 42,
+    table: CharacterTable,
+    irreps_list: list[Irrep],
+    coupling: list[CouplingTable],
     tolerances: dict | None = None,
-    table: CharacterTable | None = None,
-    irreps_list: list[Irrep] | None = None,
-    coupling: list[CouplingTable] | None = None,
 ):
     """Compare the Wigner-Eckart prediction with brute-force inner products.
 
-    ``coupling`` holds the run's ``conjugation_decomposition`` of every sigma
-    (built here if not given); each class rotates it into its Z0-fixed bases.
+    ``table`` and ``irreps_list`` are the run's character table and irreps,
+    and ``coupling`` their ``conjugation_decomposition`` of every sigma; each
+    class rotates it into its Z0-fixed bases.
     Returns (rows, reduced_rows, skipped, max_off_pattern): one row per
     (alpha, k, l, sigma), the reduced-matrix-element table, notes for alpha
     without Z0-fixed columns, and the largest off-pattern magnitude seen.
     """
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
-    if table is None:
-        table = character_table(group, seed=seed)
-    if irreps_list is None:
-        irreps_list = irreps(group, table, seed=seed)
     g0 = cls.base_element
     g0_label = group.labels[g0]
-    if coupling is None:
-        coupling = [conjugation_decomposition(group, irreps_list, table, s) for s in range(len(irreps_list))]
     bases = [z_fixed_basis(ai, rep.matrices, cls.centralizer) for ai, rep in enumerate(irreps_list)]
     adapted, m_alphas = adapt_irreps_to_class(irreps_list, cls, bases)
     tables = [rotate_coupling_table(tab, [zb.basis for zb in bases]) for tab in coupling]
@@ -286,16 +286,16 @@ def su2_wigner_eckart_report(
 
     The weights run over every component of L(V^sigma), up to doubled spin
     2 * max_spin_x2, which must not exceed MAX_J2; ``rule`` is the
-    (n_theta, n_phi) sphere rule, built only once the spin range and psi are
-    accepted.  Each sigma builds its weighted core once, each alpha all its
-    rows k, predicted by one ``wigner_eckart_matrix`` call.
+    (n_theta, n_phi) sphere rule, built only once the spin range is accepted.
+    Each sigma takes the quadrature of every alpha, all its rows k, from one
+    ``weighted_class_operator_rows_su2`` call, and predicts them with one
+    ``wigner_eckart_matrix`` call per alpha.
     """
     if 2 * max_spin_x2 > MAX_J2:
         raise ValueError(
             f"max_spin_x2={max_spin_x2} needs weights of doubled spin {2 * max_spin_x2}, "
             f"above MAX_J2={MAX_J2}"
         )
-    psi = _check_psi(psi)
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     quad = SphereQuadrature.build(*rule)
     rows: list[WignerEckartRow] = []
@@ -303,16 +303,15 @@ def su2_wigner_eckart_report(
     g0_label = f"g(psi={psi:.6g})"
     for sigma2 in range(1, max_spin_x2 + 1):
         tab = su2_coupling_table(sigma2)
+        quadrature = weighted_class_operator_rows_su2(sigma2, psi, tab.gammas, quad)  # refuses psi first
         t_sigma_g0 = WignerD(sigma2).euler(0.0, 0.0, psi)
-        core = _weighted_core(sigma2, psi, quad)
-        for alpha2 in tab.gammas:
+        for alpha2, quadr in quadrature:
             col = fixed_column_index(alpha2)
-            quadr = _weighted_rows(core, alpha2, quad)
             pred, reduced = wigner_eckart_matrix(tab, alpha2, alpha2 + 1, [col], t_sigma_g0)
             devs = np.abs(pred[:, 0] - quadr).max(axis=(1, 2))
             for k, dev in enumerate(devs.tolist()):
                 _add_comparison(rows, reduced_rows, ("SU2", sigma2, alpha2, k, col, g0_label), dev, reduced[0], tol)
-        del tab, core, quadr, pred   # free sigma's O(d^4) table before the next one is built
+        del tab, quadrature, quadr, pred   # free sigma's O(d^4) table before the next one is built
     return rows, reduced_rows
 
 

@@ -33,6 +33,11 @@ sum); here the phi sums run over the rule's nodes as a (2d-1, P) phase table,
 and the triple product runs node by node over full Wigner-D stacks.
 Every document the package writes is compared with the standard library's
 indent-2 JSON rendering, which the package reproduces without calling it.
+What no command, demo or benchmark calls lives here rather than in the
+library: the finite product-expansion and triple-product identities, the
+coefficient matrix of a coupling table with its unitarity residual, the
+decoding of written [re, im] arrays, and SU(2) elements as 2 x 2 matrices
+with the per-element Euler-angle rule that ``haar_random`` vectorizes.
 """
 
 from __future__ import annotations
@@ -47,14 +52,14 @@ from classops.class_operators import (
     class_operator_from_classfunction,
     class_sum_element,
     covariance_deviation,
-    right_translate,
     spectral_class_operator,
     transfer,
     weighted_class_operator,
 )
 from classops.coupling import (
     TensorOperatorFamily,
-    _weighted_triple_sum,
+    _expansion_residual,
+    _triple_residual,
     wigner_eckart_bruteforce,
 )
 from classops.su2 import WignerD, fixed_column_index
@@ -293,7 +298,7 @@ def oracle_finite_class_suite(group: FiniteGroup, table, classes=None, seed: int
         base = weighted_class_operator(group, None, g0, f).matrix
         dev_cent = 0.0
         for h in cls.centralizer:
-            shifted = weighted_class_operator(group, None, g0, right_translate(group, h, f)).matrix
+            shifted = weighted_class_operator(group, None, g0, f[group.mult_table[:, h]]).matrix  # f(x h)
             dev_cent = max(dev_cent, float(np.max(np.abs(shifted - base))))
         record("coset_factorization", cls, dev_fact)
         record("conjugation_covariance", cls, dev_cov)
@@ -541,6 +546,102 @@ def oracle_triple_sum_su2(alpha2: int, sigma2: int, angles: np.ndarray, weights:
     t_alpha = WignerD(alpha2).euler(phi, theta, psi)
     t_sigma = WignerD(sigma2).euler(phi, theta, psi)
     return _weighted_triple_sum(np.asarray(weights), t_alpha, t_sigma)
+
+
+def coefficient_matrix(table) -> np.ndarray:
+    """Unitary change of basis E^H of a coupling table, rows (i, j) and columns
+    (gamma, m, n), where the rows (gamma, m, n) of E are the flattened e^gamma_mn."""
+    d = table.sigma_dim
+    return np.concatenate([table.basis[g].reshape(-1, d * d) for g in table.gammas]).conj().T
+
+
+def unitarity_residual(table) -> float:
+    c = coefficient_matrix(table)
+    eye = np.eye(c.shape[0])
+    return float(max(np.max(np.abs(c @ c.conj().T - eye)), np.max(np.abs(c.conj().T @ c - eye))))
+
+
+def product_expansion_residual(group: FiniteGroup, irreps_list, table, elements=None) -> float:
+    """Max deviation in the finite matrix-element product expansion, over the
+    elements (all of them by default)."""
+    elements = np.arange(group.order) if elements is None else np.asarray(elements)
+    t_sigma = irreps_list[table.sigma].matrices[elements]
+    stacks = {g: irreps_list[g].matrices[elements] for g in table.gammas}
+    return _expansion_residual(t_sigma, stacks, table)
+
+
+# Entries of one chunk of the node-wise outer product in _weighted_triple_sum.
+_TRIPLE_CHUNK_ENTRIES = 1 << 17
+
+
+def _weighted_triple_sum(weights: np.ndarray, t_alpha: np.ndarray, t_sigma: np.ndarray) -> np.ndarray:
+    """sum_g w_g conj(t_alpha)_kl conj(t_sigma)_ir t_sigma_sp, shape (k, l, i, r, s, p).
+
+    Accumulated as a.T @ b over chunks of nodes, with rows a[g] = w_g conj(t_alpha(g))
+    (x) conj(t_sigma(g)) and b[g] = t_sigma(g), so the (nodes, d_alpha^2 d_sigma^2)
+    outer product never exists at once.
+    """
+    n, d_alpha, d_sigma = len(weights), t_alpha.shape[1], t_sigma.shape[1]
+    left, right = t_alpha.reshape(n, -1), t_sigma.reshape(n, -1)
+    acc = np.zeros((left.shape[1] * right.shape[1], right.shape[1]), dtype=complex)
+    step = max(1, _TRIPLE_CHUNK_ENTRIES // acc.shape[0])
+    for lo in range(0, n, step):
+        block = slice(lo, lo + step)
+        a = (weights[block, None] * left[block].conj())[:, :, None] * right[block, None, :].conj()
+        acc += a.reshape(a.shape[0], -1).T @ right[block]
+    return acc.reshape((d_alpha, d_alpha) + (d_sigma,) * 4)
+
+
+def triple_product_residual(group: FiniteGroup, irreps_list, table, alpha: int) -> float:
+    """Residual of the finite group-averaged triple product against the
+    coupling-coefficient form; a component alpha absent from L(V^sigma) must
+    average to zero."""
+    weights = np.full(group.order, 1.0 / group.order)
+    lhs = _weighted_triple_sum(weights, irreps_list[alpha].matrices, irreps_list[table.sigma].matrices)
+    return _triple_residual(lhs, irreps_list[alpha].dim, table.basis.get(alpha))
+
+
+def su2_matrices(angles) -> np.ndarray:
+    """[[a, b], [-conj(b), conj(a)]] at Euler angles (phi, theta, psi), shape (..., 2, 2),
+    with a = cos(theta/2) e^{i(phi+psi)/2} and b = i sin(theta/2) e^{i(phi-psi)/2}."""
+    phi, theta, psi = np.moveaxis(np.asarray(angles, dtype=float), -1, 0)
+    a = np.cos(theta / 2) * np.exp(0.5j * (phi + psi))
+    b = 1j * np.sin(theta / 2) * np.exp(0.5j * (phi - psi))
+    return np.stack([np.stack([a, b], axis=-1), np.stack([-b.conj(), a.conj()], axis=-1)], axis=-2)
+
+
+def su2_euler_angles(matrices) -> np.ndarray:
+    """Euler angles (phi, theta, psi) of SU(2) matrices, shape (..., 3), one
+    element at a time in Python scalars: phi in [0, 2pi), theta in [0, pi],
+    psi in [-2pi, 2pi); where |b| (or |a|) is below 1e-15, phi (or psi) is 0."""
+    matrices = np.asarray(matrices)
+    out = []
+    for m in matrices.reshape(-1, 2, 2):
+        a, b = complex(m[0, 0]), complex(m[0, 1])
+        theta = 2.0 * np.arctan2(abs(b), abs(a))
+        if abs(b) < 1e-15:
+            phi, psi = 0.0, 2.0 * np.angle(a)
+        elif abs(a) < 1e-15:
+            psi, phi = 0.0, 2.0 * (np.angle(b) - np.pi / 2)
+        else:
+            s = 2.0 * np.angle(a)               # phi + psi, mod 4pi
+            d = 2.0 * (np.angle(b) - np.pi / 2)  # phi - psi, mod 4pi
+            phi, psi = (s + d) / 2.0, (s - d) / 2.0
+        phi_mod = float(np.mod(phi, 2 * np.pi))
+        psi = psi + (phi - phi_mod)
+        out.append((phi_mod, float(theta), float(np.mod(psi + 2 * np.pi, 4 * np.pi) - 2 * np.pi)))
+    return np.array(out).reshape(matrices.shape[:-2] + (3,))
+
+
+def su2_product_angles(u, v) -> np.ndarray:
+    """Euler angles of the products u v of the elements at angles u and v."""
+    return su2_euler_angles(su2_matrices(u) @ su2_matrices(v))
+
+
+def decode_complex_array(data) -> np.ndarray:
+    """A parsed JSON array of [re, im] pairs as a complex array."""
+    raw = np.asarray(data, dtype=float)
+    return raw[..., 0] + 1j * raw[..., 1]
 
 
 def oracle_json_text(document) -> str:

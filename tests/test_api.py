@@ -1,6 +1,8 @@
 """The public names of the package, and the library calls the benchmark makes."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import classops.cli
 from classops import coupling, su2, verify
 
 MODULES = ["groups", "representations", "class_operators", "su2", "coupling", "verify", "serialize", "cli"]
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -26,14 +29,75 @@ def test_every_package_level_name_resolves():
     assert not [n for n in public if n not in exported and n not in MODULES]
 
 
+def _defines(statement, name: str) -> bool:
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return statement.name == name
+    targets = statement.targets if isinstance(statement, ast.Assign) else [getattr(statement, "target", None)]
+    return any(isinstance(t, ast.Name) and t.id == name for t in targets)
+
+
+def _referenced(statements) -> set[str]:
+    """Names used by a Name or an Attribute node, or imported by name; strings do not count."""
+    names = set()
+    for statement in statements:
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def unreached_names(root: Path) -> list[str]:
+    """``module.name`` for every ``__all__`` name of ``classops`` that nothing
+    references from the library (outside ``__init__`` and the name's own
+    definition), the demos or the bench."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for pattern in ("src/classops/*.py", "demos/*.py", "bench/*.py")
+             for path in sorted(root.glob(pattern)) if path.name != "__init__.py"}
+    used = {path: _referenced(tree.body) for path, tree in trees.items()}
+    unreached = []
+    for module in MODULES:
+        own = root / "src" / "classops" / f"{module}.py"
+        elsewhere = set().union(*(names for path, names in used.items() if path != own))
+        body = [(st, _referenced([st])) for st in trees[own].body]
+        exported = next(ast.literal_eval(st.value) for st, _ in body if _defines(st, "__all__"))
+        for name in exported:
+            if name not in elsewhere and not any(name in names for st, names in body if not _defines(st, name)):
+                unreached.append(f"{module}.{name}")
+    return unreached
+
+
+def test_every_exported_name_is_reached_by_the_library_a_demo_or_the_bench():
+    # a name only tests call is an oracle: it belongs in tests/helpers.py
+    assert unreached_names(ROOT) == []
+
+
 def test_removed_names_are_gone_and_check_records_live_in_verify():
     for name in ("covariance_conjugate", "centralizer_invariance_check", "su2_z_fixed_basis"):
         assert not hasattr(classops, name), name
     assert not hasattr(classops.class_operators, "CheckReport")
     assert not hasattr(su2, "_class_operators")
     assert not hasattr(classops.FiniteGroup, "elements")
-    for name in ("encode_complex", "encode_complex_array", "write_json"):
+    for name in ("encode_complex", "encode_complex_array", "write_json", "coupling_table_from_document",
+                 "decode_complex_array"):
         assert not hasattr(classops.serialize, name), name
+    removed = {
+        classops.groups: ("convolve", "inner_product"),
+        classops.representations: ("matrix_element_functions", "IsotypicProjection"),
+        classops.class_operators: ("left_translate", "right_translate", "class_left_translate"),
+        su2: ("ad_map", "PAULI", "SU2Element", "_weighted_core"),
+        coupling: ("product_expansion_residual", "triple_product_residual", "_weighted_triple_sum"),
+        classops.Irrep: ("character",),
+        su2.WignerD: ("__call__", "character"),
+        su2.SphereQuadrature: ("total_weight",),
+        classops.CouplingTable: ("multiplicity", "coefficient_matrix", "unitarity_residual"),
+    }
+    for owner, names in removed.items():
+        for name in names:
+            assert name not in vars(owner) and not hasattr(classops, name), name
     assert not hasattr(classops.CouplingTable, "reconstruction_residual")
     assert not hasattr(classops.cli.RunConfig, "tolerance")
     assert classops.CheckReport is verify.CheckReport

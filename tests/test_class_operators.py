@@ -7,12 +7,9 @@ from classops.groups import build_group, conjugacy_classes, left_regular_matrix
 from classops.representations import character_table, irreps
 from classops.class_operators import (
     centralizer_invariance_deviation,
-    class_left_translate,
     class_operator_from_classfunction,
     class_sum_element,
     covariance_deviation,
-    left_translate,
-    right_translate,
     spectral_class_operator,
     transfer,
     weighted_class_operator,
@@ -126,7 +123,8 @@ def test_conjugation_covariance(spec):
             for g in range(n):
                 moved, dev = covariance_deviation(group, lam, op, g)
                 assert dev < 1e-11
-                direct = weighted_class_operator(group, lam, cls.base_element, left_translate(group, g, f))
+                shifted = f[group.mult_table[group.inverse_table[g]]]  # f(g^-1 x)
+                direct = weighted_class_operator(group, lam, cls.base_element, shifted)
                 assert np.max(np.abs(moved.matrix - direct.matrix)) < 1e-11
             # identity conjugation leaves the operator unchanged
             same, _ = covariance_deviation(group, lam, op, 0)
@@ -159,7 +157,7 @@ def test_central_conjugation_fixes_operator():
     moved, dev = covariance_deviation(group, lam, op, central)
     assert dev < 1e-11
     direct = weighted_class_operator(
-        group, lam, cls.base_element, left_translate(group, central, f)
+        group, lam, cls.base_element, f[group.mult_table[group.inverse_table[central]]]
     )
     assert np.max(np.abs(moved.matrix - direct.matrix)) < 1e-12
 
@@ -194,7 +192,7 @@ def test_abelian_right_translation_trivial():
     f = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     base = weighted_class_operator(group, lam, 2, f).matrix
     for h in range(6):  # Z0 = G for abelian groups
-        shifted = weighted_class_operator(group, lam, 2, right_translate(group, h, f)).matrix
+        shifted = weighted_class_operator(group, lam, 2, f[group.mult_table[:, h]]).matrix  # f(x h)
         assert np.max(np.abs(shifted - base)) < 1e-13
 
 
@@ -272,8 +270,6 @@ def test_classfunction_size_check():
     cls = conjugacy_classes(group)[1]
     with pytest.raises(ValueError):
         class_operator_from_classfunction(group, lam, cls, np.ones(5))
-    with pytest.raises(ValueError):
-        class_left_translate(group, cls, 1, np.ones(5))
 
 
 @pytest.mark.parametrize("spec", CATALOG_LEQ_24)
@@ -281,14 +277,15 @@ def test_intertwining_on_class_functions(spec):
     group = build_group(spec)
     lam = regular_representation(group)
     rng = np.random.default_rng(9)
+    t = group.mult_table
     for cls in conjugacy_classes(group):
         phi = rng.standard_normal(cls.size) + 1j * rng.standard_normal(cls.size)
         op = class_operator_from_classfunction(group, lam, cls, phi).matrix
         for g in range(group.order):
             conjugated = lam[g] @ op @ lam[group.inverse_table[g]]
-            moved = class_operator_from_classfunction(
-                group, lam, cls, class_left_translate(group, cls, g, phi)
-            ).matrix
+            # left translation on class functions: the value at c is phi(g^-1 c g)
+            translated = phi[np.searchsorted(cls.members, t[t[group.inverse_table[g], list(cls.members)], g])]
+            moved = class_operator_from_classfunction(group, lam, cls, translated).matrix
             assert np.max(np.abs(conjugated - moved)) < 1e-12
 
 
@@ -319,7 +316,7 @@ def test_s3_spectral_eigenvalues_frozen():
     for ci, expected in expectations.items():
         op = left_regular_matrix(group, spectral_class_operator(group, classes[ci], table))
         for alpha in range(3):
-            proj = left_regular_matrix(group, isotypic_projector(group, table, alpha).matrix)
+            proj = left_regular_matrix(group, isotypic_projector(group, table, alpha))
             assert np.max(np.abs(op @ proj - expected[alpha] * proj)) < 1e-10
 
 

@@ -10,10 +10,8 @@ from classops.groups import (
     GroupConstructionError,
     build_group,
     conjugacy_classes,
-    convolve,
     cycle_notation,
     group_from_table,
-    inner_product,
     left_regular_matrix,
     parse_cycles,
 )
@@ -242,13 +240,18 @@ def test_associativity_exhaustive_small():
 # ---------------------------------------------------------------------------
 
 
+def product(group, phi, psi):
+    """The group-algebra product phi psi = left_regular_matrix(phi) @ psi."""
+    return left_regular_matrix(group, phi) @ psi
+
+
 def test_convolution_identity():
     group = build_group("S3")
     rng = np.random.default_rng(0)
     psi = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     delta = np.zeros(6, dtype=complex)
-    delta[0] = group.order
-    assert np.allclose(convolve(group, delta, psi), psi, atol=1e-14)
+    delta[0] = 1
+    assert np.allclose(product(group, delta, psi), psi, atol=1e-14)
 
 
 def test_convolution_of_deltas():
@@ -256,17 +259,17 @@ def test_convolution_of_deltas():
     n = group.order
     for a in range(n):
         for b in range(n):
-            da = np.zeros(n, complex); da[a] = n
-            db = np.zeros(n, complex); db[b] = n
+            da = np.zeros(n, complex); da[a] = 1
+            db = np.zeros(n, complex); db[b] = 1
             expected = np.zeros(n, complex)
-            expected[group.mul(a, b)] = n
-            assert np.allclose(convolve(group, da, db), expected)
+            expected[group.mul(a, b)] = 1
+            assert np.allclose(product(group, da, db), expected)
 
 
 def test_convolution_of_constants():
     group = build_group("D4")
     one = np.ones(group.order, dtype=complex)
-    assert np.allclose(convolve(group, one, one), one)
+    assert np.allclose(product(group, one, one), group.order * one)
 
 
 @pytest.mark.parametrize("spec", ["S3", "Q8", "S4"])
@@ -276,39 +279,17 @@ def test_convolution_associative(spec):
     n = group.order
     for _ in range(10):
         phi, psi, chi = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(3))
-        left = convolve(group, convolve(group, phi, psi), chi)
-        right = convolve(group, phi, convolve(group, psi, chi))
+        left = product(group, product(group, phi, psi), chi)
+        right = product(group, phi, product(group, psi, chi))
         assert np.max(np.abs(left - right)) < 1e-12
 
 
 def test_convolution_size_mismatch():
     group = build_group("S3")
     with pytest.raises(ValueError):
-        convolve(group, np.ones(5), np.ones(6))
+        left_regular_matrix(group, np.ones(5))
     with pytest.raises(ValueError):
-        inner_product(group, np.ones(6), np.ones(7))
-
-
-def test_inner_product():
-    group = build_group("S4")
-    n = group.order
-    one = np.ones(n, dtype=complex)
-    assert inner_product(group, one, one) == pytest.approx(1.0)
-    d0 = np.zeros(n, complex); d0[0] = 1
-    d1 = np.zeros(n, complex); d1[1] = 1
-    assert inner_product(group, d0, d1) == 0
-    # conjugate-linear in the second argument
-    rng = np.random.default_rng(2)
-    phi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    assert inner_product(group, phi, 2j * psi) == pytest.approx(
-        -2j * inner_product(group, phi, psi)
-    )
-    # positive definite
-    for _ in range(20):
-        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        value = inner_product(group, f, f)
-        assert value.real > 0 and abs(value.imag) < 1e-15
+        left_regular_matrix(group, np.ones((2, 6)))
 
 
 def test_left_regular_matrix_on_deltas():
@@ -329,7 +310,9 @@ def test_left_regular_matrix_is_convolution():
     phi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     m = left_regular_matrix(group, phi)
-    assert np.allclose(m @ psi, convolve(group, n * phi, psi))
+    # (phi psi)(x) = sum_g phi(g) psi(g^-1 x), summed literally
+    expected = [sum(phi[g] * psi[group.mul(group.inv(g), x)] for g in range(n)) for x in range(n)]
+    assert np.allclose(m @ psi, expected)
 
 
 @pytest.mark.parametrize("spec", ["S4", "Q8"])

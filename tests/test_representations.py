@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from classops.groups import build_group, conjugacy_classes, inner_product, left_regular_matrix
+from classops.groups import build_group, conjugacy_classes, left_regular_matrix
 from classops.representations import (
     CharacterTable,
     _canonical_row_order,
@@ -14,7 +14,6 @@ from classops.representations import (
     character_table,
     irreps,
     isotypic_projector,
-    matrix_element_functions,
     schur_defect,
     unitarize,
 )
@@ -132,6 +131,7 @@ def test_irreps_full_checks(spec):
     table = character_table(group)
     reps = irreps(group, table)
     assert [r.dim for r in reps] == table.dims.tolist()
+    bases = [c.base_element for c in table.classes]
     for alpha, rep in enumerate(reps):
         mats = rep.matrices
         assert np.max(np.abs(
@@ -143,7 +143,7 @@ def test_irreps_full_checks(spec):
         # t(g^-1) = conj(t(g))^T
         assert np.max(np.abs(mats[group.inverse_table] - mats.conj().transpose(0, 2, 1))) < 1e-11
         assert schur_defect(mats, seed=alpha) < 1e-10
-        assert np.max(np.abs(rep.character(table.classes) - table.values[alpha])) < 1e-10
+        assert np.max(np.abs(np.trace(mats[bases], axis1=1, axis2=2) - table.values[alpha])) < 1e-10
 
 
 @pytest.mark.parametrize("spec", CATALOG_LEQ_24)
@@ -225,6 +225,7 @@ def test_generic_fallback_irreps(gens, order):
     assert group.family is None and group.order == order
     table = character_table(group)
     reps = irreps(group, table)
+    bases = [c.base_element for c in table.classes]
     for alpha, rep in enumerate(reps):
         mats = rep.matrices
         assert np.max(np.abs(
@@ -233,7 +234,7 @@ def test_generic_fallback_irreps(gens, order):
         products = np.einsum("aij,bjk->abik", mats, mats)
         assert np.max(np.abs(products - mats[group.mult_table])) < 1e-11
         assert schur_defect(mats, seed=alpha) < 1e-10
-        assert np.max(np.abs(rep.character(table.classes) - table.values[alpha])) < 1e-8
+        assert np.max(np.abs(np.trace(mats[bases], axis1=1, axis2=2) - table.values[alpha])) < 1e-8
 
 
 def test_projectors():
@@ -243,7 +244,7 @@ def test_projectors():
     total = np.zeros((group.order, group.order), dtype=complex)
     projectors = []
     for alpha in range(len(table.dims)):
-        p = left_regular_matrix(group, isotypic_projector(group, table, alpha).matrix)
+        p = left_regular_matrix(group, isotypic_projector(group, table, alpha))
         projectors.append(p)
         assert np.max(np.abs(p @ p - p)) < 1e-10
         assert np.max(np.abs(p - p.conj().T)) < 1e-11
@@ -269,8 +270,10 @@ def test_projector_stack_argument_matches_default():
     table = character_table(group)
     lam = regular_representation(group)
     for alpha in range(3):
-        p1 = left_regular_matrix(group, isotypic_projector(group, table, alpha).matrix)
-        p2 = isotypic_projector(group, table, alpha, lam).matrix
+        p1 = left_regular_matrix(group, isotypic_projector(group, table, alpha))
+        # the projector summed over the regular stack, (n^alpha/|G|) sum_g conj(chi(g)) lambda(g)
+        chi = table.element_values(alpha)
+        p2 = table.dims[alpha] / group.order * np.einsum("g,gxy->xy", chi.conj(), lam)
         assert np.max(np.abs(p1 - p2)) < 1e-12
     with pytest.raises(KeyError):
         isotypic_projector(group, table, 7)
@@ -279,7 +282,7 @@ def test_projector_stack_argument_matches_default():
 def test_trivial_projector_is_averaging():
     group = build_group("Q8")
     table = character_table(group)
-    p = left_regular_matrix(group, isotypic_projector(group, table, 0).matrix)
+    p = left_regular_matrix(group, isotypic_projector(group, table, 0))
     assert np.max(np.abs(p - np.full((8, 8), 1 / 8))) < 1e-12
 
 
@@ -287,17 +290,15 @@ def test_matrix_element_functions():
     group = build_group("S3")
     table = character_table(group)
     reps = irreps(group, table)
-    funcs, norm = matrix_element_functions(reps[0])
-    assert norm == 1.0
-    assert np.allclose(funcs[0, 0], 1.0)
-    funcs, norm = matrix_element_functions(reps[2])
-    assert norm == pytest.approx(np.sqrt(2))
-    p = left_regular_matrix(group, isotypic_projector(group, table, 2).matrix)
+    # the functions g -> conj(t_ij(g)), orthonormal after scaling by sqrt(n^alpha)
+    assert np.allclose(reps[0].matrices.conj().transpose(1, 2, 0)[0, 0], 1.0)
+    funcs = reps[2].matrices.conj().transpose(1, 2, 0)
+    p = left_regular_matrix(group, isotypic_projector(group, table, 2))
     for i in range(2):
         for j in range(2):
             for k in range(2):
                 for l in range(2):
-                    ip = inner_product(group, funcs[i, j], funcs[k, l])
+                    ip = funcs[i, j] @ funcs[k, l].conj() / group.order
                     expected = 0.5 if (i, j) == (k, l) else 0.0
                     assert abs(ip - expected) < 1e-12
             # functions span the isotypic range
@@ -374,7 +375,7 @@ def test_orthonormal_range_takes_the_lowest_of_tied_columns():
     # a projector whose columns are all translates of one vector: every norm ties
     group = build_group("S4")
     table = character_table(group)
-    p = left_regular_matrix(group, isotypic_projector(group, table, 3).matrix)
+    p = left_regular_matrix(group, isotypic_projector(group, table, 3))
     basis = _orthonormal_range(p, 9)
     assert np.max(np.abs(basis.conj().T @ basis - np.eye(9))) < 1e-12
     assert np.max(np.abs(p @ basis - basis)) < 1e-12

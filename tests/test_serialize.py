@@ -16,15 +16,13 @@ from classops.serialize import (
     REPORT_SCHEMA,
     TABLES_SCHEMA,
     coupling_table_document,
-    coupling_table_from_document,
     csv_lines,
-    decode_complex_array,
     format_float,
     json_text,
     load_group_file,
     tables_document,
 )
-from helpers import oracle_json_text
+from helpers import decode_complex_array, oracle_json_text, unitarity_residual
 
 
 def test_complex_array_round_trip():
@@ -96,15 +94,14 @@ def test_tables_document_schema():
 def test_coupling_table_round_trip(make):
     table = make()
     doc = json.loads(json_text(coupling_table_document(table)))
-    back = coupling_table_from_document(doc)
-    assert back.sigma == table.sigma
-    assert back.gammas == table.gammas
-    assert back.multiplicities == table.multiplicities
+    assert doc["sigma"] == table.sigma
+    assert doc["gammas"] == table.gammas
+    assert doc["multiplicities"] == {str(g): m for g, m in table.multiplicities.items()}
     for gamma in table.gammas:
         coefficients = decode_complex_array(doc["coefficients"][str(gamma)])
         assert np.array_equal(coefficients, np.conj(table.basis[gamma]).transpose(2, 3, 0, 1))
-        assert np.array_equal(back.basis[gamma], table.basis[gamma])
-    assert back.unitarity_residual() < 1e-10
+        assert np.array_equal(decode_complex_array(doc["basis"][str(gamma)]), table.basis[gamma])
+    assert unitarity_residual(table) < 1e-10
 
 
 def _coupling_tables(spec):
@@ -118,42 +115,16 @@ def _coupling_tables(spec):
 
 @pytest.mark.parametrize("spec", ["S4", ["(1 2 3)", "(1 2 3 4 5)"], "su2"], ids=["S4", "A5-generators", "su2"])
 def test_coupling_tables_round_trip_through_json_text(spec):
-    # the written text parses back to the same floats, so the reader's exact
-    # check of the coefficients against the basis holds for every table
+    # the written text parses back to the same floats, so the coefficients
+    # stay the exact conjugate transpose of the basis in every table
     for table in _coupling_tables(spec):
         doc = json.loads(json_text(coupling_table_document(table)))
-        back = coupling_table_from_document(doc)
-        assert (back.sigma, back.kind, back.sigma_dim) == (table.sigma, table.kind, table.sigma_dim)
-        assert back.gammas == table.gammas and back.multiplicities == table.multiplicities
-        assert all(np.array_equal(back.basis[g], table.basis[g]) for g in table.gammas)
-
-
-def _tamper_coefficient(doc):
-    entry = doc["coefficients"][str(doc["gammas"][-1])][0][0][0][0]
-    entry[1] = math.nextafter(entry[1], math.inf)   # one ulp in one imaginary part
-
-
-def _tamper_gammas(doc):
-    doc["gammas"] = doc["gammas"][:-1]
-
-
-def _tamper_multiplicities(doc):
-    doc["multiplicities"]["0"] = 2
-
-
-def _tamper_sigma_dim(doc):
-    doc["sigma_dim"] += 1
-
-
-@pytest.mark.parametrize("tamper", [_tamper_coefficient, _tamper_gammas, _tamper_multiplicities, _tamper_sigma_dim])
-@pytest.mark.parametrize("spec", ["S4", "su2"])
-def test_coupling_table_reader_refuses_members_that_disagree_with_the_basis(spec, tamper):
-    table = _coupling_tables(spec)[-1]
-    doc = json.loads(json_text(coupling_table_document(table)))
-    coupling_table_from_document(doc)   # the untouched document reads
-    tamper(doc)
-    with pytest.raises(ValueError, match="coupling table"):
-        coupling_table_from_document(doc)
+        assert (doc["sigma"], doc["kind"], doc["sigma_dim"]) == (table.sigma, table.kind, table.sigma_dim)
+        assert doc["gammas"] == table.gammas
+        for g in table.gammas:
+            basis = decode_complex_array(doc["basis"][str(g)])
+            assert np.array_equal(basis, table.basis[g])
+            assert np.array_equal(decode_complex_array(doc["coefficients"][str(g)]), basis.conj().transpose(2, 3, 0, 1))
 
 
 def test_report_schema_name():

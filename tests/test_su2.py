@@ -5,17 +5,15 @@ import pytest
 
 from classops.su2 import (
     MAX_J2,
-    PAULI,
-    SU2Element,
     SphereQuadrature,
     WignerD,
-    ad_map,
     class_operator_quadrature,
     closed_form_eigenvalue,
     fixed_column_index,
     haar_random,
     sphere_rule_for_spin,
     su2_haar_quadrature,
+    weighted_class_operator_rows_su2,
     weighted_class_operator_su2,
 )
 from classops.coupling import su2_coupling_table
@@ -26,60 +24,69 @@ from helpers import (
     oracle_phi_sum_weighted_operator,
     oracle_su2_haar_quadrature,
     oracle_wigner_eckart_matrix,
+    su2_euler_angles,
+    su2_matrices,
+    su2_product_angles,
 )
 
 RNG = np.random.default_rng(12)
 
 PSI_GRID = [np.pi / 6, np.pi / 3, np.pi / 2, 2 * np.pi / 3, np.pi, 3 * np.pi / 2]
 
+# Pauli matrices sigma_1, sigma_2, sigma_3
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+
 
 def test_element_invariants():
-    g = SU2Element.from_euler(0.7, 1.1, -0.4)
-    m = g.matrix
+    # the defining representation takes Euler angles to SU(2), and the angles of
+    # the conjugate transpose to the inverse
+    rep = WignerD(1)
+    m = rep.euler(0.7, 1.1, -0.4)
     assert np.max(np.abs(m @ m.conj().T - np.eye(2))) < 1e-14
     assert abs(np.linalg.det(m) - 1) < 1e-14
-    assert np.max(np.abs((g * g.inverse()).matrix - np.eye(2))) < 1e-14
-
-
-def test_renormalization_after_long_products():
-    g = SU2Element.identity()
-    step = SU2Element.from_euler(0.1, 0.2, 0.3)
-    for _ in range(10_000):
-        g = g * step
-    assert abs(abs(g.a) ** 2 + abs(g.b) ** 2 - 1) < 1e-14
+    assert np.max(np.abs(m @ rep.euler(*su2_euler_angles(m.conj().T)) - np.eye(2))) < 1e-14
 
 
 def test_euler_round_trip():
-    specials = [
-        SU2Element.identity(),
-        SU2Element(-1, 0, renormalize=False),
-        SU2Element(np.exp(0.3j), 0, renormalize=False),
-        SU2Element(0, np.exp(0.9j), renormalize=False),
-        SU2Element(0, 1, renormalize=False),
-    ]
-    for g in haar_random(RNG, 300) + specials:
-        phi, theta, psi = g.euler_angles()
-        assert 0 <= phi < 2 * np.pi
-        assert 0 <= theta <= np.pi + 1e-12
-        assert -2 * np.pi <= psi < 2 * np.pi
-        h = SU2Element.from_euler(phi, theta, psi)
-        assert abs(g.a - h.a) < 1e-10 and abs(g.b - h.b) < 1e-10
+    specials = np.array([
+        np.eye(2),
+        -np.eye(2),
+        np.diag([np.exp(0.3j), np.exp(-0.3j)]),
+        [[0, np.exp(0.9j)], [-np.exp(-0.9j), 0]],
+        [[0, 1], [-1, 0]],
+    ], dtype=complex)
+    angles = np.concatenate([haar_random(RNG, 300), su2_euler_angles(specials)])
+    assert np.all((0 <= angles[:, 0]) & (angles[:, 0] < 2 * np.pi))
+    assert np.all((0 <= angles[:, 1]) & (angles[:, 1] <= np.pi + 1e-12))
+    assert np.all((-2 * np.pi <= angles[:, 2]) & (angles[:, 2] < 2 * np.pi))
+    back = su2_euler_angles(su2_matrices(angles))
+    assert np.max(np.abs(su2_matrices(back) - su2_matrices(angles))) < 1e-10
+    assert np.max(np.abs(su2_matrices(angles[-5:]) - specials)) < 1e-10
+
+
+def test_haar_random_angles_follow_the_scalar_rule_bit_for_bit():
+    # the vectorized angles of the sphere points equal the per-element rule
+    for seed in range(20):
+        raw = np.random.default_rng(seed).standard_normal((64, 4))
+        raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+        a, b = raw[:, 0] + 1j * raw[:, 1], raw[:, 2] + 1j * raw[:, 3]
+        matrices = np.stack([np.stack([a, b], -1), np.stack([-b.conj(), a.conj()], -1)], -2)
+        assert np.array_equal(haar_random(np.random.default_rng(seed), 64), su2_euler_angles(matrices))
+    assert haar_random(RNG, 0).shape == (0, 3)
 
 
 def test_exponential_map():
-    for psi in [0.3, 1.2, 2.9]:
-        direct = SU2Element.exp(np.array([0.0, 0.0, psi / 2]))
-        euler = SU2Element.from_euler(0.0, 0.0, psi)
-        assert abs(direct.a - euler.a) < 1e-13 and abs(direct.b - euler.b) < 1e-13
-    assert abs(SU2Element.exp(np.zeros(3)).a - 1) == 0
-    # exp matches the matrix exponential on random directions
+    # the Euler factors are one-parameter subgroups: g(t) = exp(i t/2 sigma3), h(t) = exp(i t/2 sigma1)
     import scipy.linalg
 
-    for _ in range(10):
-        x = RNG.standard_normal(3)
-        lhs = SU2Element.exp(x).matrix
-        rhs = scipy.linalg.expm(1j * np.einsum("i,ijk->jk", x, PAULI))
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
+    def expm(t, axis):
+        return scipy.linalg.expm(0.5j * t * PAULI[axis])
+
+    rep = WignerD(1)
+    for phi, theta, psi in haar_random(RNG, 10):
+        product = expm(phi, 2) @ expm(theta, 0) @ expm(psi, 2)
+        assert np.max(np.abs(su2_matrices([phi, theta, psi]) - product)) < 1e-12
+        assert np.max(np.abs(rep.euler(phi, theta, psi) - product)) < 1e-12
 
 
 @pytest.mark.parametrize("j2", [1, 2, 3, 4, 7, 12])
@@ -87,9 +94,9 @@ def test_wigner_homomorphism_and_unitarity(j2):
     rep = WignerD(j2)
     for _ in range(15):
         u, v = haar_random(RNG, 2)
-        mu, mv = rep(u), rep(v)
+        mu, mv = rep.euler(*u), rep.euler(*v)
         assert np.max(np.abs(mu @ mu.conj().T - np.eye(rep.dim))) < 1e-12
-        assert np.max(np.abs(mu @ mv - rep(u * v))) < 1e-10
+        assert np.max(np.abs(mu @ mv - rep.euler(*su2_product_angles(u, v)))) < 1e-10
 
 
 def test_little_d_matches_factorial_oracle():
@@ -153,8 +160,8 @@ def test_euler_on_arrays_matches_pointwise_calls():
 
 def test_wigner_spin_half_is_defining_representation():
     rep = WignerD(1)
-    for g in haar_random(RNG, 25):
-        assert np.max(np.abs(rep(g) - g.matrix)) < 1e-12
+    angles = haar_random(RNG, 25)
+    assert np.max(np.abs(rep.euler(*angles.T) - su2_matrices(angles))) < 1e-12
 
 
 @pytest.mark.parametrize("j2", [0, 1, 2, 5, 9])
@@ -164,34 +171,13 @@ def test_wigner_character(j2):
         trace = np.trace(rep.euler(0.0, 0.0, psi))
         expected = np.sin((j2 + 1) * psi / 2) / np.sin(psi / 2)
         assert abs(trace - expected) < 1e-11
-        assert abs(trace - rep.character(psi)) < 1e-11
 
 
 def test_wigner_inverse_is_conjugate_transpose():
     rep = WignerD(4)
     for g in haar_random(RNG, 10):
-        assert np.max(np.abs(rep(g.inverse()) - rep(g).conj().T)) < 1e-11
-
-
-def test_ad_map():
-    assert np.allclose(ad_map(SU2Element.identity()), np.eye(3))
-    for _ in range(20):
-        u, v = haar_random(RNG, 2)
-        ru, rv = ad_map(u), ad_map(v)
-        assert np.max(np.abs(ru @ ru.T - np.eye(3))) < 1e-12
-        assert abs(np.linalg.det(ru) - 1) < 1e-12
-        assert np.max(np.abs(ru @ rv - ad_map(u * v))) < 1e-12
-    # g(phi) is the rotation by phi about the 3-axis
-    phi = 0.8
-    r = ad_map(SU2Element.from_euler(phi, 0.0, 0.0))
-    assert abs(r[2, 2] - 1) < 1e-14
-    assert abs(np.trace(r) - (1 + 2 * np.cos(phi))) < 1e-12
-    # direct conjugation of each Pauli matrix agrees
-    g = SU2Element.from_euler(phi, 0.0, 0.0).matrix
-    for a in range(3):
-        conj = g @ PAULI[a] @ g.conj().T
-        recon = sum(r[b, a] * PAULI[b] for b in range(3))
-        assert np.max(np.abs(conj - recon)) < 1e-12
+        inverse = su2_euler_angles(su2_matrices(g).conj().T)
+        assert np.max(np.abs(rep.euler(*inverse) - rep.euler(*g).conj().T)) < 1e-11
 
 
 def test_ad_map_reproduces_class_sphere_direction():
@@ -199,8 +185,9 @@ def test_ad_map_reproduces_class_sphere_direction():
         phi = RNG.uniform(0, 2 * np.pi)
         theta = RNG.uniform(0, np.pi)
         psi = RNG.uniform(-2 * np.pi, 2 * np.pi)
-        r = ad_map(SU2Element.from_euler(phi, theta, psi))
-        n_hat = r @ np.array([0.0, 0.0, 1.0])
+        # the adjoint map of g sends sigma3 to n . sigma
+        g = WignerD(1).euler(phi, theta, psi)
+        n_hat = 0.5 * np.einsum("aij,ji->a", PAULI, g @ PAULI[2] @ g.conj().T).real
         expected = np.array(
             [np.sin(theta) * np.sin(phi), np.sin(theta) * np.cos(phi), np.cos(theta)]
         )
@@ -209,7 +196,7 @@ def test_ad_map_reproduces_class_sphere_direction():
 
 def test_sphere_quadrature_normalization_and_exactness():
     quad = SphereQuadrature.build(8, 16)
-    assert abs(quad.total_weight - 1.0) < 1e-14
+    assert abs(np.sum(quad.theta_weights) - 1.0) < 1e-14
     # Gauss-Legendre in cos(theta): exact for degree <= 2 n - 1 polynomials
     x = np.cos(quad.theta)
     for k in range(2 * quad.n_theta - 1):
@@ -331,6 +318,24 @@ def test_weighted_operator_rejects_half_integer_weight():
     assert fixed_column_index(4) == 2
 
 
+def test_weighted_rows_yield_every_row_of_each_spin_in_order():
+    quad = SphereQuadrature.build(12, 24)
+    j2, psi = 3, 2.3
+    spins = [4, 0, 2]
+    yielded = weighted_class_operator_rows_su2(j2, psi, spins, quad)
+    assert [l2 for l2, _ in yielded] == spins
+    for l2, rows in weighted_class_operator_rows_su2(j2, psi, spins, quad):
+        assert rows.shape == (l2 + 1, j2 + 1, j2 + 1)
+        for k in range(l2 + 1):
+            expect = oracle_phi_sum_weighted_operator(j2, psi, [(l2, k, 1.0)], quad)
+            assert np.max(np.abs(rows[k] - expect)) < 1e-13
+    # spins and psi are refused at the call, before any row is asked for
+    with pytest.raises(ValueError, match="no circle-fixed vector"):
+        weighted_class_operator_rows_su2(j2, psi, [2, 1], quad)
+    with pytest.raises(ValueError, match="psi"):
+        weighted_class_operator_rows_su2(j2, 0.0, [2], quad)
+
+
 # ---------------------------------------------------------------------------
 # separated integrals: the closed-form phi moments against phi sums over the nodes
 # ---------------------------------------------------------------------------
@@ -412,11 +417,12 @@ def test_weighted_operator_covariance():
     rep = WignerD(j2)
     wrep = WignerD(l2)
     for g in haar_random(RNG, 5):
+        d_g, d_weight = rep.euler(*g), wrep.euler(*g)
         for i in range(l2 + 1):
             op = weighted_class_operator_su2(j2, psi, [(l2, i, 1.0)], quad)
-            conjugated = rep(g) @ op @ rep(g).conj().T
+            conjugated = d_g @ op @ d_g.conj().T
             # lambda(g) conj(t_{i0}) = sum_s D_{si}(g) conj(t_{s0})
-            coeffs = [(l2, s, wrep(g)[s, i]) for s in range(l2 + 1)]
+            coeffs = [(l2, s, d_weight[s, i]) for s in range(l2 + 1)]
             moved = weighted_class_operator_su2(j2, psi, coeffs, quad)
             assert np.max(np.abs(conjugated - moved)) < 1e-10
 
@@ -446,5 +452,5 @@ def test_haar_quadrature_schur_orthogonality():
 def test_haar_random_is_approximately_uniform():
     # first moment of the defining representation vanishes under Haar
     samples = haar_random(np.random.default_rng(99), 40_000)
-    mean = np.mean([g.matrix for g in samples], axis=0)
+    mean = np.mean(su2_matrices(samples), axis=0)
     assert np.max(np.abs(mean)) < 0.02
