@@ -193,16 +193,6 @@ class FiniteGroup:
             raise GroupConstructionError("some element has no right inverse")
         return inv
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self.mult_table[a, b])
-
-    def inv(self, a: int) -> int:
-        return int(self.inverse_table[a])
-
-    def conjugate(self, x: int, by: int) -> int:
-        """Return ``by * x * by^-1``."""
-        return int(self.mult_table[self.mult_table[by, x], self.inverse_table[by]])
-
     def element_orders(self) -> np.ndarray:
         """Order of every element, from the powers of all elements at once."""
         if self._element_orders is None:

@@ -25,7 +25,10 @@ unitary to round-off at every spin up to MAX_J2.  Whole grids of Euler angles
 are evaluated at once, one little-d per distinct theta.
 Class-sphere integrals separate: phi enters D-function products as phases
 e^{i n (phi - pi/2)} whose uniform-rule sums are closed-form, aliasing included
-(``_phi_average``), so only theta is summed, with one little-d per spin and rule.
+(``_phi_average``), so only theta is summed.  The class operator sums it in the
+J_y eigenbasis, where the weighted theta sum of d(theta) E(psi) d(theta)^T is a
+Hadamard product with a Toeplitz matrix of 2d - 1 phase moments: no little-d is
+built.  The weighted rows sum it over one little-d stack per spin and rule.
 """
 
 from __future__ import annotations
@@ -215,11 +218,15 @@ def class_operator_quadrature(j2: int, psi, quad: SphereQuadrature) -> np.ndarra
     """Quadrature of the class-operator integral in the spin-(j2/2) representation.
 
     Integrates D(g(phi) h(theta) g(psi) h(theta)^-1 g(phi)^-1) over the class
-    sphere: the theta sum runs over the rule's nodes, and the uniform phi
-    average of entry (m', m) is the closed-form moment of order m' - m on the
-    rule (``_phi_average``), aliasing included.  ``psi`` is one angle, shape
-    (d, d), or a 1-D sequence of angles, shape (len(psi), d, d), all from one
-    little-d stack.
+    sphere.  The theta sum sum_t w_t d(theta_t) E(psi) d(theta_t)^T is taken in
+    the J_y eigenbasis, where d(theta) = V diag(e^{-i mu theta}) V^H: it is
+    V [(V^H E(psi) V) o K] V^H with the Toeplitz K[a, b] = sum_t w_t
+    e^{-i (a - b) theta_t}, so no little-d is built and each angle costs O(d^3)
+    whatever the rule.  The uniform phi average of entry (m', m) is the
+    closed-form moment of order m' - m on the rule (``_phi_average``), aliasing
+    included.  ``psi`` is one angle, shape (d, d), or a 1-D sequence of
+    angles, shape (len(psi), d, d); each angle gets the same bits alone or in
+    a sequence.
     """
     rep = WignerD(j2)
     psis = np.asarray(psi, dtype=float)
@@ -227,12 +234,13 @@ def class_operator_quadrature(j2: int, psi, quad: SphereQuadrature) -> np.ndarra
         raise ValueError("psi must be one angle or a 1-D sequence of angles")
     for angle in psis.ravel():
         _check_psi(angle)
-    d_stack = rep.little_d(quad.theta)                      # (T, d, d)
-    t, d = d_stack.shape[:2]
-    # core = sum_t w_t d_t E(psi) d_t^T: one matmul per angle, the same bits alone or in a sequence
-    left = (d_stack * quad.theta_weights[:, None, None]) * rep.weight_phases(psis.reshape(-1, 1, 1, 1))
-    core = left.transpose(0, 2, 1, 3).reshape(-1, d, t * d) @ d_stack.transpose(0, 2, 1).reshape(t * d, d)
-    out = core * _phi_average(d, [0], quad.n_phi)
+    d = rep.dim
+    vectors = _jy_eigenbasis(rep.j2)
+    vectors_h = vectors.conj().T
+    kern = np.exp(-1j * np.multiply.outer(np.arange(1 - d, d), quad.theta)) @ quad.theta_weights
+    toeplitz = sliding_window_view(kern, d)[:, ::-1]   # K[a, b] = kern[a - b]: row index minus column index
+    adapted = (vectors_h * rep.weight_phases(psis.reshape(-1, 1, 1))) @ vectors
+    out = (vectors @ (adapted * toeplitz) @ vectors_h) * _phi_average(d, [0], quad.n_phi)
     return out if psis.ndim else out[0]
 
 

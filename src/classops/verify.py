@@ -175,18 +175,22 @@ def su2_convergence_rows(
 ) -> list[Su2ConvergenceRow]:
     """Class-operator quadrature error against the closed form, for every
     (j2, psi) and every sphere rule (n_theta, n_phi), in that nesting order;
-    little-d is evaluated once per (j2, rule)."""
+    each (j2, rule) runs every angle in one quadrature call and one error
+    reduction."""
     j2_values, psi_values = [int(j2) for j2 in j2_values], [float(psi) for psi in psi_values]
     # the closed form validates spin and angle before any rule is built
     targets = [[closed_form_eigenvalue(j2, psi) for psi in psi_values] for j2 in j2_values]
     quads = [SphereQuadrature.build(n_theta, n_phi) for n_theta, n_phi in rules]
     rows = []
     for j2, j2_targets in zip(j2_values, targets):
-        ops = [class_operator_quadrature(j2, psi_values, quad) for quad in quads]
+        scalars = np.array(j2_targets)[:, None, None] * np.eye(j2 + 1)
+        errors = [
+            np.abs(class_operator_quadrature(j2, psi_values, quad) - scalars).max(axis=(1, 2)).tolist()
+            for quad in quads
+        ]
         for p, (psi, target) in enumerate(zip(psi_values, j2_targets)):
-            for quad, op in zip(quads, ops):
-                err = float(np.max(np.abs(op[p] - target * np.eye(j2 + 1))))
-                rows.append(Su2ConvergenceRow(j2, psi, quad.n_theta, quad.n_phi, err, target))
+            for quad, errs in zip(quads, errors):
+                rows.append(Su2ConvergenceRow(j2, psi, quad.n_theta, quad.n_phi, errs[p], target))
     return rows
 
 

@@ -34,7 +34,8 @@ and the triple product runs node by node over full Wigner-D stacks.
 Every document the package writes is compared with the standard library's
 indent-2 JSON rendering, which the package reproduces without calling it.
 What no command, demo or benchmark calls lives here rather than in the
-library: the finite product-expansion and triple-product identities, the
+library: the product, inverse and conjugate of single finite-group
+elements, the finite product-expansion and triple-product identities, the
 coefficient matrix of a coupling table with its unitarity residual, the
 decoding of written [re, im] arrays, and SU(2) elements as 2 x 2 matrices
 with the per-element Euler-angle rule that ``haar_random`` vectorizes.
@@ -69,13 +70,26 @@ CATALOG_LEQ_24 = ["C1", "C2", "C3", "C4", "C6", "D3", "D4", "D5", "Q8", "S3", "S
 ACCEPTANCE_GROUPS = ["C6", "S3", "D4", "Q8", "S4"]
 
 
+def group_mul(group: FiniteGroup, a: int, b: int) -> int:
+    return int(group.mult_table[a, b])
+
+
+def group_inv(group: FiniteGroup, a: int) -> int:
+    return int(group.inverse_table[a])
+
+
+def group_conjugate(group: FiniteGroup, x: int, by: int) -> int:
+    """Return ``by * x * by^-1``."""
+    return int(group.mult_table[group.mult_table[by, x], group.inverse_table[by]])
+
+
 def oracle_classes(group: FiniteGroup) -> list[set[int]]:
     """Brute-force conjugacy classes over the Cayley table, set-based."""
     remaining = set(range(group.order))
     out = []
     while remaining:
         base = min(remaining)
-        orbit = {group.conjugate(base, x) for x in range(group.order)}
+        orbit = {group_conjugate(group, base, x) for x in range(group.order)}
         out.append(orbit)
         remaining -= orbit
     return out
@@ -121,7 +135,7 @@ def oracle_coset_reps(group: FiniteGroup, base: int) -> tuple[int, ...]:
     """For each member c of the class of base (ascending), the smallest x with x base x^-1 = c."""
     first: dict[int, int] = {}
     for x in range(group.order):
-        first.setdefault(group.conjugate(base, x), x)
+        first.setdefault(group_conjugate(group, base, x), x)
     return tuple(first[c] for c in sorted(first))
 
 
@@ -131,7 +145,7 @@ def oracle_one_dim_irrep(group: FiniteGroup, row: np.ndarray, class_of: np.ndarr
     for g in range(group.order):
         order, power = 1, g
         while power != 0:
-            power, order = group.mul(power, g), order + 1
+            power, order = group_mul(group, power, g), order + 1
         k = int(round(np.angle(row[class_of[g]]) / (2 * np.pi / order))) % order
         vals[g] = np.exp(2j * np.pi * k / order)
     return vals.reshape(-1, 1, 1)
@@ -331,7 +345,7 @@ def literal_class_operator(group: FiniteGroup, representation, g0: int, f) -> np
     dim = representation.shape[1]
     acc = np.zeros((dim, dim), dtype=complex)
     for x in range(group.order):
-        acc += f[x] * representation[x] @ representation[g0] @ representation[group.inv(x)]
+        acc += f[x] * representation[x] @ representation[g0] @ representation[group_inv(group, x)]
     return acc / group.order
 
 

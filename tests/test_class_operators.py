@@ -17,6 +17,7 @@ from classops.class_operators import (
 from helpers import (
     CATALOG_LEQ_24,
     as_dense,
+    group_conjugate,
     literal_class_operator,
     regular_actions,
     regular_representation,
@@ -205,7 +206,7 @@ def test_transfer():
         f = np.zeros(6, complex)
         f[g] = group.order
         smeared = transfer(group, cls, f)
-        target = group.conjugate(cls.base_element, g)
+        target = group_conjugate(group, cls.base_element, g)
         expected = np.zeros(cls.size, complex)
         expected[cls.members.index(target)] = group.order / len(cls.centralizer)
         assert np.allclose(smeared, expected)

@@ -39,6 +39,7 @@ from helpers import (
     oracle_multiplicities,
     collect_bruteforce,
     dense_wigner_eckart_bruteforce,
+    group_conjugate,
     oracle_cg_ladder,
     oracle_conjugation_stack,
     oracle_tensor_operator_scan,
@@ -513,7 +514,7 @@ def test_reduced_matrix_elements_structure():
     assert absent.shape == (1, 0) and not pred.any()
     # base-point well-definedness: any h in Z0 leaves g0, hence the values, unchanged
     for h in cls.centralizer:
-        conj_g0 = group.conjugate(g0, h)
+        conj_g0 = group_conjugate(group, g0, h)
         assert conj_g0 == g0
         _, again = wigner_eckart_matrix(tab, 2, 2, [0], adapted[2].matrices[conj_g0])
         assert abs(again[0, 0] - reduced[0, 0]) == 0

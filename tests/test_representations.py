@@ -19,6 +19,7 @@ from classops.representations import (
 )
 from helpers import (
     CATALOG_LEQ_24,
+    group_mul,
     oracle_canonical_row_order,
     oracle_character_table,
     oracle_class_constants,
@@ -173,7 +174,7 @@ def test_s5_irreps():
         )) < 1e-12
         for _ in range(200):
             a, b = rng.integers(0, group.order, size=2)
-            assert np.max(np.abs(mats[a] @ mats[b] - mats[group.mul(a, b)])) < 1e-11
+            assert np.max(np.abs(mats[a] @ mats[b] - mats[group_mul(group, a, b)])) < 1e-11
 
 
 def test_c3_character_values():

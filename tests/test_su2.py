@@ -1,5 +1,7 @@
 """SU(2) elements, Wigner matrices, class-operator quadrature, weighted operators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -373,6 +375,42 @@ def test_separated_integrals_match_node_sums_up_to_j2_40():
         expect = oracle_phi_sum_weighted_operator(j2, 1.7, terms, quad)
         got = weighted_class_operator_su2(j2, 1.7, terms, quad)
         assert np.max(np.abs(got - expect)) < 1e-13
+
+
+@pytest.mark.parametrize("j2", [41, 60, 80, 119, 120])
+def test_class_operator_matches_node_sums_up_to_the_spin_cap(j2):
+    # the J_y-eigenbasis sum against full little-d stacks and phi node sums,
+    # on the floor rule, every table rule and one rule that aliases at an odd
+    # n_phi; each angle of the sequence gets the bits of its own call.  The
+    # Toeplitz factor and its transpose differ in entry (m', m) by (-1)^(m'-m),
+    # so only odd aliasing can tell them apart.
+    for rule in [sphere_rule_for_spin(j2, (32, 64)), *SU2_TABLE_RULES, (j2 // 4 + 1, j2 // 2 | 1)]:
+        quad = SphereQuadrature.build(*rule)
+        ops = class_operator_quadrature(j2, (0.4, 2.9), quad)
+        for psi, op in zip((0.4, 2.9), ops):
+            assert np.max(np.abs(op - oracle_phi_sum_class_operator(j2, psi, quad))) < 1e-13
+            assert np.array_equal(op, class_operator_quadrature(j2, psi, quad))
+
+
+def test_class_operator_builds_no_little_d_at_the_spin_cap(monkeypatch):
+    # a (T, d, d) little-d stack at j2 = 120 on the 61 x 121 floor rule and the
+    # T * d^3 sum over it peaked at 93 MB traced for two angles; in the J_y
+    # eigenbasis the call peaked at 1.8 MB (CPython 3.11, numpy 2.4)
+    quad = SphereQuadrature.build(*sphere_rule_for_spin(MAX_J2, (32, 64)))
+    class_operator_quadrature(MAX_J2, [1.0, 2.0], quad)   # fills the eigenbasis cache
+
+    def refuse(*args):
+        raise AssertionError("class_operator_quadrature evaluated little-d")
+
+    monkeypatch.setattr(WignerD, "little_d", refuse)
+    monkeypatch.setattr("classops.su2._little_d_column", refuse)
+    tracemalloc.start()
+    try:
+        class_operator_quadrature(MAX_J2, [1.0, 2.0], quad)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000, f"peak traced allocation {peak} B"
 
 
 @pytest.mark.parametrize("rule", [(24, 48), (6, 5)])
