@@ -113,10 +113,6 @@ def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(p[x] for x in q)
 
 
-def _pad(perm: tuple[int, ...], degree: int) -> tuple[int, ...]:
-    return perm + tuple(range(len(perm), degree))
-
-
 # ---------------------------------------------------------------------------
 # core types
 # ---------------------------------------------------------------------------
@@ -146,9 +142,10 @@ class FiniteGroup:
     """A finite group given by its full multiplication table.
 
     Element 0 is the identity.  Groups built from permutation generators keep
-    the permutation image of each element (``perms``) and the breadth-first
-    word used to discover it (``bfs_words``), which downstream code uses to
-    extend generator data (e.g. representation matrices) to the whole group.
+    the breadth-first word that discovered each element (``bfs_words``: its
+    parent and the slot of the generator applied on the right), along which
+    ``extend_from_generators`` extends generator images to the whole group;
+    the permutations themselves live on only in the cycle-notation labels.
     """
 
     def __init__(
@@ -157,8 +154,6 @@ class FiniteGroup:
         labels: list[str] | None = None,
         name: str = "G",
         family: tuple | None = None,
-        perms: tuple[tuple[int, ...], ...] | None = None,
-        generator_indices: tuple[int, ...] = (),
         bfs_words: list[tuple[int, int] | None] | None = None,
     ):
         table = np.asarray(mult_table, dtype=np.int64)
@@ -171,14 +166,11 @@ class FiniteGroup:
         self.mult_table = table
         self.name = name
         self.family = family
-        self.perms = perms
-        self.generator_indices = generator_indices
         self.bfs_words = bfs_words
         self.labels = list(labels) if labels is not None else [str(i) for i in range(n)]
         if len(self.labels) != n:
             raise GroupConstructionError("labels length does not match order")
         self.inverse_table = self._find_inverses()
-        self.identity = 0
         self._classes: list[ConjugacyClass] | None = None
         self._element_orders: np.ndarray | None = None
 
@@ -269,7 +261,7 @@ def _closure(
     This fixes element indices deterministically.
     """
     degree = max([1] + [len(g) for g in generators])
-    gens = [_pad(g, degree) for g in generators]
+    gens = [g + tuple(range(len(g), degree)) for g in generators]
     identity = tuple(range(degree))
     index: dict[tuple[int, ...], int] = {identity: 0}
     elements: list[tuple[int, ...]] = [identity]
@@ -303,17 +295,8 @@ def _closure(
     for b in range(1, n):
         parent, slot = words[b]
         table[:, b] = right_table[table[:, parent], slot]
-    gen_indices = tuple(index[g] for g in gens)
     labels = [cycle_notation(p) for p in elements]
-    return FiniteGroup(
-        table,
-        labels=labels,
-        name=name,
-        family=family,
-        perms=tuple(elements),
-        generator_indices=gen_indices,
-        bfs_words=words,
-    )
+    return FiniteGroup(table, labels=labels, name=name, family=family, bfs_words=words)
 
 
 def _check_catalog_order(order: int, order_cap: int) -> None:
@@ -376,7 +359,7 @@ _CATALOG = {
     "quaternion": quaternion_group,
 }
 _FAMILY_OF_LETTER = {family[0].upper(): family for family in _CATALOG}
-_CATALOG_RE = re.compile(rf"^([{''.join(_FAMILY_OF_LETTER)}])(\d+)$", re.IGNORECASE)
+_CATALOG_RE = re.compile(rf"^([{''.join(_FAMILY_OF_LETTER)}])([0-9]+)$", re.IGNORECASE)
 
 
 def group_from_generators(
@@ -384,10 +367,7 @@ def group_from_generators(
     name: str = "G",
     order_cap: int = DEFAULT_ORDER_CAP,
 ) -> FiniteGroup:
-    gens = [parse_cycles(s) for s in cycle_strings]
-    degree = max([1] + [len(g) for g in gens])
-    gens = [_pad(g, degree) for g in gens]
-    return _closure(gens, name, None, order_cap)
+    return _closure([parse_cycles(s) for s in cycle_strings], name, None, order_cap)
 
 
 def group_from_table(table, labels: list[str] | None = None, name: str = "G") -> FiniteGroup:
@@ -429,14 +409,20 @@ def build_group(spec, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         match = _CATALOG_RE.match(spec.strip())
         if not match:
             raise GroupConstructionError(f"unknown catalog group {spec!r}")
-        return _CATALOG[_FAMILY_OF_LETTER[match.group(1).upper()]](int(match.group(2)), order_cap)
+        letter, digits = match.groups()
+        # a count longer than the cap's digits is above it; int() never sees it
+        width = len(digits.lstrip("0"))
+        if width > _CAP_DIGITS:
+            raise GroupConstructionError(f"group too large: a {width}-digit catalog count exceeds the order cap")
+        return _CATALOG[_FAMILY_OF_LETTER[letter.upper()]](int(digits), order_cap)
     if isinstance(spec, (list, tuple)):
         return group_from_generators(_string_list(spec, "generators"), order_cap=order_cap)
     if isinstance(spec, dict):
         if "catalog" in spec:
             cat = spec["catalog"]
+            # type(...) is int: a bool is an int subclass, and true is no count
             if not isinstance(cat, dict) or not isinstance(cat.get("family", ""), str) \
-                    or not isinstance(cat.get("n", 0), int):
+                    or type(cat.get("n", 0)) is not int:
                 raise GroupConstructionError("'catalog' must be {\"family\": string, \"n\": integer}")
             family = cat.get("family", "").lower()
             if family not in _CATALOG:

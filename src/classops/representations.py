@@ -3,9 +3,12 @@
 Character tables come from Dixon's method: the common eigenvectors of the
 class-sum matrices are the central characters, so one Hermitian eigensolve of
 a random combination of class sums gives the whole table.  Concrete unitary
-irreps come from explicit catalog constructions (roots of unity, dihedral 2x2
-blocks, Young's orthogonal form for S_n, the standard Q8 pair) with a generic
-fallback that splits the regular representation.  Row order of the
+irreps of dimension 1 are roots of unity snapped from the characters.  Above
+that, each catalog family gives only the images of its catalog generators
+(dihedral 2x2 blocks, Young's orthogonal form for S_n, the standard Q8 pair),
+and one rule, ``extend_from_generators``, carries them along the
+breadth-first words to every element; any row no catalog candidate matches
+is split out of the regular representation.  Row order of the
 character table is canonical: trivial character first, then by (dimension,
 lexicographic value order), and the irrep list follows the same order.
 """
@@ -13,6 +16,7 @@ lexicographic value order), and the irrep list follows the same order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -177,10 +181,12 @@ def _canonical_row_order(values: np.ndarray, dims: np.ndarray) -> np.ndarray:
 
 
 def extend_from_generators(group: FiniteGroup, generator_matrices: list[np.ndarray]) -> np.ndarray:
-    """Extend matrices assigned to the BFS generators to every element.
+    """Extend the images of the generators, in the constructor's generator
+    order, to every element: the breadth-first word of x = parent * gen[slot]
+    gives rho(x) = rho(parent) @ rho(gen[slot]).
 
-    Uses the breadth-first word table recorded at construction time, so it is
-    only available for generator-built groups.
+    Uses the word table recorded at closure, so it is only available for
+    generator-built groups.
     """
     if group.bfs_words is None:
         raise ValueError("group carries no generator words")
@@ -263,57 +269,36 @@ def _yor_adjacent_matrices(shape: tuple[int, ...]) -> tuple[np.ndarray, int]:
     return mats, dim
 
 
-def _adjacent_word(perm: tuple[int, ...]) -> list[int]:
-    """Bubble-sort factorization: perm = s_{w[-1]} o ... o s_{w[0]}."""
-    arr = list(perm)
-    word = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(arr) - 1):
-            if arr[i] > arr[i + 1]:
-                arr[i], arr[i + 1] = arr[i + 1], arr[i]
-                word.append(i)
-                changed = True
-    return word
+# -- catalog generator images -----------------------------------------------
 
 
-def _symmetric_irreps(group: FiniteGroup) -> list[np.ndarray]:
-    n = group.family[1]
+def _symmetric_images(n: int) -> list[list[np.ndarray]]:
+    """Images of (1 2) and of the n-cycle (1 2 ... n) = s_1 s_2 ... s_{n-1}."""
     out = []
     for shape in _partitions(n):
         adj, dim = _yor_adjacent_matrices(shape)
-        if dim == 1:
-            continue  # trivial/sign come from the 1-dim path
-        mats = np.empty((group.order, dim, dim), dtype=complex)
-        for g, perm in enumerate(group.perms):
-            m = np.eye(dim)
-            for k in _adjacent_word(perm):
-                m = adj[k] @ m
-            mats[g] = m
-        out.append(mats)
+        if dim > 1:  # trivial/sign come from the 1-dim path
+            out.append([adj[0], reduce(np.matmul, adj)])
     return out
 
 
-def _dihedral_irreps(group: FiniteGroup) -> list[np.ndarray]:
-    n = group.family[1]
-    if n < 3:
-        return []
-    out = []
-    for h in range(1, (n + 1) // 2 + (1 if n % 2 == 0 else 0)):
-        if 2 * h == n:
-            continue
-        omega = np.exp(2j * np.pi * h / n)
-        rot = np.diag([omega, omega.conjugate()])
-        ref = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        out.append(extend_from_generators(group, [rot, ref]))
-    return out
+def _dihedral_images(n: int) -> list[list[np.ndarray]]:
+    """Images of the rotation and the reflection, one 2-dim irrep per 0 < h < n/2."""
+    ref = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    omegas = [np.exp(2j * np.pi * h / n) for h in range(1, (n + 1) // 2)]
+    return [[np.diag([omega, omega.conjugate()]), ref] for omega in omegas]
 
 
-def _quaternion_irrep(group: FiniteGroup) -> list[np.ndarray]:
-    gen_i = np.array([[1j, 0], [0, -1j]])
-    gen_j = np.array([[0, 1], [-1, 0]], dtype=complex)
-    return [extend_from_generators(group, [gen_i, gen_j])]
+def _quaternion_images(n: int) -> list[list[np.ndarray]]:
+    return [[np.array([[1j, 0], [0, -1j]]), np.array([[0, 1], [-1, 0]], dtype=complex)]]
+
+
+# family -> n -> the catalog-generator images of each irrep of dimension > 1
+_CATALOG_IMAGES = {
+    "dihedral": _dihedral_images,
+    "symmetric": _symmetric_images,
+    "quaternion": _quaternion_images,
+}
 
 
 # -- generic extraction from the regular representation ----------------------
@@ -433,14 +418,9 @@ def irreps(group: FiniteGroup, table: CharacterTable | None = None, seed: int = 
     """One unitary irrep per character-table row, in row order."""
     if table is None:
         table = character_table(group, seed=seed)
-    family = group.family[0] if group.family else None
-    candidates: list[np.ndarray] = []
-    if family == "dihedral":
-        candidates = _dihedral_irreps(group)
-    elif family == "symmetric":
-        candidates = _symmetric_irreps(group)
-    elif family == "quaternion":
-        candidates = _quaternion_irrep(group)
+    family, n = group.family or (None, 0)
+    images = _CATALOG_IMAGES[family](n) if family in _CATALOG_IMAGES else []
+    candidates = [extend_from_generators(group, gens) for gens in images]
 
     bases = np.array([c.base_element for c in table.classes])
 

@@ -7,12 +7,16 @@ class operators, commutant diagonalization of the regular representation for
 characters, a highest-weight/lowering recursion for Clebsch-Gordan
 coefficients, and Wigner's factorial sum for the SU(2) little-d matrix.  The
 slow loops that the table pipeline replaced stay here as references compared
-bit for bit: composing every pair of permutations for the multiplication
-table, the dense (k, k, k) class-constant tensor (it checks the weighted class
-sums of ``_class_combination``; the characters themselves are read off the
+bit for bit: composing every pair of permutations (parsed back from the
+cycle-notation labels) for the multiplication table, the dense (k, k, k)
+class-constant tensor (it checks the weighted class sums of
+``_class_combination``; the characters themselves are read off the
 eigenvectors), the per-element search for coset representatives, the
 rounded-tuple sort key of the character-table rows and the per-element
-root-of-unity snapping of the 1-dim irreps.  The dense
+root-of-unity snapping of the 1-dim irreps.  The S_n irreps, which the
+library extends from the images of two generators, are compared within
+round-off with Young's orthogonal form multiplied out element by element
+along a bubble-sort factorization of each permutation.  The dense
 conjugation stack (one ``np.kron`` per element) is the reference route of the
 coupling decomposition, which sums over the irrep matrices instead.
 The library carries operators of the left regular representation as
@@ -48,7 +52,8 @@ from math import factorial
 
 import numpy as np
 
-from classops.groups import FiniteGroup, conjugacy_classes, left_regular_matrix
+from classops.groups import FiniteGroup, conjugacy_classes, left_regular_matrix, parse_cycles
+from classops.representations import _partitions, _yor_adjacent_matrices
 from classops.class_operators import (
     class_operator_from_classfunction,
     class_sum_element,
@@ -95,15 +100,55 @@ def oracle_classes(group: FiniteGroup) -> list[set[int]]:
     return out
 
 
+def label_perms(group: FiniteGroup) -> list[tuple[int, ...]]:
+    """The permutation image of every element, parsed back from its cycle-notation label."""
+    degree = max(len(parse_cycles(label)) for label in group.labels)
+    return [parse_cycles(label, degree) for label in group.labels]
+
+
 def oracle_mult_table(group: FiniteGroup) -> np.ndarray:
     """Multiplication table by composing every pair of permutation images."""
-    perms = group.perms
+    perms = label_perms(group)
     index = {p: i for i, p in enumerate(perms)}
     table = np.empty((group.order, group.order), dtype=np.int64)
     for a in range(group.order):
         for b in range(group.order):
             table[a, b] = index[tuple(perms[a][x] for x in perms[b])]
     return table
+
+
+def _adjacent_word(perm: tuple[int, ...]) -> list[int]:
+    """Bubble-sort factorization: perm = s_{w[-1]} o ... o s_{w[0]}."""
+    arr = list(perm)
+    word = []
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(arr) - 1):
+            if arr[i] > arr[i + 1]:
+                arr[i], arr[i + 1] = arr[i + 1], arr[i]
+                word.append(i)
+                changed = True
+    return word
+
+
+def oracle_symmetric_irreps(group: FiniteGroup) -> list[np.ndarray]:
+    """Young's orthogonal form of every irrep of S_n of dimension > 1, in
+    partition order, one product of adjacent-transposition matrices per element."""
+    perms = label_perms(group)
+    out = []
+    for shape in _partitions(group.family[1]):
+        adj, dim = _yor_adjacent_matrices(shape)
+        if dim == 1:
+            continue
+        mats = np.empty((group.order, dim, dim), dtype=complex)
+        for g, perm in enumerate(perms):
+            m = np.eye(dim)
+            for k in _adjacent_word(perm):
+                m = adj[k] @ m
+            mats[g] = m
+        out.append(mats)
+    return out
 
 
 def oracle_class_constants(group: FiniteGroup) -> np.ndarray:

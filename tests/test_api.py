@@ -75,6 +75,40 @@ def test_every_exported_name_is_reached_by_the_library_a_demo_or_the_bench():
     assert unreached_names(ROOT) == []
 
 
+def _loaded_attributes(tree, skip) -> set[str]:
+    """Attribute names read (``.name`` in a load) anywhere in tree except under the node skip."""
+    names, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is not skip:
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def unread_group_attributes(root: Path) -> list[str]:
+    """Every attribute ``FiniteGroup.__init__`` sets on self that nothing reads,
+    outside that ``__init__``, in the library (but its ``__init__`` module),
+    the demos or the bench."""
+    trees = {path.relative_to(root).as_posix(): ast.parse(path.read_text(encoding="utf-8"))
+             for pattern in ("src/classops/*.py", "demos/*.py", "bench/*.py")
+             for path in sorted(root.glob(pattern)) if path.name != "__init__.py"}
+    cls = next(n for n in trees["src/classops/groups.py"].body
+               if isinstance(n, ast.ClassDef) and n.name == "FiniteGroup")
+    init = next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "__init__")
+    set_names = [t.attr for n in ast.walk(init) if isinstance(n, (ast.Assign, ast.AnnAssign))
+                 for t in (n.targets if isinstance(n, ast.Assign) else [n.target])
+                 if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name) and t.value.id == "self"]
+    read = set().union(*(_loaded_attributes(tree, init) for tree in trees.values()))
+    return [name for name in set_names if name not in read]
+
+
+def test_every_group_attribute_is_read_outside_the_constructor():
+    # an attribute only the constructor touches is state nothing needs
+    assert unread_group_attributes(ROOT) == []
+
+
 def test_removed_names_are_gone_and_check_records_live_in_verify():
     for name in ("covariance_conjugate", "centralizer_invariance_check", "su2_z_fixed_basis"):
         assert not hasattr(classops, name), name

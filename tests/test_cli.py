@@ -85,6 +85,7 @@ WRONG_SHAPE_DOCUMENTS = [
     {"table": [[0]], "labels": 5},
     {"table": 5},
     {"catalog": 5},
+    {"catalog": {"family": "cyclic", "n": True}},   # a bool is an int to isinstance
     {"generators": 5},
     {"table": [[0, 1], [1]]},
 ]
@@ -441,6 +442,17 @@ def test_oversized_catalog_group_exits_before_the_closure(capsys, monkeypatch):
     code, _, err = run(["finite-verify", "--group", "D100000", "--class", "0"], capsys)
     assert code == 2
     assert "too large" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("C\uff11\uff12", "unknown catalog group 'C\uff11\uff12'"),   # fullwidth digits one, two
+    ("S\u0663", "unknown catalog group 'S\u0663'"),                 # Arabic-Indic digit three
+    ("C" + "1" * 5000, "group too large: a 5000-digit catalog count exceeds the order cap"),
+], ids=["fullwidth-digits", "arabic-indic-digit", "5000-digit-count"])
+def test_catalog_name_takes_ascii_counts_below_the_cap(spec, message, capsys):
+    code, out, err = run(["finite-verify", "--group", spec], capsys)
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "GroupConstructionError", "message": message}
 
 
 def test_export_tables_checks_output_before_the_group(capsys):

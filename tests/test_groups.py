@@ -33,7 +33,6 @@ from helpers import (
 def test_catalog_orders(spec, order):
     group = build_group(spec)
     assert group.order == order
-    assert group.identity == 0
     group.validate()  # exhaustive <= 60, sampled above
 
 

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from classops import representations
 from classops.groups import build_group, conjugacy_classes, left_regular_matrix
 from classops.representations import (
     CharacterTable,
     _canonical_row_order,
     _class_combination,
     _class_quotients,
+    _dihedral_images,
     _one_dim_irrep,
     _orthonormal_range,
     character_table,
@@ -20,10 +22,12 @@ from classops.representations import (
 from helpers import (
     CATALOG_LEQ_24,
     group_mul,
+    label_perms,
     oracle_canonical_row_order,
     oracle_character_table,
     oracle_class_constants,
     oracle_one_dim_irrep,
+    oracle_symmetric_irreps,
     regular_representation,
 )
 
@@ -101,7 +105,8 @@ def test_c600_table_matches_the_dual_group():
     n = 600
     group = build_group(f"C{n}")
     table = character_table(group)
-    exponents = np.array([group.perms[c.base_element][0] for c in table.classes])
+    perms = label_perms(group)
+    exponents = np.array([perms[c.base_element][0] for c in table.classes])
     generator = int(np.flatnonzero(exponents == 1)[0])
     j = np.rint(np.angle(table.values[:, generator]) * n / (2 * np.pi)).astype(int) % n
     assert np.array_equal(np.sort(j), np.arange(n))
@@ -205,7 +210,7 @@ def test_s3_standard_traces():
 def test_d4_two_dim_rotation():
     group = build_group("D4")
     reps = irreps(group)
-    rot_index = group.generator_indices[0]
+    rot_index = group.element_index("(1 2 3 4)")
     two_dim = next(r for r in reps if r.dim == 2)
     mat = two_dim.matrices[rot_index]
     # unitary rotation of order 4 with trace 0 and det 1: a 90-degree rotation
@@ -213,6 +218,35 @@ def test_d4_two_dim_rotation():
     assert abs(np.trace(mat)) < 1e-12
     assert abs(np.linalg.det(mat) - 1) < 1e-12
     assert np.max(np.abs(np.linalg.matrix_power(mat, 4) - np.eye(2))) < 1e-12
+
+
+def _no_regular_extraction(*args, **kwargs):
+    raise AssertionError("a catalog irrep fell back to the regular representation")
+
+
+@pytest.mark.parametrize("spec", [f"S{n}" for n in range(1, 6)] + [f"D{n}" for n in range(1, 13)] + [
+    "D15", "D20", "Q8",
+])
+def test_catalog_irreps_never_reach_the_regular_extraction(spec, monkeypatch):
+    # a wrong generator image matches no character row and would only show as a slower run
+    monkeypatch.setattr(representations, "_regular_extraction", _no_regular_extraction)
+    group = build_group(spec)
+    table = character_table(group)
+    assert [r.dim for r in irreps(group, table)] == table.dims.tolist()
+
+
+@pytest.mark.parametrize("spec", ["S3", "S4", "S5"])
+def test_symmetric_irreps_match_young_form_element_by_element(spec):
+    group = build_group(spec)
+    expected = oracle_symmetric_irreps(group)
+    for rep in (r for r in irreps(group) if r.dim > 1):
+        assert np.all(rep.matrices.imag == 0)
+        assert min(np.max(np.abs(rep.matrices - mats)) for mats in expected if mats.shape == rep.matrices.shape) < 1e-14
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_dihedral_images_give_one_candidate_per_two_dim_irrep(n):
+    assert len(_dihedral_images(n)) == (n - 1) // 2
 
 
 @pytest.mark.parametrize("gens,order", [

@@ -112,7 +112,7 @@ def test_finite_suite_at_order_1000_stays_below_one_dense_matrix():
     n = 1000
     group = build_group(f"C{n}")
     classes = conjugacy_classes(group)
-    exponents = np.array([perm[0] for perm in group.perms])
+    exponents = np.arange(n)  # the closure lists r^e at index e
     values = np.exp(2j * np.pi * np.outer(np.arange(n), exponents) / n)
     table = CharacterTable(classes=classes, values=values, dims=np.ones(n, dtype=int), class_of=np.arange(n))
     tracemalloc.start()
