@@ -141,11 +141,13 @@ class ConjugacyClass:
 class FiniteGroup:
     """A finite group given by its full multiplication table.
 
-    Element 0 is the identity.  Groups built from permutation generators keep
-    the breadth-first word that discovered each element (``bfs_words``: its
-    parent and the slot of the generator applied on the right), along which
-    ``extend_from_generators`` extends generator images to the whole group;
-    the permutations themselves live on only in the cycle-notation labels.
+    Element 0 is the identity.  Every group keeps the element index of each
+    generator slot (``generators``) and the breadth-first word of every other
+    element (``bfs_words``: element -> (parent, slot of the generator applied
+    on the right), parents first), along which ``extend_from_generators``
+    extends generator images to the whole group.  The permutations of a
+    closure live on only in the cycle-notation labels; a table group's
+    generators are greedy (``group_from_table``).
     """
 
     def __init__(
@@ -154,7 +156,8 @@ class FiniteGroup:
         labels: list[str] | None = None,
         name: str = "G",
         family: tuple | None = None,
-        bfs_words: list[tuple[int, int] | None] | None = None,
+        generators: list[int] | None = None,
+        bfs_words: dict[int, tuple[int, int]] | None = None,
     ):
         table = np.asarray(mult_table, dtype=np.int64)
         n = table.shape[0]
@@ -166,6 +169,7 @@ class FiniteGroup:
         self.mult_table = table
         self.name = name
         self.family = family
+        self.generators = generators
         self.bfs_words = bfs_words
         self.labels = list(labels) if labels is not None else [str(i) for i in range(n)]
         if len(self.labels) != n:
@@ -265,7 +269,7 @@ def _closure(
     identity = tuple(range(degree))
     index: dict[tuple[int, ...], int] = {identity: 0}
     elements: list[tuple[int, ...]] = [identity]
-    words: list[tuple[int, int] | None] = [None]
+    words: dict[int, tuple[int, int]] = {}
     right: list[int] = []   # index of elements[x] o gens[s] at x * len(gens) + s
     frontier = [identity]
     while frontier:
@@ -280,8 +284,8 @@ def _closure(
         frontier = sorted(discovered)
         for q in frontier:
             index[q] = len(elements)
+            words[len(elements)] = discovered[q]
             elements.append(q)
-            words.append(discovered[q])
         right.extend(index[q] for q in products)
         if len(elements) > order_cap:
             raise GroupConstructionError(
@@ -296,7 +300,8 @@ def _closure(
         parent, slot = words[b]
         table[:, b] = right_table[table[:, parent], slot]
     labels = [cycle_notation(p) for p in elements]
-    return FiniteGroup(table, labels=labels, name=name, family=family, bfs_words=words)
+    return FiniteGroup(table, labels=labels, name=name, family=family,
+                       generators=right_table[0].tolist(), bfs_words=words)
 
 
 def _check_catalog_order(order: int, order_cap: int) -> None:
@@ -362,6 +367,14 @@ _FAMILY_OF_LETTER = {family[0].upper(): family for family in _CATALOG}
 _CATALOG_RE = re.compile(rf"^([{''.join(_FAMILY_OF_LETTER)}])([0-9]+)$", re.IGNORECASE)
 
 
+def _parse_count(digits: str) -> int:
+    """A decimal integer token; one longer than the cap's digits is above it, and int() never sees it."""
+    width = len(digits.lstrip("-").lstrip("0"))
+    if width > _CAP_DIGITS:
+        raise GroupConstructionError(f"group too large: a {width}-digit catalog count exceeds the order cap")
+    return int(digits)
+
+
 def group_from_generators(
     cycle_strings: list[str],
     name: str = "G",
@@ -371,7 +384,9 @@ def group_from_generators(
 
 
 def group_from_table(table, labels: list[str] | None = None, name: str = "G") -> FiniteGroup:
-    """Build a group from an explicit table, validating all axioms."""
+    """Build a group from an explicit table, validating all axioms.  Each greedy
+    generator is the lowest-index element outside the subgroup of the earlier
+    ones, which it at least doubles (Lagrange): at most log2 |G| of them."""
     message = "'table' must be a square array of integer element indices"
     try:
         table = np.asarray(table)
@@ -381,7 +396,29 @@ def group_from_table(table, labels: list[str] | None = None, name: str = "G") ->
         raise GroupConstructionError(message)
     group = FiniteGroup(table, labels=labels, name=name)
     group.validate()
+    gens, words = [], {}
+    while len(words) + 1 < group.order:   # the words reach the subgroup of the generators so far
+        inside = np.zeros(group.order, dtype=bool)
+        inside[[0, *words]] = True
+        gens.append(int(np.argmin(inside)))
+        words = _bfs_words(group.mult_table, gens)
+    group.generators, group.bfs_words = gens, words
     return group
+
+
+def _bfs_words(table: np.ndarray, gens: list[int]) -> dict[int, tuple[int, int]]:
+    """Breadth-first words over the generators, each level in index order; each new
+    element's word is its first (parent, slot) in level order, slot order."""
+    words, seen, frontier = {}, np.zeros(len(table), dtype=bool), np.array([0])
+    seen[0] = True
+    while frontier.size:
+        new, first = np.unique(table[np.ix_(frontier, gens)], return_index=True)
+        keep = ~seen[new]
+        new, first = new[keep], first[keep]
+        seen[new] = True
+        words.update(zip(new.tolist(), zip(frontier[first // len(gens)].tolist(), (first % len(gens)).tolist())))
+        frontier = new
+    return words
 
 
 def _string_list(value, what: str) -> list[str]:
@@ -410,11 +447,7 @@ def build_group(spec, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         if not match:
             raise GroupConstructionError(f"unknown catalog group {spec!r}")
         letter, digits = match.groups()
-        # a count longer than the cap's digits is above it; int() never sees it
-        width = len(digits.lstrip("0"))
-        if width > _CAP_DIGITS:
-            raise GroupConstructionError(f"group too large: a {width}-digit catalog count exceeds the order cap")
-        return _CATALOG[_FAMILY_OF_LETTER[letter.upper()]](int(digits), order_cap)
+        return _CATALOG[_FAMILY_OF_LETTER[letter.upper()]](_parse_count(digits), order_cap)
     if isinstance(spec, (list, tuple)):
         return group_from_generators(_string_list(spec, "generators"), order_cap=order_cap)
     if isinstance(spec, dict):

@@ -181,20 +181,14 @@ def _canonical_row_order(values: np.ndarray, dims: np.ndarray) -> np.ndarray:
 
 
 def extend_from_generators(group: FiniteGroup, generator_matrices: list[np.ndarray]) -> np.ndarray:
-    """Extend the images of the generators, in the constructor's generator
-    order, to every element: the breadth-first word of x = parent * gen[slot]
-    gives rho(x) = rho(parent) @ rho(gen[slot]).
-
-    Uses the word table recorded at closure, so it is only available for
-    generator-built groups.
+    """Extend the images of the generators, one per slot of ``group.generators``,
+    to every element: the breadth-first word of x = parent * gen[slot] gives
+    rho(x) = rho(parent) @ rho(gen[slot]), parents first.
     """
-    if group.bfs_words is None:
-        raise ValueError("group carries no generator words")
     dim = generator_matrices[0].shape[0] if generator_matrices else 1
     mats = np.zeros((group.order, dim, dim), dtype=complex)
     mats[0] = np.eye(dim)
-    for x in range(1, group.order):
-        parent, slot = group.bfs_words[x]
+    for x, (parent, slot) in group.bfs_words.items():
         mats[x] = mats[parent] @ generator_matrices[slot]
     return mats
 

@@ -2,8 +2,13 @@
 
 Documents hold numbers as they are: Python scalars and float64 or complex128
 arrays.  ``json_text`` alone spells them, a complex number as an [re, im]
-pair; floats in CSV are rendered in scientific notation with 17 significant
-digits so diffs of golden files are meaningful.  All writers are
+pair.  A ``classop-tables/2`` document states nothing twice: each irrep is
+written on the group's generators only, and the group's breadth-first words
+over them carry it to every element; each coupling table is its basis
+alone, since the basis fixes its components, their multiplicities and the
+coupling coefficients c[i, j, m, n] = conj(e[m, n, i, j]).  Floats in CSV
+are rendered in scientific notation with 17 significant digits so diffs of
+golden files are meaningful.  All writers are
 deterministic: no timestamps, sorted keys.  Reports are rendered in either
 format from the same dataclass records.  The only documents read back are
 group descriptor files.
@@ -16,7 +21,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .groups import FiniteGroup, GroupConstructionError, build_group
+from .groups import FiniteGroup, GroupConstructionError, _parse_count, build_group
 from .representations import CharacterTable, Irrep
 from .coupling import CouplingTable
 
@@ -31,15 +36,16 @@ __all__ = [
     "render_report",
 ]
 
-TABLES_SCHEMA = "classop-tables/1"
+TABLES_SCHEMA = "classop-tables/2"
 REPORT_SCHEMA = "classop-report/1"
 
 
 def load_group_file(path) -> FiniteGroup:
-    """Read a group descriptor document (catalog / generators / table) from disk."""
+    """Read a group descriptor document (catalog / generators / table) from disk.  Its
+    integers are counts or table entries, so one longer than the cap is refused unread."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            spec = json.load(fh)
+            spec = json.load(fh, parse_int=_parse_count)
         except RecursionError:
             raise GroupConstructionError(f"group file {str(path)!r} is nested too deeply") from None
     return build_group(spec)
@@ -57,6 +63,12 @@ def tables_document(
             "name": group.name,
             "order": group.order,
             "labels": group.labels,
+            "generators": group.generators,
+            # the word of element x = 1 .. |G|-1 is parent[x - 1] * generators[slot[x - 1]]
+            "words": {
+                "parent": [group.bfs_words[x][0] for x in range(1, group.order)],
+                "slot": [group.bfs_words[x][1] for x in range(1, group.order)],
+            },
             "classes": [
                 {
                     "base_element": c.base_element,
@@ -74,7 +86,7 @@ def tables_document(
             {
                 "label": rep.label,
                 "dim": rep.dim,
-                "matrices": rep.matrices,
+                "generator_images": rep.matrices[group.generators],
             }
             for rep in irreps_list
         ],
@@ -83,19 +95,11 @@ def tables_document(
 
 
 def coupling_table_document(table: CouplingTable) -> dict:
-    """The ``/1`` document of a table.  Besides ``"basis"`` it restates what the
-    basis determines: the components, their multiplicities, sigma's dimension
-    and the coupling coefficients c[i, j, m, n] = conj(e[m, n, i, j])."""
+    """The ``/2`` document of a table: sigma, its kind and the basis of each component."""
     return {
         "sigma": table.sigma,
-        "sigma_dim": table.sigma_dim,
         "kind": table.kind,
-        "gammas": list(table.gammas),
-        "multiplicities": {str(g): m for g, m in table.multiplicities.items()},
         # complex even where an SU(2) basis is real, so every entry is [re, im]
-        "coefficients": {
-            str(g): np.asarray(np.conj(e).transpose(2, 3, 0, 1), complex) for g, e in table.basis.items()
-        },
         "basis": {str(g): np.asarray(e, complex) for g, e in table.basis.items()},
     }
 

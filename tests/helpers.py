@@ -37,6 +37,10 @@ sum); here the phi sums run over the rule's nodes as a (2d-1, P) phase table,
 and the triple product runs node by node over full Wigner-D stacks.
 Every document the package writes is compared with the standard library's
 indent-2 JSON rendering, which the package reproduces without calling it.
+The package writes ``classop-tables/2`` documents and reads none back;
+``read_tables_2`` here rebuilds each irrep from its generator images along
+the written words, one breadth-first level per product, and checks the
+rebuilt characters against the written table.
 What no command, demo or benchmark calls lives here rather than in the
 library: the product, inverse and conjugate of single finite-group
 elements, the finite product-expansion and triple-product identities, the
@@ -701,6 +705,47 @@ def decode_complex_array(data) -> np.ndarray:
     """A parsed JSON array of [re, im] pairs as a complex array."""
     raw = np.asarray(data, dtype=float)
     return raw[..., 0] + 1j * raw[..., 1]
+
+
+def read_tables_2(document: dict, tol: float = 1e-8) -> list[np.ndarray]:
+    """Every irrep of a parsed ``classop-tables/2`` document on every element,
+    shape (|G|, d, d), rebuilt from its generator images along the words.
+
+    Raises ``ValueError`` when the words do not reach every element or a
+    rebuilt character is further than ``tol`` (the bound ``irreps()``
+    checks) from the written character table.
+    """
+    if document["schema"] != "classop-tables/2":
+        raise ValueError(f"not a classop-tables/2 document: {document['schema']!r}")
+    group = document["group"]
+    n = group["order"]
+    parent = np.array([0] + group["words"]["parent"], dtype=np.int64)
+    slot = np.array([0] + group["words"]["slot"], dtype=np.int64)
+    class_of = np.empty(n, dtype=np.int64)
+    for ci, c in enumerate(group["classes"]):
+        class_of[c["members"]] = ci
+    values = decode_complex_array(document["character_table"]["values"])
+    out = []
+    for alpha, rep in enumerate(document["irreps"]):
+        d = rep["dim"]
+        # reshaped first: with no generators the written array is a bare []
+        raw = np.asarray(rep["generator_images"], dtype=float).reshape(len(group["generators"]), d, d, 2)
+        gens = decode_complex_array(raw)
+        mats = np.empty((n, d, d), dtype=complex)
+        mats[0] = np.eye(d)
+        done = np.zeros(n, dtype=bool)
+        done[0] = True
+        while not done.all():
+            ready = ~done & done[parent]
+            if not ready.any():
+                raise ValueError("the words do not reach every element")
+            mats[ready] = mats[parent[ready]] @ gens[slot[ready]]
+            done |= ready
+        drift = np.max(np.abs(np.trace(mats, axis1=1, axis2=2) - values[alpha][class_of]))
+        if not drift <= tol:
+            raise ValueError(f"irrep {alpha}: rebuilt characters are {drift:.1e} from the table")
+        out.append(mats)
+    return out
 
 
 def oracle_json_text(document) -> str:

@@ -14,7 +14,7 @@ from classops.cli import main
 from classops.groups import build_group
 from classops.serialize import csv_lines, format_float
 from classops.su2 import MAX_J2
-from helpers import decode_complex_array
+from helpers import read_tables_2
 
 
 def run(args, capsys):
@@ -384,13 +384,14 @@ def test_export_tables(tmp_path, capsys):
     code, _, _ = run(["export-tables", "--group", "catalog:D4", "--output", str(out)], capsys)
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["schema"] == "classop-tables/1"
+    assert doc["schema"] == "classop-tables/2"
     assert [r["dim"] for r in doc["irreps"]] == [1, 1, 1, 1, 2]
-    mats = decode_complex_array(doc["irreps"][4]["matrices"])
-    hom = np.einsum("aij,bjk->abik", mats, mats)
-    from classops.groups import build_group
-
     group = build_group("D4")
+    assert doc["group"]["generators"] == group.generators
+    assert np.shape(doc["irreps"][4]["generator_images"]) == (2, 2, 2, 2)   # 2 generators, [re, im]
+    assert set(doc["coupling"][4]) == {"sigma", "kind", "basis"}
+    mats = read_tables_2(doc)[4]
+    hom = np.einsum("aij,bjk->abik", mats, mats)
     assert np.max(np.abs(hom - mats[group.mult_table])) < 1e-11
 
 
@@ -452,6 +453,18 @@ def test_oversized_catalog_group_exits_before_the_closure(capsys, monkeypatch):
 def test_catalog_name_takes_ascii_counts_below_the_cap(spec, message, capsys):
     code, out, err = run(["finite-verify", "--group", spec], capsys)
     assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "GroupConstructionError", "message": message}
+
+
+@pytest.mark.parametrize("digits", [400, 5000])
+def test_group_file_refuses_a_long_integer_before_reading_it(digits, tmp_path, capsys):
+    # the json module's int() would refuse 5000 digits with its own message,
+    # and take 400 digits whole, to be echoed in the order-cap message
+    path = tmp_path / "group.json"
+    path.write_text('{"catalog": {"family": "cyclic", "n": ' + "1" * digits + "}}")
+    code, out, err = run(["finite-verify", "--group", f"file:{path}"], capsys)
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    message = f"group too large: a {digits}-digit catalog count exceeds the order cap"
     assert json.loads(err) == {"error": "GroupConstructionError", "message": message}
 
 

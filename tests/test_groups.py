@@ -365,3 +365,26 @@ def test_element_index_resolution():
     assert group.element_index("2") == 2
     with pytest.raises(GroupConstructionError):
         group.element_index("(9 9)")
+
+
+@pytest.mark.parametrize("spec", ["D4", ["(1 2 3 4 5 6 7)", "(2 3 5)(4 7 6)"]], ids=["D4", "C7xC3"])
+def test_table_group_gets_a_greedy_generating_set_and_its_words(spec):
+    group = build_group({"table": build_group(spec).mult_table.tolist()})
+    t, gens, n = group.mult_table, group.generators, group.order
+    subgroup = {0}
+    for g in gens:
+        # the lowest-index element outside the subgroup of the earlier generators
+        assert g == min(set(range(n)) - subgroup)
+        subgroup |= {g}
+        while True:
+            grown = subgroup | {group_mul(group, a, b) for a in subgroup for b in subgroup}
+            if grown == subgroup:
+                break
+            subgroup = grown
+    assert subgroup == set(range(n))
+    assert len(gens) <= np.log2(n)
+    assert sorted(group.bfs_words) == list(range(1, n))
+    seen = {0}
+    for x, (parent, slot) in group.bfs_words.items():   # discovery order: parents first
+        assert parent in seen and t[parent, gens[slot]] == x
+        seen.add(x)

@@ -22,7 +22,7 @@ from classops.serialize import (
     load_group_file,
     tables_document,
 )
-from helpers import decode_complex_array, oracle_json_text, unitarity_residual
+from helpers import decode_complex_array, oracle_json_text, read_tables_2, unitarity_residual
 
 
 def test_complex_array_round_trip():
@@ -74,12 +74,13 @@ def test_tables_document_schema():
     assert len(doc["coupling"]) == 3
     # the document holds the arrays themselves; json_text spells them
     assert doc["character_table"]["values"] is table.values
-    assert doc["irreps"][2]["matrices"] is reps[2].matrices
+    assert doc["group"]["generators"] is group.generators
     loaded = json.loads(json_text(doc))
     values = decode_complex_array(loaded["character_table"]["values"])
     assert np.max(np.abs(values - table.values)) < 1e-15
-    mats = decode_complex_array(loaded["irreps"][2]["matrices"])
-    assert np.max(np.abs(mats - reps[2].matrices)) < 1e-15
+    images = decode_complex_array(loaded["irreps"][2]["generator_images"])
+    assert np.array_equal(images, reps[2].matrices[group.generators])
+    assert images.shape == (2, 2, 2)
 
 
 @pytest.mark.parametrize("make", [
@@ -94,12 +95,10 @@ def test_tables_document_schema():
 def test_coupling_table_round_trip(make):
     table = make()
     doc = json.loads(json_text(coupling_table_document(table)))
+    assert set(doc) == {"sigma", "kind", "basis"}
     assert doc["sigma"] == table.sigma
-    assert doc["gammas"] == table.gammas
-    assert doc["multiplicities"] == {str(g): m for g, m in table.multiplicities.items()}
+    assert list(doc["basis"]) == [str(g) for g in table.gammas]
     for gamma in table.gammas:
-        coefficients = decode_complex_array(doc["coefficients"][str(gamma)])
-        assert np.array_equal(coefficients, np.conj(table.basis[gamma]).transpose(2, 3, 0, 1))
         assert np.array_equal(decode_complex_array(doc["basis"][str(gamma)]), table.basis[gamma])
     assert unitarity_residual(table) < 1e-10
 
@@ -115,16 +114,18 @@ def _coupling_tables(spec):
 
 @pytest.mark.parametrize("spec", ["S4", ["(1 2 3)", "(1 2 3 4 5)"], "su2"], ids=["S4", "A5-generators", "su2"])
 def test_coupling_tables_round_trip_through_json_text(spec):
-    # the written text parses back to the same floats, so the coefficients
-    # stay the exact conjugate transpose of the basis in every table
+    # the written text parses back to the same floats, so the basis is exact,
+    # and so is all a reader forms from it: the components, their
+    # multiplicities, sigma's dimension and the coefficients conj(basis)
     for table in _coupling_tables(spec):
         doc = json.loads(json_text(coupling_table_document(table)))
-        assert (doc["sigma"], doc["kind"], doc["sigma_dim"]) == (table.sigma, table.kind, table.sigma_dim)
-        assert doc["gammas"] == table.gammas
-        for g in table.gammas:
-            basis = decode_complex_array(doc["basis"][str(g)])
-            assert np.array_equal(basis, table.basis[g])
-            assert np.array_equal(decode_complex_array(doc["coefficients"][str(g)]), basis.conj().transpose(2, 3, 0, 1))
+        assert (doc["sigma"], doc["kind"]) == (table.sigma, table.kind)
+        basis = {int(g): decode_complex_array(e) for g, e in doc["basis"].items()}
+        assert list(basis) == table.gammas
+        assert {g: e.shape[0] for g, e in basis.items()} == table.multiplicities
+        for g, e in basis.items():
+            assert e.shape[-1] == table.sigma_dim
+            assert np.array_equal(e, table.basis[g])
 
 
 def test_report_schema_name():
@@ -144,11 +145,14 @@ def assert_same_text(text: str, expected: str) -> None:
         pytest.fail(f"texts part at offset {at}: {text[window]!r} != {expected[window]!r}")
 
 
-def _full_tables_document(group):
+def _full_tables(group):
     table = character_table(group, seed=3)
     reps = irreps(group, table, seed=3)
-    coupling = [conjugation_decomposition(group, reps, table, s) for s in range(len(reps))]
-    return tables_document(group, table, reps, coupling)
+    return table, reps, [conjugation_decomposition(group, reps, table, s) for s in range(len(reps))]
+
+
+def _full_tables_document(group):
+    return tables_document(group, *_full_tables(group))
 
 
 def _a5_from_file(tmp_path):
@@ -167,6 +171,57 @@ def _a5_from_file(tmp_path):
 def test_json_text_is_the_indent_2_rendering_of_tables(make, tmp_path):
     document = make(tmp_path)
     assert_same_text(json_text(document), oracle_json_text(document))
+
+
+@pytest.mark.parametrize("make", [
+    lambda tmp_path: build_group("C12"),
+    lambda tmp_path: build_group("S4"),
+    _a5_from_file,
+    lambda tmp_path: build_group({"table": build_group("D4").mult_table.tolist(), "name": "T"}),
+    lambda tmp_path: build_group("C150"),
+    lambda tmp_path: build_group("C1"),
+    lambda tmp_path: build_group("S1"),
+], ids=["C12", "S4", "file-A5", "table-D4", "C150", "C1", "S1"])
+def test_tables_2_rebuild_every_irrep_from_its_generator_images(make, tmp_path):
+    group = make(tmp_path)
+    table, reps, coupling = _full_tables(group)
+    document = json.loads(json_text(tables_document(group, table, reps, coupling)))
+    assert document["schema"] == TABLES_SCHEMA == "classop-tables/2"
+    rebuilt = read_tables_2(document)
+    assert [m.shape for m in rebuilt] == [rep.matrices.shape for rep in reps]
+    for mats, rep in zip(rebuilt, reps):
+        assert np.max(np.abs(mats - rep.matrices)) <= 1e-12
+    if group.generators:
+        # one generator-image entry of the largest irrep moved by 1e-6 is refused
+        document["irreps"][-1]["generator_images"][0][0][0][0] += 1e-6
+        with pytest.raises(ValueError, match="from the table"):
+            read_tables_2(document)
+
+
+def _float_count(o) -> int:
+    if isinstance(o, float):
+        return 1
+    if isinstance(o, list):
+        return sum(map(_float_count, o))
+    if isinstance(o, dict):
+        return sum(map(_float_count, o.values()))
+    return 0
+
+
+@pytest.mark.parametrize("spec", [
+    {"generators": ["(1 2)", "(1 2 3 4 5)"]},
+    {"catalog": {"family": "cyclic", "n": 60}},
+], ids=["file-S5", "C60"])
+def test_tables_2_holds_no_stack_over_the_group(spec, tmp_path):
+    # 2 floats per complex entry: the k x k table, each irrep on the generators
+    # and one d_sigma^2 x d_sigma^2 coupling basis per sigma, nothing |G| long
+    path, out = tmp_path / "group.json", tmp_path / "tables.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["export-tables", "--group", f"file:{path}", "--output", str(out)]) == 0
+    group = build_group(spec)
+    dims = character_table(group).dims
+    expected = 2 * (len(dims) ** 2 + len(group.generators) * int(np.sum(dims ** 2)) + int(np.sum(dims ** 4)))
+    assert _float_count(json.loads(out.read_text())) == expected
 
 
 @pytest.mark.parametrize("argv", [
