@@ -6,8 +6,8 @@ normalized sum over the transposition class, and shows that
 (2) integrating a class function over the conjugacy class,
 (3) the spectral sum of character values over isotypic projectors
 give the same operator, with the eigenvalues chi(C0)/n predicted per block.
-In the left regular representation an operator is carried as its
-group-algebra element a; left_regular_matrix(group, a) is its matrix.
+Each route returns the operator as its group-algebra element a;
+left_regular_matrix(group, a) is its matrix on the group algebra.
 Then a random weight demonstrates the factorization through G/Z0.
 """
 
@@ -39,10 +39,9 @@ for cls in classes:
 cls = classes[1]  # transpositions
 print(f"\n-- class operator for the class of {group.labels[cls.base_element]} --")
 
-# representation None: the left regular representation, whose operators are
-# group-algebra elements (coefficient vectors of length |G|)
-brute = weighted_class_operator(group, None, cls.base_element, np.ones(group.order)).matrix
-via_class_fn = class_operator_from_classfunction(group, None, cls, np.ones(cls.size)).matrix
+# each operator is a group-algebra element (a coefficient vector of length |G|)
+brute = weighted_class_operator(group, cls.base_element, np.ones(group.order))
+via_class_fn = class_operator_from_classfunction(group, cls, np.ones(cls.size))
 spectral = spectral_class_operator(group, cls, table)
 
 print("brute-force conjugation average, as an element:", brute.real)
@@ -61,6 +60,6 @@ f = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
 smeared = transfer(group, cls, f)
 print("weight on G:", np.round(f, 3))
 print("its average over right Z0-cosets (a function on the class):", np.round(smeared, 3))
-direct = weighted_class_operator(group, None, cls.base_element, f).matrix
-through = class_operator_from_classfunction(group, None, cls, smeared).matrix
+direct = weighted_class_operator(group, cls.base_element, f)
+through = class_operator_from_classfunction(group, cls, smeared)
 print("max |T(f; g0) - T~(transfer f; g0)|:", np.max(np.abs(direct - through)))

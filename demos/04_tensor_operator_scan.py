@@ -35,13 +35,14 @@ for row in frobenius_multiplicity_check(group, cls, reps, table):
     )
 
 adapted, m_alphas = adapt_irreps_to_class(reps, cls)
+# None scans the group-algebra elements themselves, i.e. the regular representation
 print("\nscan in the regular representation:")
 for fam in tensor_operator_scan(group, None, cls.base_element, adapted, m_alphas):
     status = "vanishes" if fam.vanishes else f"max norm {fam.max_norm:.4f}"
     print(f"  family (alpha={fam.alpha}, column={fam.column}): {status}")
 
 print("\nscan in the 2-dimensional irrep (operator space is only 4-dimensional):")
-two_dim = adapted[2].matrices
+two_dim = adapted[2].matrices  # the per-element stack (|G|, 2, 2) each element is mapped through
 for fam in tensor_operator_scan(group, two_dim, cls.base_element, adapted, m_alphas):
     status = "vanishes" if fam.vanishes else f"max norm {fam.max_norm:.4f}"
     print(f"  family (alpha={fam.alpha}, column={fam.column}): {status}")

@@ -27,13 +27,10 @@ from .representations import (
     character_table,
     irreps,
     isotypic_projector,
-    represent,
 )
 from .class_operators import (
-    WeightedClassOperator,
     centralizer_invariance_deviation,
     class_operator_from_classfunction,
-    class_sum_element,
     covariance_deviation,
     spectral_class_operator,
     transfer,

@@ -85,10 +85,9 @@ class RunConfig:
 
 
 def _group_and_classes(cfg: RunConfig) -> tuple[FiniteGroup, list]:
-    """The validated group named by --group and the classes --class selects."""
+    """The group named by --group and the classes --class selects."""
     spec = cfg.group
     group = load_group_file(spec[5:]) if spec.startswith("file:") else build_group(spec.removeprefix("catalog:"))
-    group.validate()
     classes = conjugacy_classes(group)
     if cfg.class_selector == "all":
         return group, classes
@@ -271,9 +270,10 @@ def main(argv: list[str] | None = None) -> int:
         if cfg.command == "wigner-eckart" and ignored:
             raise UsageError(f"{', '.join(ignored)} has no effect in {cfg.group} wigner-eckart")
         return _COMMANDS[cfg.command][0](cfg)
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError, MemoryError) as exc:
         # usage and input errors (GroupConstructionError, UsageError and JSON
-        # decoding are ValueErrors) and numerical breakdown
+        # decoding are ValueErrors), numerical breakdown and a size that
+        # cannot be allocated
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 2
 

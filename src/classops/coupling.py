@@ -457,7 +457,7 @@ def wigner_eckart_bruteforce(
         chosen = alpha == a
         stack[chosen] = t[k[chosen] * dims[a] + l[chosen]].conj()
     support = np.unique(group.mult_table[group.mult_table[:, g0], group.inverse_table])  # C0
-    pushed = weighted_class_operator(group, None, g0, stack).matrix[:, support]
+    pushed = weighted_class_operator(group, g0, stack)[:, support]
     phi = np.concatenate([t.conj() * (d / n) for t, d in zip(coeffs, dims)])
     translates = group.mult_table[support]  # translates[c, x] = c x
     step = max(1, _BRUTE_CHUNK_ENTRIES // (n * max(len(support), len(pushed))))
@@ -484,7 +484,11 @@ def tensor_operator_scan(
     For alpha admitting fixed columns, the family over i of
     T~(conj t^alpha_{i,col}; g0) is reported with its largest entry norm; an
     empirical answer, no claim beyond the computed instances.  The weights of
-    every (alpha, col, i) are pushed as one stack.
+    every (alpha, col, i) are pushed as one stack of group-algebra elements a.
+    ``representation`` is a per-element stack T of shape (|G|, d, d), each
+    operator sum_g a(g) T(g) one (1, |G|) @ (|G|, d^2) product; ``None`` is the
+    left regular one, whose operators are scanned as the elements themselves
+    (every entry of lambda(a) is a coefficient of a).
     """
     n = group.order
     families = [(ai, col) for ai, m in enumerate(m_alphas) for col in range(m)]
@@ -492,7 +496,12 @@ def tensor_operator_scan(
     stack = np.concatenate(
         [rep.matrices[:, :, :m].transpose(2, 1, 0).reshape(-1, n) for rep, m in zip(adapted, m_alphas)]
     ).conj()
-    ops = weighted_class_operator(group, representation, g0, stack).matrix
+    ops = weighted_class_operator(group, g0, stack)
+    if representation is not None:
+        t = np.asarray(representation)
+        if t.ndim != 3 or t.shape[0] != n or t.shape[1] != t.shape[2]:
+            raise ValueError("representation stack has wrong shape")
+        ops = ops[..., None, :] @ t.reshape(n, -1)
     starts = np.cumsum([0] + [adapted[ai].dim for ai, _ in families[:-1]])
     worst = np.maximum.reduceat(np.abs(ops).reshape(len(stack), -1).max(axis=1), starts)
     return [

@@ -20,7 +20,7 @@ from functools import reduce
 
 import numpy as np
 
-from .groups import FiniteGroup, ConjugacyClass, _as_coeffs, conjugacy_classes, left_regular_matrix
+from .groups import FiniteGroup, ConjugacyClass, conjugacy_classes, left_regular_matrix
 
 __all__ = [
     "Irrep",
@@ -28,7 +28,6 @@ __all__ = [
     "character_table",
     "irreps",
     "isotypic_projector",
-    "represent",
     "unitarize",
     "schur_defect",
     "extend_from_generators",
@@ -444,28 +443,8 @@ def irreps(group: FiniteGroup, table: CharacterTable | None = None, seed: int = 
 
 
 # ---------------------------------------------------------------------------
-# group-algebra elements and projectors
+# central idempotents
 # ---------------------------------------------------------------------------
-
-
-def represent(group: FiniteGroup, representation: np.ndarray | None, a) -> np.ndarray:
-    """The operator sum_g a(g) U(g) of a group-algebra element a.
-
-    ``representation`` is a per-element stack of matrices, shape (|G|, d, d).
-    ``None`` selects the left regular representation, which is faithful on the
-    group algebra: the operator is carried as the element a itself, standing
-    for the matrix lambda(a) = ``left_regular_matrix(group, a)``.  Every entry
-    of that matrix is a coefficient of a, so max|lambda(a)| = max|a|.  A stack
-    of elements, shape (r, |G|), gives a stack of operators.
-    """
-    if representation is None:
-        return _as_coeffs(group, a, stack=True)
-    t = np.asarray(representation)
-    if t.shape[0] != group.order or t.shape[1] != t.shape[2]:
-        raise ValueError("representation stack has wrong shape")
-    a = np.asarray(a)
-    # one (1, |G|) @ (|G|, d^2) product per element, a stack's rows as single elements
-    return (a[..., None, :] @ t.reshape(group.order, -1)).reshape(a.shape[:-1] + t.shape[1:])
 
 
 def isotypic_projector(group: FiniteGroup, table: CharacterTable, alpha: int) -> np.ndarray:

@@ -18,7 +18,6 @@ from .representations import CharacterTable, Irrep, character_table
 from .class_operators import (
     centralizer_invariance_deviation,
     class_operator_from_classfunction,
-    class_sum_element,
     covariance_deviation,
     spectral_class_operator,
     transfer,
@@ -132,7 +131,7 @@ def finite_class_suite(
     for cls in classes:
         g0 = cls.base_element
         # spectral form == conjugation average with weight 1
-        average = weighted_class_operator(group, None, g0, np.ones(n)).matrix
+        average = weighted_class_operator(group, g0, np.ones(n))
         spectral = spectral_class_operator(group, cls, table)
         record("spectral_form", cls, np.max(np.abs(average - spectral)))
         # coset factorization + covariance on the stacked weights, then centralizer invariance
@@ -140,17 +139,15 @@ def finite_class_suite(
         elements = np.empty(n_random, dtype=np.intp)
         for i in range(n_random):
             weights[i], elements[i] = _random_weight(rng, n), rng.integers(n)
-        op = weighted_class_operator(group, None, g0, weights)
-        through = class_operator_from_classfunction(group, None, cls, transfer(group, cls, weights))
-        record("coset_factorization", cls, np.max(np.abs(op.matrix - through.matrix), initial=0.0))
-        record("conjugation_covariance", cls, covariance_deviation(group, None, op, elements)[1])
-        record("centralizer_invariance", cls, centralizer_invariance_deviation(group, None, g0, _random_weight(rng, n)))
+        op = weighted_class_operator(group, g0, weights)
+        through = class_operator_from_classfunction(group, cls, transfer(group, cls, weights))
+        record("coset_factorization", cls, np.max(np.abs(op - through), initial=0.0))
+        record("conjugation_covariance", cls, covariance_deviation(group, g0, weights, op, elements))
+        record("centralizer_invariance", cls, centralizer_invariance_deviation(group, g0, _random_weight(rng, n)))
         # class-sum expansion in irreducible characters, a class function
         expansion = table.values[:, table.class_of[g0]].conj() @ table.values / n
-        record(
-            "class_sum_expansion", cls,
-            np.max(np.abs(class_sum_element(group, cls) - expansion[table.class_of])),
-        )
+        class_sum = class_operator_from_classfunction(group, cls, np.ones(cls.size))
+        record("class_sum_expansion", cls, np.max(np.abs(class_sum - expansion[table.class_of])))
     return reports
 
 

@@ -19,9 +19,13 @@ round-off with Young's orthogonal form multiplied out element by element
 along a bubble-sort factorization of each permutation.  The dense
 conjugation stack (one ``np.kron`` per element) is the reference route of the
 coupling decomposition, which sums over the irrep matrices instead.
-The library carries operators of the left regular representation as
-group-algebra elements; the dense |G| x |G| matrices (``regular_actions``,
-``as_dense``, ``dense_wigner_eckart_bruteforce``) exist only here.  The
+The library returns every finite class operator as its group-algebra
+element; ``image`` maps an element through a per-element stack (the dense
+regular one of ``regular_representation`` or an irrep's matrices) for the
+literal triple product to be compared with, ``class_sum`` writes the
+normalized class sum out coefficient by coefficient, and the dense
+|G| x |G| matrices (``regular_actions``, ``dense_wigner_eckart_bruteforce``)
+exist only here.  The
 library checks a class with every weight in one stack; the loops it replaced,
 one weight at a time, are the oracles here: ``oracle_finite_class_suite``
 (the same random draws, one push-forward per weight and per right translate),
@@ -60,7 +64,6 @@ from classops.groups import FiniteGroup, conjugacy_classes, left_regular_matrix,
 from classops.representations import _partitions, _yor_adjacent_matrices
 from classops.class_operators import (
     class_operator_from_classfunction,
-    class_sum_element,
     covariance_deviation,
     spectral_class_operator,
     transfer,
@@ -228,16 +231,29 @@ def regular_actions(group: FiniteGroup, g: int) -> tuple[np.ndarray, np.ndarray]
     return lam, rho
 
 
-def as_dense(group: FiniteGroup, representation, matrix: np.ndarray) -> np.ndarray:
-    """The operator a library result stands for: with representation ``None``
-    the result is a group-algebra element a and the operator is lambda(a)."""
-    return left_regular_matrix(group, matrix) if representation is None else matrix
+def image(group: FiniteGroup, representation, a: np.ndarray) -> np.ndarray:
+    """The operator sum_g a(g) T(g) of a group-algebra element a (or a stack of
+    them, shape (r, |G|)) in the representation given by the per-element stack
+    T, shape (|G|, d, d): one (1, |G|) @ (|G|, d^2) product per element.  With
+    ``None`` it is the dense left regular matrix lambda(a) of a single a."""
+    if representation is None:
+        return left_regular_matrix(group, a)
+    t = np.asarray(representation)
+    return (a[..., None, :] @ t.reshape(group.order, -1)).reshape(a.shape[:-1] + t.shape[1:])
+
+
+def class_sum(group: FiniteGroup, cls) -> np.ndarray:
+    """The normalized class sum L0 = (1/|C0|) sum_{g in C0} g, coefficient by coefficient."""
+    coeffs = np.zeros(group.order, dtype=complex)
+    for g in cls.members:
+        coeffs[g] = 1.0 / cls.size
+    return coeffs
 
 
 def dense_wigner_eckart_bruteforce(group: FiniteGroup, adapted, alpha: int, k: int, l: int, g0: int) -> dict:
     """wigner_eckart_bruteforce of one weight through the dense |G| x |G| operator and two einsums."""
     f = adapted[alpha].matrices[:, k, l].conj()
-    op = left_regular_matrix(group, weighted_class_operator(group, None, g0, f).matrix)
+    op = left_regular_matrix(group, weighted_class_operator(group, g0, f))
     out = {}
     for si, srep in enumerate(adapted):
         applied = np.einsum("yx,xij->yij", op, srep.matrices.conj())
@@ -265,7 +281,7 @@ def oracle_wigner_eckart_bruteforce(group: FiniteGroup, adapted, alpha: int, k: 
     """wigner_eckart_bruteforce of one weight, its convolution summed support
     element by support element: (op phi)(y) = sum_c p(c) phi(c^-1 y)."""
     f = adapted[alpha].matrices[:, k, l].conj()
-    pushed = weighted_class_operator(group, None, g0, f).matrix
+    pushed = weighted_class_operator(group, g0, f)
     support = np.flatnonzero(pushed)
     shifts = group.mult_table[group.inverse_table[support]]   # shifts[s, y] = c_s^-1 y
     n, out = group.order, {}
@@ -328,7 +344,7 @@ def oracle_tensor_operator_scan(group: FiniteGroup, representation, g0: int, ada
         for col in range(m_alphas[ai]):
             worst = 0.0
             for i in range(rep.dim):
-                op = weighted_class_operator(group, representation, g0, rep.matrices[:, i, col].conj()).matrix
+                op = image(group, representation, weighted_class_operator(group, g0, rep.matrices[:, i, col].conj()))
                 worst = max(worst, float(np.max(np.abs(op))))
             rows.append(TensorOperatorFamily(group.labels[g0], ai, col, worst, worst < tol))
     return rows
@@ -348,26 +364,26 @@ def oracle_finite_class_suite(group: FiniteGroup, table, classes=None, seed: int
 
     for cls in classes or conjugacy_classes(group):
         g0 = cls.base_element
-        average = weighted_class_operator(group, None, g0, np.ones(n)).matrix
+        average = weighted_class_operator(group, g0, np.ones(n))
         record("spectral_form", cls, np.max(np.abs(average - spectral_class_operator(group, cls, table))))
         dev_fact = dev_cov = 0.0
         for _ in range(n_random):
             f = _random_weight(rng, n)
-            op = weighted_class_operator(group, None, g0, f)
-            through = class_operator_from_classfunction(group, None, cls, transfer(group, cls, f))
-            dev_fact = max(dev_fact, float(np.max(np.abs(op.matrix - through.matrix))))
-            dev_cov = max(dev_cov, covariance_deviation(group, None, op, int(rng.integers(n)))[1])
+            op = weighted_class_operator(group, g0, f)
+            through = class_operator_from_classfunction(group, cls, transfer(group, cls, f))
+            dev_fact = max(dev_fact, float(np.max(np.abs(op - through))))
+            dev_cov = max(dev_cov, covariance_deviation(group, g0, f, op, int(rng.integers(n))))
         f = _random_weight(rng, n)
-        base = weighted_class_operator(group, None, g0, f).matrix
+        base = weighted_class_operator(group, g0, f)
         dev_cent = 0.0
         for h in cls.centralizer:
-            shifted = weighted_class_operator(group, None, g0, f[group.mult_table[:, h]]).matrix  # f(x h)
+            shifted = weighted_class_operator(group, g0, f[group.mult_table[:, h]])  # f(x h)
             dev_cent = max(dev_cent, float(np.max(np.abs(shifted - base))))
         record("coset_factorization", cls, dev_fact)
         record("conjugation_covariance", cls, dev_cov)
         record("centralizer_invariance", cls, dev_cent)
         expansion = table.values[:, table.class_of[g0]].conj() @ table.values / n
-        record("class_sum_expansion", cls, np.max(np.abs(class_sum_element(group, cls) - expansion[table.class_of])))
+        record("class_sum_expansion", cls, np.max(np.abs(class_sum(group, cls) - expansion[table.class_of])))
     return reports
 
 
@@ -408,7 +424,7 @@ def oracle_character_table(group: FiniteGroup, seed: int = 5) -> tuple[np.ndarra
     ordered like the production table.
     """
     classes = conjugacy_classes(group)
-    mats = [left_regular_matrix(group, class_sum_element(group, c)) for c in classes]
+    mats = [left_regular_matrix(group, class_sum(group, c)) for c in classes]
     rng = np.random.default_rng(seed)
     coeff = rng.standard_normal(len(mats)) + 1j * rng.standard_normal(len(mats))
     combo = sum(c * m for c, m in zip(coeff, mats))

@@ -38,7 +38,7 @@ from classops.su2 import (
     su2_haar_quadrature,
 )
 from classops import verify
-from helpers import CATALOG_LEQ_24, product_expansion_residual, regular_representation, triple_product_residual
+from helpers import CATALOG_LEQ_24, image, product_expansion_residual, regular_representation, triple_product_residual
 
 PSI_GRID = (np.pi / 6, np.pi / 3, np.pi / 2, 2 * np.pi / 3, np.pi, 3 * np.pi / 2)
 
@@ -57,9 +57,7 @@ def test_criterion_1_spectral_oracle_equivalence():
         table = character_table(group)
         lam = regular_representation(group)
         for cls in conjugacy_classes(group):
-            brute = weighted_class_operator(
-                group, lam, cls.base_element, np.ones(group.order)
-            ).matrix
+            brute = image(group, lam, weighted_class_operator(group, cls.base_element, np.ones(group.order)))
             spectral = left_regular_matrix(group, spectral_class_operator(group, cls, table))
             worst = max(worst, float(np.max(np.abs(brute - spectral))))
     elapsed = time.perf_counter() - start
@@ -119,18 +117,18 @@ def test_criterion_4_factorization_and_covariance():
             g0 = cls.base_element
             f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             g = int(rng.integers(n))
-            op = weighted_class_operator(group, lam, g0, f)
+            op = image(group, lam, weighted_class_operator(group, g0, f))
             # factorization through the coset space
-            through = class_operator_from_classfunction(group, lam, cls, transfer(group, cls, f))
-            worst = max(worst, float(np.max(np.abs(op.matrix - through.matrix))))
+            through = image(group, lam, class_operator_from_classfunction(group, cls, transfer(group, cls, f)))
+            worst = max(worst, float(np.max(np.abs(op - through))))
             # covariance
-            conjugated = lam[g] @ op.matrix @ lam[group.inverse_table[g]]
-            shifted = weighted_class_operator(group, lam, g0, f[group.mult_table[group.inverse_table[g]]])
-            worst = max(worst, float(np.max(np.abs(conjugated - shifted.matrix))))
+            conjugated = lam[g] @ op @ lam[group.inverse_table[g]]
+            shifted = weighted_class_operator(group, g0, f[group.mult_table[group.inverse_table[g]]])
+            worst = max(worst, float(np.max(np.abs(conjugated - image(group, lam, shifted)))))
             # right-centralizer invariance, exhaustive over Z0
             for h in cls.centralizer:
-                moved = weighted_class_operator(group, lam, g0, f[group.mult_table[:, h]])
-                worst = max(worst, float(np.max(np.abs(moved.matrix - op.matrix))))
+                moved = weighted_class_operator(group, g0, f[group.mult_table[:, h]])
+                worst = max(worst, float(np.max(np.abs(image(group, lam, moved) - op))))
     elapsed = time.perf_counter() - start
     report(
         "4 factorization-covariance",

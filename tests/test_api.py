@@ -120,8 +120,10 @@ def test_removed_names_are_gone_and_check_records_live_in_verify():
         assert not hasattr(classops.serialize, name), name
     removed = {
         classops.groups: ("convolve", "inner_product"),
-        classops.representations: ("matrix_element_functions", "IsotypicProjection"),
-        classops.class_operators: ("left_translate", "right_translate", "class_left_translate"),
+        classops.class_operators: (
+            "left_translate", "right_translate", "class_left_translate", "WeightedClassOperator", "class_sum_element",
+        ),
+        classops.representations: ("matrix_element_functions", "IsotypicProjection", "represent"),
         su2: ("ad_map", "PAULI", "SU2Element", "_weighted_core"),
         coupling: ("product_expansion_residual", "triple_product_residual", "_weighted_triple_sum"),
         classops.Irrep: ("character",),

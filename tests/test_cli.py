@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 
 from classops import cli
 from classops.cli import main
-from classops.groups import build_group
+from classops.groups import FiniteGroup, build_group
 from classops.serialize import csv_lines, format_float
 from classops.su2 import MAX_J2
 from helpers import read_tables_2
@@ -152,6 +153,43 @@ def test_numerical_breakdown_is_an_input_error(capsys, monkeypatch):
     code, out, err = run(["scan", "--group", "S3"], capsys)
     assert code == 2 and out == ""
     assert json.loads(err) == {"error": "ArithmeticError", "message": "degenerate numerical spectrum persisted"}
+
+
+def test_a_group_is_validated_once_where_it_is_built(tmp_path, capsys, monkeypatch):
+    # a closure is a group by construction; a table from a file is checked by group_from_table
+    calls = []
+    validate = FiniteGroup.validate
+    monkeypatch.setattr(FiniteGroup, "validate", lambda self: calls.append(self.order) or validate(self))
+    assert run(["finite-verify", "--group", "S4", "--n-random", "1"], capsys)[0] == 0
+    assert calls == []
+    table = tmp_path / "c3.json"
+    table.write_text(json.dumps({"table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}))
+    assert run(["finite-verify", "--group", f"file:{table}", "--n-random", "1"], capsys)[0] == 0
+    assert calls == [3]
+
+
+def _cap_address_space():
+    # the runs below ask for 87 TiB and 745 GiB at once; 16 GiB of address space
+    # keeps that request refused however the machine overcommits
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    soft = 16 << 30 if hard == resource.RLIM_INFINITY else min(16 << 30, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.mark.parametrize("argv", [
+    ["finite-verify", "--group", "S3", "--n-random", "1000000000000"],
+    ["su2-verify", "--j2", "4", "--psi", "1", "--quadrature", "4", "100000000000"],
+], ids=["finite-verify-n-random", "su2-verify-quadrature"])
+def test_an_allocation_too_large_is_an_input_error(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "classops.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=_cap_address_space,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "MemoryError"
 
 
 def test_deeply_nested_group_file_is_an_input_error(tmp_path, capsys):

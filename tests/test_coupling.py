@@ -8,7 +8,6 @@ import pytest
 
 from classops.groups import build_group, conjugacy_classes
 from classops.representations import character_table, irreps
-from classops.class_operators import weighted_class_operator
 from classops.coupling import (
     adapt_irreps_to_class,
     clebsch_gordan,

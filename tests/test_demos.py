@@ -18,3 +18,10 @@ def test_demo_runs(path, capsys):
     with np.printoptions():  # demos set print options globally; restore them afterwards
         runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def test_readme_library_tour_runs():
+    # the first fenced python block of README.md, run as written
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
