@@ -134,9 +134,10 @@ def conjugation_decomposition(
 ) -> CouplingTable:
     """Decompose L(V^sigma) and return the coupling coefficients.
 
-    Multiplicities are sums over the classes C of the character table of
-    |C| conj(chi^gamma(C)) |chi^sigma(C)|^2 / |G|.  Each gamma-block comes from the
-    averages K_q F = (n^gamma/|G|) sum_g conj(t^gamma_{q0}(g)) T(g) F T(g)^H,
+    Multiplicities are column sigma of the table's
+    ``conjugation_multiplicities``, made once for every sigma.  Each
+    gamma-block comes from the averages
+    K_q F = (n^gamma/|G|) sum_g conj(t^gamma_{q0}(g)) T(g) F T(g)^H,
     summed over T(g) directly: the copy seeds F_m are ``_orthonormal_range`` of
     K_0 (one (d^2, |G|) @ (|G|, d^2) product), and the copies e_{m q} = K_q F_m
     transform with exactly the stored t^gamma.  Another basis of the irreps
@@ -144,7 +145,7 @@ def conjugation_decomposition(
     """
     n, d, t_sigma = group.order, irreps_list[sigma].dim, irreps_list[sigma].matrices
     t_flat = t_sigma.reshape(n, d * d)
-    mults = ((table.values.conj() * table.class_sizes) @ (np.abs(table.values[sigma]) ** 2)).real / n
+    mults = table.conjugation_multiplicities[:, sigma]
     counts = np.rint(mults).astype(int)
     if (off := np.abs(mults - counts) > 1e-8).any():
         gamma = int(np.argmax(off))

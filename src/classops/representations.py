@@ -16,7 +16,7 @@ lexicographic value order), and the irrep list follows the same order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -50,9 +50,17 @@ class CharacterTable:
     dims: np.ndarray        # (num_irreps,) integer dimensions
     class_of: np.ndarray    # element index -> class index
 
-    @property
+    @cached_property
     def class_sizes(self) -> np.ndarray:
         return np.bincount(self.class_of)
+
+    @cached_property
+    def conjugation_multiplicities(self) -> np.ndarray:
+        """M[gamma, sigma] = sum_C |C| conj(chi^gamma(C)) |chi^sigma(C)|^2 / |G|,
+        the multiplicity of gamma in L(V^sigma), unrounded; one product for
+        every sigma, made on first use."""
+        weighted = self.values.conj() * self.class_sizes
+        return (weighted @ (np.abs(self.values) ** 2).T).real / self.class_of.size
 
     def element_values(self, alpha: int) -> np.ndarray:
         """Character of row alpha as a function on the group."""

@@ -38,7 +38,10 @@ time from the coupling coefficients c = conj(basis) written out as an array;
 ``collect_bruteforce`` assembles the library's streamed inner products.  The SU(2)
 integrals separate in the library (phi in closed form on the rule, one theta
 sum); here the phi sums run over the rule's nodes as a (2d-1, P) phase table,
-and the triple product runs node by node over full Wigner-D stacks.
+and the triple product runs node by node over full Wigner-D stacks.  The
+library's Gauss-Legendre rule (Newton in the angle on a cosine series) is
+checked against Newton's method on the three-term recurrence in 40-digit
+decimal arithmetic.
 Every document the package writes is compared with the standard library's
 indent-2 JSON rendering, which the package reproduces without calling it.
 The package writes ``classop-tables/2`` documents and reads none back;
@@ -56,6 +59,7 @@ with the per-element Euler-angle rule that ``haar_random`` vectorizes.
 from __future__ import annotations
 
 import json
+from decimal import Decimal, localcontext
 from math import factorial
 
 import numpy as np
@@ -75,7 +79,7 @@ from classops.coupling import (
     _triple_residual,
     wigner_eckart_bruteforce,
 )
-from classops.su2 import WignerD, fixed_column_index
+from classops.su2 import SphereQuadrature, WignerD, fixed_column_index
 from classops.verify import DEFAULT_TOLERANCES, CheckReport, ReducedElementRow, WignerEckartRow, _random_weight
 
 CATALOG_LEQ_24 = ["C1", "C2", "C3", "C4", "C6", "D3", "D4", "D5", "Q8", "S3", "S4"]
@@ -606,15 +610,43 @@ def oracle_phi_sum_weighted_operator(j2: int, psi: float, weight_terms, quad) ->
     return out / quad.n_phi
 
 
+def oracle_gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes x, ascending, and weights 2 / ((1 - x^2) P_n'(x)^2).
+
+    Newton's method on the three-term recurrence of P_n in 40-digit decimal
+    arithmetic, started from numpy's nodes, which are within 1e-15: three
+    steps reach the working precision.
+    """
+
+    def legendre(x):
+        previous, current = Decimal(1), x
+        for m in range(2, n + 1):
+            previous, current = current, ((2 * m - 1) * x * current - (m - 1) * previous) / m
+        return current, n * (x * current - previous) / (x * x - 1)  # P_n, P_n'
+
+    nodes, weights = [], []
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for start in np.polynomial.legendre.leggauss(n)[0]:
+            x = Decimal(float(start))
+            for _ in range(3):
+                value, slope = legendre(x)
+                x -= value / slope
+            slope = legendre(x)[1]
+            nodes.append(float(x))
+            weights.append(float(2 / ((1 - x * x) * slope * slope)))
+    return np.array(nodes), np.array(weights)
+
+
 def oracle_su2_haar_quadrature(n_phi: int, n_theta: int, n_psi: int) -> tuple[np.ndarray, np.ndarray]:
-    """su2_haar_quadrature with its Gauss-Legendre theta rule and uniform phi
-    grid built here rather than taken from SphereQuadrature.build."""
-    x, w = np.polynomial.legendre.leggauss(n_theta)
-    theta = np.arccos(x)
+    """su2_haar_quadrature with its (phi, theta, psi) grid and weights laid out
+    here; the theta rule itself is SphereQuadrature's (checked on its own
+    against ``oracle_gauss_legendre``)."""
+    sphere = SphereQuadrature.build(n_theta, 2)
     phi = 2 * np.pi * np.arange(n_phi) / n_phi
     psi = -2 * np.pi + 4 * np.pi * np.arange(n_psi) / n_psi
-    angles = np.stack(np.meshgrid(phi, theta, psi, indexing="ij"), axis=-1).reshape(-1, 3)
-    weights = np.tile(np.repeat(w / 2.0 / n_phi / n_psi, n_psi), n_phi)
+    angles = np.stack(np.meshgrid(phi, sphere.theta, psi, indexing="ij"), axis=-1).reshape(-1, 3)
+    weights = np.tile(np.repeat(sphere.theta_weights / n_phi / n_psi, n_psi), n_phi)
     return angles, weights
 
 

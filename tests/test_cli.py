@@ -145,6 +145,29 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.returncode == 0 and proc.stdout.strip() == "[]"
 
 
+def test_su2_verify_leaves_numpy_polynomial_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    probe = (
+        "import contextlib, io, sys, classops.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = classops.cli.main(['su2-verify', '--j2', '4', '--psi', '1'])\n"
+        "print(code, 'numpy.polynomial' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0 and proc.stdout.strip() == "0 False"
+
+
+def test_an_unconverged_sphere_rule_is_an_input_error(capsys, monkeypatch):
+    def stalled(theta, freqs, coeffs):
+        return np.ones_like(theta), np.ones_like(theta)
+
+    monkeypatch.setattr("classops.su2._legendre_cosine_series", stalled)
+    code, out, err = run(["su2-verify", "--j2", "4", "--psi", "1"], capsys)
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ArithmeticError" and doc["message"].endswith("did not converge")
+
+
 def test_numerical_breakdown_is_an_input_error(capsys, monkeypatch):
     def breakdown(*args, **kwargs):
         raise ArithmeticError("degenerate numerical spectrum persisted")

@@ -21,6 +21,7 @@ from classops.su2 import (
 from classops.coupling import su2_coupling_table
 from classops.verify import SU2_TABLE_RULES, su2_convergence_rows, su2_wigner_eckart_report
 from helpers import (
+    oracle_gauss_legendre,
     oracle_little_d,
     oracle_phi_sum_class_operator,
     oracle_phi_sum_weighted_operator,
@@ -197,16 +198,55 @@ def test_ad_map_reproduces_class_sphere_direction():
 
 
 def test_sphere_quadrature_normalization_and_exactness():
-    quad = SphereQuadrature.build(8, 16)
-    assert abs(np.sum(quad.theta_weights) - 1.0) < 1e-14
-    # Gauss-Legendre in cos(theta): exact for degree <= 2 n - 1 polynomials
-    x = np.cos(quad.theta)
-    for k in range(2 * quad.n_theta - 1):
-        numeric = np.sum(quad.theta_weights * x**k)
-        exact = 0.0 if k % 2 else 1.0 / (k + 1)
-        assert abs(numeric - exact) < 1e-13
+    for n_theta in [2, 8, 31, 61, 64]:
+        quad = SphereQuadrature.build(n_theta, 16)
+        assert abs(np.sum(quad.theta_weights) - 1.0) < 1e-14
+        # Gauss-Legendre in cos(theta): exact for degree <= 2 n - 1 polynomials
+        x = np.cos(quad.theta)
+        for k in range(2 * quad.n_theta - 1):
+            numeric = np.sum(quad.theta_weights * x**k)
+            exact = 0.0 if k % 2 else 1.0 / (k + 1)
+            assert abs(numeric - exact) < 1e-13
     with pytest.raises(ValueError):
         SphereQuadrature.build(1, 16)
+    with pytest.raises(TypeError):
+        SphereQuadrature.build(2.5, 16)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16, 24, 31, 32, 61, 64, 65, 130, 200])
+def test_sphere_rule_matches_the_decimal_gauss_legendre_rule(n):
+    quad = SphereQuadrature.build(n, 2)
+    theta, w = quad.theta, 2.0 * quad.theta_weights
+    x, w_ref = oracle_gauss_legendre(n)
+    assert np.max(np.abs(np.cos(theta) - x)) <= 1e-15
+    assert np.max(np.abs(w / w_ref - 1.0)) <= 1e-13
+    # mirror-symmetric bit for bit; the middle node of an odd order is pi/2
+    half = n // 2
+    assert np.array_equal(theta[:half], np.pi - theta[::-1][:half])
+    assert np.array_equal(w, w[::-1])
+    assert abs(np.sum(w) - 2.0) <= 4e-15
+    if n % 2:
+        assert theta[half] == np.pi / 2
+
+
+def test_sphere_rule_needs_no_numpy_leggauss(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy's leggauss was called")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    quad = SphereQuadrature.build(32, 4)
+    assert quad.theta.shape == quad.theta_weights.shape == (32,)
+
+
+def test_sphere_rule_temporaries_stay_blocked():
+    # an eigenvalue rule holds n^2 doubles (32 MB here); the blocked series peaks near 3.6 MiB
+    tracemalloc.start()
+    try:
+        SphereQuadrature.build(2000, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_closed_form_values():
