@@ -507,7 +507,7 @@ def tensor_operator_scan(
     worst = np.maximum.reduceat(np.abs(ops).reshape(len(stack), -1).max(axis=1), starts)
     return [
         TensorOperatorFamily(
-            cls=group.labels[g0], alpha=ai, column=col, max_norm=float(w), vanishes=bool(w < tol)
+            cls=group.label(g0), alpha=ai, column=col, max_norm=float(w), vanishes=bool(w < tol)
         )
         for (ai, col), w in zip(families, worst)
     ]

@@ -109,10 +109,6 @@ def cycle_notation(perm: tuple[int, ...]) -> str:
     return "".join(parts) if parts else "e"
 
 
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(p[x] for x in q)
-
-
 # ---------------------------------------------------------------------------
 # core types
 # ---------------------------------------------------------------------------
@@ -145,9 +141,12 @@ class FiniteGroup:
     generator slot (``generators``) and the breadth-first word of every other
     element (``bfs_words``: element -> (parent, slot of the generator applied
     on the right), parents first), along which ``extend_from_generators``
-    extends generator images to the whole group.  The permutations of a
-    closure live on only in the cycle-notation labels; a table group's
-    generators are greedy (``group_from_table``).
+    extends generator images to the whole group.  A closure keeps its
+    permutations as one (|G|, degree) unsigned-int array (``perms``, rows
+    big-endian so that their bytes sort like the images) and formats an element's cycle-notation label only when asked
+    (``label``; ``labels`` lists them all, made on first use); a table
+    group's labels are given or its indices, and its generators are greedy
+    (``group_from_table``).
     """
 
     def __init__(
@@ -158,6 +157,7 @@ class FiniteGroup:
         family: tuple | None = None,
         generators: list[int] | None = None,
         bfs_words: dict[int, tuple[int, int]] | None = None,
+        perms: np.ndarray | None = None,
     ):
         table = np.asarray(mult_table, dtype=np.int64)
         n = table.shape[0]
@@ -171,12 +171,30 @@ class FiniteGroup:
         self.family = family
         self.generators = generators
         self.bfs_words = bfs_words
-        self.labels = list(labels) if labels is not None else [str(i) for i in range(n)]
-        if len(self.labels) != n:
-            raise GroupConstructionError("labels length does not match order")
+        self.perms = perms
+        self._labels: list[str] | None = None
+        if perms is None:
+            self._labels = list(labels) if labels is not None else [str(i) for i in range(n)]
+            if len(self._labels) != n:
+                raise GroupConstructionError("labels length does not match order")
         self.inverse_table = self._find_inverses()
         self._classes: list[ConjugacyClass] | None = None
         self._element_orders: np.ndarray | None = None
+
+    # -- labels ------------------------------------------------------------
+
+    def label(self, x: int) -> str:
+        """The label of element x; a permutation's is its cycle notation, made here."""
+        if self._labels is not None:
+            return self._labels[x]
+        return cycle_notation(self.perms[x].tolist())
+
+    @property
+    def labels(self) -> list[str]:
+        """Every element's label, in index order, made on first use."""
+        if self._labels is None:
+            self._labels = [self.label(x) for x in range(self.order)]
+        return self._labels
 
     # -- structure ---------------------------------------------------------
 
@@ -201,19 +219,39 @@ class FiniteGroup:
 
     def element_index(self, label_or_index) -> int:
         """Resolve an element given as an index, a label, or an index written in
-        ASCII digits (``int()`` would also take ``"2_0"`` and non-ASCII digits)."""
+        ASCII digits (``int()`` would also take ``"2_0"`` and non-ASCII digits).
+        A permutation's label is parsed and looked up, and taken only if it is
+        the element's own label, so ``(2 1)`` or ``()`` name nothing."""
         if isinstance(label_or_index, (int, np.integer)):
             idx = int(label_or_index)
             if not 0 <= idx < self.order:
                 raise GroupConstructionError(f"element index {idx} out of range")
             return idx
         text = str(label_or_index)
-        if text in self.labels:
-            return self.labels.index(text)
+        if self.perms is None:
+            if text in self._labels:
+                return self._labels.index(text)
+        else:
+            idx = self._perm_index(text)
+            if idx is not None and self.label(idx) == text:
+                return idx
         # an index with more digits than the order is above it; int() never sees it
         if _POINT_RE.fullmatch(text) and len(text.lstrip("0")) <= len(str(self.order)):
             return self.element_index(int(text))
         raise GroupConstructionError(f"unknown element {label_or_index!r}")
+
+    def _perm_index(self, text: str) -> int | None:
+        """The element whose permutation the cycle notation ``text`` spells, if any."""
+        degree = self.perms.shape[1]
+        try:
+            perm = parse_cycles(text, degree)
+        except GroupConstructionError:
+            return None
+        if len(perm) != degree:
+            return None
+        rows = np.flatnonzero(self.perms[:, 0] == perm[0])
+        rows = rows[(self.perms[rows] == perm).all(axis=1)]
+        return int(rows[0]) if rows.size else None
 
     def validate(self) -> None:
         """Check associativity, identity and inverses; raise on failure.
@@ -262,36 +300,39 @@ def _closure(
 
     Ordering contract: identity first, then BFS levels of the right Cayley
     graph, ties inside a level broken by lexicographic permutation image.
-    This fixes element indices deterministically.
+    This fixes element indices deterministically.  Images are big-endian
+    unsigned ints, so the bytes of an image, by which an element is looked
+    up, sort in lexicographic image order; a level's products are one gather.
     """
     degree = max([1] + [len(g) for g in generators])
-    gens = [g + tuple(range(len(g), degree)) for g in generators]
-    identity = tuple(range(degree))
-    index: dict[tuple[int, ...], int] = {identity: 0}
-    elements: list[tuple[int, ...]] = [identity]
+    dtype = np.min_scalar_type(degree - 1).newbyteorder(">")
+    gens = np.array([g + tuple(range(len(g), degree)) for g in generators], dtype=dtype).reshape(-1, degree)
+    width = degree * dtype.itemsize
+    frontier = np.arange(degree, dtype=dtype)[None]
+    index = {frontier.tobytes(): 0}   # image bytes -> element index, in index order
     words: dict[int, tuple[int, int]] = {}
     right: list[int] = []   # index of elements[x] o gens[s] at x * len(gens) + s
-    frontier = [identity]
-    while frontier:
-        discovered: dict[tuple[int, ...], tuple[int, int]] = {}
-        products = []
-        for p in frontier:
-            for slot, g in enumerate(gens):
-                q = _compose(p, g)
-                products.append(q)
-                if q not in index and q not in discovered:
-                    discovered[q] = (index[p], slot)
-        frontier = sorted(discovered)
-        for q in frontier:
-            index[q] = len(elements)
-            words[len(elements)] = discovered[q]
-            elements.append(q)
-        right.extend(index[q] for q in products)
-        if len(elements) > order_cap:
+    while len(frontier):
+        first = len(index) - len(frontier)   # the index of frontier[0]
+        products = frontier[:, gens].reshape(-1, degree)   # p o g = p[g]
+        data = products.tobytes()
+        keys = [data[i:i + width] for i in range(0, len(data), width)]
+        discovered: dict[bytes, int] = {}   # new image -> its first position among the products
+        for pos, key in enumerate(keys):
+            if key not in index:
+                discovered.setdefault(key, pos)
+        if len(index) + len(discovered) > order_cap:
             raise GroupConstructionError(
                 f"group too large: closure exceeded the order cap {order_cap}"
             )
-    n = len(elements)
+        new = sorted(discovered)
+        for key in new:
+            x, pos = len(index), discovered[key]
+            index[key] = x
+            words[x] = (first + pos // len(gens), pos % len(gens))
+        right.extend(index[key] for key in keys)
+        frontier = products[[discovered[key] for key in new]]
+    n = len(index)
     # elements[a] o elements[b] = (elements[a] o elements[parent]) o gens[slot]
     right_table = np.array(right, dtype=np.int64).reshape(n, len(gens))
     table = np.empty((n, n), dtype=np.int64)
@@ -299,9 +340,8 @@ def _closure(
     for b in range(1, n):
         parent, slot = words[b]
         table[:, b] = right_table[table[:, parent], slot]
-    labels = [cycle_notation(p) for p in elements]
-    return FiniteGroup(table, labels=labels, name=name, family=family,
-                       generators=right_table[0].tolist(), bfs_words=words)
+    return FiniteGroup(table, name=name, family=family, generators=right_table[0].tolist(),
+                       bfs_words=words, perms=np.frombuffer(b"".join(index), dtype=dtype).reshape(n, degree))
 
 
 def _check_catalog_order(order: int, order_cap: int) -> None:

@@ -1,22 +1,27 @@
 """Irreducible unitary representations, characters and isotypic projectors.
 
-Character tables come from Dixon's method: the common eigenvectors of the
-class-sum matrices are the central characters, so one Hermitian eigensolve of
-a random combination of class sums gives the whole table.  Concrete unitary
-irreps of dimension 1 are roots of unity snapped from the characters.  Above
-that, each catalog family gives only the images of its catalog generators
-(dihedral 2x2 blocks, Young's orthogonal form for S_n, the standard Q8 pair),
-and one rule, ``extend_from_generators``, carries them along the
-breadth-first words to every element; any row no catalog candidate matches
-is split out of the regular representation.  Row order of the
-character table is canonical: trivial character first, then by (dimension,
-lexicographic value order), and the irrep list follows the same order.
+Every catalog family gives its irreps as images of its catalog generators:
+exponents of roots of unity for dimension 1 (zeta^a for C_n, signs for D_n,
+S_n and Q8), dihedral 2x2 blocks, Young's orthogonal form for S_n and the
+standard Q8 pair above that.  One rule carries the images of one dimension
+along the breadth-first words, all at once; a catalog character table is
+their traces at the class bases, extended only along the words of those
+bases, and ``irreps`` extends the same images to every element.  A group
+without a family gets Dixon's method: the common eigenvectors of the
+class-sum matrices are the central characters, so one Hermitian eigensolve
+of a random combination of class sums gives the whole table; its 1-dim
+irreps are roots of unity snapped from the characters, and the others are
+split out of the regular representation.  Row order of the character table
+is canonical: trivial character first, then by (dimension, lexicographic
+value order), and the irrep list follows the same order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from itertools import product
 
 import numpy as np
 
@@ -44,11 +49,28 @@ class Irrep:
 
 
 @dataclass
+class _CatalogImages:
+    """A catalog group's irreps on its generators, by table row.  The 1-dim
+    irrep of row ``one_dim_rows[i]`` sends generator slot s to
+    exp(2 pi i exponents[i, s] / modulus); each of ``blocks`` holds the rows of
+    one dimension d > 1 and their (rows, slots, d, d) generator images.
+    ``counts`` is ``_word_counts`` of the group."""
+
+    modulus: int
+    exponents: np.ndarray
+    one_dim_rows: np.ndarray
+    blocks: list[tuple[np.ndarray, np.ndarray]]
+    counts: np.ndarray
+
+
+@dataclass
 class CharacterTable:
     classes: list[ConjugacyClass]
     values: np.ndarray      # (num_irreps, num_classes)
     dims: np.ndarray        # (num_irreps,) integer dimensions
     class_of: np.ndarray    # element index -> class index
+    # a catalog group's irreps on its generators, which ``irreps`` extends
+    catalog: _CatalogImages | None = field(default=None, repr=False)
 
     @cached_property
     def class_sizes(self) -> np.ndarray:
@@ -72,12 +94,17 @@ class CharacterTable:
 # ---------------------------------------------------------------------------
 
 
-def _class_quotients(group: FiniteGroup, classes: list[ConjugacyClass]) -> tuple[np.ndarray, np.ndarray]:
-    """class_of[x], and J[x, k] = class of x^-1 z_k (z_k the base of class k), so that
-    a[i, j, k] = #{(x,y) in C_i x C_j : xy = z_k} = #{x in C_i : J[x, k] = j}."""
+def _class_of(group: FiniteGroup, classes: list[ConjugacyClass]) -> np.ndarray:
     class_of = np.empty(group.order, dtype=np.int64)
     for ci, c in enumerate(classes):
         class_of[list(c.members)] = ci
+    return class_of
+
+
+def _class_quotients(group: FiniteGroup, classes: list[ConjugacyClass]) -> tuple[np.ndarray, np.ndarray]:
+    """class_of[x], and J[x, k] = class of x^-1 z_k (z_k the base of class k), so that
+    a[i, j, k] = #{(x,y) in C_i x C_j : xy = z_k} = #{x in C_i : J[x, k] = j}."""
+    class_of = _class_of(group, classes)
     bases = np.array([c.base_element for c in classes])
     return class_of, class_of[group.mult_table[group.inverse_table[:, None], bases]]
 
@@ -90,7 +117,8 @@ def _class_combination(class_of: np.ndarray, quotient: np.ndarray, coeff: np.nda
 
 
 def character_table(group: FiniteGroup, seed: int = 42) -> CharacterTable:
-    """Compute the full character table (Dixon's method).
+    """Compute the full character table: a catalog group's from its generator
+    images (``_catalog_table``), any other group's by Dixon's method.
 
     The class-sum matrices A_i (a[i] acting on the class labels) commute, and
     A_i omega = omega_i omega for each central character
@@ -106,6 +134,8 @@ def character_table(group: FiniteGroup, seed: int = 42) -> CharacterTable:
     at once; chi(e) is n exactly.
     """
     classes = conjugacy_classes(group)
+    if group.family is not None:
+        return _catalog_table(group, classes)
     k = len(classes)
     sizes = np.array([c.size for c in classes], dtype=float)
     class_of, quotient = _class_quotients(group, classes)
@@ -134,12 +164,56 @@ def character_table(group: FiniteGroup, seed: int = 42) -> CharacterTable:
     off = np.abs(dim - dims) > 1e-6
     if off.any():
         raise ArithmeticError(f"non-integer irrep dimension {dim[off][0]}; raise working precision")
-    values = dims[:, None] * omega / sizes
-    # kill numerical dust so sort keys and golden files are stable
-    values.real[np.abs(values.real) < 1e-12] = 0.0
-    values.imag[np.abs(values.imag) < 1e-12] = 0.0
+    values = _kill_dust(dims[:, None] * omega / sizes)
     order = _canonical_row_order(values, dims)
     return CharacterTable(classes=classes, values=values[order], dims=dims[order], class_of=class_of)
+
+
+def _kill_dust(values: np.ndarray) -> np.ndarray:
+    """Zero parts below 1e-12, in place, so sort keys and golden files are stable."""
+    values.real[np.abs(values.real) < 1e-12] = 0.0
+    values.imag[np.abs(values.imag) < 1e-12] = 0.0
+    return values
+
+
+def _catalog_table(group: FiniteGroup, classes: list[ConjugacyClass]) -> CharacterTable:
+    """A catalog group's table, read off its generator images: each 1-dim row
+    from the slot counts of the class bases' words, each row above that the
+    traces at the bases, extended along the words of the bases only.
+
+    The gates: one row per class, sum d^2 = |G|, and column orthogonality
+    with the identity class, sum_chi chi(1) chi(C) = 0 within 1e-8 on every
+    other class; ``irreps`` checks each extended irrep on top of these.
+    """
+    family, n = group.family
+    one_dim, images = _CATALOG_IMAGES[family]
+    exponents, modulus = one_dim(n)
+    bases = np.array([c.base_element for c in classes])
+    counts = _word_counts(group)
+    stacks = _stacks_by_dim(images(n))
+    needed = _ancestors(group, bases)
+    values = np.concatenate(
+        [_one_dim_values(exponents, modulus, counts[bases])]
+        + [np.trace(extend_from_generators(group, stack, needed)[:, bases], axis1=2, axis2=3) for stack in stacks]
+    )
+    dims = np.concatenate([np.ones(len(exponents), dtype=int)] + [np.full(len(s), s.shape[-1]) for s in stacks])
+    k = len(classes)
+    if len(dims) != k or int(np.sum(dims**2)) != group.order:
+        raise ArithmeticError(
+            f"{group.name}: {len(dims)} catalog irreps with sum d^2 = {int(np.sum(dims**2))}, "
+            f"for {k} classes and order {group.order}"
+        )
+    off = np.max(np.abs(dims @ values[:, 1:]), initial=0.0)
+    if not off <= 1e-8:
+        raise ArithmeticError(f"{group.name}: catalog characters are not orthogonal off the identity ({off:.1e})")
+    values = _kill_dust(values)
+    order = _canonical_row_order(values, dims)
+    row = np.argsort(order)   # table row of each catalog irrep
+    ends = np.cumsum([len(exponents)] + [len(s) for s in stacks])
+    catalog = _CatalogImages(
+        modulus, exponents, row[:ends[0]], [(row[a:b], s) for a, b, s in zip(ends[:-1], ends[1:], stacks)], counts
+    )
+    return CharacterTable(classes, values[order], dims[order], _class_of(group, classes), catalog)
 
 
 def _split_crowded_eigenvectors(m: np.ndarray, evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -172,14 +246,18 @@ def _split_crowded_eigenvectors(m: np.ndarray, evals: np.ndarray, vecs: np.ndarr
 def _canonical_row_order(values: np.ndarray, dims: np.ndarray) -> np.ndarray:
     """Trivial row first, then by dimension, then lexicographically by the
     (re, im) pairs of the row, each rounded to 9 decimals; stable on ties."""
-    trivial = np.all(np.isclose(values, 1.0, atol=1e-9), axis=1)
+    trivial = np.all(np.abs(values - 1.0) <= 1e-9 + 1e-5, axis=1)   # np.isclose(values, 1, atol=1e-9)
     parts = np.stack([values.real, values.imag], axis=2).reshape(len(values), -1)
     keys = np.rint(parts * 1e9)
     # rint(x * 1e9) differs from Python's correctly rounded round(x, 9) only
     # where the product itself was rounded onto a half-integer
     for i in np.flatnonzero(np.abs(parts * 1e9 - keys) == 0.5):
         keys.flat[i] = round(round(float(parts.flat[i]), 9) * 1e9)
-    return np.lexsort(np.vstack([keys.T[::-1], dims, ~trivial]))  # last key sorts first
+    # one stable sort of whole rows: (not trivial, dim, keys...) as int64 with the
+    # sign bit flipped, big-endian, compare bytewise in the order of their tuples
+    rows = np.column_stack([~trivial, dims, keys]).astype(np.int64) ^ np.int64(-(2**63))
+    rows = np.ascontiguousarray(rows.astype(">i8"))
+    return np.argsort(rows.view(f"V{rows.strides[0]}").ravel(), kind="stable")
 
 
 # ---------------------------------------------------------------------------
@@ -187,17 +265,60 @@ def _canonical_row_order(values: np.ndarray, dims: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def extend_from_generators(group: FiniteGroup, generator_matrices: list[np.ndarray]) -> np.ndarray:
-    """Extend the images of the generators, one per slot of ``group.generators``,
-    to every element: the breadth-first word of x = parent * gen[slot] gives
-    rho(x) = rho(parent) @ rho(gen[slot]), parents first.
+def extend_from_generators(group: FiniteGroup, images: np.ndarray, elements: set[int] | None = None) -> np.ndarray:
+    """Extend a stack (m, slots, d, d) of generator images, one per slot of
+    ``group.generators`` for each of m representations of one dimension, to an
+    (m, |G|, d, d) stack, all m in one walk: the breadth-first word of
+    x = parent * gen[slot] gives rho(x) = rho(parent) @ rho(gen[slot]), parents
+    first.  With ``elements`` (closed under taking parents) it walks only
+    their words, and every other element stays 0.
     """
-    dim = generator_matrices[0].shape[0] if generator_matrices else 1
-    mats = np.zeros((group.order, dim, dim), dtype=complex)
-    mats[0] = np.eye(dim)
+    m, d = images.shape[0], images.shape[-1]
+    mats = np.zeros((m, group.order, d, d), dtype=complex)
+    mats[:, 0] = np.eye(d)
     for x, (parent, slot) in group.bfs_words.items():
-        mats[x] = mats[parent] @ generator_matrices[slot]
+        if elements is None or x in elements:
+            mats[:, x] = mats[:, parent] @ images[:, slot]
     return mats
+
+
+def _ancestors(group: FiniteGroup, elements: np.ndarray) -> set[int]:
+    """The elements together with every element on their breadth-first words."""
+    found: set[int] = set()
+    for x in elements.tolist():
+        while x and x not in found:
+            found.add(x)
+            x = group.bfs_words[x][0]
+    return found
+
+
+def _word_counts(group: FiniteGroup) -> np.ndarray:
+    """counts[x, s]: how often generator slot s occurs in the breadth-first word
+    of x, for every x at once by pointer doubling along the parents."""
+    n = group.order
+    parent = np.zeros(n, dtype=np.int64)
+    counts = np.zeros((n, len(group.generators)), dtype=np.int64)
+    if group.bfs_words:
+        xs = np.fromiter(group.bfs_words, dtype=np.int64, count=n - 1)
+        words = np.array(list(group.bfs_words.values()), dtype=np.int64)
+        parent[xs], counts[xs, words[:, 1]] = words[:, 0], 1
+    # counts[x] sums the slots of x's word from x down to, not including, parent[x]
+    while parent.any():
+        counts += counts[parent]
+        parent = parent[parent]
+    return counts
+
+
+def _one_dim_values(exponents: np.ndarray, modulus: int, counts: np.ndarray, orders=None) -> np.ndarray:
+    """Row i at each element x of ``counts``: exp(2 pi i t / modulus) with
+    t = counts[x] . exponents[i].  Given the orders of the elements, it is
+    made the way ``_one_dim_irrep`` snaps it, cos + i sin of 2 pi k / ord(x)
+    with the integer k = t ord(x) / modulus, so both routes give the same bits."""
+    k = (exponents @ counts.T) % modulus
+    if orders is not None:
+        k, modulus = k * orders // modulus, orders
+    arg = 2 * np.pi * k / modulus
+    return np.cos(arg) + 1j * np.sin(arg)
 
 
 def _one_dim_irrep(group: FiniteGroup, row: np.ndarray, class_of: np.ndarray) -> np.ndarray:
@@ -224,49 +345,43 @@ def _partitions(n: int) -> list[tuple[int, ...]]:
     return list(rec(n, n))
 
 
-def _standard_tableaux(shape: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
-    n = sum(shape)
-
-    def rec(filled: list[list[int]], value: int):
-        if value > n:
-            yield tuple(tuple(r) for r in filled)
-            return
-        for r, row_len in enumerate(shape):
-            cur = len(filled[r])
-            if cur < row_len and (r == 0 or len(filled[r - 1]) > cur):
-                filled[r].append(value)
-                yield from rec(filled, value + 1)
-                filled[r].pop()
-
-    return list(rec([[] for _ in shape], 1))
+def _row_words(shape: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The standard Young tableaux of a shape, each as its row word: value v
+    sits in row word[v - 1].  Values are placed in turn, each row tried from
+    the top, which lists the words in lexicographic order and fixes the basis
+    order of Young's form."""
+    words: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), (0,) * len(shape))]   # (word, row lengths)
+    for _ in range(sum(shape)):
+        words = [
+            (word + (r,), lengths[:r] + (cur + 1,) + lengths[r + 1:])
+            for word, lengths in words
+            for r, cur in enumerate(lengths)
+            if cur < shape[r] and (r == 0 or lengths[r - 1] > cur)
+        ]
+    return [word for word, _ in words]
 
 
 def _yor_adjacent_matrices(shape: tuple[int, ...]) -> tuple[np.ndarray, int]:
-    """Young orthogonal matrices for the adjacent transpositions of S_n."""
+    """Young orthogonal matrices for the adjacent transpositions of S_n: s_k
+    has 1/a on the diagonal and sqrt(1 - 1/a^2) where it swaps k and k + 1
+    into another standard tableau, a the axial distance from k to k + 1."""
     n = sum(shape)
-    tableaux = _standard_tableaux(shape)
-    index = {t: i for i, t in enumerate(tableaux)}
-    dim = len(tableaux)
-
-    def position(t, value):
-        for r, row in enumerate(t):
-            for c, entry in enumerate(row):
-                if entry == value:
-                    return r, c
-        raise AssertionError
-
+    words = _row_words(shape)
+    index = {word: i for i, word in enumerate(words)}
+    dim = len(words)
     mats = np.zeros((n - 1, dim, dim))
-    for k in range(1, n):  # transposition swapping values k, k+1
-        for ti, t in enumerate(tableaux):
-            r1, c1 = position(t, k)
-            r2, c2 = position(t, k + 1)
-            axial = (c2 - r2) - (c1 - r1)
+    for ti, word in enumerate(words):
+        # content[v - 1] = column - row of value v
+        filled, content = [0] * len(shape), []
+        for r in word:
+            content.append(filled[r] - r)
+            filled[r] += 1
+        for k in range(1, n):  # transposition swapping values k, k+1
+            axial = content[k] - content[k - 1]
             mats[k - 1, ti, ti] = 1.0 / axial
-            swapped = tuple(
-                tuple(k + 1 if e == k else k if e == k + 1 else e for e in row) for row in t
-            )
-            if swapped in index:
-                mats[k - 1, index[swapped], ti] = np.sqrt(1.0 - 1.0 / axial**2)
+            swapped = word[:k - 1] + (word[k], word[k - 1]) + word[k + 1:]
+            if word[k - 1] != word[k] and swapped in index:
+                mats[k - 1, index[swapped], ti] = math.sqrt(1.0 - 1.0 / axial**2)
     return mats, dim
 
 
@@ -277,8 +392,8 @@ def _symmetric_images(n: int) -> list[list[np.ndarray]]:
     """Images of (1 2) and of the n-cycle (1 2 ... n) = s_1 s_2 ... s_{n-1}."""
     out = []
     for shape in _partitions(n):
-        adj, dim = _yor_adjacent_matrices(shape)
-        if dim > 1:  # trivial/sign come from the 1-dim path
+        if 1 < shape[0] < n:  # the one row (trivial) and the one column (sign) are _symmetric_one_dim
+            adj, _ = _yor_adjacent_matrices(shape)
             out.append([adj[0], reduce(np.matmul, adj)])
     return out
 
@@ -294,11 +409,45 @@ def _quaternion_images(n: int) -> list[list[np.ndarray]]:
     return [[np.array([[1j, 0], [0, -1j]]), np.array([[0, 1], [-1, 0]], dtype=complex)]]
 
 
-# family -> n -> the catalog-generator images of each irrep of dimension > 1
+def _all_signs(slots: int) -> np.ndarray:
+    """Every choice of +-1 on the generator slots, as exponents over modulus 2."""
+    return np.array(list(product((0, 1), repeat=slots)), dtype=np.int64).reshape(2**slots, slots)
+
+
+def _cyclic_one_dim(n: int) -> tuple[np.ndarray, int]:
+    """chi_a(r) = zeta^a, a = 0 .. n-1; C1 has no generator."""
+    if n == 1:
+        return np.zeros((1, 0), dtype=np.int64), 1
+    return np.arange(n, dtype=np.int64)[:, None], n
+
+
+def _dihedral_one_dim(n: int) -> tuple[np.ndarray, int]:
+    """Signs on the rotation and the reflection, the rotation's only for even n;
+    D1 and D2 are generated by one and two reflections, each sign free."""
+    signs = _all_signs(min(n, 2))
+    return (signs[signs[:, 0] == 0] if n > 2 and n % 2 else signs), 2
+
+
+def _symmetric_one_dim(n: int) -> tuple[np.ndarray, int]:
+    """Trivial and sign: (1 2) is odd, and the n-cycle has sign (-1)^(n-1)."""
+    if n < 3:
+        return _all_signs(n - 1), 2
+    return np.array([[0, 0], [1, (n - 1) % 2]], dtype=np.int64), 2
+
+
+def _stacks_by_dim(images: list[list[np.ndarray]]) -> list[np.ndarray]:
+    """The generator images of the irreps of each dimension as one (m, slots, d, d) stack."""
+    dims = sorted({gens[0].shape[0] for gens in images})
+    return [np.array([gens for gens in images if gens[0].shape[0] == d], dtype=complex) for d in dims]
+
+
+# family -> (n -> (exponents, modulus) of the 1-dim irreps,
+#            n -> the catalog-generator images of each irrep of dimension > 1)
 _CATALOG_IMAGES = {
-    "dihedral": _dihedral_images,
-    "symmetric": _symmetric_images,
-    "quaternion": _quaternion_images,
+    "cyclic": (_cyclic_one_dim, lambda n: []),
+    "dihedral": (_dihedral_one_dim, _dihedral_images),
+    "symmetric": (_symmetric_one_dim, _symmetric_images),
+    "quaternion": (lambda n: (_all_signs(2), 2), _quaternion_images),
 }
 
 
@@ -400,8 +549,10 @@ def unitarize(matrices: np.ndarray) -> np.ndarray:
 
 def schur_defect(matrices: np.ndarray, seed: int = 0) -> float:
     """Distance of the averaged commutant from scalars over two random
-    Hermitian probes; ~0 iff irreducible."""
-    n, dim = matrices.shape[0], matrices.shape[1]
+    Hermitian probes; ~0 iff irreducible.  ``matrices`` is one (|G|, d, d)
+    stack, or (m, |G|, d, d) for m irreps of one dimension, checked at once
+    (the largest defect)."""
+    dim = matrices.shape[-1]
     if dim == 1:
         return 0.0
     rng = np.random.default_rng(seed)
@@ -409,45 +560,63 @@ def schur_defect(matrices: np.ndarray, seed: int = 0) -> float:
     for _ in range(2):
         x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         x = x + x.conj().T
-        avg = np.mean(matrices @ x @ matrices.conj().transpose(0, 2, 1), axis=0)
-        scalar = np.trace(avg) / dim
+        avg = np.mean(matrices @ x @ matrices.conj().swapaxes(-1, -2), axis=-3)
+        scalar = np.trace(avg, axis1=-2, axis2=-1)[..., None, None] / dim
         worst = max(worst, float(np.max(np.abs(avg - scalar * np.eye(dim)))))
     return worst
 
 
 def irreps(group: FiniteGroup, table: CharacterTable | None = None, seed: int = 42) -> list[Irrep]:
-    """One unitary irrep per character-table row, in row order."""
+    """One unitary irrep per character-table row, in row order.
+
+    A catalog table carries its irreps on the generators, and each dimension
+    is extended to every element in one walk; any other table's 1-dim rows
+    are snapped to roots of unity and the rest split out of the regular
+    representation.  Every irrep must match its character row within 1e-8
+    and pass the Schur check within 1e-10; a catalog table's irreps are
+    checked one dimension at a time, on every edge of the Cayley graph too.
+    """
     if table is None:
         table = character_table(group, seed=seed)
-    family, n = group.family or (None, 0)
-    images = _CATALOG_IMAGES[family](n) if family in _CATALOG_IMAGES else []
-    candidates = [extend_from_generators(group, gens) for gens in images]
-
+    if table.catalog is not None:
+        stacks = _catalog_irreps(group, table, seed)
+    else:
+        stacks = [
+            _one_dim_irrep(group, table.values[r], table.class_of) if dim == 1
+            else _regular_extraction(group, table, r, seed=seed)
+            for r, dim in enumerate(table.dims.tolist())
+        ]
     bases = np.array([c.base_element for c in table.classes])
-
-    def trace_vector(mats: np.ndarray) -> np.ndarray:
-        return np.trace(mats[bases], axis1=1, axis2=2)
-
     out: list[Irrep] = []
-    for r in range(len(table.dims)):
-        dim = int(table.dims[r])
-        row = table.values[r]
-        mats = None
-        if dim == 1:
-            mats = _one_dim_irrep(group, row, table.class_of)
-        else:
-            for cand in candidates:
-                if cand.shape[1] == dim and np.max(np.abs(trace_vector(cand) - row)) < 1e-6:
-                    mats = cand
-                    break
-            if mats is None:
-                mats = _regular_extraction(group, table, r, seed=seed)
-        if np.max(np.abs(trace_vector(mats) - row)) > 1e-8:
+    for r, mats in enumerate(stacks):
+        if np.max(np.abs(np.trace(mats[bases], axis1=1, axis2=2) - table.values[r])) > 1e-8:
             raise ArithmeticError(f"constructed irrep {r} does not match its character row")
-        if schur_defect(mats, seed=seed + r) > 1e-10:
+        if table.catalog is None and schur_defect(mats, seed=seed + r) > 1e-10:
             raise ArithmeticError(f"constructed irrep {r} failed the Schur irreducibility check")
-        out.append(Irrep(label=f"irrep{r}", dim=dim, matrices=mats))
+        out.append(Irrep(label=f"irrep{r}", dim=int(table.dims[r]), matrices=mats))
     return out
+
+
+def _catalog_irreps(group: FiniteGroup, table: CharacterTable, seed: int) -> list[np.ndarray]:
+    """Every catalog irrep's stack, by table row: the 1-dim ones from the slot
+    counts, each dimension above that from one walk, checked on every edge of
+    the Cayley graph and by one Schur check."""
+    catalog = table.catalog
+    stacks: list[np.ndarray] = [None] * len(table.dims)
+    values = _one_dim_values(catalog.exponents, catalog.modulus, catalog.counts, group.element_orders())
+    for r, v in zip(catalog.one_dim_rows.tolist(), values):
+        stacks[r] = v.reshape(-1, 1, 1)
+    for rows, images in catalog.blocks:
+        mats = extend_from_generators(group, images)
+        # the words are a spanning tree of the Cayley graph; every other edge must agree too
+        for slot, g in enumerate(group.generators):
+            if np.max(np.abs(mats @ images[:, slot:slot + 1] - mats[:, group.mult_table[:, g]])) > 1e-10:
+                raise ArithmeticError(f"constructed irreps {rows.tolist()} are not homomorphisms")
+        if schur_defect(mats, seed=seed) > 1e-10:
+            raise ArithmeticError(f"constructed irreps {rows.tolist()} failed the Schur irreducibility check")
+        for r, m in zip(rows.tolist(), mats):
+            stacks[r] = m
+    return stacks
 
 
 # ---------------------------------------------------------------------------

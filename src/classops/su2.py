@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "MAX_J2",
@@ -315,7 +314,7 @@ def class_operator_quadrature(j2: int, psi, quad: SphereQuadrature) -> np.ndarra
     vectors = _jy_eigenbasis(rep.j2)
     vectors_h = vectors.conj().T
     kern = np.exp(-1j * np.multiply.outer(np.arange(1 - d, d), quad.theta)) @ quad.theta_weights
-    toeplitz = sliding_window_view(kern, d)[:, ::-1]   # K[a, b] = kern[a - b]: row index minus column index
+    toeplitz = kern[_difference_index(d)]   # K[a, b] = kern[a - b]: row index minus column index
     adapted = (vectors_h * rep.weight_phases(psis.reshape(-1, 1, 1))) @ vectors
     out = (vectors @ (adapted * toeplitz) @ vectors_h) * _phi_average(d, [0], quad.n_phi)
     return out if psis.ndim else out[0]
@@ -324,10 +323,15 @@ def class_operator_quadrature(j2: int, psi, quad: SphereQuadrature) -> np.ndarra
 def _phi_average(dim: int, shifts, n_phi: int) -> np.ndarray:
     """(1/P) sum_p e^{i n (phi_p - pi/2)} on the uniform P-point phi rule, e^{-i n pi/2}
     where P divides n and 0 otherwise, for n = m_i - m_l - shift = l - i - shift at
-    every shift and entry (i, l): a (len(shifts), dim, dim) Toeplitz view, no copy."""
+    every shift and entry (i, l): a (len(shifts), dim, dim) Toeplitz gather."""
     n = np.arange(1 - dim, dim) - np.asarray(shifts)[:, None]
     average = np.where(n % n_phi == 0, np.array([1, -1j, -1, 1j])[n % 4], 0)
-    return sliding_window_view(average, dim, axis=1)[:, ::-1]
+    return average[:, _difference_index(dim).T]
+
+
+def _difference_index(dim: int) -> np.ndarray:
+    """index[a, b] = a - b + dim - 1: where a - b sits in a sequence over 1 - dim .. dim - 1."""
+    return np.subtract.outer(np.arange(dim), np.arange(dim)) + (dim - 1)
 
 
 def weighted_class_operator_su2(j2: int, psi: float, weight_terms, quad: SphereQuadrature) -> np.ndarray:

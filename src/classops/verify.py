@@ -116,12 +116,12 @@ def finite_class_suite(
     n = group.order
     reports: list[CheckReport] = []
 
-    def record(check: str, cls: ConjugacyClass, dev: float) -> None:
+    def record(check: str, label: str, dev: float) -> None:
         reports.append(
             CheckReport(
                 check=check,
                 group=group.name,
-                cls=group.labels[cls.base_element],
+                cls=label,
                 max_deviation=float(dev),
                 tolerance=tol[check],
                 passed=bool(dev <= tol[check]),
@@ -130,10 +130,11 @@ def finite_class_suite(
 
     for cls in classes:
         g0 = cls.base_element
+        label = group.label(g0)
         # spectral form == conjugation average with weight 1
         average = weighted_class_operator(group, g0, np.ones(n))
         spectral = spectral_class_operator(group, cls, table)
-        record("spectral_form", cls, np.max(np.abs(average - spectral)))
+        record("spectral_form", label, np.max(np.abs(average - spectral)))
         # coset factorization + covariance on the stacked weights, then centralizer invariance
         weights = np.empty((n_random, n), dtype=complex)
         elements = np.empty(n_random, dtype=np.intp)
@@ -141,13 +142,13 @@ def finite_class_suite(
             weights[i], elements[i] = _random_weight(rng, n), rng.integers(n)
         op = weighted_class_operator(group, g0, weights)
         through = class_operator_from_classfunction(group, cls, transfer(group, cls, weights))
-        record("coset_factorization", cls, np.max(np.abs(op - through), initial=0.0))
-        record("conjugation_covariance", cls, covariance_deviation(group, g0, weights, op, elements))
-        record("centralizer_invariance", cls, centralizer_invariance_deviation(group, g0, _random_weight(rng, n)))
+        record("coset_factorization", label, np.max(np.abs(op - through), initial=0.0))
+        record("conjugation_covariance", label, covariance_deviation(group, g0, weights, op, elements))
+        record("centralizer_invariance", label, centralizer_invariance_deviation(group, g0, _random_weight(rng, n)))
         # class-sum expansion in irreducible characters, a class function
         expansion = table.values[:, table.class_of[g0]].conj() @ table.values / n
         class_sum = class_operator_from_classfunction(group, cls, np.ones(cls.size))
-        record("class_sum_expansion", cls, np.max(np.abs(class_sum - expansion[table.class_of])))
+        record("class_sum_expansion", label, np.max(np.abs(class_sum - expansion[table.class_of])))
     return reports
 
 
@@ -240,7 +241,7 @@ def wigner_eckart_report(
     """
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     g0 = cls.base_element
-    g0_label = group.labels[g0]
+    g0_label = group.label(g0)
     bases = [z_fixed_basis(ai, rep.matrices, cls.centralizer) for ai, rep in enumerate(irreps_list)]
     adapted, m_alphas = adapt_irreps_to_class(irreps_list, cls, bases)
     tables = [rotate_coupling_table(tab, [zb.basis for zb in bases]) for tab in coupling]
@@ -352,4 +353,4 @@ def scan_rows(
     families = tensor_operator_scan(
         group, None, cls.base_element, adapted, m_alphas, tol=tol["scan_vanishing"]
     )
-    return families, _skipped(group.labels[cls.base_element], m_alphas)
+    return families, _skipped(group.label(cls.base_element), m_alphas)

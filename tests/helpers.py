@@ -13,7 +13,8 @@ class-constant tensor (it checks the weighted class sums of
 ``_class_combination``; the characters themselves are read off the
 eigenvectors), the per-element search for coset representatives, the
 rounded-tuple sort key of the character-table rows and the per-element
-root-of-unity snapping of the 1-dim irreps.  The S_n irreps, which the
+root-of-unity snapping of the 1-dim irreps, and Young's orthogonal form
+built by scanning each standard tableau for k and k + 1.  The S_n irreps, which the
 library extends from the images of two generators, are compared within
 round-off with Young's orthogonal form multiplied out element by element
 along a bubble-sort factorization of each permutation.  The dense
@@ -160,6 +161,46 @@ def oracle_symmetric_irreps(group: FiniteGroup) -> list[np.ndarray]:
             mats[g] = m
         out.append(mats)
     return out
+
+
+def _standard_tableaux(shape: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
+    """Standard Young tableaux as tuples of rows: values placed in turn, each row tried from the top."""
+    n = sum(shape)
+
+    def rec(filled: list[list[int]], value: int):
+        if value > n:
+            yield tuple(tuple(r) for r in filled)
+            return
+        for r, row_len in enumerate(shape):
+            cur = len(filled[r])
+            if cur < row_len and (r == 0 or len(filled[r - 1]) > cur):
+                filled[r].append(value)
+                yield from rec(filled, value + 1)
+                filled[r].pop()
+
+    return list(rec([[] for _ in shape], 1))
+
+
+def oracle_yor_adjacent_matrices(shape: tuple[int, ...]) -> tuple[np.ndarray, int]:
+    """Young's orthogonal form from the tableaux themselves: each value found by
+    scanning its tableau, and each swapped tableau spelled out and looked up."""
+    n = sum(shape)
+    tableaux = _standard_tableaux(shape)
+    index = {t: i for i, t in enumerate(tableaux)}
+
+    def position(t, value):
+        return next((r, c) for r, row in enumerate(t) for c, entry in enumerate(row) if entry == value)
+
+    mats = np.zeros((n - 1, len(tableaux), len(tableaux)))
+    for k in range(1, n):
+        for ti, t in enumerate(tableaux):
+            (r1, c1), (r2, c2) = position(t, k), position(t, k + 1)
+            axial = (c2 - r2) - (c1 - r1)
+            mats[k - 1, ti, ti] = 1.0 / axial
+            swapped = tuple(tuple(k + 1 if e == k else k if e == k + 1 else e for e in row) for row in t)
+            if swapped in index:
+                mats[k - 1, index[swapped], ti] = np.sqrt(1.0 - 1.0 / axial**2)
+    return mats, len(tableaux)
 
 
 def oracle_class_constants(group: FiniteGroup) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Group construction, conjugacy structure, and group-algebra operations."""
 
+import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -365,6 +367,63 @@ def test_element_index_resolution():
     assert group.element_index("2") == 2
     with pytest.raises(GroupConstructionError):
         group.element_index("(9 9)")
+
+
+@pytest.mark.parametrize("text", ["(2 1)", "()", "(1 2)(3)", "(1 2)(1 3)", "(1 4)", "(1 2 3 4 5 6 7)"])
+def test_element_index_takes_a_permutation_only_in_its_own_label(text):
+    # each of these parses to a permutation, or to none of S3's, and names no element
+    group = build_group("S3")
+    with pytest.raises(GroupConstructionError, match=rf"^unknown element {re.escape(repr(text))}$"):
+        group.element_index(text)
+
+
+def test_element_index_reads_e_and_a_zero_padded_index():
+    group = build_group("S3")
+    assert group.element_index("e") == 0
+    assert group.element_index("004") == 4
+    with pytest.raises(GroupConstructionError, match="^element index 7 out of range$"):
+        group.element_index("007")
+    # every label names its own element
+    assert [group.element_index(label) for label in group.labels] == list(range(group.order))
+
+
+@pytest.fixture
+def counted_labels(monkeypatch):
+    calls = []
+
+    def counting(perm):
+        calls.append(len(perm))
+        return cycle_notation(perm)
+
+    monkeypatch.setattr(groups, "cycle_notation", counting)
+    return calls
+
+
+def test_a_closure_formats_no_label(counted_labels):
+    group = build_group("C1500")
+    assert counted_labels == []
+    assert group.label(1) == "(1 " + " ".join(str(p) for p in range(2, 1501)) + ")"
+    assert len(counted_labels) == 1
+
+
+def test_finite_verify_formats_only_the_labels_it_prints(counted_labels, capsys):
+    from classops.cli import main
+
+    assert main(["finite-verify", "--group", "C1500", "--class", "7", "--n-random", "1"]) == 0
+    assert len(counted_labels) == 1   # the class label, once for its five records
+    assert {c["class"] for c in json.loads(capsys.readouterr().out)["checks"]} == {build_group("C1500").label(7)}
+
+
+def test_a_built_c1500_keeps_its_images_in_one_compact_array():
+    # the int64 table is 18 MB; the (1500, 1500) uint16 images 4.5 MB more, and no labels
+    tracemalloc.start()
+    try:
+        group = build_group("C1500")
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert group.perms.shape == (1500, 1500) and group.perms.itemsize == 2
+    assert retained < 23 * 2**20, f"retained {retained} B"
 
 
 @pytest.mark.parametrize("spec", ["D4", ["(1 2 3 4 5 6 7)", "(2 3 5)(4 7 6)"]], ids=["D4", "C7xC3"])

@@ -1,10 +1,13 @@
 """Character tables, irreps, projectors and matrix-element functions."""
 
+import json
+
 import numpy as np
 import pytest
 
 from classops import representations
-from classops.groups import build_group, conjugacy_classes, left_regular_matrix
+from classops.cli import main
+from classops.groups import build_group, conjugacy_classes, group_from_table, left_regular_matrix
 from classops.representations import (
     CharacterTable,
     _canonical_row_order,
@@ -12,6 +15,8 @@ from classops.representations import (
     _class_quotients,
     _dihedral_images,
     _one_dim_irrep,
+    _kill_dust,
+    _yor_adjacent_matrices,
     _orthonormal_range,
     character_table,
     irreps,
@@ -28,6 +33,7 @@ from helpers import (
     oracle_class_constants,
     oracle_one_dim_irrep,
     oracle_symmetric_irreps,
+    oracle_yor_adjacent_matrices,
     regular_representation,
 )
 
@@ -224,12 +230,18 @@ def _no_regular_extraction(*args, **kwargs):
     raise AssertionError("a catalog irrep fell back to the regular representation")
 
 
+def _no_eigh(*args, **kwargs):
+    raise AssertionError("a catalog group reached an eigensolve")
+
+
 @pytest.mark.parametrize("spec", [f"S{n}" for n in range(1, 6)] + [f"D{n}" for n in range(1, 13)] + [
-    "D15", "D20", "Q8",
+    "D15", "D20", "Q8", "C1", "C2", "C12", "C150",
 ])
 def test_catalog_irreps_never_reach_the_regular_extraction(spec, monkeypatch):
-    # a wrong generator image matches no character row and would only show as a slower run
+    # catalog tables and irreps come from the generator images alone: no Dixon
+    # eigensolve, no extraction from the regular representation
     monkeypatch.setattr(representations, "_regular_extraction", _no_regular_extraction)
+    monkeypatch.setattr(np.linalg, "eigh", _no_eigh)
     group = build_group(spec)
     table = character_table(group)
     assert [r.dim for r in irreps(group, table)] == table.dims.tolist()
@@ -376,15 +388,17 @@ def test_canonical_row_order_matches_rounded_tuple_key(spec):
     assert np.array_equal(values[order], table.values)
 
 
-@pytest.mark.parametrize("spec", ["C60", "C150", "D60", "S5"])
+@pytest.mark.parametrize("spec", ["C60", "C150", "D60", "S5", "Q8", "D2"])
 def test_one_dim_irreps_match_scalar_snapping_bit_for_bit(spec):
+    # the catalog irreps from their exponents, and the snapping of the table row
     group = build_group(spec)
     table = character_table(group)
+    reps = irreps(group, table)
     for alpha in np.flatnonzero(table.dims == 1):
         row = table.values[alpha]
-        assert np.array_equal(
-            _one_dim_irrep(group, row, table.class_of), oracle_one_dim_irrep(group, row, table.class_of)
-        )
+        expected = oracle_one_dim_irrep(group, row, table.class_of)
+        assert np.array_equal(_one_dim_irrep(group, row, table.class_of), expected)
+        assert np.array_equal(reps[alpha].matrices, expected)
 
 
 @pytest.mark.parametrize("gens", [["(1 2 3)", "(1 2 3 4 5)"], ["(1 2)", "(1 2 3 4 5)"]], ids=["A5", "S5"])
@@ -419,3 +433,73 @@ def test_orthonormal_range_takes_the_lowest_of_tied_columns():
     rng = np.random.default_rng(4)
     noise = 1e-15 * (rng.standard_normal(p.shape) + 1j * rng.standard_normal(p.shape))
     assert np.max(np.abs(_orthonormal_range(p + noise, 9) - basis)) < 1e-12
+
+
+# -- catalog tables read off the generator images -----------------------------
+
+
+@pytest.mark.parametrize("spec", CATALOG_LEQ_24 + ["S1", "S2", "D1", "D2", "S5", "C150", "D60"])
+def test_catalog_table_matches_dixon_on_the_same_multiplication_table(spec):
+    group = build_group(spec)
+    table = character_table(group)
+    dixon = character_table(group_from_table(group.mult_table))
+    assert table.catalog is not None and dixon.catalog is None
+    # the same rows in the same order, within the Dixon route's round-off
+    assert table.dims.tolist() == dixon.dims.tolist()
+    assert np.max(np.abs(table.values - dixon.values)) < 1e-10
+
+
+@pytest.mark.parametrize("spec", ["S3", "S4", "S5", "D12", "Q8", "C150"])
+def test_catalog_rows_are_the_irreps_at_the_class_bases(spec):
+    # above dimension 1 the table walks the words of the class bases only, irreps
+    # every word: the same products, bit for bit, before the table's dust below
+    # 1e-12 is zeroed; a 1-dim row is exp(2 pi i t / modulus), and its irrep is
+    # snapped through the element order, within an ulp of it
+    group = build_group(spec)
+    table = character_table(group)
+    bases = [c.base_element for c in table.classes]
+    for alpha, rep in enumerate(irreps(group, table)):
+        traces = _kill_dust(np.trace(rep.matrices[bases], axis1=1, axis2=2))
+        if rep.dim > 1:
+            assert np.array_equal(traces, table.values[alpha])
+        else:
+            assert np.max(np.abs(traces - table.values[alpha])) < 1e-15
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_young_form_matches_the_tableau_scan_bit_for_bit(n):
+    for shape in representations._partitions(n):
+        mats, dim = _yor_adjacent_matrices(shape)
+        expected, expected_dim = oracle_yor_adjacent_matrices(shape)
+        assert dim == expected_dim and np.array_equal(mats, expected)
+
+
+def _young_off_by_a_millionth(shape, entry, monkeypatch):
+    """Scale one entry of Young's form for ``shape`` by 1 + 1e-6."""
+    def scaled(s):
+        mats, dim = _yor_adjacent_matrices(s)
+        if s == shape:
+            mats = mats.copy()
+            mats[entry] *= 1 + 1e-6
+        return mats, dim
+
+    monkeypatch.setattr(representations, "_yor_adjacent_matrices", scaled)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_every_young_entry_off_by_a_millionth_is_refused(n, monkeypatch):
+    # S4 and S5 refuse in the table (a character moves by about 1e-6); in S3 an
+    # off-diagonal entry of s_2 leaves every character at the class bases as it
+    # is, and the irreps refuse it, off the words of the Cayley graph
+    group = build_group(f"S{n}")
+    for shape in [s for s in representations._partitions(n) if 1 < s[0] < n]:
+        for entry in zip(*np.nonzero(_yor_adjacent_matrices(shape)[0])):
+            _young_off_by_a_millionth(shape, entry, monkeypatch)
+            with pytest.raises(ArithmeticError):
+                character_table(group) if n > 3 else irreps(group)
+
+
+def test_a_refused_young_entry_exits_2(monkeypatch, capsys):
+    _young_off_by_a_millionth((3, 1), (0, 0, 0), monkeypatch)
+    assert main(["finite-verify", "--group", "S4"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ArithmeticError"
