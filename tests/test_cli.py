@@ -442,6 +442,30 @@ def test_scan(capsys):
     assert not any(f["vanishes"] for f in doc["families"])
 
 
+# the report section whose rows decide each command's verdict (scan passes by
+# construction, so its families are the rows it reports on)
+_VERDICT_SECTIONS = {"finite-verify": "checks", "wigner-eckart": "comparisons", "scan": "families",
+                     "su2-verify": "convergence"}
+
+
+@pytest.mark.parametrize("argv", [
+    *([cmd, "--group", group, "--class", "all"]
+      for group in ("C1", "S1", "Q8", "table-D4") for cmd in ("finite-verify", "wigner-eckart", "scan")),
+    ["su2-verify"],
+    ["su2-verify", "--j2", "1", "--psi", "0.7"],
+    ["wigner-eckart", "--group", "su2", "--max-spin-x2", "1"],
+], ids=lambda argv: "-".join(argv[:3]))
+def test_no_report_passes_on_an_empty_check_set(argv, tmp_path, capsys):
+    if "table-D4" in argv:
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"table": build_group("D4").mult_table.tolist()}))
+        argv = [f"file:{path}" if a == "table-D4" else a for a in argv]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["passed"] is True and len(doc[_VERDICT_SECTIONS[argv[0]]]) >= 1
+
+
 def test_export_tables(tmp_path, capsys):
     out = tmp_path / "tables.json"
     code, _, _ = run(["export-tables", "--group", "catalog:D4", "--output", str(out)], capsys)

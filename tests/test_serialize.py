@@ -2,10 +2,11 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from classops import cli, serialize
@@ -161,16 +162,38 @@ def _a5_from_file(tmp_path):
     return load_group_file(path)
 
 
+def _d60_from_file(tmp_path):
+    reflection = "".join(f"({i} {62 - i})" for i in range(2, 31))
+    path = tmp_path / "d60.json"
+    path.write_text(json.dumps({"generators": ["(" + " ".join(map(str, range(1, 61))) + ")", reflection]}))
+    return load_group_file(path)
+
+
 @pytest.mark.parametrize("make", [
     lambda tmp_path: _full_tables_document(build_group("C12")),
     lambda tmp_path: _full_tables_document(build_group("S4")),
     lambda tmp_path: _full_tables_document(_a5_from_file(tmp_path)),
     lambda tmp_path: _full_tables_document(build_group({"table": build_group("D4").mult_table.tolist(), "name": "T"})),
     lambda tmp_path: coupling_table_document(su2_coupling_table(2)),
-], ids=["C12", "S4", "file-A5", "table-D4", "su2-coupling-2"])
+    lambda tmp_path: _full_tables_document(build_group("C150")),
+    lambda tmp_path: _full_tables_document(_d60_from_file(tmp_path)),
+], ids=["C12", "S4", "file-A5", "table-D4", "su2-coupling-2", "C150", "file-D60"])
 def test_json_text_is_the_indent_2_rendering_of_tables(make, tmp_path):
     document = make(tmp_path)
     assert_same_text(json_text(document), oracle_json_text(document))
+
+
+def test_json_text_of_c150_tables_peaks_below_three_times_its_text():
+    # one list of chunks and one join: the writer holds the text about twice
+    document = _full_tables_document(build_group("C150"))
+    serialize._layout.cache_clear()
+    tracemalloc.start()
+    try:
+        text = json_text(document)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.0 * len(text)
 
 
 @pytest.mark.parametrize("make", [
@@ -279,8 +302,10 @@ def test_json_text_is_the_indent_2_rendering_of_an_adversarial_document():
 
 
 def test_json_text_rejects_what_json_rejects():
+    # a byte-swapped array too: its bits are not native float64 bits
     rejected = (np.int64(3), {1j: 2}, np.arange(3), np.array([True, False]), np.zeros(2, np.float32),
-                [np.zeros((2, 2), np.complex64)], {"a": [np.arange(2)]})
+                [np.zeros((2, 2), np.complex64)], {"a": [np.arange(2)]},
+                np.zeros(300, ">f8"), np.ones((2, 200), ">c16"), np.ones(3, ">f8"))
     for value in rejected:
         with pytest.raises(TypeError):
             oracle_json_text(value)
@@ -335,3 +360,52 @@ _JSON_VALUES = st.recursive(
 @given(_JSON_VALUES)
 def test_json_text_matches_the_indent_2_rendering_on_generated_values(value):
     assert_same_text(json_text(value), oracle_json_text(value))
+
+
+# ---------------------------------------------------------------------------
+# arrays large enough that each distinct float is spelled once
+# ---------------------------------------------------------------------------
+
+# equal bits spell alike: -0.0 and 0.0, and two NaN payloads, stay apart
+_NANS = np.array([0x7FF8000000000001, 0xFFF4000000000000], np.uint64).view(np.float64).tolist()
+_POOL = [0.0, -0.0, *_NANS, math.inf, -math.inf, 5e-324, 0.1, 1e16]
+
+
+def _pool_array(leaves: int, dtype, view: bool) -> np.ndarray:
+    """An array of ``leaves`` floats drawn from ``_POOL``, C-order or a reversed strided view."""
+    floats = np.array(_POOL)[np.random.default_rng(leaves).integers(len(_POOL), size=(1, 2, leaves))]
+    base = floats.view(dtype)  # a complex entry is two leaves, its NaN payloads kept
+    return base[:, ::2, ::-1] if view else base[:, :1]
+
+
+@pytest.mark.parametrize("view", [False, True], ids=["C-order", "view"])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["float", "complex"])
+@pytest.mark.parametrize("offset", [-1, 0, 1, None], ids=["below", "at", "above", "4096"])
+def test_json_text_spells_each_distinct_float_once_from_the_threshold(offset, dtype, view, monkeypatch):
+    threshold = serialize._SPELL_ONCE_MIN
+    width = 2 if dtype == np.complex128 else 1  # leaves per entry
+    leaves = 4096 if offset is None else threshold + offset * width
+    arr = _pool_array(leaves, dtype, view)
+    assert arr.size * width == leaves and arr.flags.c_contiguous != view
+    unique_calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: unique_calls.append(a) or unique(*a, **k))
+    for document in (arr, {"a": [arr, arr.T]}):
+        assert_same_text(json_text(document), oracle_json_text(document))
+    assert len(unique_calls) == (0 if leaves < threshold else 3)
+
+
+_REPEATED_FLOATS = st.sampled_from(_POOL) | st.floats()
+# every element drawn (no fill value), so a large array holds both zeros and both NaNs
+_REPEATING = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=40), elements=_REPEATED_FLOATS, fill=st.nothing()
+) | hnp.arrays(
+    np.complex128, hnp.array_shapes(min_dims=1, max_dims=2, max_side=40),
+    elements=st.builds(complex, _REPEATED_FLOATS, _REPEATED_FLOATS), fill=st.nothing(),
+)
+
+
+@settings(max_examples=50)  # up to 3200 leaves each: the oracle's json.dumps dominates
+@given(_REPEATING)
+def test_json_text_matches_the_indent_2_rendering_on_arrays_with_repeated_values(arr):
+    assert_same_text(json_text(arr), oracle_json_text(arr))
