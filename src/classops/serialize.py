@@ -4,23 +4,23 @@ Documents hold numbers as they are: Python scalars and float64 or complex128
 arrays.  ``json_text`` alone spells them, a complex number as an [re, im]
 pair, in one pass whose chunks are joined once; a large array spells each
 distinct bit pattern once, and since equal bits have an equal repr the text
-is the same as with one repr per float.  A ``classop-tables/2`` document states nothing twice: each irrep is
-written on the group's generators only, and the group's breadth-first words
-over them carry it to every element; each coupling table is its basis
-alone, since the basis fixes its components, their multiplicities and the
-coupling coefficients c[i, j, m, n] = conj(e[m, n, i, j]).  Floats in CSV
-are rendered in scientific notation with 17 significant digits so diffs of
-golden files are meaningful.  All writers are
-deterministic: no timestamps, sorted keys.  Reports are rendered in either
-format from the same dataclass records.  The only documents read back are
-group descriptor files.
+is the same as with one repr per float.  A ``classop-tables/2`` document
+states nothing twice: each irrep is written on the group's generators only,
+and the group's breadth-first words over them carry it to every element;
+each coupling table is its basis alone, since the basis fixes its
+components, their multiplicities and the coupling coefficients
+c[i, j, m, n] = conj(e[m, n, i, j]).  Floats in CSV are rendered in
+scientific notation with 17 significant digits so diffs of golden files are
+meaningful.  All writers are deterministic: no timestamps, sorted keys.
+Reports are rendered in either format from the same dataclass records.  The
+only documents read back are group descriptor files.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import fields
-from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -131,10 +131,12 @@ def json_text(document) -> str:
 
 _ESCAPE = json.encoder.encode_basestring_ascii
 _FLAT_FORMATS = {int: int.__repr__, float: float.__repr__, str: _ESCAPE}
-# From this many leaves an array spells each distinct float once.  On a 2-core
-# VM, np.unique and one repr per bit pattern beat a repr per leaf from 32-48
-# leaves when 8 values repeat, and lose 5-45% when all are distinct; the twelve
-# tables-generic documents take 62-64 ms from 32 to 4096, 153 ms without it.
+# From this many leaves an array spells each distinct float once.  Timed
+# alone on a 2-core VM, np.unique costs 10 us a call and 2-4% per leaf when
+# every value is distinct; at 256 leaves, 8 repeated values save 116 us where
+# distinct ones lose 20 us.  json_text of the twelve tables-generic documents
+# takes 75-79 ms (medians) at thresholds from 32 to 4096, against 165 ms with
+# a repr per leaf at every size.
 _SPELL_ONCE_MIN = 256
 
 
@@ -188,11 +190,13 @@ def _write_list(o: list, nl: str, out: list) -> None:
 def _write_array(a: np.ndarray, nl: str, out: list) -> None:
     """A float64 or complex128 array, complex values as a trailing [re, im] axis.
 
-    The leaves are the floats in row-major order, put into the slots of the
-    array's ``_layout``.  From ``_SPELL_ONCE_MIN`` leaves on, ``float.__repr__``
-    runs once per distinct bit pattern, and the texts are gathered back to
-    the leaves.  Equal bits have an equal repr, so the text is the one a repr
-    per leaf writes; -0.0 and each NaN payload keep their own pattern.
+    The leaves are the floats in row-major order, each on its own line.  From
+    ``_SPELL_ONCE_MIN`` leaves on, ``float.__repr__`` runs once per distinct
+    bit pattern, and the texts are gathered back to the leaves.  Equal bits
+    have an equal repr, so the text is the one a repr per leaf writes; -0.0
+    and each NaN payload keep their own pattern.  Between two leaves stands
+    the separator of how many trailing axes roll over there: ``,`` alone, or
+    ``r`` closing and ``r`` opening brackets.
     """
     if a.dtype == np.complex128:
         a = np.stack([a.real, a.imag], axis=-1)
@@ -208,32 +212,20 @@ def _write_array(a: np.ndarray, nl: str, out: list) -> None:
         leaves = list(map(_spell_special, leaves))
     if inverse is not None:
         leaves = np.array(leaves, dtype=object)[inverse].tolist()
-    start = len(out)
-    out += _layout(a.shape, nl)
-    out[start + 1::2] = leaves
-
-
-@lru_cache(maxsize=64)
-def _layout(shape: tuple, nl: str) -> tuple:
-    """The chunks of an array of ``shape``: head, a None slot per leaf, tail.
-
-    Between two leaves stands the separator of how many trailing axes roll
-    over there: ``,`` alone, or ``r`` closing and ``r`` opening brackets.
-    """
-    depth = len(shape)
+    depth = a.ndim
     indents = [nl + "  " * i for i in range(depth + 1)]
-
-    def separator(r: int) -> str:
-        closing = "".join(indents[i] + "]" for i in range(depth - 1, depth - r - 1, -1))
-        opening = "".join(indents[i] + "[" for i in range(depth - r, depth))
-        return closing + "," + opening + indents[depth]
-
-    chunks = [None] + [separator(0), None] * (shape[-1] - 1)
-    for r, size in enumerate(reversed(shape[:-1]), 1):
-        chunks = (chunks + [separator(r)]) * size
-        chunks.pop()
-    head = "[" + "".join(indents[i] + "[" for i in range(1, depth)) + indents[depth]
-    return (head, *chunks, "".join(indents[i] + "]" for i in range(depth - 1, -1, -1)))
+    gaps, closing, opening = [], "", ""
+    for i, size in zip(range(depth - 1, -1, -1), reversed(a.shape)):
+        gaps = (gaps + [closing + "," + opening + indents[depth]]) * size
+        gaps.pop()
+        closing += indents[i] + "]"
+        opening = indents[i] + "[" + opening
+    out.append(opening[len(nl):] + indents[depth])  # the outermost "[" opens no line
+    start = len(out)
+    out += repeat(None, 2 * a.size - 1)
+    out[start::2] = leaves
+    out[start + 1::2] = gaps
+    out.append(closing)
 
 
 def _spell_special(text: str) -> str:

@@ -186,7 +186,6 @@ def test_json_text_is_the_indent_2_rendering_of_tables(make, tmp_path):
 def test_json_text_of_c150_tables_peaks_below_three_times_its_text():
     # one list of chunks and one join: the writer holds the text about twice
     document = _full_tables_document(build_group("C150"))
-    serialize._layout.cache_clear()
     tracemalloc.start()
     try:
         text = json_text(document)
