@@ -38,12 +38,7 @@ from math import comb, copysign, factorial, sqrt
 import numpy as np
 
 from .groups import FiniteGroup, ConjugacyClass
-from .representations import (
-    CharacterTable,
-    Irrep,
-    _fix_column_phases,
-    _orthonormal_range,
-)
+from .representations import CharacterTable, Irrep
 from .class_operators import weighted_class_operator
 from .su2 import WignerD
 
@@ -65,6 +60,41 @@ __all__ = [
     "wigner_eckart_bruteforce",
     "tensor_operator_scan",
 ]
+
+
+def _orthonormal_range(matrix: np.ndarray, rank: int) -> np.ndarray:
+    """Deterministic orthonormal basis of the range of an (approximate) projector.
+
+    Gram-Schmidt with column pivoting: each step takes the column of largest
+    residual norm and, among the columns within a relative 1e-8 of it, the
+    lowest index, so round-off never reorders columns of equal norm.  The
+    pivot's residual is orthogonalized twice against the basis so far, the
+    residual norms of all columns are downdated, and ``_fix_column_phases``
+    runs last.
+    """
+    a = np.asarray(matrix, dtype=complex)
+    q = np.zeros((a.shape[0], rank), dtype=complex)
+    res = (np.abs(a) ** 2).sum(axis=0)
+    for k in range(rank):
+        norms = np.sqrt(np.maximum(res, 0.0))
+        v = a[:, (norms >= (1.0 - 1e-8) * norms.max()).argmax()]
+        for _ in range(2 if k else 0):
+            v = v - q[:, :k] @ (q[:, :k].conj().T @ v)
+        q[:, k] = v / np.linalg.norm(v)
+        if k + 1 < rank:
+            res -= np.abs(q[:, k].conj() @ a) ** 2
+    return _fix_column_phases(q)
+
+
+def _fix_column_phases(basis: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    """Rotate each column so its first entry above ``tol`` is positive real."""
+    basis = basis.copy()
+    for col in range(basis.shape[1]):
+        above = np.abs(basis[:, col]) > tol
+        if above.any():
+            lead = basis[above.argmax(), col]
+            basis[:, col] *= np.abs(lead) / lead
+    return basis
 
 
 @dataclass

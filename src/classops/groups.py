@@ -92,21 +92,38 @@ def parse_cycles(text: str, degree: int | None = None) -> tuple[int, ...]:
 
 def cycle_notation(perm: tuple[int, ...]) -> str:
     """Inverse of :func:`parse_cycles` (fixed points omitted, identity = 'e')."""
-    seen = [False] * len(perm)
-    parts = []
+    seen, parts = set(), []
     for start in range(len(perm)):
-        if seen[start] or perm[start] == start:
-            seen[start] = True
-            continue
-        cyc = [start]
-        seen[start] = True
-        nxt = perm[start]
-        while nxt != start:
-            cyc.append(nxt)
-            seen[nxt] = True
-            nxt = perm[nxt]
-        parts.append("(" + " ".join(str(p + 1) for p in cyc) + ")")
-    return "".join(parts) if parts else "e"
+        if start not in seen and perm[start] != start:
+            cyc = [start]
+            while perm[cyc[-1]] != start:
+                cyc.append(perm[cyc[-1]])
+            seen.update(cyc)
+            parts.append("(" + " ".join(str(p + 1) for p in cyc) + ")")
+    return "".join(parts) or "e"
+
+
+def _cycle_labels(perms: np.ndarray) -> list[str]:
+    """:func:`cycle_notation` of every row of ``perms`` in one pass: the least point
+    of each cycle by pointer doubling, then every cycle walked from it at once."""
+    n, degree = perms.shape
+    points = np.arange(n * degree)
+    image = (perms.astype(np.int64) + degree * np.arange(n)[:, None]).ravel()   # flat point indices
+    least, jump = points, image
+    for _ in range((degree - 1).bit_length()):
+        least, jump = np.minimum(least, least[jump]), jump[jump]
+    moved = image != points
+    point = np.flatnonzero(moved & (least == points))   # cycle starts, by element, then by point
+    length = np.bincount(least[moved], minlength=n * degree)[point]
+    ends = np.cumsum(np.bincount(point // degree, length, minlength=n)).astype(np.int64).tolist()
+    code, at = np.empty(int(length.sum()), dtype=np.int64), np.cumsum(length) - length
+    for step in range(int(length.max(initial=0))):   # code 3p + 0, 1, 2: "(p ", "p ", "p)"
+        code[at + step] = 3 * (point % degree) + np.where(step == 0, 0, 1 + (length == step + 1))
+        keep = length > step + 1
+        point, length, at = image[point[keep]], length[keep], at[keep]
+    names = [f"{a}{p}{b}" for p in range(1, degree + 1) for a, b in (("(", " "), ("", " "), ("", ")"))]
+    text = list(map(names.__getitem__, code.tolist()))
+    return ["".join(text[a:b]) or "e" for a, b in zip([0] + ends[:-1], ends)]
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +208,10 @@ class FiniteGroup:
 
     @property
     def labels(self) -> list[str]:
-        """Every element's label, in index order, made on first use."""
+        """Every element's label, in index order, made on first use (a closure's
+        all at once, ``_cycle_labels``)."""
         if self._labels is None:
-            self._labels = [self.label(x) for x in range(self.order)]
+            self._labels = _cycle_labels(self.perms)
         return self._labels
 
     # -- structure ---------------------------------------------------------

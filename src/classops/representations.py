@@ -1,19 +1,18 @@
 """Irreducible unitary representations, characters and isotypic projectors.
 
-Every catalog family gives its irreps as images of its catalog generators:
-exponents of roots of unity for dimension 1 (zeta^a for C_n, signs for D_n,
-S_n and Q8), dihedral 2x2 blocks, Young's orthogonal form for S_n and the
-standard Q8 pair above that.  One rule carries the images of one dimension
-along the breadth-first words, all at once; a catalog character table is
-their traces at the class bases, extended only along the words of those
-bases, and ``irreps`` extends the same images to every element.  A group
-without a family gets Dixon's method: the common eigenvectors of the
-class-sum matrices are the central characters, so one Hermitian eigensolve
-of a random combination of class sums gives the whole table; its 1-dim
-irreps are roots of unity snapped from the characters, and the others are
-split out of the regular representation.  Row order of the character table
-is canonical: trivial character first, then by (dimension, lexicographic
-value order), and the irrep list follows the same order.
+Every irrep above dimension 1 is held as the images of the group's
+generators, which one rule extends along the breadth-first words, a whole
+dimension at once.  A catalog family gives its own images (dihedral 2x2
+blocks, Young's orthogonal form for S_n, the standard Q8 pair) and 1-dim
+exponents of roots of unity (zeta^a for C_n, signs for D_n, S_n and Q8); its
+character table is their traces at the class bases, extended only along the
+words of those bases.  A group without a family gets Dixon's method: one
+Hermitian eigensolve of a random combination of class sums gives the central
+characters, hence the whole table; its 1-dim irreps are roots of unity
+snapped from the characters, and the images of the others are spun from one
+vector of the group algebra.  Row order of the character table is canonical:
+trivial character first, then by (dimension, lexicographic value order), and
+the irrep list follows the same order.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from itertools import product
 
 import numpy as np
 
-from .groups import FiniteGroup, ConjugacyClass, conjugacy_classes, left_regular_matrix
+from .groups import FiniteGroup, ConjugacyClass, conjugacy_classes
 
 __all__ = [
     "Irrep",
@@ -33,7 +32,6 @@ __all__ = [
     "character_table",
     "irreps",
     "isotypic_projector",
-    "unitarize",
     "schur_defect",
     "extend_from_generators",
 ]
@@ -141,19 +139,14 @@ def character_table(group: FiniteGroup, seed: int = 42) -> CharacterTable:
     class_of, quotient = _class_quotients(group, classes)
     d = np.sqrt(sizes)
     rng = np.random.default_rng(seed)
-    vecs = None
     for _ in range(8):
         coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         m = (_class_combination(class_of, quotient, coeff) / d[:, None]) * d[None, :]
-        h = m + m.conj().T
-        evals, evecs = np.linalg.eigh(h)
+        evals, vecs = np.linalg.eigh(m + m.conj().T)
         if k == 1 or np.min(np.diff(np.sort(evals))) > 1e-8 * max(1.0, np.max(np.abs(evals))):
-            vecs = evecs
             break
-    if vecs is None:
-        raise ArithmeticError(
-            "degenerate numerical spectrum persisted; raise working precision"
-        )
+    else:
+        raise ArithmeticError("degenerate numerical spectrum persisted; raise working precision")
     vecs = _split_crowded_eigenvectors(m, evals, vecs)
     # one omega per row; the identity class is index 0 (classes start from base 0)
     omega = (vecs * d[:, None]).T
@@ -323,11 +316,12 @@ def _one_dim_values(exponents: np.ndarray, modulus: int, counts: np.ndarray, ord
 
 def _one_dim_irrep(group: FiniteGroup, row: np.ndarray, class_of: np.ndarray) -> np.ndarray:
     """1-dim characters are homomorphisms into roots of unity; snap them exact, all
-    elements at once, as cos + i sin of 2 pi k / ord(g) (the bits of exp(2j pi k / ord(g)))."""
+    elements (and all rows of a stack) at once, as cos + i sin of 2 pi k / ord(g)
+    (the bits of exp(2j pi k / ord(g)))."""
     orders = group.element_orders()
-    k = np.rint(np.angle(row[class_of]) / (2 * np.pi / orders)).astype(np.int64) % orders
+    k = np.rint(np.angle(row[..., class_of]) / (2 * np.pi / orders)).astype(np.int64) % orders
     arg = 2 * np.pi * k / orders
-    return (np.cos(arg) + 1j * np.sin(arg)).reshape(-1, 1, 1)
+    return (np.cos(arg) + 1j * np.sin(arg))[..., None, None]
 
 
 # -- Young's orthogonal form for S_n ----------------------------------------
@@ -451,100 +445,74 @@ _CATALOG_IMAGES = {
 }
 
 
-# -- generic extraction from the regular representation ----------------------
+# -- generic irreps: one vector of the group algebra, spun ---------------------
 
 
-def _orthonormal_range(matrix: np.ndarray, rank: int) -> np.ndarray:
-    """Deterministic orthonormal basis of the range of an (approximate) projector.
+def _spun_images(group: FiniteGroup, table: CharacterTable, rows: np.ndarray, seed: int) -> np.ndarray:
+    """Generator images (m, slots, d, d) of the irreps of ``rows``, all of one
+    dimension d > 1, each spun from one vector of its isotypic block (Dixon 1970).
 
-    Gram-Schmidt with column pivoting: each step takes the column of largest
-    residual norm and, among the columns within a relative 1e-8 of it, the
-    lowest index, so round-off never reorders columns of equal norm.  The
-    pivot's residual is orthogonalized twice against the basis so far, the
-    residual norms of all columns are downdated, and ``_fix_column_phases``
-    runs last.
+    Right convolution by r = sum_h c_h delta_h + conj(c_h) delta_{h^-1}, four
+    seeded h, is Hermitian and commutes with every left translation; on the
+    block of row alpha it acts on the d copies as one d x d matrix, so Arnoldi
+    from e_alpha closes in d steps, for every row at once.  The Ritz vector
+    with the least residual over spectral gap lies in one copy (a residual
+    below 1e-12 |r|_1 is round-off, and the widest gap decides); ``_spin``
+    gives the copy an orthonormal basis W, and rho(s) = W^H lambda(s) W.  A
+    row is taken once lambda(s) W = W rho(s) within 1e-10; the rest retry
+    with the next r of a fixed seed schedule, and ArithmeticError ends it
+    after eight.
     """
-    a = np.asarray(matrix, dtype=complex)
-    q = np.zeros((a.shape[0], rank), dtype=complex)
-    res = (np.abs(a) ** 2).sum(axis=0)
-    for k in range(rank):
-        norms = np.sqrt(np.maximum(res, 0.0))
-        v = a[:, (norms >= (1.0 - 1e-8) * norms.max()).argmax()]
-        for _ in range(2 if k else 0):
-            v = v - q[:, :k] @ (q[:, :k].conj().T @ v)
-        q[:, k] = v / np.linalg.norm(v)
-        if k + 1 < rank:
-            res -= np.abs(q[:, k].conj() @ a) ** 2
-    return _fix_column_phases(q)
-
-
-def _fix_column_phases(basis: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Rotate each column so its first entry above ``tol`` is positive real."""
-    basis = basis.copy()
-    for col in range(basis.shape[1]):
-        above = np.abs(basis[:, col]) > tol
-        if above.any():
-            lead = basis[above.argmax(), col]
-            basis[:, col] *= np.abs(lead) / lead
-    return basis
-
-
-def _regular_extraction(
-    group: FiniteGroup,
-    table: CharacterTable,
-    alpha: int,
-    seed: int = 42,
-) -> np.ndarray:
-    """Cut one unitary copy of irrep alpha out of the regular representation.
-
-    B = ``_orthonormal_range`` of the isotypic projector lambda(e_alpha) spans
-    the (dim^2)-dimensional block.  Right convolution by a random r,
-    R[g, x] = r(g^-1 x), commutes with every lambda(g), so B^H R B plus its
-    adjoint is a Hermitian element of the commutant whose eigenspaces are
-    dim-fold, one per multiplicity copy (Dixon 1970).  The lowest eigenspace
-    V gets the basis ``_orthonormal_range(V V^H, dim)``, never LAPACK's
-    arbitrary degenerate eigenvectors, and column j of every matrix is one
-    gather and one product, mats[:, :, j] = w[g^-1 x, j] @ conj(w).  A fixed
-    seed schedule retries accidental eigenvalue clustering.
-    """
-    n = group.order
-    dim = int(table.dims[alpha])
-    proj = left_regular_matrix(group, isotypic_projector(group, table, alpha))
-    basis = _orthonormal_range(proj, dim * dim)          # |G| x dim^2
-    inv_rows = group.mult_table[group.inverse_table, :]  # inv_rows[g, x] = g^-1 x
-    rng = np.random.default_rng(seed)
+    n, dim, m = group.order, int(table.dims[rows[0]]), len(rows)
+    t, inv = group.mult_table, group.inverse_table
+    left = t[inv[group.generators]]   # (lambda(s) f)(x) = f(s^-1 x) = f[left[s, x]]
+    e = np.array([isotypic_projector(group, table, r) for r in rows.tolist()])
+    images, todo, rng = np.empty((m, len(left), dim, dim), complex), np.arange(m), np.random.default_rng(seed)
     for _ in range(8):
-        r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        small = basis.conj().T @ (r[inv_rows] @ basis)   # R restricted to the block
-        evals, evecs = np.linalg.eigh(small + small.conj().T)
-        groups_found = _cluster(evals, 1e-6 * max(1.0, np.abs(evals).max()))
-        if len(groups_found) == dim and all(len(g) == dim for g in groups_found):
-            v = evecs[:, groups_found[0]]
-            w = basis @ _orthonormal_range(v @ v.conj().T, dim)  # |G| x dim orthonormal
-            mats = np.empty((n, dim, dim), dtype=complex)
-            for j in range(dim):
-                mats[:, :, j] = w[:, j][inv_rows] @ w.conj()
-            return unitarize(mats)
-    raise ArithmeticError("multiplicity splitting stayed degenerate under the seed schedule")
+        h, c = rng.integers(0, n, 4), rng.standard_normal(8).view(complex)
+        terms, coeff = t[:, inv[np.concatenate([h, inv[h]])]], np.concatenate([c, c.conj()])
+        q, rq, height = np.zeros((len(todo), dim + 1, n), complex), np.empty((len(todo), dim, n), complex), []
+        q[:, 0] = e[todo] / np.linalg.norm(e[todo], axis=1, keepdims=True)
+        for k in range(dim):
+            v = rq[:, k] = q[:, k][:, terms] @ coeff   # (f r)(x) = sum_h r(h) f(x h^-1)
+            for _ in range(2):
+                v = v - (q[:, :k + 1].swapaxes(1, 2) @ (q[:, :k + 1].conj() @ v[:, :, None]))[:, :, 0]
+            height.append(np.linalg.norm(v, axis=1))
+            q[:, k + 1] = v / np.maximum(height[-1], 1e-300)[:, None]
+        closed = np.min(height[:-1], axis=0, initial=np.inf) > 1e-8 * np.abs(coeff).sum()   # no breakdown before step d
+        evals, evecs = np.linalg.eigh(q[:, :dim].conj() @ rq.swapaxes(1, 2))
+        gap = np.diff(evals, axis=1, prepend=-np.inf, append=np.inf)
+        ritz = evecs.swapaxes(1, 2) @ q[:, :dim]
+        residual = np.sum(np.abs(evecs.swapaxes(1, 2) @ rq - evals[..., None] * ritz) ** 2, axis=2)
+        bound = np.maximum(residual, (1e-12 * np.abs(coeff).sum()) ** 2) / np.minimum(gap[:, 1:], gap[:, :-1]) ** 2
+        done, best = np.zeros(len(todo), bool), np.argmin(bound, axis=1)
+        for i in np.flatnonzero(closed):
+            w = _spin(ritz[i, best[i]], dim, left)
+            if w is not None:
+                images[todo[i]] = w.conj().T @ w[left]
+                done[i] = np.max(np.abs(w[left] - w @ images[todo[i]])) <= 1e-10
+        todo = todo[~done]
+        if not len(todo):
+            return images
+    raise ArithmeticError(f"irreps {rows[todo].tolist()} did not split off under the seed schedule")
 
 
-def _cluster(sorted_values: np.ndarray, tol: float) -> list[list[int]]:
-    groups: list[list[int]] = [[0]]
-    for i in range(1, len(sorted_values)):
-        if sorted_values[i] - sorted_values[i - 1] <= tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
-
-
-def unitarize(matrices: np.ndarray) -> np.ndarray:
-    """Weyl trick: average the Gram matrix and conjugate by its square root."""
-    gram = np.mean(np.einsum("gji,gjk->gik", matrices.conj(), matrices), axis=0)
-    evals, evecs = np.linalg.eigh(gram)
-    root = (evecs * np.sqrt(evals)) @ evecs.conj().T
-    root_inv = (evecs / np.sqrt(evals)) @ evecs.conj().T
-    return root @ matrices @ root_inv
+def _spin(f: np.ndarray, dim: int, left: np.ndarray) -> np.ndarray | None:
+    """An orthonormal basis (|G|, dim) of the span of f under the translations
+    ``left``, in rounds: the last round's new vectors, translated, less their part
+    in the basis, join it largest first while above 1e-4 in norm (None if short)."""
+    w = np.zeros((len(f), dim), complex)
+    w[:, 0], k, added = f / np.sqrt(np.vdot(f, f).real), 1, [0]
+    while k < dim and added:
+        cand, added = w[:, added][left].transpose(1, 0, 2).reshape(len(f), -1), []
+        for _ in range(2):
+            cand -= w[:, :k] @ (w[:, :k].conj().T @ cand)
+        while k < dim and (norms := np.einsum("xj,xj->j", cand.conj(), cand).real).max() > 1e-8:
+            v = cand[:, norms.argmax()] - w[:, :k] @ (w[:, :k].conj().T @ cand[:, norms.argmax()])
+            w[:, k] = v / np.sqrt(np.vdot(v, v).real)
+            cand -= np.outer(w[:, k], w[:, k].conj() @ cand)
+            added, k = added + [k], k + 1
+    return w if k == dim else None
 
 
 def schur_defect(matrices: np.ndarray, seed: int = 0) -> float:
@@ -552,11 +520,7 @@ def schur_defect(matrices: np.ndarray, seed: int = 0) -> float:
     Hermitian probes; ~0 iff irreducible.  ``matrices`` is one (|G|, d, d)
     stack, or (m, |G|, d, d) for m irreps of one dimension, checked at once
     (the largest defect)."""
-    dim = matrices.shape[-1]
-    if dim == 1:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    worst = 0.0
+    dim, rng, worst = matrices.shape[-1], np.random.default_rng(seed), 0.0
     for _ in range(2):
         x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         x = x + x.conj().T
@@ -569,44 +533,26 @@ def schur_defect(matrices: np.ndarray, seed: int = 0) -> float:
 def irreps(group: FiniteGroup, table: CharacterTable | None = None, seed: int = 42) -> list[Irrep]:
     """One unitary irrep per character-table row, in row order.
 
-    A catalog table carries its irreps on the generators, and each dimension
-    is extended to every element in one walk; any other table's 1-dim rows
-    are snapped to roots of unity and the rest split out of the regular
-    representation.  Every irrep must match its character row within 1e-8
-    and pass the Schur check within 1e-10; a catalog table's irreps are
-    checked one dimension at a time, on every edge of the Cayley graph too.
+    Every irrep above dimension 1 is a stack of generator images: a catalog
+    table carries its own, and any other table's are spun out of the group
+    algebra (``_spun_images``).  Each dimension is extended to every element
+    in one walk and checked on every edge of the Cayley graph within 1e-10
+    and by one Schur check within 1e-10.  The 1-dim irreps come from a
+    catalog table's slot counts or are snapped to roots of unity from the
+    row.  Every irrep must match its character row within 1e-8.
     """
     if table is None:
         table = character_table(group, seed=seed)
-    if table.catalog is not None:
-        stacks = _catalog_irreps(group, table, seed)
-    else:
-        stacks = [
-            _one_dim_irrep(group, table.values[r], table.class_of) if dim == 1
-            else _regular_extraction(group, table, r, seed=seed)
-            for r, dim in enumerate(table.dims.tolist())
-        ]
-    bases = np.array([c.base_element for c in table.classes])
-    out: list[Irrep] = []
-    for r, mats in enumerate(stacks):
-        if np.max(np.abs(np.trace(mats[bases], axis1=1, axis2=2) - table.values[r])) > 1e-8:
-            raise ArithmeticError(f"constructed irrep {r} does not match its character row")
-        if table.catalog is None and schur_defect(mats, seed=seed + r) > 1e-10:
-            raise ArithmeticError(f"constructed irrep {r} failed the Schur irreducibility check")
-        out.append(Irrep(label=f"irrep{r}", dim=int(table.dims[r]), matrices=mats))
-    return out
-
-
-def _catalog_irreps(group: FiniteGroup, table: CharacterTable, seed: int) -> list[np.ndarray]:
-    """Every catalog irrep's stack, by table row: the 1-dim ones from the slot
-    counts, each dimension above that from one walk, checked on every edge of
-    the Cayley graph and by one Schur check."""
     catalog = table.catalog
-    stacks: list[np.ndarray] = [None] * len(table.dims)
-    values = _one_dim_values(catalog.exponents, catalog.modulus, catalog.counts, group.element_orders())
-    for r, v in zip(catalog.one_dim_rows.tolist(), values):
-        stacks[r] = v.reshape(-1, 1, 1)
-    for rows, images in catalog.blocks:
+    if catalog is not None:
+        values = _one_dim_values(catalog.exponents, catalog.modulus, catalog.counts, group.element_orders())
+        done, blocks = [(catalog.one_dim_rows, values[..., None, None])], catalog.blocks
+    else:
+        one = np.flatnonzero(table.dims == 1)
+        done = [(one, _one_dim_irrep(group, table.values[one], table.class_of))]
+        blocks = [(rows, _spun_images(group, table, rows, seed))
+                  for rows in (np.flatnonzero(table.dims == d) for d in np.unique(table.dims[table.dims > 1]))]
+    for rows, images in blocks:
         mats = extend_from_generators(group, images)
         # the words are a spanning tree of the Cayley graph; every other edge must agree too
         for slot, g in enumerate(group.generators):
@@ -614,9 +560,15 @@ def _catalog_irreps(group: FiniteGroup, table: CharacterTable, seed: int) -> lis
                 raise ArithmeticError(f"constructed irreps {rows.tolist()} are not homomorphisms")
         if schur_defect(mats, seed=seed) > 1e-10:
             raise ArithmeticError(f"constructed irreps {rows.tolist()} failed the Schur irreducibility check")
+        done.append((rows, mats))
+    bases, stacks = np.array([c.base_element for c in table.classes]), [None] * len(table.dims)
+    for rows, mats in done:
+        off = np.max(np.abs(np.trace(mats[:, bases], axis1=2, axis2=3) - table.values[rows]), axis=1) > 1e-8
+        if off.any():
+            raise ArithmeticError(f"constructed irrep {rows[off][0]} does not match its character row")
         for r, m in zip(rows.tolist(), mats):
             stacks[r] = m
-    return stacks
+    return [Irrep(label=f"irrep{r}", dim=int(d), matrices=m) for r, (d, m) in enumerate(zip(table.dims, stacks))]
 
 
 # ---------------------------------------------------------------------------

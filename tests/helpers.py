@@ -49,6 +49,14 @@ The package writes ``classop-tables/2`` documents and reads none back;
 ``read_tables_2`` here rebuilds each irrep from its generator images along
 the written words, one breadth-first level per product, and checks the
 rebuilt characters against the written table.
+The library spins each generic irrep from one vector of the group algebra;
+``oracle_regular_extraction`` cuts it out of the dense |G| x |G| isotypic
+projector instead (pivoted Gram-Schmidt over its columns, a dense commutant
+element splitting the copies, Weyl's ``unitarize``), and the two must be
+unitarily equivalent (``averaged_intertwiner``).  ``binary_icosahedral_group``
+builds 2I from its 120 unit quaternions as a table group, outside every
+catalog family: its irreps of spin 2j <= 5 have the closed-form characters of
+``spin_character``.
 What no command, demo or benchmark calls lives here rather than in the
 library: the product, inverse and conjugate of single finite-group
 elements, the finite product-expansion and triple-product identities, the
@@ -61,12 +69,14 @@ from __future__ import annotations
 
 import json
 from decimal import Decimal, localcontext
+from itertools import permutations, product
 from math import factorial
 
 import numpy as np
 
-from classops.groups import FiniteGroup, conjugacy_classes, left_regular_matrix, parse_cycles
-from classops.representations import _partitions, _yor_adjacent_matrices
+from classops.groups import FiniteGroup, conjugacy_classes, group_from_table, left_regular_matrix, parse_cycles
+from classops.coupling import _orthonormal_range
+from classops.representations import _partitions, _yor_adjacent_matrices, isotypic_projector
 from classops.class_operators import (
     class_operator_from_classfunction,
     covariance_deviation,
@@ -504,6 +514,109 @@ def oracle_character_table(group: FiniteGroup, seed: int = 5) -> tuple[np.ndarra
 
     order = sorted(range(len(rows)), key=key)
     return values[order], dims[order]
+
+
+def oracle_regular_extraction(group: FiniteGroup, table, alpha: int, seed: int = 42) -> np.ndarray:
+    """One unitary copy of irrep alpha cut out of the dense regular representation.
+
+    B = ``_orthonormal_range`` of the |G| x |G| isotypic projector lambda(e_alpha)
+    spans the (dim^2)-dimensional block.  Right convolution by a dense random r,
+    R[g, x] = r(g^-1 x), commutes with every lambda(g), so B^H R B plus its
+    adjoint is a Hermitian element of the commutant whose eigenspaces are
+    dim-fold, one per copy (Dixon 1970).  The lowest eigenspace V gets the basis
+    ``_orthonormal_range(V V^H, dim)``, column j of every matrix is one gather
+    and one product, and the stack is unitarized by Weyl's trick.
+    """
+    n = group.order
+    dim = int(table.dims[alpha])
+    proj = left_regular_matrix(group, isotypic_projector(group, table, alpha))
+    basis = _orthonormal_range(proj, dim * dim)          # |G| x dim^2
+    inv_rows = group.mult_table[group.inverse_table, :]  # inv_rows[g, x] = g^-1 x
+    rng = np.random.default_rng(seed)
+    for _ in range(8):
+        r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        small = basis.conj().T @ (r[inv_rows] @ basis)   # R restricted to the block
+        evals, evecs = np.linalg.eigh(small + small.conj().T)
+        groups_found = _cluster(evals, 1e-6 * max(1.0, np.abs(evals).max()))
+        if len(groups_found) == dim and all(len(g) == dim for g in groups_found):
+            v = evecs[:, groups_found[0]]
+            w = basis @ _orthonormal_range(v @ v.conj().T, dim)  # |G| x dim orthonormal
+            mats = np.empty((n, dim, dim), dtype=complex)
+            for j in range(dim):
+                mats[:, :, j] = w[:, j][inv_rows] @ w.conj()
+            return unitarize(mats)
+    raise ArithmeticError("multiplicity splitting stayed degenerate under the seed schedule")
+
+
+def _cluster(sorted_values: np.ndarray, tol: float) -> list[list[int]]:
+    groups: list[list[int]] = [[0]]
+    for i in range(1, len(sorted_values)):
+        if sorted_values[i] - sorted_values[i - 1] <= tol:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return groups
+
+
+def unitarize(matrices: np.ndarray) -> np.ndarray:
+    """Weyl trick: average the Gram matrix and conjugate by its square root."""
+    gram = np.mean(np.einsum("gji,gjk->gik", matrices.conj(), matrices), axis=0)
+    evals, evecs = np.linalg.eigh(gram)
+    root = (evecs * np.sqrt(evals)) @ evecs.conj().T
+    root_inv = (evecs / np.sqrt(evals)) @ evecs.conj().T
+    return root @ matrices @ root_inv
+
+
+def averaged_intertwiner(a: np.ndarray, b: np.ndarray, seed: int = 0) -> np.ndarray:
+    """(1/|G|) sum_g a(g) X b(g)^H for a seeded random X: it intertwines b with a,
+    so by Schur's lemma it is a scalar times a unitary when a and b are equivalent
+    unitary irreps."""
+    rng = np.random.default_rng(seed)
+    dim = a.shape[-1]
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return np.mean(a @ x @ b.conj().swapaxes(1, 2), axis=0)
+
+
+def binary_icosahedral_group() -> tuple[FiniteGroup, np.ndarray]:
+    """2I, the binary icosahedral group, as a ``{"table": ...}`` group, and its
+    unit quaternions (w, x, y, z) by element index, the identity first.
+
+    The 120 units are the 24 Hurwitz units (the 8 of +-1, +-i, +-j, +-k and the 16
+    of (+-1 +-1 +-1 +-1)/2) and the 96 even permutations of (0, +-1, +-phi,
+    +-1/phi)/2 (Coxeter, *Regular Complex Polytopes*).  Products are looked up by
+    their coordinates rounded to 9 decimals.
+    """
+    phi = (1 + 5**0.5) / 2
+    units = [tuple(float(s * (i == k)) for k in range(4)) for i in range(4) for s in (1, -1)]
+    units += list(product((0.5, -0.5), repeat=4))
+    base = (0.0, 0.5, phi / 2, 1 / (2 * phi))
+    even = [p for p in permutations(range(4))
+            if sum(p[a] > p[b] for a in range(4) for b in range(a + 1, 4)) % 2 == 0]
+    for p in even:
+        for signs in product((1, -1), repeat=3):
+            value = (base[0],) + tuple(s * v for s, v in zip(signs, base[1:]))
+            units.append(tuple(value[p[k]] for k in range(4)))
+    quats = np.array(units)
+    assert quats.shape == (120, 4) and np.allclose(np.linalg.norm(quats, axis=1), 1.0)
+    key = lambda q: tuple(np.round(q, 9) + 0.0)  # noqa: E731  (+0.0 folds -0.0)
+    index = {key(q): i for i, q in enumerate(quats)}
+    assert len(index) == 120
+    w1, v1 = quats[:, None, 0], quats[:, None, 1:]
+    w2, v2 = quats[None, :, 0], quats[None, :, 1:]
+    prod_w = w1 * w2 - np.sum(v1 * v2, axis=2)
+    prod_v = w1[..., None] * v2 + w2[..., None] * v1 + np.cross(v1, v2)
+    products = np.concatenate([prod_w[..., None], prod_v], axis=2)
+    table = np.array([[index[key(q)] for q in row] for row in products])
+    return group_from_table(table, name="2I"), quats
+
+
+def spin_character(j2: int, quats: np.ndarray) -> np.ndarray:
+    """sin((2j + 1) psi / 2) / sin(psi / 2) at each unit quaternion
+    (cos(psi/2), sin(psi/2) n); at psi = 0 and 2 pi its limit (+-1)^(2j) (2j + 1)."""
+    half = np.arccos(np.clip(quats[:, 0], -1.0, 1.0))
+    sin_half = np.sin(half)
+    safe = np.where(np.abs(sin_half) > 1e-9, sin_half, 1.0)
+    return np.where(np.abs(sin_half) > 1e-9, np.sin((j2 + 1) * half) / safe, (j2 + 1) * np.sign(quats[:, 0]) ** j2)
 
 
 def _lowering_coeff(j2: int, m2: int) -> float:

@@ -23,7 +23,7 @@ from classops.coupling import (
     wigner_eckart_matrix,
     z_fixed_basis,
 )
-from classops.representations import _orthonormal_range
+from classops.coupling import _orthonormal_range
 from classops.su2 import (
     MAX_J2,
     SphereQuadrature,

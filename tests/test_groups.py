@@ -17,6 +17,7 @@ from classops.groups import (
     left_regular_matrix,
     parse_cycles,
 )
+from classops.serialize import load_group_file
 from helpers import (
     CATALOG_LEQ_24,
     group_conjugate,
@@ -447,3 +448,21 @@ def test_table_group_gets_a_greedy_generating_set_and_its_words(spec):
     for x, (parent, slot) in group.bfs_words.items():   # discovery order: parents first
         assert parent in seen and t[parent, gens[slot]] == x
         seen.add(x)
+
+
+@pytest.mark.parametrize("spec", ["C150", "D60-file", "S6g-file", "C1", "S2", "Q8"])
+def test_labels_are_made_in_one_pass_byte_for_byte_as_cycle_notation(spec, tmp_path, counted_labels):
+    if spec.endswith("-file"):
+        gens = {"D60": ["(" + " ".join(str(p) for p in range(1, 61)) + ")",
+                        "".join(f"({i} {62 - i})" for i in range(2, 31))],
+                "S6g": ["(1 2)", "(1 2 3 4 5 6)"]}[spec[:-5]]
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps({"generators": gens}))
+        group = load_group_file(str(path))
+    else:
+        group = build_group(spec)
+    labels = group.labels
+    assert counted_labels == []   # no label made one element at a time
+    expected = [cycle_notation(group.perms[x].tolist()) for x in range(group.order)]
+    assert [label.encode() for label in labels] == [label.encode() for label in expected]
+    assert labels[0] == "e" and len(set(labels)) == group.order

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from classops import representations
+import classops.cli
+from classops import groups, representations
 from classops.cli import main
+from classops.coupling import _orthonormal_range
 from classops.groups import build_group, conjugacy_classes, group_from_table, left_regular_matrix
 from classops.representations import (
     CharacterTable,
@@ -17,24 +19,28 @@ from classops.representations import (
     _one_dim_irrep,
     _kill_dust,
     _yor_adjacent_matrices,
-    _orthonormal_range,
     character_table,
     irreps,
     isotypic_projector,
     schur_defect,
-    unitarize,
 )
+from classops.serialize import load_group_file
 from helpers import (
     CATALOG_LEQ_24,
+    averaged_intertwiner,
+    binary_icosahedral_group,
     group_mul,
     label_perms,
     oracle_canonical_row_order,
     oracle_character_table,
     oracle_class_constants,
     oracle_one_dim_irrep,
+    oracle_regular_extraction,
     oracle_symmetric_irreps,
     oracle_yor_adjacent_matrices,
     regular_representation,
+    spin_character,
+    unitarize,
 )
 
 S3_TABLE = np.array([[1, 1, 1], [1, -1, 1], [2, 0, -1]], dtype=complex)
@@ -227,7 +233,7 @@ def test_d4_two_dim_rotation():
 
 
 def _no_regular_extraction(*args, **kwargs):
-    raise AssertionError("a catalog irrep fell back to the regular representation")
+    raise AssertionError("a catalog irrep fell back to the generic extraction from the group algebra")
 
 
 def _no_eigh(*args, **kwargs):
@@ -239,8 +245,8 @@ def _no_eigh(*args, **kwargs):
 ])
 def test_catalog_irreps_never_reach_the_regular_extraction(spec, monkeypatch):
     # catalog tables and irreps come from the generator images alone: no Dixon
-    # eigensolve, no extraction from the regular representation
-    monkeypatch.setattr(representations, "_regular_extraction", _no_regular_extraction)
+    # eigensolve, no vector spun in the regular representation
+    monkeypatch.setattr(representations, "_spun_images", _no_regular_extraction)
     monkeypatch.setattr(np.linalg, "eigh", _no_eigh)
     group = build_group(spec)
     table = character_table(group)
@@ -264,8 +270,8 @@ def test_dihedral_images_give_one_candidate_per_two_dim_irrep(n):
 @pytest.mark.parametrize("gens,order", [
     (["(1 2)", "(1 2 3)"], 6),           # S3 without the catalog tag
     (["(1 2 3 4)", "(2 4)"], 8),         # D4 without the catalog tag
-    (["(1 2 3)", "(1 2)(3 4)"], 12),     # A4: generic 3-dim extraction
-    (["(1 2 3)", "(1 2 3 4 5)"], 60),    # A5: generic 3-, 4- and 5-dim extraction
+    (["(1 2 3)", "(1 2)(3 4)"], 12),     # A4: one spun 3-dim irrep
+    (["(1 2 3)", "(1 2 3 4 5)"], 60),    # A5: spun 3-, 4- and 5-dim irreps
 ])
 def test_generic_fallback_irreps(gens, order):
     group = build_group({"generators": gens})
@@ -503,3 +509,94 @@ def test_a_refused_young_entry_exits_2(monkeypatch, capsys):
     _young_off_by_a_millionth((3, 1), (0, 0, 0), monkeypatch)
     assert main(["finite-verify", "--group", "S4"]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ArithmeticError"
+
+
+# -- generic irreps spun from one vector of the group algebra -------------------
+
+GENERATOR_FILES = {
+    "A4": ["(1 2 3)", "(2 3 4)"],
+    "S4": ["(1 2)", "(1 2 3 4)"],
+    "A5": ["(1 2 3)", "(1 2 3 4 5)"],
+    "S5": ["(1 2)", "(1 2 3 4 5)"],
+    "D60": ["(" + " ".join(str(p) for p in range(1, 61)) + ")", "".join(f"({i} {62 - i})" for i in range(2, 31))],
+    "S6g": ["(1 2)", "(1 2 3 4 5 6)"],
+}
+
+
+def _generic_group(spec, tmp_path):
+    """A ``file:`` group document of generators, or the A5 table as a ``{"table": ...}`` document."""
+    if spec == "A5-table":
+        doc = {"table": build_group({"generators": GENERATOR_FILES["A5"]}).mult_table.tolist()}
+    else:
+        doc = {"generators": GENERATOR_FILES[spec], "name": spec}
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(doc))
+    group = load_group_file(str(path))
+    assert group.family is None
+    return group
+
+
+@pytest.mark.parametrize("spec", list(GENERATOR_FILES) + ["A5-table"])
+def test_spun_irreps_are_unitarily_equivalent_to_the_regular_extraction(spec, tmp_path):
+    group = _generic_group(spec, tmp_path)
+    table = character_table(group)
+    reps = irreps(group, table)
+    for alpha in np.flatnonzero(table.dims > 1).tolist():
+        new, old = reps[alpha].matrices, oracle_regular_extraction(group, table, alpha)
+        assert np.max(np.abs(np.trace(new, axis1=1, axis2=2) - np.trace(old, axis1=1, axis2=2))) < 1e-10
+        t = averaged_intertwiner(new, old, seed=alpha)
+        scale = np.trace(t @ t.conj().T).real / reps[alpha].dim
+        assert scale > 1e-12   # far above the round-off of an intertwiner between inequivalent irreps
+        assert np.max(np.abs(t @ t.conj().T / scale - np.eye(reps[alpha].dim))) < 1e-10
+        assert np.max(np.abs(new @ t - t @ old)) < 1e-10
+
+
+@pytest.mark.parametrize("spec", ["A5", "S6g", "A5-table"])
+def test_the_generic_route_never_builds_a_left_regular_matrix(spec, tmp_path, monkeypatch):
+    def refuse(group, phi):
+        raise AssertionError("dense left regular matrix requested")
+
+    for module in (classops, groups):
+        monkeypatch.setattr(module, "left_regular_matrix", refuse)
+    assert not hasattr(representations, "left_regular_matrix")
+    group = _generic_group(spec, tmp_path)
+    table = character_table(group)
+    assert [r.dim for r in irreps(group, table)] == table.dims.tolist()
+
+
+def test_binary_icosahedral_irreps_carry_the_spin_characters():
+    # 2I is a table group with greedy generators; restricted to it, the spin-j
+    # irreps of SU(2) stay irreducible up to 2j = 5, so each is one of its rows
+    group, quats = binary_icosahedral_group()
+    assert group.order == 120 and group.family is None and len(group.generators) == 5
+    table = character_table(group)
+    assert table.dims.tolist() == [1, 2, 2, 3, 3, 4, 4, 5, 6]
+    traces = np.array([np.trace(rep.matrices, axis1=1, axis2=2) for rep in irreps(group, table)])
+    for j2 in range(6):
+        chi = spin_character(j2, quats)
+        deviation = np.min(np.max(np.abs(traces - chi), axis=1))
+        assert deviation < 1e-12, (j2, deviation)
+
+
+def _off_by_a_millionth(table):
+    """The table with one character of a row above dimension 1, away from the
+    identity class and nonzero, scaled by 1 + 1e-6."""
+    values = table.values.copy()
+    row = int(np.flatnonzero(table.dims > 1)[0])
+    col = int(np.flatnonzero(np.abs(values[row, 1:]) > 0.5)[0]) + 1
+    values[row, col] *= 1 + 1e-6
+    return CharacterTable(table.classes, values, table.dims, table.class_of)
+
+
+def test_a_generic_character_off_by_a_millionth_is_refused(tmp_path, monkeypatch, capsys):
+    group = _generic_group("A5", tmp_path)
+    with pytest.raises(ArithmeticError):
+        irreps(group, _off_by_a_millionth(character_table(group)))
+    exact = classops.cli.character_table
+    monkeypatch.setattr(classops.cli, "character_table", lambda g, seed=42: _off_by_a_millionth(exact(g, seed)))
+    out = tmp_path / "tables.json"
+    assert main(["export-tables", "--group", f"file:{tmp_path / 'group.json'}", "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1 and not out.exists()
+    assert json.loads(lines[0])["error"] == "ArithmeticError"

@@ -83,13 +83,14 @@ def test_character_table_never_builds_the_class_constant_tensor():
 
 @pytest.mark.parametrize("spec", ["S4", "D10"])
 def test_finite_checks_never_build_a_left_regular_matrix(spec, monkeypatch):
-    # Catalog irreps never reach the generic extraction, the one remaining
-    # user of the dense |G| x |G| operator, so every finite check must run on
+    # No library route builds the dense |G| x |G| operator (representations
+    # does not even import it), so every finite check must run on
     # group-algebra elements alone.
     def refuse(group, phi):
         raise AssertionError("dense left regular matrix requested")
 
-    for module in (classops, classops.groups, classops.representations):
+    assert not hasattr(classops.representations, "left_regular_matrix")
+    for module in (classops, classops.groups):
         monkeypatch.setattr(module, "left_regular_matrix", refuse)
     group = build_group(spec)
     table = character_table(group)
