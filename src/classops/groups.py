@@ -92,13 +92,15 @@ def parse_cycles(text: str, degree: int | None = None) -> tuple[int, ...]:
 
 def cycle_notation(perm: tuple[int, ...]) -> str:
     """Inverse of :func:`parse_cycles` (fixed points omitted, identity = 'e')."""
-    seen, parts = set(), []
+    seen, parts = [False] * len(perm), []
     for start in range(len(perm)):
-        if start not in seen and perm[start] != start:
-            cyc = [start]
-            while perm[cyc[-1]] != start:
-                cyc.append(perm[cyc[-1]])
-            seen.update(cyc)
+        if not seen[start] and perm[start] != start:
+            cyc, nxt = [start], perm[start]
+            while nxt != start:
+                cyc.append(nxt)
+                nxt = perm[nxt]
+            for p in cyc:
+                seen[p] = True
             parts.append("(" + " ".join(str(p + 1) for p in cyc) + ")")
     return "".join(parts) or "e"
 
@@ -107,8 +109,7 @@ def _cycle_labels(perms: np.ndarray) -> list[str]:
     """:func:`cycle_notation` of every row of ``perms`` in one pass: the least point
     of each cycle by pointer doubling, then every cycle walked from it at once."""
     n, degree = perms.shape
-    points = np.arange(n * degree)
-    image = (perms.astype(np.int64) + degree * np.arange(n)[:, None]).ravel()   # flat point indices
+    points, image = np.arange(n * degree), (perms.astype(np.int64) + degree * np.arange(n)[:, None]).ravel()
     least, jump = points, image
     for _ in range((degree - 1).bit_length()):
         least, jump = np.minimum(least, least[jump]), jump[jump]
@@ -208,8 +209,7 @@ class FiniteGroup:
 
     @property
     def labels(self) -> list[str]:
-        """Every element's label, in index order, made on first use (a closure's
-        all at once, ``_cycle_labels``)."""
+        """Every element's label, in index order, made on first use (``_cycle_labels``)."""
         if self._labels is None:
             self._labels = _cycle_labels(self.perms)
         return self._labels
