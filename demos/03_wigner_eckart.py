@@ -32,7 +32,7 @@ table = character_table(group)
 reps = irreps(group, table)
 cls = conjugacy_classes(group)[1]
 g0 = cls.base_element
-bases = [z_fixed_basis(a, rep.matrices, cls.centralizer) for a, rep in enumerate(reps)]
+bases = [z_fixed_basis(rep.matrices, cls.centralizer) for rep in reps]
 adapted, m_alphas = adapt_irreps_to_class(reps, cls, bases)
 print(f"S3, class of {group.labels[g0]}; fixed-subspace dims per irrep: {m_alphas}")
 

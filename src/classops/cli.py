@@ -153,11 +153,11 @@ def run_wigner_eckart(cfg: RunConfig) -> int:
         skipped, max_off = [], 0.0
     else:
         group, classes = _group_and_classes(cfg)
-        table, irreps_list, coupling = _tables(cfg, group)
+        _, irreps_list, coupling = _tables(cfg, group)
         rows, reduced, skipped, max_off = [], [], [], 0.0
         for cls in classes:
             r, rr, sk, off = verify.wigner_eckart_report(
-                group, cls, table, irreps_list, coupling, tolerances=cfg.tolerances
+                group, cls, irreps_list, coupling, tolerances=cfg.tolerances
             )
             rows += r
             reduced += rr

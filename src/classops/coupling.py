@@ -123,7 +123,6 @@ class CouplingTable:
 class ZFixedBasis:
     """Orthonormal basis whose first m_alpha vectors span the Z0-fixed subspace."""
 
-    alpha: int
     m_alpha: int
     basis: np.ndarray
 
@@ -289,18 +288,18 @@ def su2_coupling_table(sigma2: int) -> CouplingTable:
 # ---------------------------------------------------------------------------
 
 
-def z_fixed_basis(alpha: int, matrices: np.ndarray, centralizer) -> ZFixedBasis:
+def z_fixed_basis(matrices: np.ndarray, centralizer) -> ZFixedBasis:
     """Adapted basis from the centralizer average (1/|Z0|) sum_h T(h)."""
     d = matrices.shape[1]
     avg = matrices[list(centralizer)].mean(axis=0)
     m_alpha = int(round(np.trace(avg).real))
     if m_alpha == 0:
-        return ZFixedBasis(alpha=alpha, m_alpha=0, basis=np.eye(d, dtype=complex))
+        return ZFixedBasis(m_alpha=0, basis=np.eye(d, dtype=complex))
     fixed = _orthonormal_range(avg, m_alpha)
     if m_alpha == d:
-        return ZFixedBasis(alpha=alpha, m_alpha=d, basis=fixed)
+        return ZFixedBasis(m_alpha=d, basis=fixed)
     comp = _orthonormal_range(np.eye(d) - avg, d - m_alpha)
-    return ZFixedBasis(alpha=alpha, m_alpha=m_alpha, basis=np.hstack([fixed, comp]))
+    return ZFixedBasis(m_alpha=m_alpha, basis=np.hstack([fixed, comp]))
 
 
 def adapt_irreps_to_class(
@@ -310,7 +309,7 @@ def adapt_irreps_to_class(
     T' = W^H T W with W the ``z_fixed_basis`` of each irrep (``bases``, if the
     caller already has them for this class)."""
     if bases is None:
-        bases = [z_fixed_basis(ai, rep.matrices, cls.centralizer) for ai, rep in enumerate(irreps_list)]
+        bases = [z_fixed_basis(rep.matrices, cls.centralizer) for rep in irreps_list]
     adapted = [replace(rep, matrices=zb.basis.conj().T @ rep.matrices @ zb.basis) for rep, zb in zip(irreps_list, bases)]
     return adapted, [zb.m_alpha for zb in bases]
 
@@ -331,7 +330,7 @@ def frobenius_multiplicity_check(
     fix_counts = np.count_nonzero(group.mult_table[:, members] == group.mult_table[members].T, axis=1)
     rows = []
     for ai, rep in enumerate(irreps_list):
-        zb = z_fixed_basis(ai, rep.matrices, cls.centralizer)
+        zb = z_fixed_basis(rep.matrices, cls.centralizer)
         chi = table.element_values(ai)
         induced = np.sum(chi.conj() * fix_counts).real / group.order
         induced_int = int(round(induced))

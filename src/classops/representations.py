@@ -1,18 +1,18 @@
 """Irreducible unitary representations, characters and isotypic projectors.
 
-Every irrep above dimension 1 is held as the images of the group's
-generators, which one rule extends along the breadth-first words, a whole
-dimension at once.  A catalog family gives its own images (dihedral 2x2
-blocks, Young's orthogonal form for S_n, the standard Q8 pair) and 1-dim
-exponents of roots of unity (zeta^a for C_n, signs for D_n, S_n and Q8); its
-character table is their traces at the class bases, extended only along the
-words of those bases.  A group without a family gets Dixon's method: one
-Hermitian eigensolve of a random combination of class sums gives the central
-characters, hence the whole table; its 1-dim irreps are roots of unity
-snapped from the characters, and the images of the others are spun from one
-vector of the group algebra.  Row order of the character table is canonical:
-trivial character first, then by (dimension, lexicographic value order), and
-the irrep list follows the same order.
+A 1-dim irrep is its character: every group's are snapped from the table
+rows to roots of unity.  Every irrep above dimension 1 is held as the images
+of the group's generators, which one rule extends along the breadth-first
+words, a whole dimension at once.  A catalog family gives its own images
+(dihedral 2x2 blocks, Young's orthogonal form for S_n, the standard Q8 pair)
+and exponents of roots of unity for its 1-dim rows (zeta^a for C_n, signs for
+D_n, S_n and Q8); its character table is read off these at the class bases,
+along the words of those bases only.  A group without a family gets Dixon's
+method: one Hermitian eigensolve of a random combination of class sums gives
+the central characters, hence the whole table, and the images above
+dimension 1 are spun from one vector of the group algebra.  Row order of the
+character table is canonical: trivial character first, then by (dimension,
+lexicographic value order), and the irrep list follows the same order.
 """
 
 from __future__ import annotations
@@ -47,28 +47,14 @@ class Irrep:
 
 
 @dataclass
-class _CatalogImages:
-    """A catalog group's irreps on its generators, by table row.  The 1-dim
-    irrep of row ``one_dim_rows[i]`` sends generator slot s to
-    exp(2 pi i exponents[i, s] / modulus); each of ``blocks`` holds the rows of
-    one dimension d > 1 and their (rows, slots, d, d) generator images.
-    ``counts`` is ``_word_counts`` of the group."""
-
-    modulus: int
-    exponents: np.ndarray
-    one_dim_rows: np.ndarray
-    blocks: list[tuple[np.ndarray, np.ndarray]]
-    counts: np.ndarray
-
-
-@dataclass
 class CharacterTable:
     classes: list[ConjugacyClass]
     values: np.ndarray      # (num_irreps, num_classes)
     dims: np.ndarray        # (num_irreps,) integer dimensions
     class_of: np.ndarray    # element index -> class index
-    # a catalog group's irreps on its generators, which ``irreps`` extends
-    catalog: _CatalogImages | None = field(default=None, repr=False)
+    # a catalog group's irreps above dimension 1, one (rows, (m, slots, d, d)
+    # generator images) block per dimension d, which ``irreps`` extends
+    catalog: list[tuple[np.ndarray, np.ndarray]] | None = field(default=None, repr=False)
 
     @cached_property
     def class_sizes(self) -> np.ndarray:
@@ -182,11 +168,10 @@ def _catalog_table(group: FiniteGroup, classes: list[ConjugacyClass]) -> Charact
     one_dim, images = _CATALOG_IMAGES[family]
     exponents, modulus = one_dim(n)
     bases = np.array([c.base_element for c in classes])
-    counts = _word_counts(group)
     stacks = _stacks_by_dim(images(n))
     needed = _ancestors(group, bases)
     values = np.concatenate(
-        [_one_dim_values(exponents, modulus, counts[bases])]
+        [_one_dim_values(exponents, modulus, _word_counts(group)[bases])]
         + [np.trace(extend_from_generators(group, stack, needed)[:, bases], axis1=2, axis2=3) for stack in stacks]
     )
     dims = np.concatenate([np.ones(len(exponents), dtype=int)] + [np.full(len(s), s.shape[-1]) for s in stacks])
@@ -203,9 +188,7 @@ def _catalog_table(group: FiniteGroup, classes: list[ConjugacyClass]) -> Charact
     order = _canonical_row_order(values, dims)
     row = np.argsort(order)   # table row of each catalog irrep
     ends = np.cumsum([len(exponents)] + [len(s) for s in stacks])
-    catalog = _CatalogImages(
-        modulus, exponents, row[:ends[0]], [(row[a:b], s) for a, b, s in zip(ends[:-1], ends[1:], stacks)], counts
-    )
+    catalog = [(row[a:b], s) for a, b, s in zip(ends[:-1], ends[1:], stacks)]
     return CharacterTable(classes, values[order], dims[order], _class_of(group, classes), catalog)
 
 
@@ -302,26 +285,22 @@ def _word_counts(group: FiniteGroup) -> np.ndarray:
     return counts
 
 
-def _one_dim_values(exponents: np.ndarray, modulus: int, counts: np.ndarray, orders=None) -> np.ndarray:
+def _one_dim_values(exponents: np.ndarray, modulus: int, counts: np.ndarray) -> np.ndarray:
     """Row i at each element x of ``counts``: exp(2 pi i t / modulus) with
-    t = counts[x] . exponents[i].  Given the orders of the elements, it is
-    made the way ``_one_dim_irrep`` snaps it, cos + i sin of 2 pi k / ord(x)
-    with the integer k = t ord(x) / modulus, so both routes give the same bits."""
-    k = (exponents @ counts.T) % modulus
-    if orders is not None:
-        k, modulus = k * orders // modulus, orders
-    arg = 2 * np.pi * k / modulus
+    t = counts[x] . exponents[i], as cos + i sin."""
+    arg = 2 * np.pi * ((exponents @ counts.T) % modulus) / modulus
     return np.cos(arg) + 1j * np.sin(arg)
 
 
-def _one_dim_irrep(group: FiniteGroup, row: np.ndarray, class_of: np.ndarray) -> np.ndarray:
-    """1-dim characters are homomorphisms into roots of unity; snap them exact, all
-    elements (and all rows of a stack) at once, as cos + i sin of 2 pi k / ord(g)
-    (the bits of exp(2j pi k / ord(g)))."""
-    orders = group.element_orders()
-    k = np.rint(np.angle(row[..., class_of]) / (2 * np.pi / orders)).astype(np.int64) % orders
+def _one_dim_irrep(group: FiniteGroup, table: CharacterTable, rows: np.ndarray) -> np.ndarray:
+    """The 1-dim irreps of ``rows`` as an (m, |G|, 1, 1) stack.  A 1-dim
+    character is a homomorphism into roots of unity: each row is snapped once
+    per class, to cos + i sin of 2 pi k / ord at the class base (the bits of
+    exp(2j pi k / ord)), and gathered to every element."""
+    orders = group.element_orders()[[c.base_element for c in table.classes]]
+    k = np.rint(np.angle(table.values[rows]) / (2 * np.pi / orders)).astype(np.int64) % orders
     arg = 2 * np.pi * k / orders
-    return (np.cos(arg) + 1j * np.sin(arg))[..., None, None]
+    return (np.cos(arg) + 1j * np.sin(arg))[:, table.class_of, None, None]
 
 
 # -- Young's orthogonal form for S_n ----------------------------------------
@@ -533,36 +512,34 @@ def schur_defect(matrices: np.ndarray, seed: int = 0) -> float:
 def irreps(group: FiniteGroup, table: CharacterTable | None = None, seed: int = 42) -> list[Irrep]:
     """One unitary irrep per character-table row, in row order.
 
-    Every irrep above dimension 1 is a stack of generator images: a catalog
-    table carries its own, and any other table's are spun out of the group
-    algebra (``_spun_images``).  Each dimension is extended to every element
-    in one walk and checked on every edge of the Cayley graph within 1e-10
-    and by one Schur check within 1e-10.  The 1-dim irreps come from a
-    catalog table's slot counts or are snapped to roots of unity from the
-    row.  Every irrep must match its character row within 1e-8.
+    The 1-dim irreps are the rows snapped to roots of unity
+    (``_one_dim_irrep``).  Every irrep above dimension 1 is a stack of
+    generator images: a catalog table carries its own, and any other table's
+    are spun out of the group algebra (``_spun_images``); each dimension is
+    extended to every element in one walk.  Every dimension is checked on
+    every edge of the Cayley graph within 1e-10, each above 1 by one Schur
+    check within 1e-10, and every irrep must match its character row within
+    1e-8.
     """
     if table is None:
         table = character_table(group, seed=seed)
-    catalog = table.catalog
-    if catalog is not None:
-        values = _one_dim_values(catalog.exponents, catalog.modulus, catalog.counts, group.element_orders())
-        done, blocks = [(catalog.one_dim_rows, values[..., None, None])], catalog.blocks
-    else:
-        one = np.flatnonzero(table.dims == 1)
-        done = [(one, _one_dim_irrep(group, table.values[one], table.class_of))]
+    one = np.flatnonzero(table.dims == 1)
+    values = _one_dim_irrep(group, table, one)
+    blocks = table.catalog
+    if blocks is None:
         blocks = [(rows, _spun_images(group, table, rows, seed))
                   for rows in (np.flatnonzero(table.dims == d) for d in np.unique(table.dims[table.dims > 1]))]
-    for rows, images in blocks:
-        mats = extend_from_generators(group, images)
-        # the words are a spanning tree of the Cayley graph; every other edge must agree too
+    done = [(one, values, values[:, group.generators])]
+    done += [(rows, extend_from_generators(group, images), images) for rows, images in blocks]
+    for rows, mats, images in done:
+        # rho(x g) = rho(x) rho(g) on every edge of the Cayley graph, not only on the words' spanning tree
         for slot, g in enumerate(group.generators):
             if np.max(np.abs(mats @ images[:, slot:slot + 1] - mats[:, group.mult_table[:, g]])) > 1e-10:
                 raise ArithmeticError(f"constructed irreps {rows.tolist()} are not homomorphisms")
-        if schur_defect(mats, seed=seed) > 1e-10:
+        if mats.shape[-1] > 1 and schur_defect(mats, seed=seed) > 1e-10:
             raise ArithmeticError(f"constructed irreps {rows.tolist()} failed the Schur irreducibility check")
-        done.append((rows, mats))
     bases, stacks = np.array([c.base_element for c in table.classes]), [None] * len(table.dims)
-    for rows, mats in done:
+    for rows, mats, _ in done:
         off = np.max(np.abs(np.trace(mats[:, bases], axis1=2, axis2=3) - table.values[rows]), axis=1) > 1e-8
         if off.any():
             raise ArithmeticError(f"constructed irrep {rows[off][0]} does not match its character row")

@@ -225,16 +225,15 @@ class ReducedElementRow:
 def wigner_eckart_report(
     group: FiniteGroup,
     cls: ConjugacyClass,
-    table: CharacterTable,
     irreps_list: list[Irrep],
     coupling: list[CouplingTable],
     tolerances: dict | None = None,
 ):
     """Compare the Wigner-Eckart prediction with brute-force inner products.
 
-    ``table`` and ``irreps_list`` are the run's character table and irreps,
-    and ``coupling`` their ``conjugation_decomposition`` of every sigma; each
-    class rotates it into its Z0-fixed bases.
+    ``irreps_list`` are the run's irreps, and ``coupling`` their
+    ``conjugation_decomposition`` of every sigma; each class rotates it into
+    its Z0-fixed bases.
     Returns (rows, reduced_rows, skipped, max_off_pattern): one row per
     (alpha, k, l, sigma), the reduced-matrix-element table, notes for alpha
     without Z0-fixed columns, and the largest off-pattern magnitude seen.
@@ -242,7 +241,7 @@ def wigner_eckart_report(
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     g0 = cls.base_element
     g0_label = group.label(g0)
-    bases = [z_fixed_basis(ai, rep.matrices, cls.centralizer) for ai, rep in enumerate(irreps_list)]
+    bases = [z_fixed_basis(rep.matrices, cls.centralizer) for rep in irreps_list]
     adapted, m_alphas = adapt_irreps_to_class(irreps_list, cls, bases)
     tables = [rotate_coupling_table(tab, [zb.basis for zb in bases]) for tab in coupling]
     weights = [(alpha, k, l) for alpha, rep in enumerate(adapted) for k in range(rep.dim) for l in range(m_alphas[alpha])]

@@ -123,7 +123,7 @@ def test_removed_names_are_gone_and_check_records_live_in_verify():
         classops.class_operators: (
             "left_translate", "right_translate", "class_left_translate", "WeightedClassOperator", "class_sum_element",
         ),
-        classops.representations: ("matrix_element_functions", "IsotypicProjection", "represent"),
+        classops.representations: ("matrix_element_functions", "IsotypicProjection", "represent", "_CatalogImages"),
         su2: ("ad_map", "PAULI", "SU2Element", "_weighted_core"),
         coupling: ("product_expansion_residual", "triple_product_residual", "_weighted_triple_sum"),
         classops.Irrep: ("character",),

@@ -129,7 +129,7 @@ def test_rotated_tables_match_a_fresh_decomposition(spec):
     group, table, reps = _tables_for(spec)
     tables = [conjugation_decomposition(group, reps, table, s) for s in range(len(reps))]
     for cls in conjugacy_classes(group):
-        bases = [z_fixed_basis(a, rep.matrices, cls.centralizer) for a, rep in enumerate(reps)]
+        bases = [z_fixed_basis(rep.matrices, cls.centralizer) for rep in reps]
         adapted, _ = adapt_irreps_to_class(reps, cls, bases)
         for tab in tables:
             rotated = rotate_coupling_table(tab, [zb.basis for zb in bases])
@@ -336,14 +336,14 @@ def test_separated_triple_sum_matches_node_wise_oracle(sigma2):
 def test_z_fixed_basis_trivial_irrep():
     group, table, reps = _tables_for("S3")
     cls = conjugacy_classes(group)[1]
-    zb = z_fixed_basis(0, reps[0].matrices, cls.centralizer)
+    zb = z_fixed_basis(reps[0].matrices, cls.centralizer)
     assert zb.m_alpha == 1
 
 
 def test_z_fixed_basis_s3_standard():
     group, table, reps = _tables_for("S3")
     cls = conjugacy_classes(group)[1]  # g0 = (1 2), Z0 = {e, (1 2)}
-    zb = z_fixed_basis(2, reps[2].matrices, cls.centralizer)
+    zb = z_fixed_basis(reps[2].matrices, cls.centralizer)
     assert zb.m_alpha == 1
     w = zb.basis
     assert np.max(np.abs(w.conj().T @ w - np.eye(2))) < 1e-12
@@ -526,7 +526,7 @@ def test_wigner_eckart_kernel_equals_per_weight_oracle(spec, tmp_path):
     coupling = [conjugation_decomposition(group, reps, table, s) for s in range(len(reps))]
     compared = 0
     for cls in conjugacy_classes(group):
-        bases = [z_fixed_basis(a, rep.matrices, cls.centralizer) for a, rep in enumerate(reps)]
+        bases = [z_fixed_basis(rep.matrices, cls.centralizer) for rep in reps]
         adapted, m_alphas = adapt_irreps_to_class(reps, cls, bases)
         for tab in (rotate_coupling_table(t, [zb.basis for zb in bases]) for t in coupling):
             t_g0 = adapted[tab.sigma].matrices[cls.base_element]

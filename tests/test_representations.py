@@ -394,17 +394,55 @@ def test_canonical_row_order_matches_rounded_tuple_key(spec):
     assert np.array_equal(values[order], table.values)
 
 
-@pytest.mark.parametrize("spec", ["C60", "C150", "D60", "S5", "Q8", "D2"])
-def test_one_dim_irreps_match_scalar_snapping_bit_for_bit(spec):
-    # the catalog irreps from their exponents, and the snapping of the table row
-    group = build_group(spec)
+def _cyclic_table_group(n):
+    """C_n as a ``{"table": ...}`` group: no catalog family, greedy generators."""
+    return build_group({"table": ((np.arange(n)[:, None] + np.arange(n)) % n).tolist()})
+
+
+@pytest.mark.parametrize("spec", ["C60", "C150", "D60", "S5", "Q8", "D2", "A4-file", "S5-file", "C90-table", "2I"])
+def test_one_dim_irreps_match_scalar_snapping_bit_for_bit(spec, tmp_path):
+    # every group's 1-dim irreps are its table rows snapped once per class
+    if spec == "2I":
+        group, _ = binary_icosahedral_group()
+    elif spec == "C90-table":
+        group = _cyclic_table_group(90)
+    elif spec.endswith("-file"):
+        group = _generic_group(spec[:-5], tmp_path)
+    else:
+        group = build_group(spec)
     table = character_table(group)
     reps = irreps(group, table)
-    for alpha in np.flatnonzero(table.dims == 1):
-        row = table.values[alpha]
-        expected = oracle_one_dim_irrep(group, row, table.class_of)
-        assert np.array_equal(_one_dim_irrep(group, row, table.class_of), expected)
+    one = np.flatnonzero(table.dims == 1)
+    snapped = _one_dim_irrep(group, table, one)
+    for alpha, values in zip(one, snapped):
+        expected = oracle_one_dim_irrep(group, table.values[alpha], table.class_of)
+        assert np.array_equal(values, expected)
         assert np.array_equal(reps[alpha].matrices, expected)
+
+
+def _one_dim_value_moved(table, group, row, col, value):
+    values = table.values.copy()
+    assert not set(group.generators) & set(table.classes[col].members)
+    values[row, col] = value
+    return CharacterTable(table.classes, values, table.dims, table.class_of)
+
+
+def test_a_one_dim_row_that_is_no_homomorphism_is_refused(tmp_path):
+    # each table moves one 1-dim value, at a class holding no generator, to another
+    # root of unity of that class's order: the snap keeps it, the Cayley edges do not
+    group = _generic_group("A4", tmp_path)
+    table = character_table(group)
+    col = int(np.flatnonzero(np.array([c.size for c in table.classes]) == 3)[0])   # (1 2)(3 4)
+    assert abs(table.values[0, col] - 1) < 1e-12
+    with pytest.raises(ArithmeticError, match="not homomorphisms"):
+        irreps(group, _one_dim_value_moved(table, group, 0, col, -1.0))
+    group = _cyclic_table_group(6)
+    table = character_table(group)
+    assert group.generators == [1]
+    col = int(table.class_of[2])
+    row = int(np.flatnonzero(np.abs(table.values[:, col].imag) > 0.5)[0])   # a cube root of unity at 2
+    with pytest.raises(ArithmeticError, match="not homomorphisms"):
+        irreps(group, _one_dim_value_moved(table, group, row, col, table.values[row, col].conjugate()))
 
 
 @pytest.mark.parametrize("gens", [["(1 2 3)", "(1 2 3 4 5)"], ["(1 2)", "(1 2 3 4 5)"]], ids=["A5", "S5"])

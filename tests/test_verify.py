@@ -100,7 +100,7 @@ def test_finite_checks_never_build_a_left_regular_matrix(spec, monkeypatch):
     for cls in conjugacy_classes(group):
         families, _ = scan_rows(group, cls, reps)
         assert families and not any(f.vanishes for f in families)
-        rows, _, _, _ = wigner_eckart_report(group, cls, table, reps, coupling)
+        rows, _, _, _ = wigner_eckart_report(group, cls, reps, coupling)
         assert rows and all(r.passed for r in rows)
 
 
@@ -150,7 +150,7 @@ def test_finite_suite_matches_per_weight_oracle(spec, tmp_path):
 def _class_setup(group, cls, table, reps):
     """The report's own route to the adapted irreps and rotated coupling tables."""
     coupling = [conjugation_decomposition(group, reps, table, s) for s in range(len(reps))]
-    bases = [z_fixed_basis(a, rep.matrices, cls.centralizer) for a, rep in enumerate(reps)]
+    bases = [z_fixed_basis(rep.matrices, cls.centralizer) for rep in reps]
     adapted, m_alphas = adapt_irreps_to_class(reps, cls, bases)
     return coupling, adapted, m_alphas, [rotate_coupling_table(t, [zb.basis for zb in bases]) for t in coupling]
 
@@ -162,7 +162,7 @@ def test_wigner_eckart_report_matches_per_weight_oracle(spec, tmp_path):
     reps = irreps(group, table)
     for cls in conjugacy_classes(group):
         coupling, adapted, m_alphas, tables = _class_setup(group, cls, table, reps)
-        rows, reduced, _, max_off = wigner_eckart_report(group, cls, table, reps, coupling)
+        rows, reduced, _, max_off = wigner_eckart_report(group, cls, reps, coupling)
         want, want_reduced, want_off = oracle_wigner_eckart_rows(group, adapted, m_alphas, tables, cls.base_element)
         assert reduced == want_reduced   # every (alpha, l, sigma, m), in report order, bit for bit
         assert [(r.sigma, r.alpha, r.k, r.l, r.passed) for r in rows] == [
@@ -187,7 +187,7 @@ def test_wigner_eckart_report_fails_on_a_corrupted_irrep_as_the_oracle_does(monk
     moved = next(g for g in range(group.order) if g not in (0, cls.base_element))
     corrupted[alpha].matrices[moved] *= -1.0   # no longer a homomorphism
     monkeypatch.setattr(verify, "adapt_irreps_to_class", lambda *args: (corrupted, m_alphas))
-    rows, _, _, max_off = wigner_eckart_report(group, cls, table, reps, coupling)
+    rows, _, _, max_off = wigner_eckart_report(group, cls, reps, coupling)
     want, _, want_off = oracle_wigner_eckart_rows(group, corrupted, m_alphas, tables, cls.base_element)
     assert not all(r.passed for r in rows)
     assert [r.passed for r in rows] == [r.passed for r in want]
@@ -217,7 +217,7 @@ def test_wigner_eckart_report_fails_on_an_off_pattern_block(monkeypatch):
         return out
 
     monkeypatch.setattr(verify, "wigner_eckart_bruteforce", lifted_batched)
-    rows, _, _, max_off = wigner_eckart_report(group, cls, table, reps, coupling)
+    rows, _, _, max_off = wigner_eckart_report(group, cls, reps, coupling)
     want, _, want_off = oracle_wigner_eckart_rows(group, adapted, m_alphas, tables, cls.base_element, lifted_oracle)
     assert all(r.passed for r in rows) and all(r.passed for r in want)
     assert max_off > DEFAULT_TOLERANCES["wigner_eckart_sparsity"]
@@ -236,9 +236,9 @@ def test_wigner_eckart_report_fails_on_conjugated_coupling_tables():
     classes = conjugacy_classes(group)
     assert group.order == 21 and len(classes) == 5
     for cls in classes:
-        rows, _, _, max_off = wigner_eckart_report(group, cls, table, reps, coupling)
+        rows, _, _, max_off = wigner_eckart_report(group, cls, reps, coupling)
         assert verify.wigner_eckart_passed(rows, max_off)
-        rows, _, _, max_off = wigner_eckart_report(group, cls, table, reps, conjugated)
+        rows, _, _, max_off = wigner_eckart_report(group, cls, reps, conjugated)
         identity = cls.base_element == 0
         assert verify.wigner_eckart_passed(rows, max_off) == identity
         assert identity or max(r.max_dev for r in rows) > 0.1
@@ -252,9 +252,9 @@ def test_wigner_eckart_report_reduces_one_column_chunks_like_whole_blocks(monkey
     corrupted = [replace(rep, matrices=rep.matrices.copy()) for rep in adapted]
     corrupted[-1].matrices[5] *= -1.0
     monkeypatch.setattr(verify, "adapt_irreps_to_class", lambda *args: (corrupted, m_alphas))
-    whole = wigner_eckart_report(group, cls, table, reps, coupling)
+    whole = wigner_eckart_report(group, cls, reps, coupling)
     monkeypatch.setattr("classops.coupling._BRUTE_CHUNK_ENTRIES", 1)
-    chunked = wigner_eckart_report(group, cls, table, reps, coupling)
+    chunked = wigner_eckart_report(group, cls, reps, coupling)
     assert not all(r.passed for r in whole[0])
     assert [(r.sigma, r.alpha, r.k, r.l, r.passed) for r in chunked[0]] == [
         (r.sigma, r.alpha, r.k, r.l, r.passed) for r in whole[0]
