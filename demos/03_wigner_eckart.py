@@ -5,8 +5,9 @@ class, the matrix coefficients of the weighted class operator factor into a
 coupling coefficient times a reduced matrix element.  Both sides are computed
 independently: a brute-force operator on the group algebra (finite case) or a
 sphere quadrature (SU(2)), against the coupling-table prediction.  The
-finite coupling table of sigma is decomposed once and rotated into the class's
-Z0-fixed bases, as the wigner-eckart command does for every class.
+finite coupling tables of every sigma are decomposed in one call and rotated
+into the class's Z0-fixed bases in another, as the wigner-eckart command
+does for every class.
 """
 
 import numpy as np
@@ -22,7 +23,7 @@ from classops import (
     su2_coupling_table,
     wigner_eckart_bruteforce,
     wigner_eckart_matrix,
-    z_fixed_basis,
+    z_fixed_bases,
 )
 from classops.su2 import SphereQuadrature, WignerD, fixed_column_index, weighted_class_operator_su2
 
@@ -32,12 +33,13 @@ table = character_table(group)
 reps = irreps(group, table)
 cls = conjugacy_classes(group)[1]
 g0 = cls.base_element
-bases = [z_fixed_basis(rep.matrices, cls.centralizer) for rep in reps]
+bases = z_fixed_bases(reps, cls.centralizer)  # one pass per irrep dimension
 adapted, m_alphas = adapt_irreps_to_class(reps, cls, bases)
 print(f"S3, class of {group.labels[g0]}; fixed-subspace dims per irrep: {m_alphas}")
 
 alpha, sigma = 2, 2  # standard weight family, standard block
-tab = rotate_coupling_table(conjugation_decomposition(group, reps, table, sigma), [zb.basis for zb in bases])
+tables = rotate_coupling_table(conjugation_decomposition(group, reps, table), [zb.basis for zb in bases])
+tab = tables[sigma]
 # the brute force takes every weight (alpha, k, l) at once and streams the inner
 # products by columns (gamma, u, v); keep the rows and columns of (sigma, sigma)
 weights = [(alpha, k, 0) for k in range(adapted[alpha].dim)]

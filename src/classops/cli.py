@@ -102,7 +102,7 @@ def _tables(cfg: RunConfig, group: FiniteGroup) -> tuple:
     """The run's character table, irreps and the coupling table of every sigma, each built once."""
     table = character_table(group, seed=cfg.seed)
     irreps_list = irreps(group, table, seed=cfg.seed)
-    return table, irreps_list, [conjugation_decomposition(group, irreps_list, table, s) for s in range(len(irreps_list))]
+    return table, irreps_list, conjugation_decomposition(group, irreps_list, table)
 
 
 def _emit(cfg: RunConfig, text: str) -> None:

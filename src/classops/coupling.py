@@ -22,9 +22,16 @@ Index conventions (kept rigidly throughout):
   every copy, finite or SU(2), has its leading entry rotated positive by
   ``_fix_column_phases``.
 * The coefficients belong to sigma alone; a class C0 only picks the Z0-fixed
-  basis W_alpha of each irrep.  ``rotate_coupling_table`` carries one table per
-  sigma into that basis and re-seeds its copies by the rule above, so it
-  equals ``conjugation_decomposition`` of the adapted irreps up to round-off.
+  basis W_alpha of each irrep.  ``rotate_coupling_table`` carries the tables
+  into that basis and re-seeds their copies by the rule above, so it equals
+  ``conjugation_decomposition`` of the adapted irreps up to round-off.
+* The finite layer works in stacked passes, one per shape block, never per
+  sigma, gamma or irrep: the decomposition and the rotation take every
+  (sigma, gamma) pair of one (d_sigma, multiplicity, d_gamma) at once, the
+  Z0-fixed bases (``z_fixed_bases``) every irrep of one dimension, and the
+  Wigner-Eckart predictions (``wigner_eckart_stack``) every (sigma, alpha)
+  pair of one shape.  ``_orthonormal_range`` runs its pivoted Gram-Schmidt
+  on a whole stack, each matrix with its own rank.
 * SU(2) tables are labeled by doubled spins and built in closed form from
   Condon-Shortley Clebsch-Gordan coefficients conjugated by the spin-sigma
   conjugation intertwiner.
@@ -52,49 +59,78 @@ __all__ = [
     "su2_coupling_table",
     "clebsch_gordan",
     "z_fixed_basis",
+    "z_fixed_bases",
     "adapt_irreps_to_class",
     "frobenius_multiplicity_check",
     "product_expansion_residual_su2",
     "triple_product_residual_su2",
     "wigner_eckart_matrix",
+    "wigner_eckart_stack",
     "wigner_eckart_bruteforce",
     "tensor_operator_scan",
 ]
 
 
-def _orthonormal_range(matrix: np.ndarray, rank: int) -> np.ndarray:
-    """Deterministic orthonormal basis of the range of an (approximate) projector.
+def _orthonormal_range(matrices: np.ndarray, ranks) -> np.ndarray:
+    """Deterministic orthonormal bases of the ranges of (approximate) projectors.
 
-    Gram-Schmidt with column pivoting: each step takes the column of largest
-    residual norm and, among the columns within a relative 1e-8 of it, the
-    lowest index, so round-off never reorders columns of equal norm.  The
-    pivot's residual is orthogonalized twice against the basis so far, the
-    residual norms of all columns are downdated, and ``_fix_column_phases``
-    runs last.
+    ``matrices`` is one (r, c) matrix or a stack (..., r, c), and ``ranks``
+    one rank per matrix (broadcast); the result is (..., r, max rank), each
+    basis padded with zero columns beyond its own rank.  Gram-Schmidt with
+    column pivoting, every matrix of the stack in the same step: each step
+    takes the column of largest residual norm and, among the columns within
+    a relative 1e-8 of it, the lowest index, so round-off never reorders
+    columns of equal norm.  The pivot's residual is orthogonalized twice
+    against the basis so far, the residual norms of all columns are
+    downdated, and ``_fix_column_phases`` runs last.
     """
-    a = np.asarray(matrix, dtype=complex)
-    q = np.zeros((a.shape[0], rank), dtype=complex)
-    res = (np.abs(a) ** 2).sum(axis=0)
-    for k in range(rank):
-        norms = np.sqrt(np.maximum(res, 0.0))
-        v = a[:, (norms >= (1.0 - 1e-8) * norms.max()).argmax()]
+    a = np.asarray(matrices, dtype=complex)
+    lead, (r, c) = a.shape[:-2], a.shape[-2:]
+    a = a.reshape(-1, r, c)
+    ranks = np.broadcast_to(ranks, lead).ravel()
+    kmax, stack = int(ranks.max(initial=0)), np.arange(len(a))
+    q = np.zeros((len(a), kmax, r), dtype=complex)  # the basis vectors as rows
+    res = (np.abs(a) ** 2).sum(axis=1)
+    for k in range(kmax):
+        # squared norms within a relative 1e-8 of the largest norm
+        v = a[stack, :, (res >= (1.0 - 1e-8) ** 2 * res.max(axis=1, keepdims=True)).argmax(axis=1)]
+        done = q[:, :k]
         for _ in range(2 if k else 0):
-            v = v - q[:, :k] @ (q[:, :k].conj().T @ v)
-        q[:, k] = v / np.linalg.norm(v)
-        if k + 1 < rank:
-            res -= np.abs(q[:, k].conj() @ a) ** 2
-    return _fix_column_phases(q)
+            v = v - ((done.conj() @ v[:, :, None]).swapaxes(1, 2) @ done)[:, 0]
+        q[:, k] = v / np.where(k < ranks, np.sqrt((np.abs(v) ** 2).sum(axis=1)), np.inf)[:, None]
+        if k + 1 < kmax:
+            res -= np.abs(q[:, k:k + 1].conj() @ a)[:, 0] ** 2
+    return _fix_column_phases(q.reshape(-1, r).T).T.reshape(len(a), kmax, r).swapaxes(1, 2).reshape(*lead, r, kmax)
 
 
 def _fix_column_phases(basis: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Rotate each column so its first entry above ``tol`` is positive real."""
-    basis = basis.copy()
-    for col in range(basis.shape[1]):
-        above = np.abs(basis[:, col]) > tol
-        if above.any():
-            lead = basis[above.argmax(), col]
-            basis[:, col] *= np.abs(lead) / lead
-    return basis
+    """Rotate each column of an (r, k) matrix so its first entry above ``tol``
+    is positive real; a column with none stays as it is."""
+    above = np.abs(basis) > tol
+    lead = basis[above.argmax(axis=0), np.arange(basis.shape[1])]
+    found = above.any(axis=0)
+    return np.where(found, basis * (np.abs(lead) / np.where(found, lead, 1.0)), basis)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over stacks of matrices.  numpy makes one BLAS call per complex
+    matrix of a stack, which for many 2 x 2 or 3 x 3 matrices costs more than
+    the sum over the inner index as elementwise products of whole stacks."""
+    inner = a.shape[-1]
+    if inner not in (2, 3) or max(a.size, b.size) < 32 * inner * inner:
+        return a @ b
+    out = a[..., :, :1] * b[..., :1, :]
+    for c in range(1, inner):
+        out = out + a[..., :, c:c + 1] * b[..., c:c + 1, :]
+    return out
+
+
+def _blocks(keys) -> dict:
+    """The positions of ``keys`` grouped by key, in order of first appearance."""
+    out: dict = {}
+    for i, key in enumerate(keys):
+        out.setdefault(key, []).append(i)
+    return out
 
 
 @dataclass
@@ -155,63 +191,98 @@ class TensorOperatorFamily:
 # ---------------------------------------------------------------------------
 
 
+# Complex entries of one intermediate of a stacked pass over the (sigma, gamma)
+# pairs of one shape block (2 MB)
+_BLOCK_CHUNK_ENTRIES = 1 << 17
+
+
 def conjugation_decomposition(
     group: FiniteGroup,
     irreps_list: list[Irrep],
     table: CharacterTable,
-    sigma: int,
-) -> CouplingTable:
-    """Decompose L(V^sigma) and return the coupling coefficients.
+    sigma: int | None = None,
+) -> CouplingTable | list[CouplingTable]:
+    """Decompose L(V^sigma) and return the coupling coefficients: the table of
+    irrep ``sigma``, or with None the tables of every irrep, in order.
 
-    Multiplicities are column sigma of the table's
-    ``conjugation_multiplicities``, made once for every sigma.  Each
-    gamma-block comes from the averages
+    Multiplicities are the table's ``conjugation_multiplicities``, made once
+    for every sigma.  Each gamma-block comes from the averages
     K_q F = (n^gamma/|G|) sum_g conj(t^gamma_{q0}(g)) T(g) F T(g)^H,
-    summed over T(g) directly: the copy seeds F_m are ``_orthonormal_range`` of
-    K_0 (one (d^2, |G|) @ (|G|, d^2) product), and the copies e_{m q} = K_q F_m
-    transform with exactly the stored t^gamma.  Another basis of the irreps
-    needs no new decomposition: see ``rotate_coupling_table``.
+    summed over T(g) directly, in one stacked pass per shape block: the
+    (sigma, gamma) pairs of one (d_sigma, multiplicity m, d_gamma), in chunks
+    of at most ``_BLOCK_CHUNK_ENTRIES`` numbers per intermediate.  The copy
+    seeds F_m of a chunk are one ``_orthonormal_range`` of its stack of K_0
+    (each one (d^2, |G|) @ (|G|, d^2) product), and its copies
+    e_{m q} = K_q F_m, which transform with exactly the stored t^gamma, one
+    product of the weights with the sandwiches T F T^H.  Another basis of the
+    irreps needs no new decomposition: see ``rotate_coupling_table``.
     """
-    n, d, t_sigma = group.order, irreps_list[sigma].dim, irreps_list[sigma].matrices
-    t_flat = t_sigma.reshape(n, d * d)
-    mults = table.conjugation_multiplicities[:, sigma]
+    n = group.order
+    sigmas = list(range(len(irreps_list))) if sigma is None else [sigma]
+    dims = np.array([rep.dim for rep in irreps_list])
+    mults = table.conjugation_multiplicities[:, sigmas]
     counts = np.rint(mults).astype(int)
     if (off := np.abs(mults - counts) > 1e-8).any():
-        gamma = int(np.argmax(off))
-        raise ArithmeticError(f"non-integer multiplicity {mults[gamma]} for component {gamma}")
-    basis = {}
-    for gamma in np.flatnonzero(counts).tolist():
-        m = int(counts[gamma])
-        d_gamma = irreps_list[gamma].dim
-        w = (d_gamma / n) * irreps_list[gamma].matrices[:, :, 0].conj()  # w[g, q]
-        # K_0[(a b), (c e)] = sum_g w[g, 0] T_ac(g) conj(T_be(g))
-        k0 = (w[:, 0, None] * t_flat).T @ t_flat.conj()
-        k0 = k0.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-        seeds = _orthonormal_range(k0, m).T.reshape(m, d, d)  # deterministic phases
-        sandwiches = (t_sigma[:, None] @ seeds @ t_sigma.conj().transpose(0, 2, 1)[:, None]).reshape(n, -1)
-        basis[gamma] = (w.T @ sandwiches).reshape(d_gamma, m, d, d).transpose(1, 0, 2, 3)
-    if sum(e.shape[0] * e.shape[1] for e in basis.values()) != d * d:
+        s, gamma = np.argwhere(off.T)[0]
+        raise ArithmeticError(f"non-integer multiplicity {mults[gamma, s]} for component {gamma} of irrep {sigmas[s]}")
+    if (dims @ counts != dims[sigmas] ** 2).any():
         raise ArithmeticError("component dimensions do not fill L(V^sigma)")
-    return CouplingTable(sigma=sigma, kind="finite", basis=basis)
+    bases = [dict.fromkeys(np.flatnonzero(c).tolist()) for c in counts.T]  # gammas in order, filled below
+    pairs = [(s, gamma) for s, basis in enumerate(bases) for gamma in basis]
+    weights = {}  # gamma -> w[q, g] = (n^gamma/|G|) conj(t^gamma_{q0}(g))
+    for (d, m, d_gamma), block in _blocks((dims[sigmas[s]], counts[g, s], dims[g]) for s, g in pairs).items():
+        step = max(1, _BLOCK_CHUNK_ENTRIES // max(n * m * d * d, d**4))
+        for lo in range(0, len(block), step):
+            chunk = [pairs[i] for i in block[lo:lo + step]]
+            for _, g in chunk:
+                if g not in weights:
+                    weights[g] = (d_gamma / n) * irreps_list[g].matrices[:, :, 0].T.conj()
+            t = np.stack([irreps_list[sigmas[s]].matrices for s, _ in chunk])  # (P, |G|, d, d)
+            w = np.stack([weights[g] for _, g in chunk])                        # (P, d_gamma, |G|)
+            t_flat = t.reshape(len(chunk), n, d * d)
+            # K_0[(a b), (c e)] = sum_g w[0, g] T_ac(g) conj(T_be(g))
+            k0 = (w[:, 0, :, None] * t_flat).swapaxes(1, 2) @ t_flat.conj()
+            k0 = k0.reshape(-1, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(-1, d * d, d * d)
+            # seeds[b, (j, c)] = F_j[b, c], deterministic phases; then T F as one flat product
+            seeds = _orthonormal_range(k0, m).reshape(-1, d, d, m).swapaxes(2, 3).reshape(-1, d, m * d)
+            tf = (t.reshape(len(chunk), n * d, d) @ seeds).reshape(len(chunk), n, d * m, d)
+            sandwiches = _matmul(tf, t.conj().swapaxes(2, 3))  # [g, (a, j), b] = (T F_j T^H)_ab
+            copies = (w @ sandwiches.reshape(len(chunk), n, -1)).reshape(-1, d_gamma, d, m, d).transpose(0, 3, 1, 2, 4)
+            for (s, g), e in zip(chunk, copies):
+                bases[s][g] = e
+    tables = [CouplingTable(sigma=s, kind="finite", basis=basis) for s, basis in zip(sigmas, bases)]
+    return tables if sigma is None else tables[0]
 
 
-def rotate_coupling_table(table: CouplingTable, bases: list[np.ndarray]) -> CouplingTable:
-    """The table of sigma for the irreps W_alpha^H T_alpha W_alpha, with no pass over G.
+def rotate_coupling_table(
+    table: CouplingTable | list[CouplingTable], bases: list[np.ndarray]
+) -> CouplingTable | list[CouplingTable]:
+    """The table of sigma for the irreps W_alpha^H T_alpha W_alpha, with no pass
+    over G; ``table`` is one table, or a list of them, all rotated at once.
 
     Copies turn by e'_{m n} = sum_q (W_gamma)_{q n} W_sigma^H e_{m q} W_sigma and
     are re-seeded as ``conjugation_decomposition`` seeds them: E = [vec e'_{m 0}]
     spans the rotated K_0 = E E^H, so e_{m q} = sum_m' U_{m' m} e'_{m' q} with
-    U = E^H ``_orthonormal_range``(E E^H, m).
+    U = E^H ``_orthonormal_range``(E E^H, m).  Every (sigma, gamma) pair of one
+    shape (d_sigma, m, d_gamma) takes one stacked pass.  The table of a 1-dim
+    sigma, the trivial component alone, comes back as it is: the re-seeding
+    undoes any phase a basis puts on it.
     """
-    d, w_sigma = table.sigma_dim, bases[table.sigma]
-    basis = {}
-    for gamma, copies in table.basis.items():
-        m = copies.shape[0]
-        e = bases[gamma].T @ (w_sigma.conj().T @ copies @ w_sigma).reshape(m, -1, d * d)
-        lead = e[:, 0].T
-        u = lead.conj().T @ _orthonormal_range(lead @ lead.conj().T, m)
-        basis[gamma] = (u.T @ e.reshape(m, -1)).reshape(m, -1, d, d)
-    return replace(table, basis=basis)
+    tables = [table] if isinstance(table, CouplingTable) else table
+    rotated = [dict(tab.basis) if tab.sigma_dim == 1 else dict.fromkeys(tab.basis) for tab in tables]
+    pairs = [(i, gamma) for i, tab in enumerate(tables) if tab.sigma_dim > 1 for gamma in tab.basis]
+    for (m, d_gamma, d, _), block in _blocks(tables[i].basis[g].shape for i, g in pairs).items():
+        chunk = [pairs[j] for j in block]
+        w_sigma = np.stack([bases[tables[i].sigma] for i, _ in chunk])[:, None, None]
+        w_gamma = np.stack([bases[g] for _, g in chunk])[:, None]
+        copies = np.stack([tables[i].basis[g] for i, g in chunk])  # (P, m, d_gamma, d, d)
+        e = w_gamma.swapaxes(2, 3) @ (w_sigma.conj().swapaxes(3, 4) @ copies @ w_sigma).reshape(-1, m, d_gamma, d * d)
+        lead = e[:, :, 0].swapaxes(1, 2)
+        u = lead.conj().swapaxes(1, 2) @ _orthonormal_range(lead @ lead.conj().swapaxes(1, 2), m)
+        for (i, g), r in zip(chunk, (u.swapaxes(1, 2) @ e.reshape(-1, m, d_gamma * d * d)).reshape(copies.shape)):
+            rotated[i][g] = r
+    out = [replace(tab, basis=basis) for tab, basis in zip(tables, rotated)]
+    return out[0] if isinstance(table, CouplingTable) else out
 
 
 # ---------------------------------------------------------------------------
@@ -289,17 +360,41 @@ def su2_coupling_table(sigma2: int) -> CouplingTable:
 
 
 def z_fixed_basis(matrices: np.ndarray, centralizer) -> ZFixedBasis:
-    """Adapted basis from the centralizer average (1/|Z0|) sum_h T(h)."""
-    d = matrices.shape[1]
-    avg = matrices[list(centralizer)].mean(axis=0)
-    m_alpha = int(round(np.trace(avg).real))
-    if m_alpha == 0:
-        return ZFixedBasis(m_alpha=0, basis=np.eye(d, dtype=complex))
-    fixed = _orthonormal_range(avg, m_alpha)
-    if m_alpha == d:
-        return ZFixedBasis(m_alpha=d, basis=fixed)
-    comp = _orthonormal_range(np.eye(d) - avg, d - m_alpha)
-    return ZFixedBasis(m_alpha=m_alpha, basis=np.hstack([fixed, comp]))
+    """Adapted basis from the centralizer average (1/|Z0|) sum_h T(h).
+
+    ``matrices`` is one irrep's (|G|, d, d) stack, or (m, |G|, d, d) for m
+    irreps of one dimension, done in one pass: ``m_alpha`` is then a list and
+    ``basis`` an (m, d, d) stack.  The trace of the average is the dimension
+    m_alpha of the Z0-fixed subspace and must lie within 1e-8 of an integer
+    (else ArithmeticError).  The fixed range (rank m_alpha) and the range of
+    I - average (rank d - m_alpha; the identity when m_alpha = 0) come from
+    one ``_orthonormal_range`` and are laid side by side.
+    """
+    cent = list(centralizer)
+    avg = np.asarray(matrices)[..., cent, :, :].sum(axis=-3) / len(cent)
+    d, trace = avg.shape[-1], avg.trace(axis1=-2, axis2=-1)
+    m_alpha = np.rint(trace.real).astype(int)
+    if (np.abs(trace - m_alpha) > 1e-8).any():
+        raise ArithmeticError(f"non-integer Z0-fixed dimension {trace[np.abs(trace - m_alpha) > 1e-8].flat[0]}")
+    if d == 1 or not m_alpha.any():  # the identity: a 1-dim irrep, or no Z0-fixed vectors
+        return ZFixedBasis(m_alpha=m_alpha.tolist(), basis=np.zeros(avg.shape, dtype=complex) + np.eye(d))
+    pair = np.stack([avg, np.eye(d) - avg])
+    pair[1][m_alpha == 0] = np.eye(d)
+    ranges = _orthonormal_range(pair, np.stack([m_alpha, d - m_alpha]))
+    cols, m = np.arange(d), m_alpha[..., None]
+    pick = np.where(cols < m, cols, ranges.shape[-1] + cols - m)  # fixed columns, then the complement's
+    basis = np.take_along_axis(np.concatenate([ranges[0], ranges[1]], axis=-1), pick[..., None, :], axis=-1)
+    return ZFixedBasis(m_alpha=m_alpha.tolist(), basis=basis)
+
+
+def z_fixed_bases(irreps_list: list[Irrep], centralizer) -> list[ZFixedBasis]:
+    """``z_fixed_basis`` of every irrep, one pass per dimension."""
+    out = [None] * len(irreps_list)
+    for rows in _blocks(rep.dim for rep in irreps_list).values():
+        zb = z_fixed_basis(np.stack([irreps_list[r].matrices for r in rows]), centralizer)
+        for r, m_alpha, basis in zip(rows, zb.m_alpha, zb.basis):
+            out[r] = ZFixedBasis(m_alpha=m_alpha, basis=basis)
+    return out
 
 
 def adapt_irreps_to_class(
@@ -307,10 +402,17 @@ def adapt_irreps_to_class(
 ) -> tuple[list[Irrep], list[int]]:
     """Rotate every irrep so its leading basis vectors are Z0(g0)-fixed,
     T' = W^H T W with W the ``z_fixed_basis`` of each irrep (``bases``, if the
-    caller already has them for this class)."""
+    caller already has them for this class), one stacked product per
+    dimension above 1; a 1-dim irrep is left as it is, as W^H T W = T."""
     if bases is None:
-        bases = [z_fixed_basis(rep.matrices, cls.centralizer) for rep in irreps_list]
-    adapted = [replace(rep, matrices=zb.basis.conj().T @ rep.matrices @ zb.basis) for rep, zb in zip(irreps_list, bases)]
+        bases = z_fixed_bases(irreps_list, cls.centralizer)
+    adapted = list(irreps_list)
+    for rows in _blocks(rep.dim for rep in irreps_list).values():
+        if irreps_list[rows[0]].dim > 1:
+            w = np.stack([bases[r].basis for r in rows])[:, None]
+            t = np.stack([irreps_list[r].matrices for r in rows])
+            for r, mats in zip(rows, _matmul(_matmul(w.conj().swapaxes(2, 3), t), w)):
+                adapted[r] = replace(irreps_list[r], matrices=mats)
     return adapted, [zb.m_alpha for zb in bases]
 
 
@@ -329,8 +431,7 @@ def frobenius_multiplicity_check(
     # fix_counts[g] = #{c in C0 : g c = c g}, the coset permutation character
     fix_counts = np.count_nonzero(group.mult_table[:, members] == group.mult_table[members].T, axis=1)
     rows = []
-    for ai, rep in enumerate(irreps_list):
-        zb = z_fixed_basis(rep.matrices, cls.centralizer)
+    for ai, zb in enumerate(z_fixed_bases(irreps_list, cls.centralizer)):
         chi = table.element_values(ai)
         induced = np.sum(chi.conj() * fix_counts).real / group.order
         induced_int = int(round(induced))
@@ -433,8 +534,8 @@ def wigner_eckart_matrix(
     n^sigma < lambda~(conj t^alpha_kl; g0) conj t^sigma_ij | conj t^gamma_uv >
     = delta_{gamma sigma} delta_{jv} pred[k, l, u, i], and
     reduced[l, m] = (1/n^alpha) sum_pr c(sigma p; sigmabar r | alpha m l) t^sigma_pr(g0),
-    so that pred[k, l] = sum_m c(sigma u; sigmabar i | alpha m k)^* reduced[l, m].
-    One einsum each, with c = conj(e^alpha) folded in.  The prediction holds
+    so that pred[k, l] = sum_m c(sigma u; sigmabar i | alpha m k)^* reduced[l, m]
+    (``wigner_eckart_stack`` of the copies of alpha).  The prediction holds
     for Z0-fixed columns l only (for adapted finite irreps 0..m_alpha-1, for
     SU(2) weight bases the m = 0 index), where the weight descends to G/Z0;
     the caller lists those.  Without alpha in L(V^sigma) every prediction is
@@ -443,8 +544,18 @@ def wigner_eckart_matrix(
     e = table.basis.get(alpha)
     if e is None:
         return np.zeros((n_alpha, len(columns)) + t_sigma_g0.shape, dtype=complex), np.zeros((len(columns), 0))
-    reduced = np.einsum("mlpr,pr->lm", e.conj()[:, columns], t_sigma_g0) / n_alpha
-    return np.einsum("mkui,lm->klui", e, reduced), reduced
+    return wigner_eckart_stack(e, n_alpha, columns, t_sigma_g0)
+
+
+def wigner_eckart_stack(
+    copies: np.ndarray, n_alpha: int, columns, t_sigma_g0: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``wigner_eckart_matrix`` from the copies (..., m, n_alpha, d, d) of alpha
+    in L(V^sigma) and t^sigma(g0) (..., d, d), for any leading axes: a stack
+    of (sigma, alpha) pairs of one shape takes one einsum each, with
+    c = conj(e^alpha) folded in; pred and reduced gain the leading axes."""
+    reduced = np.einsum("...mlpr,...pr->...lm", copies.conj()[..., columns, :, :], t_sigma_g0) / n_alpha
+    return np.einsum("...mkui,...lm->...klui", copies, reduced), reduced
 
 
 # Complex entries of one intermediate of wigner_eckart_bruteforce (2 MB)

@@ -494,19 +494,37 @@ def _spin(f: np.ndarray, dim: int, left: np.ndarray) -> np.ndarray | None:
     return w if k == dim else None
 
 
+# Complex entries of one intermediate of schur_defect (16 MB)
+_SCHUR_CHUNK_ENTRIES = 1 << 20
+
+
 def schur_defect(matrices: np.ndarray, seed: int = 0) -> float:
     """Distance of the averaged commutant from scalars over two random
     Hermitian probes; ~0 iff irreducible.  ``matrices`` is one (|G|, d, d)
     stack, or (m, |G|, d, d) for m irreps of one dimension, checked at once
-    (the largest defect)."""
-    dim, rng, worst = matrices.shape[-1], np.random.default_rng(seed), 0.0
+    (the largest defect).  T X for both probes X is one (m |G| d, d) @ (d, 2d)
+    product, and the averages (1/|G|) sum_g T X T^H one batched
+    (2d, |G| d) @ (|G| d, d) product per irrep, both over chunks of elements
+    of at most ``_SCHUR_CHUNK_ENTRIES`` numbers.
+    """
+    dim, rng = matrices.shape[-1], np.random.default_rng(seed)
+    mats = matrices.reshape(-1, *matrices.shape[-3:])
+    m, n = mats.shape[:2]
+    probes = []
     for _ in range(2):
         x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        x = x + x.conj().T
-        avg = np.mean(matrices @ x @ matrices.conj().swapaxes(-1, -2), axis=-3)
-        scalar = np.trace(avg, axis1=-2, axis2=-1)[..., None, None] / dim
-        worst = max(worst, float(np.max(np.abs(avg - scalar * np.eye(dim)))))
-    return worst
+        probes.append(x + x.conj().T)
+    probes = np.concatenate(probes, axis=1)  # [X_0 | X_1]
+    avg = np.zeros((m, 2 * dim, dim), dtype=complex)
+    step = max(1, _SCHUR_CHUNK_ENTRIES // (2 * m * dim * dim))
+    for lo in range(0, n, step):
+        t = mats[:, lo:lo + step]
+        c = t.shape[1]
+        tx = (t.reshape(-1, dim) @ probes).reshape(m, c, dim, 2, dim)   # [i, g, a, p, b] = (T_g X_p)_ab
+        avg += tx.transpose(0, 3, 2, 1, 4).reshape(m, 2 * dim, c * dim) @ t.conj().swapaxes(2, 3).reshape(m, c * dim, dim)
+    avg = avg.reshape(m, 2, dim, dim) / n
+    scalar = np.trace(avg, axis1=-2, axis2=-1)[..., None, None] / dim
+    return float(np.max(np.abs(avg - scalar * np.eye(dim))))
 
 
 def irreps(group: FiniteGroup, table: CharacterTable | None = None, seed: int = 42) -> list[Irrep]:

@@ -31,7 +31,8 @@ from .coupling import (
     tensor_operator_scan,
     wigner_eckart_bruteforce,
     wigner_eckart_matrix,
-    z_fixed_basis,
+    wigner_eckart_stack,
+    z_fixed_bases,
 )
 from .su2 import (
     MAX_J2,
@@ -233,7 +234,9 @@ def wigner_eckart_report(
 
     ``irreps_list`` are the run's irreps, and ``coupling`` their
     ``conjugation_decomposition`` of every sigma; each class rotates it into
-    its Z0-fixed bases.
+    its Z0-fixed bases, all tables at once.  The predictions of every
+    (sigma, alpha) pair of one shape (d_sigma, multiplicity, d_alpha, m_alpha)
+    come from one ``wigner_eckart_stack`` call.
     Returns (rows, reduced_rows, skipped, max_off_pattern): one row per
     (alpha, k, l, sigma), the reduced-matrix-element table, notes for alpha
     without Z0-fixed columns, and the largest off-pattern magnitude seen.
@@ -241,17 +244,27 @@ def wigner_eckart_report(
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     g0 = cls.base_element
     g0_label = group.label(g0)
-    bases = [z_fixed_basis(rep.matrices, cls.centralizer) for rep in irreps_list]
+    bases = z_fixed_bases(irreps_list, cls.centralizer)
     adapted, m_alphas = adapt_irreps_to_class(irreps_list, cls, bases)
-    tables = [rotate_coupling_table(tab, [zb.basis for zb in bases]) for tab in coupling]
+    tables = rotate_coupling_table(coupling, [zb.basis for zb in bases])
     weights = [(alpha, k, l) for alpha, rep in enumerate(adapted) for k in range(rep.dim) for l in range(m_alphas[alpha])]
-    # kernel[sigma][alpha] = (pred[k, l, u, i], reduced[l, m]); predictions[sigma] stacks rows (alpha, k, l)
-    kernel = [
-        [wigner_eckart_matrix(tab, alpha, rep.dim, range(m), adapted[tab.sigma].matrices[g0])
-         for alpha, (rep, m) in enumerate(zip(adapted, m_alphas))]
-        for tab in tables
-    ]
-    predictions = [np.concatenate([pred.reshape(-1, *pred.shape[2:]) for pred, _ in preds]) for preds in kernel]
+    # predictions[sigma] stacks pred[k, l, u, i] over the rows (alpha, k, l); reduced[sigma][alpha] = reduced[l, m]
+    first_row = np.cumsum([0] + [rep.dim * m for rep, m in zip(adapted, m_alphas)])
+    predictions = [np.zeros((len(weights), tab.sigma_dim, tab.sigma_dim), dtype=complex) for tab in tables]
+    reduced = [[np.zeros((m, 0)) for m in m_alphas] for _ in tables]
+    blocks: dict = {}  # shape (multiplicity, d_alpha, d_sigma, m_alpha) -> pairs (sigma, alpha)
+    for sigma, tab in enumerate(tables):
+        for alpha, e in tab.basis.items():
+            if m_alphas[alpha]:
+                blocks.setdefault(e.shape[:3] + (m_alphas[alpha],), []).append((sigma, alpha))
+    for (_, n_alpha, d, m), pairs in blocks.items():
+        pred, red = wigner_eckart_stack(
+            np.stack([tables[sigma].basis[alpha] for sigma, alpha in pairs]), n_alpha, range(m),
+            np.stack([adapted[sigma].matrices[g0] for sigma, _ in pairs]),
+        )
+        for (sigma, alpha), p, r in zip(pairs, pred, red):
+            predictions[sigma][first_row[alpha]:first_row[alpha + 1]] = p.reshape(-1, d, d)
+            reduced[sigma][alpha] = r
     dims = [rep.dim for rep in adapted]
     starts = np.cumsum([0] + [d * d for d in dims])
     dev = np.zeros((len(adapted), len(weights)))
@@ -272,8 +285,7 @@ def wigner_eckart_report(
     reduced_rows: list[ReducedElementRow] = []
     for (alpha, k, l), devs in zip(weights, dev.T.tolist()):
         for sigma, deviation in enumerate(devs):
-            reduced = kernel[sigma][alpha][1][l]
-            _add_comparison(rows, reduced_rows, (group.name, sigma, alpha, k, l, g0_label), deviation, reduced, tol)
+            _add_comparison(rows, reduced_rows, (group.name, sigma, alpha, k, l, g0_label), deviation, reduced[sigma][alpha][l], tol)
     return rows, reduced_rows, _skipped(g0_label, m_alphas), max_off
 
 

@@ -19,7 +19,13 @@ library extends from the images of two generators, are compared within
 round-off with Young's orthogonal form multiplied out element by element
 along a bubble-sort factorization of each permutation.  The dense
 conjugation stack (one ``np.kron`` per element) is the reference route of the
-coupling decomposition, which sums over the irrep matrices instead.
+coupling decomposition, which sums over the irrep matrices instead.  The
+library's coupling layer runs one stacked pass per shape block; the loops
+over sigma, gamma and irrep it replaced are oracles here
+(``oracle_conjugation_decomposition``, ``oracle_rotate_coupling_table``,
+``oracle_z_fixed_basis``), on the pivoted Gram-Schmidt of one matrix at a
+time (``oracle_orthonormal_range``), and ``oracle_schur_defect`` averages
+T X T^H element by element where the library takes two products.
 The library returns every finite class operator as its group-algebra
 element; ``image`` maps an element through a per-element stack (the dense
 regular one of ``regular_representation`` or an irrep's matrices) for the
@@ -236,6 +242,88 @@ def oracle_conjugation_stack(matrices: np.ndarray) -> np.ndarray:
     for g in range(n):
         out[g] = np.kron(matrices[g], matrices[g].conj())
     return out
+
+
+def oracle_orthonormal_range(matrix: np.ndarray, rank: int) -> np.ndarray:
+    """Pivoted Gram-Schmidt on one matrix, column by column: the largest
+    residual norm, the lowest index within a relative 1e-8 of it, the pivot
+    orthogonalized twice, and each column's first entry above 1e-8 rotated
+    positive real."""
+    a = np.asarray(matrix, dtype=complex)
+    q = np.zeros((a.shape[0], rank), dtype=complex)
+    res = (np.abs(a) ** 2).sum(axis=0)
+    for k in range(rank):
+        norms = np.sqrt(np.maximum(res, 0.0))
+        v = a[:, (norms >= (1.0 - 1e-8) * norms.max()).argmax()]
+        for _ in range(2 if k else 0):
+            v = v - q[:, :k] @ (q[:, :k].conj().T @ v)
+        q[:, k] = v / np.linalg.norm(v)
+        if k + 1 < rank:
+            res -= np.abs(q[:, k].conj() @ a) ** 2
+    for col in range(rank):
+        above = np.abs(q[:, col]) > 1e-8
+        if above.any():
+            lead = q[above.argmax(), col]
+            q[:, col] *= np.abs(lead) / lead
+    return q
+
+
+def oracle_conjugation_decomposition(group: FiniteGroup, irreps_list, table, sigma: int) -> dict:
+    """The copies of every component gamma of L(V^sigma), one gamma at a time:
+    K_0 as one (d^2, |G|) @ (|G|, d^2) product, its ``oracle_orthonormal_range``
+    as the seeds, and the sandwiches T F T^H weighted by conj(t^gamma_q0)."""
+    n, d, t_sigma = group.order, irreps_list[sigma].dim, irreps_list[sigma].matrices
+    t_flat = t_sigma.reshape(n, d * d)
+    counts = np.rint(table.conjugation_multiplicities[:, sigma]).astype(int)
+    basis = {}
+    for gamma in np.flatnonzero(counts).tolist():
+        m, d_gamma = int(counts[gamma]), irreps_list[gamma].dim
+        w = (d_gamma / n) * irreps_list[gamma].matrices[:, :, 0].conj()  # w[g, q]
+        k0 = (w[:, 0, None] * t_flat).T @ t_flat.conj()
+        k0 = k0.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+        seeds = oracle_orthonormal_range(k0, m).T.reshape(m, d, d)
+        sandwiches = (t_sigma[:, None] @ seeds @ t_sigma.conj().transpose(0, 2, 1)[:, None]).reshape(n, -1)
+        basis[gamma] = (w.T @ sandwiches).reshape(d_gamma, m, d, d).transpose(1, 0, 2, 3)
+    return basis
+
+
+def oracle_rotate_coupling_table(table, bases: list[np.ndarray]) -> dict:
+    """The copies of one table turned by the bases W and re-seeded, one gamma at a time."""
+    d, w_sigma = table.sigma_dim, bases[table.sigma]
+    basis = {}
+    for gamma, copies in table.basis.items():
+        m = copies.shape[0]
+        e = bases[gamma].T @ (w_sigma.conj().T @ copies @ w_sigma).reshape(m, -1, d * d)
+        lead = e[:, 0].T
+        u = lead.conj().T @ oracle_orthonormal_range(lead @ lead.conj().T, m)
+        basis[gamma] = (u.T @ e.reshape(m, -1)).reshape(m, -1, d, d)
+    return basis
+
+
+def oracle_z_fixed_basis(matrices: np.ndarray, centralizer) -> tuple[int, np.ndarray]:
+    """(m_alpha, W) of one irrep: the fixed range of the centralizer average,
+    then the range of its complement, each by ``oracle_orthonormal_range``."""
+    d = matrices.shape[1]
+    avg = matrices[list(centralizer)].mean(axis=0)
+    m_alpha = int(round(np.trace(avg).real))
+    if m_alpha == 0:
+        return 0, np.eye(d, dtype=complex)
+    fixed = oracle_orthonormal_range(avg, m_alpha)
+    if m_alpha == d:
+        return d, fixed
+    return m_alpha, np.hstack([fixed, oracle_orthonormal_range(np.eye(d) - avg, d - m_alpha)])
+
+
+def oracle_schur_defect(matrices: np.ndarray, seed: int = 0) -> float:
+    """schur_defect with the average over G taken element by element, (m, |G|, d, d) stacks."""
+    dim, rng, worst = matrices.shape[-1], np.random.default_rng(seed), 0.0
+    for _ in range(2):
+        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        x = x + x.conj().T
+        avg = np.mean(matrices @ x @ matrices.conj().swapaxes(-1, -2), axis=-3)
+        scalar = np.trace(avg, axis1=-2, axis2=-1)[..., None, None] / dim
+        worst = max(worst, float(np.max(np.abs(avg - scalar * np.eye(dim)))))
+    return worst
 
 
 def oracle_coset_reps(group: FiniteGroup, base: int) -> tuple[int, ...]:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from classops import cli
+from classops import cli, coupling
 from classops.cli import main
 from classops.groups import FiniteGroup, build_group
 from classops.serialize import csv_lines, format_float
@@ -512,14 +512,54 @@ def test_wigner_eckart_decomposes_each_irrep_once(capsys, monkeypatch):
     calls = []
     decompose = cli.conjugation_decomposition
 
-    def counted(group, irreps_list, table, sigma):
+    def counted(group, irreps_list, table, sigma=None):
         calls.append(sigma)
-        return decompose(group, irreps_list, table, sigma)
+        tables = decompose(group, irreps_list, table, sigma)
+        calls.extend(tab.sigma for tab in tables)
+        return tables
 
     monkeypatch.setattr(cli, "conjugation_decomposition", counted)
     code, out, _ = run(["wigner-eckart", "--group", "S4", "--class", "all"], capsys)
     assert code == 0 and json.loads(out)["passed"] is True
-    assert sorted(calls) == [0, 1, 2, 3, 4]
+    assert calls == [None, 0, 1, 2, 3, 4]   # one stacked call builds the table of every sigma
+
+
+@pytest.mark.parametrize("command", ["wigner-eckart", "scan"])
+def test_a_non_integer_z_fixed_dimension_exits_2(command, capsys, monkeypatch):
+    build = cli.irreps
+
+    def perturbed(*args, **kwargs):
+        reps = build(*args, **kwargs)
+        reps[3].matrices[0] *= 1 + 1e-6   # S4's first 3-dim irrep, at the identity
+        return reps
+
+    monkeypatch.setattr(cli, "irreps", perturbed)
+    code, out, err = run([command, "--group", "S4", "--class", "(1 2)"], capsys)
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ArithmeticError" and doc["message"].startswith("non-integer Z0-fixed dimension")
+
+
+def test_a_class_request_runs_one_gram_schmidt_per_shape_block(capsys, monkeypatch):
+    # D20 and the class of its 20-cycle: 4 1-dim and 9 2-dim irreps, 31
+    # (sigma, gamma) pairs.  One pivoted Gram-Schmidt seeds each
+    # (d_sigma, m, d_gamma) block of the decomposition, (1, 1, 1) with 4 pairs,
+    # (2, 1, 1) with 20 and (2, 1, 2) with 8, and one re-seeds each rotated
+    # block of a 2-dim sigma; no irrep has a vector fixed by the 20-cycle's
+    # centralizer, so the Z0-fixed bases are identities and need none.  Per
+    # sigma, per gamma and per irrep this took 66 calls.
+    calls = []
+    stacked = coupling._orthonormal_range
+
+    def counted(matrices, ranks):
+        calls.append(np.shape(matrices)[:-2])
+        return stacked(matrices, ranks)
+
+    monkeypatch.setattr(coupling, "_orthonormal_range", counted)
+    cycle = "(" + " ".join(str(i) for i in range(1, 21)) + ")"
+    code, out, _ = run(["wigner-eckart", "--group", "D20", "--class", cycle], capsys)
+    assert code == 0 and json.loads(out)["passed"] is True
+    assert sorted(calls) == [(4,), (8,), (8,), (20,), (20,)]
 
 
 def test_oversized_catalog_group_exits_before_the_closure(capsys, monkeypatch):

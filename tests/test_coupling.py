@@ -22,6 +22,7 @@ from classops.coupling import (
     wigner_eckart_bruteforce,
     wigner_eckart_matrix,
     z_fixed_basis,
+    z_fixed_bases,
 )
 from classops.coupling import _orthonormal_range
 from classops.su2 import (
@@ -40,11 +41,14 @@ from helpers import (
     dense_wigner_eckart_bruteforce,
     group_conjugate,
     oracle_cg_ladder,
+    oracle_conjugation_decomposition,
     oracle_conjugation_stack,
+    oracle_rotate_coupling_table,
     oracle_tensor_operator_scan,
     oracle_triple_sum_su2,
     oracle_wigner_eckart_bruteforce,
     oracle_wigner_eckart_matrix,
+    oracle_z_fixed_basis,
     product_expansion_residual,
     regular_representation,
     triple_product_residual,
@@ -138,6 +142,52 @@ def test_rotated_tables_match_a_fresh_decomposition(spec):
             for gamma in fresh.gammas:
                 assert np.max(np.abs(rotated.basis[gamma] - fresh.basis[gamma])) < 1e-12
             assert unitarity_residual(rotated) < 1e-12
+
+
+def _max_gap(got: dict, want: dict) -> float:
+    assert list(got) == list(want)
+    assert {g: e.shape for g, e in got.items()} == {g: e.shape for g, e in want.items()}
+    return max(float(np.max(np.abs(got[g] - want[g]))) for g in want)
+
+
+@pytest.mark.parametrize("spec", ["S3", "S4", "D5", "D20", "Q8", "C30", "file:A5", "D60", "S5"])
+def test_stacked_coupling_layer_matches_per_sigma_oracles(spec, tmp_path):
+    # the decomposition of every sigma, the Z0-fixed bases of every irrep and
+    # the rotation of every table, each a stacked pass over shape blocks,
+    # against the loops over sigma, gamma and irrep they replaced
+    group, table, reps = _file_a5(tmp_path) if spec == "file:A5" else _tables_for(spec)
+    coupling = conjugation_decomposition(group, reps, table)
+    assert [tab.sigma for tab in coupling] == list(range(len(reps)))
+    for tab in coupling:
+        assert _max_gap(tab.basis, oracle_conjugation_decomposition(group, reps, table, tab.sigma)) < 1e-13
+    for cls in conjugacy_classes(group):
+        bases = z_fixed_bases(reps, cls.centralizer)
+        for rep, zb in zip(reps, bases):
+            m_alpha, w = oracle_z_fixed_basis(rep.matrices, cls.centralizer)
+            assert zb.m_alpha == m_alpha and np.max(np.abs(zb.basis - w)) < 1e-13
+        w = [zb.basis for zb in bases]
+        for tab, rotated in zip(coupling, rotate_coupling_table(coupling, w)):
+            assert _max_gap(rotated.basis, oracle_rotate_coupling_table(tab, w)) < 1e-13
+
+
+def test_decomposition_in_chunks_of_one_pair_matches_whole_blocks(monkeypatch):
+    group, table, reps = _tables_for("S5")
+    whole = conjugation_decomposition(group, reps, table)
+    monkeypatch.setattr("classops.coupling._BLOCK_CHUNK_ENTRIES", 1)
+    for tab, chunked in zip(whole, conjugation_decomposition(group, reps, table)):
+        assert _max_gap(chunked.basis, tab.basis) < 1e-14
+
+
+def test_a_non_integer_z_fixed_dimension_is_refused():
+    group, table, reps = _tables_for("S4")
+    cls = conjugacy_classes(group)[1]
+    bad = reps[3].matrices.copy()
+    bad[0] *= 1 + 1e-6   # the identity, in every centralizer: the trace of the average moves by 7.5e-7
+    with pytest.raises(ArithmeticError, match="non-integer Z0-fixed dimension"):
+        z_fixed_basis(bad, cls.centralizer)
+    with pytest.raises(ArithmeticError, match="non-integer Z0-fixed dimension"):
+        z_fixed_basis(np.stack([reps[4].matrices, bad]), cls.centralizer)
+    assert z_fixed_basis(np.stack([reps[4].matrices, reps[3].matrices]), cls.centralizer).m_alpha == [1, 0]
 
 
 @pytest.mark.parametrize("spec", [

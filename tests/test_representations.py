@@ -35,7 +35,9 @@ from helpers import (
     oracle_character_table,
     oracle_class_constants,
     oracle_one_dim_irrep,
+    oracle_orthonormal_range,
     oracle_regular_extraction,
+    oracle_schur_defect,
     oracle_symmetric_irreps,
     oracle_yor_adjacent_matrices,
     regular_representation,
@@ -477,6 +479,37 @@ def test_orthonormal_range_takes_the_lowest_of_tied_columns():
     rng = np.random.default_rng(4)
     noise = 1e-15 * (rng.standard_normal(p.shape) + 1j * rng.standard_normal(p.shape))
     assert np.max(np.abs(_orthonormal_range(p + noise, 9) - basis)) < 1e-12
+    # a stack with mixed ranks: each matrix keeps its own rank, pivots and ties
+    # as alone, and its columns beyond its rank are zero
+    tied = np.diag([0.0, 1.0, 1.0]).astype(complex)   # columns 1 and 2 tie
+    small = [(proj, 2), (pushed, 2), (tied, 1), (tied, 2), (np.eye(3), 3), (np.zeros((3, 3)), 0)]
+    got = _orthonormal_range(np.array([a for a, _ in small]), [rank for _, rank in small])
+    assert got.shape == (6, 3, 3)
+    for basis_k, (a, rank) in zip(got, small):
+        assert np.max(np.abs(basis_k[:, :rank] - oracle_orthonormal_range(a, rank)), initial=0.0) < 1e-12
+        assert not basis_k[:, rank:].any()
+    assert np.max(np.abs(got[2][:, 0] - [0, 1, 0])) < 1e-12   # the lower of the tied columns
+    big = _orthonormal_range(np.array([p, p + noise, p]), np.array([9, 9, 4]))
+    assert np.max(np.abs(big[:2] - basis)) < 1e-12
+    assert np.max(np.abs(big[2][:, :4] - basis[:, :4])) < 1e-12 and not big[2][:, 4:].any()
+
+
+@pytest.mark.parametrize("spec", ["D20", "S5", "Q8", "A5"])
+def test_schur_defect_matches_the_element_by_element_average(spec, monkeypatch):
+    if spec == "A5":
+        group = build_group({"generators": ["(1 2 3)", "(1 2 3 4 5)"], "name": "A5"})
+    else:
+        group = build_group(spec)
+    reps = irreps(group)
+    blocks = [np.stack([r.matrices for r in reps if r.dim == d]) for d in sorted({r.dim for r in reps}) if d > 1]
+    reducible = np.stack([np.kron(reps[-1].matrices[g], np.eye(2)) for g in range(group.order)])
+    for stack, seed in [(b, 3) for b in blocks] + [(reducible, 0)]:
+        want = oracle_schur_defect(stack, seed=seed)
+        assert abs(schur_defect(stack, seed=seed) - want) < 1e-12
+        monkeypatch.setattr("classops.representations._SCHUR_CHUNK_ENTRIES", 1)   # one element per chunk
+        assert abs(schur_defect(stack, seed=seed) - want) < 1e-12
+        monkeypatch.undo()
+    assert oracle_schur_defect(reducible) > 1e-3
 
 
 # -- catalog tables read off the generator images -----------------------------
