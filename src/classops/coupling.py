@@ -125,6 +125,11 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """``np.stack``, but a stack of one array is a view of it, not a copy."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
 def _blocks(keys) -> dict:
     """The positions of ``keys`` grouped by key, in order of first appearance."""
     out: dict = {}
@@ -210,7 +215,8 @@ def conjugation_decomposition(
     K_q F = (n^gamma/|G|) sum_g conj(t^gamma_{q0}(g)) T(g) F T(g)^H,
     summed over T(g) directly, in one stacked pass per shape block: the
     (sigma, gamma) pairs of one (d_sigma, multiplicity m, d_gamma), in chunks
-    of at most ``_BLOCK_CHUNK_ENTRIES`` numbers per intermediate.  The copy
+    of at most ``_BLOCK_CHUNK_ENTRIES`` numbers per intermediate (a 1-dim
+    sigma needs none: its copy is the 1 x 1 identity).  The copy
     seeds F_m of a chunk are one ``_orthonormal_range`` of its stack of K_0
     (each one (d^2, |G|) @ (|G|, d^2) product), and its copies
     e_{m q} = K_q F_m, which transform with exactly the stored t^gamma, one
@@ -229,16 +235,20 @@ def conjugation_decomposition(
         raise ArithmeticError("component dimensions do not fill L(V^sigma)")
     bases = [dict.fromkeys(np.flatnonzero(c).tolist()) for c in counts.T]  # gammas in order, filled below
     pairs = [(s, gamma) for s, basis in enumerate(bases) for gamma in basis]
-    weights = {}  # gamma -> w[q, g] = (n^gamma/|G|) conj(t^gamma_{q0}(g))
     for (d, m, d_gamma), block in _blocks((dims[sigmas[s]], counts[g, s], dims[g]) for s, g in pairs).items():
+        if d == 1:  # L(V^sigma) of a 1-dim sigma is the trivial irrep, spanned by the 1 x 1 identity
+            for i, e in zip(block, np.ones((len(block), 1, 1, 1, 1), dtype=complex)):
+                bases[pairs[i][0]][pairs[i][1]] = e
+            continue
         step = max(1, _BLOCK_CHUNK_ENTRIES // max(n * m * d * d, d**4))
+        weights = {}  # gamma -> w[q, g] = (n^gamma/|G|) conj(t^gamma_{q0}(g))
         for lo in range(0, len(block), step):
             chunk = [pairs[i] for i in block[lo:lo + step]]
             for _, g in chunk:
                 if g not in weights:
                     weights[g] = (d_gamma / n) * irreps_list[g].matrices[:, :, 0].T.conj()
-            t = np.stack([irreps_list[sigmas[s]].matrices for s, _ in chunk])  # (P, |G|, d, d)
-            w = np.stack([weights[g] for _, g in chunk])                        # (P, d_gamma, |G|)
+            t = _stack([irreps_list[sigmas[s]].matrices for s, _ in chunk])  # (P, |G|, d, d)
+            w = _stack([weights[g] for _, g in chunk])                        # (P, d_gamma, |G|)
             t_flat = t.reshape(len(chunk), n, d * d)
             # K_0[(a b), (c e)] = sum_g w[0, g] T_ac(g) conj(T_be(g))
             k0 = (w[:, 0, :, None] * t_flat).swapaxes(1, 2) @ t_flat.conj()
@@ -247,6 +257,7 @@ def conjugation_decomposition(
             seeds = _orthonormal_range(k0, m).reshape(-1, d, d, m).swapaxes(2, 3).reshape(-1, d, m * d)
             tf = (t.reshape(len(chunk), n * d, d) @ seeds).reshape(len(chunk), n, d * m, d)
             sandwiches = _matmul(tf, t.conj().swapaxes(2, 3))  # [g, (a, j), b] = (T F_j T^H)_ab
+            del tf
             copies = (w @ sandwiches.reshape(len(chunk), n, -1)).reshape(-1, d_gamma, d, m, d).transpose(0, 3, 1, 2, 4)
             for (s, g), e in zip(chunk, copies):
                 bases[s][g] = e
@@ -374,8 +385,8 @@ def z_fixed_basis(matrices: np.ndarray, centralizer) -> ZFixedBasis:
     avg = np.asarray(matrices)[..., cent, :, :].sum(axis=-3) / len(cent)
     d, trace = avg.shape[-1], avg.trace(axis1=-2, axis2=-1)
     m_alpha = np.rint(trace.real).astype(int)
-    if (np.abs(trace - m_alpha) > 1e-8).any():
-        raise ArithmeticError(f"non-integer Z0-fixed dimension {trace[np.abs(trace - m_alpha) > 1e-8].flat[0]}")
+    if (off := np.abs(trace - m_alpha) > 1e-8).any():
+        raise ArithmeticError(f"non-integer Z0-fixed dimension {trace[off].flat[0]}")
     if d == 1 or not m_alpha.any():  # the identity: a 1-dim irrep, or no Z0-fixed vectors
         return ZFixedBasis(m_alpha=m_alpha.tolist(), basis=np.zeros(avg.shape, dtype=complex) + np.eye(d))
     pair = np.stack([avg, np.eye(d) - avg])
@@ -391,7 +402,7 @@ def z_fixed_bases(irreps_list: list[Irrep], centralizer) -> list[ZFixedBasis]:
     """``z_fixed_basis`` of every irrep, one pass per dimension."""
     out = [None] * len(irreps_list)
     for rows in _blocks(rep.dim for rep in irreps_list).values():
-        zb = z_fixed_basis(np.stack([irreps_list[r].matrices for r in rows]), centralizer)
+        zb = z_fixed_basis(_stack([irreps_list[r].matrices for r in rows]), centralizer)
         for r, m_alpha, basis in zip(rows, zb.m_alpha, zb.basis):
             out[r] = ZFixedBasis(m_alpha=m_alpha, basis=basis)
     return out
@@ -410,7 +421,7 @@ def adapt_irreps_to_class(
     for rows in _blocks(rep.dim for rep in irreps_list).values():
         if irreps_list[rows[0]].dim > 1:
             w = np.stack([bases[r].basis for r in rows])[:, None]
-            t = np.stack([irreps_list[r].matrices for r in rows])
+            t = _stack([irreps_list[r].matrices for r in rows])
             for r, mats in zip(rows, _matmul(_matmul(w.conj().swapaxes(2, 3), t), w)):
                 adapted[r] = replace(irreps_list[r], matrices=mats)
     return adapted, [zb.m_alpha for zb in bases]

@@ -494,8 +494,8 @@ def _spin(f: np.ndarray, dim: int, left: np.ndarray) -> np.ndarray | None:
     return w if k == dim else None
 
 
-# Complex entries of one intermediate of schur_defect (16 MB)
-_SCHUR_CHUNK_ENTRIES = 1 << 20
+# Complex entries of one intermediate of schur_defect (2 MB)
+_SCHUR_CHUNK_ENTRIES = 1 << 17
 
 
 def schur_defect(matrices: np.ndarray, seed: int = 0) -> float:

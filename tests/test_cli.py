@@ -543,11 +543,11 @@ def test_a_non_integer_z_fixed_dimension_exits_2(command, capsys, monkeypatch):
 def test_a_class_request_runs_one_gram_schmidt_per_shape_block(capsys, monkeypatch):
     # D20 and the class of its 20-cycle: 4 1-dim and 9 2-dim irreps, 31
     # (sigma, gamma) pairs.  One pivoted Gram-Schmidt seeds each
-    # (d_sigma, m, d_gamma) block of the decomposition, (1, 1, 1) with 4 pairs,
-    # (2, 1, 1) with 20 and (2, 1, 2) with 8, and one re-seeds each rotated
-    # block of a 2-dim sigma; no irrep has a vector fixed by the 20-cycle's
-    # centralizer, so the Z0-fixed bases are identities and need none.  Per
-    # sigma, per gamma and per irrep this took 66 calls.
+    # (d_sigma, m, d_gamma) block of the decomposition of a 2-dim sigma,
+    # (2, 1, 1) with 20 pairs and (2, 1, 2) with 8, and one re-seeds each of
+    # them rotated; a 1-dim sigma needs none, and no irrep has a vector fixed
+    # by the 20-cycle's centralizer, so the Z0-fixed bases are identities and
+    # need none either.  Per sigma, per gamma and per irrep this took 66 calls.
     calls = []
     stacked = coupling._orthonormal_range
 
@@ -559,7 +559,7 @@ def test_a_class_request_runs_one_gram_schmidt_per_shape_block(capsys, monkeypat
     cycle = "(" + " ".join(str(i) for i in range(1, 21)) + ")"
     code, out, _ = run(["wigner-eckart", "--group", "D20", "--class", cycle], capsys)
     assert code == 0 and json.loads(out)["passed"] is True
-    assert sorted(calls) == [(4,), (8,), (8,), (20,), (20,)]
+    assert sorted(calls) == [(8,), (8,), (20,), (20,)]
 
 
 def test_oversized_catalog_group_exits_before_the_closure(capsys, monkeypatch):
