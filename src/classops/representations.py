@@ -520,8 +520,9 @@ def schur_defect(matrices: np.ndarray, seed: int = 0) -> float:
     for lo in range(0, n, step):
         t = mats[:, lo:lo + step]
         c = t.shape[1]
-        tx = (t.reshape(-1, dim) @ probes).reshape(m, c, dim, 2, dim)   # [i, g, a, p, b] = (T_g X_p)_ab
-        avg += tx.transpose(0, 3, 2, 1, 4).reshape(m, 2 * dim, c * dim) @ t.conj().swapaxes(2, 3).reshape(m, c * dim, dim)
+        tx = (t.reshape(-1, dim) @ probes).reshape(m, c, dim, 2, dim)  # [i, g, a, p, b] = (T_g X_p)_ab
+        t_h = t.conj().swapaxes(2, 3).reshape(m, c * dim, dim)          # [i, (g, b), e] = conj(T_g)_eb
+        avg += tx.transpose(0, 3, 2, 1, 4).reshape(m, 2 * dim, c * dim) @ t_h
     avg = avg.reshape(m, 2, dim, dim) / n
     scalar = np.trace(avg, axis1=-2, axis2=-1)[..., None, None] / dim
     return float(np.max(np.abs(avg - scalar * np.eye(dim))))

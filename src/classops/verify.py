@@ -285,7 +285,8 @@ def wigner_eckart_report(
     reduced_rows: list[ReducedElementRow] = []
     for (alpha, k, l), devs in zip(weights, dev.T.tolist()):
         for sigma, deviation in enumerate(devs):
-            _add_comparison(rows, reduced_rows, (group.name, sigma, alpha, k, l, g0_label), deviation, reduced[sigma][alpha][l], tol)
+            key = (group.name, sigma, alpha, k, l, g0_label)
+            _add_comparison(rows, reduced_rows, key, deviation, reduced[sigma][alpha][l], tol)
     return rows, reduced_rows, _skipped(g0_label, m_alphas), max_off
 
 
