@@ -237,8 +237,8 @@ def conjugation_decomposition(
     pairs = [(s, gamma) for s, basis in enumerate(bases) for gamma in basis]
     for (d, m, d_gamma), block in _blocks((dims[sigmas[s]], counts[g, s], dims[g]) for s, g in pairs).items():
         if d == 1:  # L(V^sigma) of a 1-dim sigma is the trivial irrep, spanned by the 1 x 1 identity
-            for i, e in zip(block, np.ones((len(block), 1, 1, 1, 1), dtype=complex)):
-                bases[pairs[i][0]][pairs[i][1]] = e
+            for s, g in (pairs[i] for i in block):
+                bases[s][g] = np.ones((1, 1, 1, 1), dtype=complex)
             continue
         step = max(1, _BLOCK_CHUNK_ENTRIES // max(n * m * d * d, d**4))
         weights = {}  # gamma -> w[q, g] = (n^gamma/|G|) conj(t^gamma_{q0}(g))
@@ -253,11 +253,11 @@ def conjugation_decomposition(
             # K_0[(a b), (c e)] = sum_g w[0, g] T_ac(g) conj(T_be(g))
             k0 = (w[:, 0, :, None] * t_flat).swapaxes(1, 2) @ t_flat.conj()
             k0 = k0.reshape(-1, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(-1, d * d, d * d)
-            # seeds[b, (j, c)] = F_j[b, c], deterministic phases; then T F as one flat product
+            # seeds[b, (j, c)] = F_j[b, c], deterministic phases; T F is one flat product
             seeds = _orthonormal_range(k0, m).reshape(-1, d, d, m).swapaxes(2, 3).reshape(-1, d, m * d)
-            tf = (t.reshape(len(chunk), n * d, d) @ seeds).reshape(len(chunk), n, d * m, d)
-            sandwiches = _matmul(tf, t.conj().swapaxes(2, 3))  # [g, (a, j), b] = (T F_j T^H)_ab
-            del tf
+            sandwiches = _matmul(  # [g, (a, j), b] = (T F_j T^H)_ab
+                (t.reshape(len(chunk), n * d, d) @ seeds).reshape(len(chunk), n, d * m, d), t.conj().swapaxes(2, 3)
+            )
             copies = (w @ sandwiches.reshape(len(chunk), n, -1)).reshape(-1, d_gamma, d, m, d).transpose(0, 3, 1, 2, 4)
             for (s, g), e in zip(chunk, copies):
                 bases[s][g] = e
