@@ -62,8 +62,6 @@ from .coupling import (
     triple_product_residual_su2,
     wigner_eckart_bruteforce,
     wigner_eckart_matrix,
-    wigner_eckart_stack,
-    z_fixed_basis,
     z_fixed_bases,
 )
 from .verify import CheckReport

@@ -29,7 +29,7 @@ Index conventions (kept rigidly throughout):
   sigma, gamma or irrep: the decomposition and the rotation take every
   (sigma, gamma) pair of one (d_sigma, multiplicity, d_gamma) at once, the
   Z0-fixed bases (``z_fixed_bases``) every irrep of one dimension, and the
-  Wigner-Eckart predictions (``wigner_eckart_stack``) every (sigma, alpha)
+  Wigner-Eckart predictions (``_wigner_eckart_stack``) every (sigma, alpha)
   pair of one shape.  ``_orthonormal_range`` runs its pivoted Gram-Schmidt
   on a whole stack, each matrix with its own rank.
 * SU(2) tables are labeled by doubled spins and built in closed form from
@@ -58,14 +58,12 @@ __all__ = [
     "rotate_coupling_table",
     "su2_coupling_table",
     "clebsch_gordan",
-    "z_fixed_basis",
     "z_fixed_bases",
     "adapt_irreps_to_class",
     "frobenius_multiplicity_check",
     "product_expansion_residual_su2",
     "triple_product_residual_su2",
     "wigner_eckart_matrix",
-    "wigner_eckart_stack",
     "wigner_eckart_bruteforce",
     "tensor_operator_scan",
 ]
@@ -114,8 +112,10 @@ def _fix_column_phases(basis: np.ndarray, tol: float = 1e-8) -> np.ndarray:
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b over stacks of matrices.  numpy makes one BLAS call per complex
-    matrix of a stack, which for many 2 x 2 or 3 x 3 matrices costs more than
-    the sum over the inner index as elementwise products of whole stacks."""
+    matrix of a stack, which for 32 or more 2 x 2 or 3 x 3 matrices costs more
+    than the sum over the inner index as elementwise products of whole stacks
+    (single-thread BLAS, x86-64: the elementwise sum wins from about 12 2 x 2
+    and 32 3 x 3 matrices on, and takes 0.2-0.5 of the time at 100 or more)."""
     inner = a.shape[-1]
     if inner not in (2, 3) or max(a.size, b.size) < 32 * inner * inner:
         return a @ b
@@ -205,10 +205,9 @@ def conjugation_decomposition(
     group: FiniteGroup,
     irreps_list: list[Irrep],
     table: CharacterTable,
-    sigma: int | None = None,
-) -> CouplingTable | list[CouplingTable]:
-    """Decompose L(V^sigma) and return the coupling coefficients: the table of
-    irrep ``sigma``, or with None the tables of every irrep, in order.
+) -> list[CouplingTable]:
+    """Decompose L(V^sigma) of every irrep sigma and return the coupling
+    coefficients, one table per irrep, in order.
 
     Multiplicities are the table's ``conjugation_multiplicities``, made once
     for every sigma.  Each gamma-block comes from the averages
@@ -224,18 +223,17 @@ def conjugation_decomposition(
     irreps needs no new decomposition: see ``rotate_coupling_table``.
     """
     n = group.order
-    sigmas = list(range(len(irreps_list))) if sigma is None else [sigma]
     dims = np.array([rep.dim for rep in irreps_list])
-    mults = table.conjugation_multiplicities[:, sigmas]
+    mults = table.conjugation_multiplicities
     counts = np.rint(mults).astype(int)
     if (off := np.abs(mults - counts) > 1e-8).any():
-        s, gamma = np.argwhere(off.T)[0]
-        raise ArithmeticError(f"non-integer multiplicity {mults[gamma, s]} for component {gamma} of irrep {sigmas[s]}")
-    if (dims @ counts != dims[sigmas] ** 2).any():
+        sigma, gamma = np.argwhere(off.T)[0]
+        raise ArithmeticError(f"non-integer multiplicity {mults[gamma, sigma]} for component {gamma} of irrep {sigma}")
+    if (dims @ counts != dims**2).any():
         raise ArithmeticError("component dimensions do not fill L(V^sigma)")
     bases = [dict.fromkeys(np.flatnonzero(c).tolist()) for c in counts.T]  # gammas in order, filled below
     pairs = [(s, gamma) for s, basis in enumerate(bases) for gamma in basis]
-    for (d, m, d_gamma), block in _blocks((dims[sigmas[s]], counts[g, s], dims[g]) for s, g in pairs).items():
+    for (d, m, d_gamma), block in _blocks((dims[s], counts[g, s], dims[g]) for s, g in pairs).items():
         if d == 1:  # L(V^sigma) of a 1-dim sigma is the trivial irrep, spanned by the 1 x 1 identity
             for s, g in (pairs[i] for i in block):
                 bases[s][g] = np.ones((1, 1, 1, 1), dtype=complex)
@@ -247,7 +245,7 @@ def conjugation_decomposition(
             for _, g in chunk:
                 if g not in weights:
                     weights[g] = (d_gamma / n) * irreps_list[g].matrices[:, :, 0].T.conj()
-            t = _stack([irreps_list[sigmas[s]].matrices for s, _ in chunk])  # (P, |G|, d, d)
+            t = _stack([irreps_list[s].matrices for s, _ in chunk])  # (P, |G|, d, d)
             w = _stack([weights[g] for _, g in chunk])                        # (P, d_gamma, |G|)
             t_flat = t.reshape(len(chunk), n, d * d)
             # K_0[(a b), (c e)] = sum_g w[0, g] T_ac(g) conj(T_be(g))
@@ -261,15 +259,12 @@ def conjugation_decomposition(
             copies = (w @ sandwiches.reshape(len(chunk), n, -1)).reshape(-1, d_gamma, d, m, d).transpose(0, 3, 1, 2, 4)
             for (s, g), e in zip(chunk, copies):
                 bases[s][g] = e
-    tables = [CouplingTable(sigma=s, kind="finite", basis=basis) for s, basis in zip(sigmas, bases)]
-    return tables if sigma is None else tables[0]
+    return [CouplingTable(sigma=s, kind="finite", basis=basis) for s, basis in enumerate(bases)]
 
 
-def rotate_coupling_table(
-    table: CouplingTable | list[CouplingTable], bases: list[np.ndarray]
-) -> CouplingTable | list[CouplingTable]:
-    """The table of sigma for the irreps W_alpha^H T_alpha W_alpha, with no pass
-    over G; ``table`` is one table, or a list of them, all rotated at once.
+def rotate_coupling_table(tables: list[CouplingTable], bases: list[np.ndarray]) -> list[CouplingTable]:
+    """The tables of sigma for the irreps W_alpha^H T_alpha W_alpha, with no
+    pass over G, every table of the list at once.
 
     Copies turn by e'_{m n} = sum_q (W_gamma)_{q n} W_sigma^H e_{m q} W_sigma and
     are re-seeded as ``conjugation_decomposition`` seeds them: E = [vec e'_{m 0}]
@@ -279,7 +274,6 @@ def rotate_coupling_table(
     sigma, the trivial component alone, comes back as it is: the re-seeding
     undoes any phase a basis puts on it.
     """
-    tables = [table] if isinstance(table, CouplingTable) else table
     rotated = [dict(tab.basis) if tab.sigma_dim == 1 else dict.fromkeys(tab.basis) for tab in tables]
     pairs = [(i, gamma) for i, tab in enumerate(tables) if tab.sigma_dim > 1 for gamma in tab.basis]
     for (m, d_gamma, d, _), block in _blocks(tables[i].basis[g].shape for i, g in pairs).items():
@@ -292,8 +286,7 @@ def rotate_coupling_table(
         u = lead.conj().swapaxes(1, 2) @ _orthonormal_range(lead @ lead.conj().swapaxes(1, 2), m)
         for (i, g), r in zip(chunk, (u.swapaxes(1, 2) @ e.reshape(-1, m, d_gamma * d * d)).reshape(copies.shape)):
             rotated[i][g] = r
-    out = [replace(tab, basis=basis) for tab, basis in zip(tables, rotated)]
-    return out[0] if isinstance(table, CouplingTable) else out
+    return [replace(tab, basis=basis) for tab, basis in zip(tables, rotated)]
 
 
 # ---------------------------------------------------------------------------
@@ -370,49 +363,52 @@ def su2_coupling_table(sigma2: int) -> CouplingTable:
 # ---------------------------------------------------------------------------
 
 
-def z_fixed_basis(matrices: np.ndarray, centralizer) -> ZFixedBasis:
-    """Adapted basis from the centralizer average (1/|Z0|) sum_h T(h).
+def z_fixed_bases(irreps_list: list[Irrep], centralizer) -> list[ZFixedBasis]:
+    """Adapted basis of every irrep from its centralizer average
+    (1/|Z0|) sum_h T(h), one pass per irrep dimension.
 
-    ``matrices`` is one irrep's (|G|, d, d) stack, or (m, |G|, d, d) for m
-    irreps of one dimension, done in one pass: ``m_alpha`` is then a list and
-    ``basis`` an (m, d, d) stack.  The trace of the average is the dimension
-    m_alpha of the Z0-fixed subspace and must lie within 1e-8 of an integer
-    (else ArithmeticError).  The fixed range (rank m_alpha) and the range of
-    I - average (rank d - m_alpha; the identity when m_alpha = 0) come from
-    one ``_orthonormal_range`` and are laid side by side.
+    Only the |Z0| centralizer matrices of each irrep are gathered and
+    stacked; ``_z_fixed_stack`` takes the averages of one dimension together.
     """
     cent = list(centralizer)
-    avg = np.asarray(matrices)[..., cent, :, :].sum(axis=-3) / len(cent)
+    out = [None] * len(irreps_list)
+    for rows in _blocks(rep.dim for rep in irreps_list).values():
+        avg = np.stack([irreps_list[r].matrices.take(cent, axis=0) for r in rows]).sum(axis=1) / len(cent)
+        m_alphas, bases = _z_fixed_stack(avg)
+        for r, m_alpha, basis in zip(rows, m_alphas.tolist(), bases):
+            out[r] = ZFixedBasis(m_alpha=m_alpha, basis=basis)
+    return out
+
+
+def _z_fixed_stack(avg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m_alpha, W) for a stack (m, d, d) of centralizer averages.
+
+    The trace of an average is the dimension m_alpha of the Z0-fixed subspace
+    and must lie within 1e-8 of an integer (else ArithmeticError).  The fixed
+    range (rank m_alpha) and the range of I - average (rank d - m_alpha; the
+    identity when m_alpha = 0) come from one ``_orthonormal_range`` over the
+    whole stack and are laid side by side, so the first m_alpha columns of W
+    span the fixed subspace.
+    """
     d, trace = avg.shape[-1], avg.trace(axis1=-2, axis2=-1)
     m_alpha = np.rint(trace.real).astype(int)
     if (off := np.abs(trace - m_alpha) > 1e-8).any():
         raise ArithmeticError(f"non-integer Z0-fixed dimension {trace[off].flat[0]}")
-    if d == 1 or not m_alpha.any():  # the identity: a 1-dim irrep, or no Z0-fixed vectors
-        return ZFixedBasis(m_alpha=m_alpha.tolist(), basis=np.zeros(avg.shape, dtype=complex) + np.eye(d))
+    if d == 1 or not m_alpha.any():  # the identity: 1-dim irreps, or no Z0-fixed vectors
+        return m_alpha, np.zeros(avg.shape, dtype=complex) + np.eye(d)
     pair = np.stack([avg, np.eye(d) - avg])
     pair[1][m_alpha == 0] = np.eye(d)
     ranges = _orthonormal_range(pair, np.stack([m_alpha, d - m_alpha]))
     cols, m = np.arange(d), m_alpha[..., None]
     pick = np.where(cols < m, cols, ranges.shape[-1] + cols - m)  # fixed columns, then the complement's
-    basis = np.take_along_axis(np.concatenate([ranges[0], ranges[1]], axis=-1), pick[..., None, :], axis=-1)
-    return ZFixedBasis(m_alpha=m_alpha.tolist(), basis=basis)
-
-
-def z_fixed_bases(irreps_list: list[Irrep], centralizer) -> list[ZFixedBasis]:
-    """``z_fixed_basis`` of every irrep, one pass per dimension."""
-    out = [None] * len(irreps_list)
-    for rows in _blocks(rep.dim for rep in irreps_list).values():
-        zb = z_fixed_basis(_stack([irreps_list[r].matrices for r in rows]), centralizer)
-        for r, m_alpha, basis in zip(rows, zb.m_alpha, zb.basis):
-            out[r] = ZFixedBasis(m_alpha=m_alpha, basis=basis)
-    return out
+    return m_alpha, np.take_along_axis(np.concatenate([ranges[0], ranges[1]], axis=-1), pick[..., None, :], axis=-1)
 
 
 def adapt_irreps_to_class(
     irreps_list: list[Irrep], cls: ConjugacyClass, bases: list[ZFixedBasis] | None = None
 ) -> tuple[list[Irrep], list[int]]:
     """Rotate every irrep so its leading basis vectors are Z0(g0)-fixed,
-    T' = W^H T W with W the ``z_fixed_basis`` of each irrep (``bases``, if the
+    T' = W^H T W with W the ``z_fixed_bases`` of each irrep (``bases``, if the
     caller already has them for this class), one stacked product per
     dimension above 1; a 1-dim irrep is left as it is, as W^H T W = T."""
     if bases is None:
@@ -546,7 +542,7 @@ def wigner_eckart_matrix(
     = delta_{gamma sigma} delta_{jv} pred[k, l, u, i], and
     reduced[l, m] = (1/n^alpha) sum_pr c(sigma p; sigmabar r | alpha m l) t^sigma_pr(g0),
     so that pred[k, l] = sum_m c(sigma u; sigmabar i | alpha m k)^* reduced[l, m]
-    (``wigner_eckart_stack`` of the copies of alpha).  The prediction holds
+    (``_wigner_eckart_stack`` of the copies of alpha).  The prediction holds
     for Z0-fixed columns l only (for adapted finite irreps 0..m_alpha-1, for
     SU(2) weight bases the m = 0 index), where the weight descends to G/Z0;
     the caller lists those.  Without alpha in L(V^sigma) every prediction is
@@ -555,10 +551,10 @@ def wigner_eckart_matrix(
     e = table.basis.get(alpha)
     if e is None:
         return np.zeros((n_alpha, len(columns)) + t_sigma_g0.shape, dtype=complex), np.zeros((len(columns), 0))
-    return wigner_eckart_stack(e, n_alpha, columns, t_sigma_g0)
+    return _wigner_eckart_stack(e, n_alpha, columns, t_sigma_g0)
 
 
-def wigner_eckart_stack(
+def _wigner_eckart_stack(
     copies: np.ndarray, n_alpha: int, columns, t_sigma_g0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``wigner_eckart_matrix`` from the copies (..., m, n_alpha, d, d) of alpha

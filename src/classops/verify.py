@@ -31,8 +31,8 @@ from .coupling import (
     tensor_operator_scan,
     wigner_eckart_bruteforce,
     wigner_eckart_matrix,
-    wigner_eckart_stack,
     z_fixed_bases,
+    _wigner_eckart_stack,
 )
 from .su2 import (
     MAX_J2,
@@ -236,7 +236,7 @@ def wigner_eckart_report(
     ``conjugation_decomposition`` of every sigma; each class rotates it into
     its Z0-fixed bases, all tables at once.  The predictions of every
     (sigma, alpha) pair of one shape (d_sigma, multiplicity, d_alpha, m_alpha)
-    come from one ``wigner_eckart_stack`` call.
+    come from one ``_wigner_eckart_stack`` call.
     Returns (rows, reduced_rows, skipped, max_off_pattern): one row per
     (alpha, k, l, sigma), the reduced-matrix-element table, notes for alpha
     without Z0-fixed columns, and the largest off-pattern magnitude seen.
@@ -258,7 +258,7 @@ def wigner_eckart_report(
             if m_alphas[alpha]:
                 blocks.setdefault(e.shape[:3] + (m_alphas[alpha],), []).append((sigma, alpha))
     for (_, n_alpha, d, m), pairs in blocks.items():
-        pred, red = wigner_eckart_stack(
+        pred, red = _wigner_eckart_stack(
             np.stack([tables[sigma].basis[alpha] for sigma, alpha in pairs]), n_alpha, range(m),
             np.stack([adapted[sigma].matrices[g0] for sigma, _ in pairs]),
         )

@@ -146,7 +146,7 @@ def test_criterion_5_wigner_eckart():
         assert group.labels[cls.base_element] == "(1 2)"  # the transposition class
         table = character_table(group)
         reps = irreps(group, table)
-        coupling = [conjugation_decomposition(group, reps, table, s) for s in range(len(reps))]
+        coupling = conjugation_decomposition(group, reps, table)
         rows, reduced, skipped, max_off = verify.wigner_eckart_report(group, cls, reps, coupling)
         assert rows
         worst_match = max(worst_match, max(r.max_dev for r in rows))
@@ -165,8 +165,7 @@ def test_criterion_6_product_and_triple_identities():
         group = build_group(spec)
         table = character_table(group)
         reps = irreps(group, table)
-        for sigma in range(len(reps)):
-            tab = conjugation_decomposition(group, reps, table, sigma)
+        for tab in conjugation_decomposition(group, reps, table):
             worst_finite = max(worst_finite, product_expansion_residual(group, reps, tab))
             for alpha in range(len(reps)):
                 worst_finite = max(worst_finite, triple_product_residual(group, reps, tab, alpha))

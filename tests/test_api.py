@@ -125,7 +125,7 @@ def test_removed_names_are_gone_and_check_records_live_in_verify():
         ),
         classops.representations: ("matrix_element_functions", "IsotypicProjection", "represent", "_CatalogImages"),
         su2: ("ad_map", "PAULI", "SU2Element", "_weighted_core"),
-        coupling: ("product_expansion_residual", "triple_product_residual", "_weighted_triple_sum"),
+        coupling: ("product_expansion_residual", "triple_product_residual", "_weighted_triple_sum", "z_fixed_basis"),
         classops.Irrep: ("character",),
         su2.WignerD: ("__call__", "character"),
         su2.SphereQuadrature: ("total_weight",),

@@ -512,16 +512,15 @@ def test_wigner_eckart_decomposes_each_irrep_once(capsys, monkeypatch):
     calls = []
     decompose = cli.conjugation_decomposition
 
-    def counted(group, irreps_list, table, sigma=None):
-        calls.append(sigma)
-        tables = decompose(group, irreps_list, table, sigma)
-        calls.extend(tab.sigma for tab in tables)
+    def counted(group, irreps_list, table):
+        tables = decompose(group, irreps_list, table)
+        calls.append([tab.sigma for tab in tables])
         return tables
 
     monkeypatch.setattr(cli, "conjugation_decomposition", counted)
     code, out, _ = run(["wigner-eckart", "--group", "S4", "--class", "all"], capsys)
     assert code == 0 and json.loads(out)["passed"] is True
-    assert calls == [None, 0, 1, 2, 3, 4]   # one stacked call builds the table of every sigma
+    assert calls == [[0, 1, 2, 3, 4]]   # one stacked call builds the table of every sigma
 
 
 @pytest.mark.parametrize("command", ["wigner-eckart", "scan"])

@@ -21,7 +21,6 @@ from classops.coupling import (
     _triple_sum_su2,
     wigner_eckart_bruteforce,
     wigner_eckart_matrix,
-    z_fixed_basis,
     z_fixed_bases,
 )
 from classops.coupling import _orthonormal_range
@@ -101,7 +100,7 @@ def test_conjugation_decomposition_matches_stack_oracle(dim):
     spec = {1: "S3", 2: "S3", 3: "S4"}.get(dim, "S5")
     group, table, reps = _tables_for(spec)
     sigma = max(i for i, rep in enumerate(reps) if rep.dim == dim)
-    tab = conjugation_decomposition(group, reps, table, sigma)
+    tab = conjugation_decomposition(group, reps, table)[sigma]
     for gamma in tab.gammas:
         stacked = _stacked_decomposition(group, reps, sigma, gamma, tab.multiplicities[gamma])
         assert np.max(np.abs(tab.basis[gamma] - stacked)) < 1e-13
@@ -111,14 +110,14 @@ def test_conjugation_decomposition_matches_stack_oracle(dim):
 
 def test_conjugation_decomposition_never_builds_the_stack():
     # The conjugation stack of S5's 6-dim irrep takes 120 * 36**2 * 16 B =
-    # 2.5 MB.  Built from T(g) directly the decomposition peaked at 0.56 MB
-    # traced (CPython 3.11, numpy 2.4), the largest piece being the (|G|, m,
-    # d, d) sandwiches of one multiplicity-2 component.
+    # 2.5 MB.  Built from T(g) directly, the decomposition of every irrep of
+    # S5 peaked at 1.10 MB traced (CPython 3.11, numpy 2.4), the largest
+    # pieces being the sandwiches of one chunk of a shape block.
     group, table, reps = _tables_for("S5")
     sigma = max(i for i, rep in enumerate(reps) if rep.dim == 6)
     tracemalloc.start()
     try:
-        tab = conjugation_decomposition(group, reps, table, sigma)
+        tab = conjugation_decomposition(group, reps, table)[sigma]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -131,13 +130,12 @@ def test_conjugation_decomposition_never_builds_the_stack():
 )
 def test_rotated_tables_match_a_fresh_decomposition(spec):
     group, table, reps = _tables_for(spec)
-    tables = [conjugation_decomposition(group, reps, table, s) for s in range(len(reps))]
+    tables = conjugation_decomposition(group, reps, table)
     for cls in conjugacy_classes(group):
-        bases = [z_fixed_basis(rep.matrices, cls.centralizer) for rep in reps]
+        bases = z_fixed_bases(reps, cls.centralizer)
         adapted, _ = adapt_irreps_to_class(reps, cls, bases)
-        for tab in tables:
-            rotated = rotate_coupling_table(tab, [zb.basis for zb in bases])
-            fresh = conjugation_decomposition(group, adapted, table, tab.sigma)
+        fresh_tables = conjugation_decomposition(group, adapted, table)
+        for rotated, fresh in zip(rotate_coupling_table(tables, [zb.basis for zb in bases]), fresh_tables):
             assert rotated.gammas == fresh.gammas and rotated.multiplicities == fresh.multiplicities
             for gamma in fresh.gammas:
                 assert np.max(np.abs(rotated.basis[gamma] - fresh.basis[gamma])) < 1e-12
@@ -181,13 +179,13 @@ def test_decomposition_in_chunks_of_one_pair_matches_whole_blocks(monkeypatch):
 def test_a_non_integer_z_fixed_dimension_is_refused():
     group, table, reps = _tables_for("S4")
     cls = conjugacy_classes(group)[1]
-    bad = reps[3].matrices.copy()
-    bad[0] *= 1 + 1e-6   # the identity, in every centralizer: the trace of the average moves by 7.5e-7
+    bad = replace(reps[3], matrices=reps[3].matrices.copy())
+    bad.matrices[0] *= 1 + 1e-6   # the identity, in every centralizer: the trace of the average moves by 7.5e-7
     with pytest.raises(ArithmeticError, match="non-integer Z0-fixed dimension"):
-        z_fixed_basis(bad, cls.centralizer)
+        z_fixed_bases([bad], cls.centralizer)
     with pytest.raises(ArithmeticError, match="non-integer Z0-fixed dimension"):
-        z_fixed_basis(np.stack([reps[4].matrices, bad]), cls.centralizer)
-    assert z_fixed_basis(np.stack([reps[4].matrices, reps[3].matrices]), cls.centralizer).m_alpha == [1, 0]
+        z_fixed_bases([reps[4], bad], cls.centralizer)   # one block of two 3-dim irreps
+    assert [zb.m_alpha for zb in z_fixed_bases([reps[4], reps[3]], cls.centralizer)] == [1, 0]
 
 
 @pytest.mark.parametrize("spec", [
@@ -199,8 +197,9 @@ def test_a_non_integer_z_fixed_dimension_is_refused():
 def test_multiplicities_on_classes_equal_the_element_sum(spec):
     group, table, reps = _tables_for(spec)
     # every sigma of the small groups; a spread of them on the large cyclic ones
+    tables = conjugation_decomposition(group, reps, table)
     for sigma in range(0, len(reps), 1 if len(reps) < 100 else 37):
-        tab = conjugation_decomposition(group, reps, table, sigma)
+        tab = tables[sigma]
         assert tab.multiplicities == oracle_multiplicities(table, sigma)
 
 
@@ -209,18 +208,18 @@ def test_a_perturbed_character_row_gives_a_non_integer_multiplicity():
     values = table.values.copy()
     values[3] *= 1 + 1e-6
     with pytest.raises(ArithmeticError, match="non-integer multiplicity"):
-        conjugation_decomposition(group, reps, replace(table, values=values), 4)
+        conjugation_decomposition(group, reps, replace(table, values=values))
 
 def test_trivial_sigma_table():
     group, table, reps = _tables_for("S3")
-    tab = conjugation_decomposition(group, reps, table, 0)
+    tab = conjugation_decomposition(group, reps, table)[0]
     assert tab.gammas == [0] and tab.multiplicities[0] == 1
     assert np.allclose(tab.basis[0], 1.0)
 
 
 def test_s3_standard_decomposition():
     group, table, reps = _tables_for("S3")
-    tab = conjugation_decomposition(group, reps, table, 2)
+    tab = conjugation_decomposition(group, reps, table)[2]
     assert tab.gammas == [0, 1, 2]
     assert tab.multiplicities == {0: 1, 1: 1, 2: 1}
     # dimension count 4 = 1 + 1 + 2
@@ -230,8 +229,7 @@ def test_s3_standard_decomposition():
 @pytest.mark.parametrize("spec", CATALOG_LEQ_24)
 def test_coupling_invariants(spec):
     group, table, reps = _tables_for(spec)
-    for sigma in range(len(reps)):
-        tab = conjugation_decomposition(group, reps, table, sigma)
+    for sigma, tab in enumerate(conjugation_decomposition(group, reps, table)):
         assert unitarity_residual(tab) < 1e-10
         assert sum(m * reps[g].dim for g, m in tab.multiplicities.items()) == reps[sigma].dim ** 2
         # adapted copies transform with exactly the stored gamma matrices
@@ -246,8 +244,7 @@ def test_coupling_invariants(spec):
 @pytest.mark.parametrize("spec", CATALOG_LEQ_24)
 def test_product_expansion_exhaustive_finite(spec):
     group, table, reps = _tables_for(spec)
-    for sigma in range(len(reps)):
-        tab = conjugation_decomposition(group, reps, table, sigma)
+    for sigma, tab in enumerate(conjugation_decomposition(group, reps, table)):
         assert product_expansion_residual(group, reps, tab) < 1e-10
 
 
@@ -256,8 +253,7 @@ def test_expansions_tell_a_coefficient_from_its_conjugate():
     # c and conj(c) exchanged in either identity leave a residual near 1
     group, table, reps = _tables_for(["(1 2 3 4 5 6 7)", "(2 3 5)(4 7 6)"])
     assert group.order == 21 and max(np.abs(rep.matrices.imag).max() for rep in reps) > 0.1
-    for sigma in range(len(reps)):
-        tab = conjugation_decomposition(group, reps, table, sigma)
+    for sigma, tab in enumerate(conjugation_decomposition(group, reps, table)):
         assert product_expansion_residual(group, reps, tab) < 1e-10
         for alpha in range(len(reps)):
             assert triple_product_residual(group, reps, tab, alpha) < 1e-10
@@ -265,15 +261,14 @@ def test_expansions_tell_a_coefficient_from_its_conjugate():
 
 def test_product_expansion_at_identity_reduces_to_unitarity():
     group, table, reps = _tables_for("S4")
-    tab = conjugation_decomposition(group, reps, table, 3)
+    tab = conjugation_decomposition(group, reps, table)[3]
     assert product_expansion_residual(group, reps, tab, elements=[0]) < 1e-11
 
 
 @pytest.mark.parametrize("spec", CATALOG_LEQ_24)
 def test_triple_product_exhaustive_finite(spec):
     group, table, reps = _tables_for(spec)
-    for sigma in range(len(reps)):
-        tab = conjugation_decomposition(group, reps, table, sigma)
+    for sigma, tab in enumerate(conjugation_decomposition(group, reps, table)):
         for alpha in range(len(reps)):
             assert triple_product_residual(group, reps, tab, alpha) < 1e-10
 
@@ -386,14 +381,14 @@ def test_separated_triple_sum_matches_node_wise_oracle(sigma2):
 def test_z_fixed_basis_trivial_irrep():
     group, table, reps = _tables_for("S3")
     cls = conjugacy_classes(group)[1]
-    zb = z_fixed_basis(reps[0].matrices, cls.centralizer)
+    zb = z_fixed_bases(reps, cls.centralizer)[0]
     assert zb.m_alpha == 1
 
 
 def test_z_fixed_basis_s3_standard():
     group, table, reps = _tables_for("S3")
     cls = conjugacy_classes(group)[1]  # g0 = (1 2), Z0 = {e, (1 2)}
-    zb = z_fixed_basis(reps[2].matrices, cls.centralizer)
+    zb = z_fixed_bases(reps, cls.centralizer)[2]
     assert zb.m_alpha == 1
     w = zb.basis
     assert np.max(np.abs(w.conj().T @ w - np.eye(2))) < 1e-12
@@ -457,7 +452,7 @@ def _full_wigner_eckart(spec, class_index, match_tol=1e-9, sparse_tol=1e-10):
     cls = conjugacy_classes(group)[class_index]
     g0 = cls.base_element
     adapted, m_alphas = adapt_irreps_to_class(reps, cls)
-    tables = {s: conjugation_decomposition(group, adapted, table, s) for s in range(len(reps))}
+    tables = conjugation_decomposition(group, adapted, table)
     weights = _class_weights(adapted, m_alphas)
     brute = collect_bruteforce(group, adapted, g0, weights)
     predictions = {
@@ -541,8 +536,7 @@ def test_wigner_eckart_trivial_alpha_is_class_operator_eigenvalue():
     group, table, reps = _tables_for("S3")
     cls = conjugacy_classes(group)[1]
     adapted, m_alphas = adapt_irreps_to_class(reps, cls)
-    for sigma in range(3):
-        tab = conjugation_decomposition(group, adapted, table, sigma)
+    for sigma, tab in enumerate(conjugation_decomposition(group, adapted, table)):
         pred, reduced = wigner_eckart_matrix(tab, 0, 1, [0], adapted[sigma].matrices[cls.base_element])
         expected = (table.values[sigma, 1] / table.dims[sigma]) * np.eye(reps[sigma].dim)
         assert np.max(np.abs(pred[0, 0] - expected)) < 1e-10
@@ -554,7 +548,7 @@ def test_reduced_matrix_elements_structure():
     cls = conjugacy_classes(group)[1]
     g0 = cls.base_element
     adapted, m_alphas = adapt_irreps_to_class(reps, cls)
-    tab = conjugation_decomposition(group, adapted, table, 2)
+    tab = conjugation_decomposition(group, adapted, table)[2]
     pred, reduced = wigner_eckart_matrix(tab, 2, 2, [0], adapted[2].matrices[g0])
     assert pred.shape == (2, 1, 2, 2)   # rows k, listed columns l, then (u, i)
     assert reduced.shape == (1, 1)      # multiplicity of the standard in L(V^std) is 1
@@ -573,12 +567,12 @@ def test_reduced_matrix_elements_structure():
 def test_wigner_eckart_kernel_equals_per_weight_oracle(spec, tmp_path):
     # every class, every sigma, every alpha, every weight (k, l): bit for bit
     group, table, reps = _file_a5(tmp_path) if spec == "file:A5" else _tables_for(spec)
-    coupling = [conjugation_decomposition(group, reps, table, s) for s in range(len(reps))]
+    coupling = conjugation_decomposition(group, reps, table)
     compared = 0
     for cls in conjugacy_classes(group):
-        bases = [z_fixed_basis(rep.matrices, cls.centralizer) for rep in reps]
+        bases = z_fixed_bases(reps, cls.centralizer)
         adapted, m_alphas = adapt_irreps_to_class(reps, cls, bases)
-        for tab in (rotate_coupling_table(t, [zb.basis for zb in bases]) for t in coupling):
+        for tab in rotate_coupling_table(coupling, [zb.basis for zb in bases]):
             t_g0 = adapted[tab.sigma].matrices[cls.base_element]
             for alpha, (rep, m) in enumerate(zip(adapted, m_alphas)):
                 pred, reduced = wigner_eckart_matrix(tab, alpha, rep.dim, range(m), t_g0)

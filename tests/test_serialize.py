@@ -67,7 +67,7 @@ def test_tables_document_schema():
     group = build_group("S3")
     table = character_table(group)
     reps = irreps(group, table)
-    coupling = [conjugation_decomposition(group, reps, table, s) for s in range(3)]
+    coupling = conjugation_decomposition(group, reps, table)
     doc = tables_document(group, table, reps, coupling)
     assert doc["schema"] == TABLES_SCHEMA
     assert doc["group"]["order"] == 6
@@ -89,8 +89,7 @@ def test_tables_document_schema():
         build_group("S3"),
         irreps(build_group("S3")),
         character_table(build_group("S3")),
-        2,
-    ),
+    )[2],
     lambda: su2_coupling_table(2),
 ])
 def test_coupling_table_round_trip(make):
@@ -110,7 +109,7 @@ def _coupling_tables(spec):
     group = build_group(spec)
     table = character_table(group)
     reps = irreps(group, table)
-    return [conjugation_decomposition(group, reps, table, s) for s in range(len(reps))]
+    return conjugation_decomposition(group, reps, table)
 
 
 @pytest.mark.parametrize("spec", ["S4", ["(1 2 3)", "(1 2 3 4 5)"], "su2"], ids=["S4", "A5-generators", "su2"])
@@ -149,7 +148,7 @@ def assert_same_text(text: str, expected: str) -> None:
 def _full_tables(group):
     table = character_table(group, seed=3)
     reps = irreps(group, table, seed=3)
-    return table, reps, [conjugation_decomposition(group, reps, table, s) for s in range(len(reps))]
+    return table, reps, conjugation_decomposition(group, reps, table)
 
 
 def _full_tables_document(group):

@@ -15,7 +15,7 @@ from classops.coupling import (
     rotate_coupling_table,
     su2_coupling_table,
     triple_product_residual_su2,
-    z_fixed_basis,
+    z_fixed_bases,
 )
 from classops.groups import build_group, conjugacy_classes
 from classops.representations import CharacterTable, character_table, irreps
@@ -96,7 +96,7 @@ def test_finite_checks_never_build_a_left_regular_matrix(spec, monkeypatch):
     table = character_table(group)
     reps = irreps(group, table)
     assert all(r.passed for r in finite_class_suite(group, n_random=2, table=table))
-    coupling = [conjugation_decomposition(group, reps, table, s) for s in range(len(reps))]
+    coupling = conjugation_decomposition(group, reps, table)
     for cls in conjugacy_classes(group):
         families, _ = scan_rows(group, cls, reps)
         assert families and not any(f.vanishes for f in families)
@@ -149,10 +149,10 @@ def test_finite_suite_matches_per_weight_oracle(spec, tmp_path):
 
 def _class_setup(group, cls, table, reps):
     """The report's own route to the adapted irreps and rotated coupling tables."""
-    coupling = [conjugation_decomposition(group, reps, table, s) for s in range(len(reps))]
-    bases = [z_fixed_basis(rep.matrices, cls.centralizer) for rep in reps]
+    coupling = conjugation_decomposition(group, reps, table)
+    bases = z_fixed_bases(reps, cls.centralizer)
     adapted, m_alphas = adapt_irreps_to_class(reps, cls, bases)
-    return coupling, adapted, m_alphas, [rotate_coupling_table(t, [zb.basis for zb in bases]) for t in coupling]
+    return coupling, adapted, m_alphas, rotate_coupling_table(coupling, [zb.basis for zb in bases])
 
 
 @pytest.mark.parametrize("spec", ["S4", "D6", "Q8", "file:A5"])
@@ -231,7 +231,7 @@ def test_wigner_eckart_report_fails_on_conjugated_coupling_tables():
     group = build_group({"generators": ["(1 2 3 4 5 6 7)", "(2 3 5)(4 7 6)"]})
     table = character_table(group)
     reps = irreps(group, table)
-    coupling = [conjugation_decomposition(group, reps, table, s) for s in range(len(reps))]
+    coupling = conjugation_decomposition(group, reps, table)
     conjugated = [replace(tab, basis={g: e.conj() for g, e in tab.basis.items()}) for tab in coupling]
     classes = conjugacy_classes(group)
     assert group.order == 21 and len(classes) == 5
