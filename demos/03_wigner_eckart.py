@@ -33,8 +33,8 @@ table = character_table(group)
 reps = irreps(group, table)
 cls = conjugacy_classes(group)[1]
 g0 = cls.base_element
-bases = z_fixed_bases(reps, cls.centralizer)  # one pass per irrep dimension
-adapted, m_alphas = adapt_irreps_to_class(reps, cls, bases)
+bases = z_fixed_bases(reps, table, cls.centralizer)  # one pass per irrep dimension
+adapted, m_alphas = adapt_irreps_to_class(reps, bases)
 print(f"S3, class of {group.labels[g0]}; fixed-subspace dims per irrep: {m_alphas}")
 
 alpha, sigma = 2, 2  # standard weight family, standard block

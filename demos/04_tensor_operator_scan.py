@@ -18,6 +18,7 @@ from classops import (
     frobenius_multiplicity_check,
     irreps,
     tensor_operator_scan,
+    z_fixed_bases,
 )
 
 group = build_group("S4")
@@ -34,7 +35,7 @@ for row in frobenius_multiplicity_check(group, cls, reps, table):
         f"{row.fixed_dim} {mark} {row.induced_multiplicity}"
     )
 
-adapted, m_alphas = adapt_irreps_to_class(reps, cls)
+adapted, m_alphas = adapt_irreps_to_class(reps, z_fixed_bases(reps, table, cls.centralizer))
 # None scans the group-algebra elements themselves, i.e. the regular representation
 print("\nscan in the regular representation:")
 for fam in tensor_operator_scan(group, None, cls.base_element, adapted, m_alphas):

@@ -91,11 +91,7 @@ def _group_and_classes(cfg: RunConfig) -> tuple[FiniteGroup, list]:
     classes = conjugacy_classes(group)
     if cfg.class_selector == "all":
         return group, classes
-    element = group.element_index(cfg.class_selector)
-    for c in classes:
-        if element in c.members:
-            return group, [c]
-    raise UsageError(f"element {cfg.class_selector!r} not found in any class")
+    return group, [classes[group.class_of[group.element_index(cfg.class_selector)]]]
 
 
 def _tables(cfg: RunConfig, group: FiniteGroup) -> tuple:
@@ -128,7 +124,7 @@ def run_finite_verify(cfg: RunConfig) -> int:
         group, classes, seed=cfg.seed, n_random=cfg.n_random, tolerances=cfg.tolerances
     )
     sections = [("checks", "finite-verify checks", verify.CheckReport, checks)]
-    return _report(cfg, sections, all(r.passed for r in checks))
+    return _report(cfg, sections, verify.finite_checks_passed(checks))
 
 
 def run_su2_verify(cfg: RunConfig) -> int:
@@ -153,11 +149,11 @@ def run_wigner_eckart(cfg: RunConfig) -> int:
         skipped, max_off = [], 0.0
     else:
         group, classes = _group_and_classes(cfg)
-        _, irreps_list, coupling = _tables(cfg, group)
+        table, irreps_list, coupling = _tables(cfg, group)
         rows, reduced, skipped, max_off = [], [], [], 0.0
         for cls in classes:
             r, rr, sk, off = verify.wigner_eckart_report(
-                group, cls, irreps_list, coupling, tolerances=cfg.tolerances
+                group, cls, table, irreps_list, coupling, tolerances=cfg.tolerances
             )
             rows += r
             reduced += rr
@@ -173,14 +169,15 @@ def run_wigner_eckart(cfg: RunConfig) -> int:
 
 def run_scan(cfg: RunConfig) -> int:
     group, classes = _group_and_classes(cfg)
-    irreps_list = irreps(group, character_table(group, seed=cfg.seed), seed=cfg.seed)
+    table = character_table(group, seed=cfg.seed)
+    irreps_list = irreps(group, table, seed=cfg.seed)
     families, skipped = [], []
     for cls in classes:
-        f, s = verify.scan_rows(group, cls, irreps_list, tolerances=cfg.tolerances)
+        f, s = verify.scan_rows(group, cls, table, irreps_list, tolerances=cfg.tolerances)
         families += f
         skipped += s
     sections = [("families", "tensor-operator scan", TensorOperatorFamily, families)]
-    return _report(cfg, sections, True, skipped=skipped)
+    return _report(cfg, sections, verify.scan_passed(families), skipped=skipped)
 
 
 def run_export_tables(cfg: RunConfig) -> int:

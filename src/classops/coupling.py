@@ -363,17 +363,33 @@ def su2_coupling_table(sigma2: int) -> CouplingTable:
 # ---------------------------------------------------------------------------
 
 
-def z_fixed_bases(irreps_list: list[Irrep], centralizer) -> list[ZFixedBasis]:
+def z_fixed_bases(irreps_list: list[Irrep], table: CharacterTable, centralizer) -> list[ZFixedBasis]:
     """Adapted basis of every irrep from its centralizer average
-    (1/|Z0|) sum_h T(h), one pass per irrep dimension.
+    (1/|Z0|) sum_h T(h), one pass per irrep dimension; ``irreps_list`` holds
+    one irrep per row of ``table``, in row order.
 
-    Only the |Z0| centralizer matrices of each irrep are gathered and
-    stacked; ``_z_fixed_stack`` takes the averages of one dimension together.
+    A 1-dim irrep's average is the Z0 average of its character,
+    sum_C chi(C) z_C / |Z0| with z_C the number of centralizer elements in
+    class C (read off ``table.class_of``), one product for all of them.  Above
+    dimension 1 the irreps are stacked in chunks of at most
+    ``_BLOCK_CHUNK_ENTRIES`` numbers (an irrep larger than that alone, as a
+    view) and each chunk gathers its centralizer matrices at once.
+    ``_z_fixed_stack`` takes the averages of one dimension together.
     """
-    cent = list(centralizer)
+    if len(irreps_list) != len(table.dims):
+        raise ValueError(f"{len(irreps_list)} irreps for a character table of {len(table.dims)} rows")
+    cent = np.asarray(centralizer)
     out = [None] * len(irreps_list)
     for rows in _blocks(rep.dim for rep in irreps_list).values():
-        avg = np.stack([irreps_list[r].matrices.take(cent, axis=0) for r in rows]).sum(axis=1) / len(cent)
+        if irreps_list[rows[0]].dim == 1:
+            counts = np.bincount(table.class_of[cent], minlength=len(table.classes))
+            avg = (table.values[rows] @ counts / len(cent))[:, None, None]
+        else:
+            step = max(1, _BLOCK_CHUNK_ENTRIES // irreps_list[rows[0]].matrices.size)
+            avg = np.concatenate([
+                _stack([irreps_list[r].matrices for r in rows[lo:lo + step]])[:, cent].sum(axis=1)
+                for lo in range(0, len(rows), step)
+            ]) / len(cent)
         m_alphas, bases = _z_fixed_stack(avg)
         for r, m_alpha, basis in zip(rows, m_alphas.tolist(), bases):
             out[r] = ZFixedBasis(m_alpha=m_alpha, basis=basis)
@@ -404,15 +420,11 @@ def _z_fixed_stack(avg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m_alpha, np.take_along_axis(np.concatenate([ranges[0], ranges[1]], axis=-1), pick[..., None, :], axis=-1)
 
 
-def adapt_irreps_to_class(
-    irreps_list: list[Irrep], cls: ConjugacyClass, bases: list[ZFixedBasis] | None = None
-) -> tuple[list[Irrep], list[int]]:
+def adapt_irreps_to_class(irreps_list: list[Irrep], bases: list[ZFixedBasis]) -> tuple[list[Irrep], list[int]]:
     """Rotate every irrep so its leading basis vectors are Z0(g0)-fixed,
-    T' = W^H T W with W the ``z_fixed_bases`` of each irrep (``bases``, if the
-    caller already has them for this class), one stacked product per
-    dimension above 1; a 1-dim irrep is left as it is, as W^H T W = T."""
-    if bases is None:
-        bases = z_fixed_bases(irreps_list, cls.centralizer)
+    T' = W^H T W with W the ``z_fixed_bases`` of each irrep for the class,
+    one stacked product per dimension above 1; a 1-dim irrep is left as it
+    is, as W^H T W = T.  Returns the adapted irreps and every m_alpha."""
     adapted = list(irreps_list)
     for rows in _blocks(rep.dim for rep in irreps_list).values():
         if irreps_list[rows[0]].dim > 1:
@@ -438,7 +450,7 @@ def frobenius_multiplicity_check(
     # fix_counts[g] = #{c in C0 : g c = c g}, the coset permutation character
     fix_counts = np.count_nonzero(group.mult_table[:, members] == group.mult_table[members].T, axis=1)
     rows = []
-    for ai, zb in enumerate(z_fixed_bases(irreps_list, cls.centralizer)):
+    for ai, zb in enumerate(z_fixed_bases(irreps_list, table, cls.centralizer)):
         chi = table.element_values(ai)
         induced = np.sum(chi.conj() * fix_counts).real / group.order
         induced_int = int(round(induced))

@@ -10,6 +10,10 @@ Conventions used throughout the package:
 * The product of the group algebra is the unnormalized convolution
   ``(phi psi)(x) = sum_g phi(g) psi(g^-1 x)``, whose matrix is
   ``left_regular_matrix(group, phi)``.
+* Conjugacy classes are the orbits of the generators' conjugation action,
+  found for all classes in one pass (``conjugacy_classes``), which also gives
+  ``FiniteGroup.class_of``; each class makes its centralizer and coset
+  representatives on first read, so a one-class run makes only its own.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -134,22 +139,35 @@ def _cycle_labels(perms: np.ndarray) -> list[str]:
 
 @dataclass(frozen=True)
 class ConjugacyClass:
-    """A conjugacy class C0 with its centralizer Z0 and coset representatives.
+    """A conjugacy class C0: its least member ``base_element`` g0 and its
+    ``members`` in ascending order, with the centralizer Z0 of g0 and the
+    coset representatives made from the group's table on first read.
 
-    ``coset_reps[k]`` is the smallest element index x with
-    ``x g0 x^-1 = members[k]``; it represents the coset x Z0 under the
-    bijection G/Z0 -> C0, so class functions are indexed exactly like
-    ``members``.
+    ``centralizer`` lists Z0 in ascending order.  ``coset_reps[k]`` is the
+    smallest element index x with ``x g0 x^-1 = members[k]``; it represents
+    the coset x Z0 under the bijection G/Z0 -> C0, so class functions are
+    indexed exactly like ``members``.
     """
 
     base_element: int
     members: tuple[int, ...]
-    centralizer: tuple[int, ...]
-    coset_reps: tuple[int, ...]
+    _table: np.ndarray = field(repr=False, compare=False)
+    _inverse: np.ndarray = field(repr=False, compare=False)
 
     @property
     def size(self) -> int:
         return len(self.members)
+
+    @cached_property
+    def centralizer(self) -> tuple[int, ...]:
+        t, g0 = self._table, self.base_element
+        return tuple(np.flatnonzero(t[:, g0] == t[g0]).tolist())
+
+    @cached_property
+    def coset_reps(self) -> tuple[int, ...]:
+        t = self._table
+        conj_by = t[t[:, self.base_element], self._inverse]   # conj_by[x] = x g0 x^-1
+        return tuple(np.unique(conj_by, return_index=True)[1].tolist())   # first x reaching each member
 
 
 class FiniteGroup:
@@ -164,7 +182,8 @@ class FiniteGroup:
     big-endian so that their bytes sort like the images) and formats an element's cycle-notation label only when asked
     (``label``; ``labels`` lists them all, made on first use); a table
     group's labels are given or its indices, and its generators are greedy
-    (``group_from_table``).
+    (``group_from_table``).  ``class_of`` holds the class index of every
+    element, made with the classes.
     """
 
     def __init__(
@@ -197,6 +216,7 @@ class FiniteGroup:
                 raise GroupConstructionError("labels length does not match order")
         self.inverse_table = self._find_inverses()
         self._classes: list[ConjugacyClass] | None = None
+        self._class_of: np.ndarray | None = None
         self._element_orders: np.ndarray | None = None
 
     # -- labels ------------------------------------------------------------
@@ -215,6 +235,12 @@ class FiniteGroup:
         return self._labels
 
     # -- structure ---------------------------------------------------------
+
+    @property
+    def class_of(self) -> np.ndarray:
+        """The index of every element's conjugacy class, (|G|,) (``conjugacy_classes``)."""
+        conjugacy_classes(self)
+        return self._class_of
 
     def _find_inverses(self) -> np.ndarray:
         n = self.order
@@ -538,30 +564,41 @@ def build_group(spec, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
 
 
 def conjugacy_classes(group: FiniteGroup) -> list[ConjugacyClass]:
-    """All conjugacy classes, sorted by base element (= minimal member index)."""
-    if group._classes is not None:
-        return group._classes
-    n = group.order
-    t, inv = group.mult_table, group.inverse_table
-    assigned = np.zeros(n, dtype=bool)
-    classes = []
-    for base in range(n):
-        if assigned[base]:
-            continue
-        conj_by = t[t[:, base], inv]   # conj_by[x] = x * base * x^-1
-        members, coset_reps = np.unique(conj_by, return_index=True)  # first x reaching each c
-        assigned[members] = True
-        centralizer = np.flatnonzero(t[:, base] == t[base])
-        classes.append(
-            ConjugacyClass(
-                base_element=base,
-                members=tuple(members.tolist()),
-                centralizer=tuple(centralizer.tolist()),
-                coset_reps=tuple(coset_reps.tolist()),
-            )
-        )
-    group._classes = classes
-    return classes
+    """All conjugacy classes, sorted by base element (= least member index),
+    found as the orbits of the generators' conjugation action in one pass.
+
+    Each generator slot s gives the map x -> s x s^-1, one gather of the
+    table (a group without generators uses every element).  The least label
+    of every element's orbit is pulled along every map, and each label is
+    replaced by its own label (pointer jumping), until no label changes; the
+    classes, ``group.class_of`` and the members (one stable argsort) are read
+    off the labels.  No array work is done per class, and no (|G|, |G|)
+    array is made beyond the table (save the every-element maps of a group
+    without generators); each class makes its centralizer and coset
+    representatives on first read.
+    """
+    if group._classes is None:
+        n, t, inv = group.order, group.mult_table, group.inverse_table
+        gens = np.arange(n) if group.generators is None else np.asarray(group.generators, dtype=np.int64)
+        maps = t[t[gens], inv[gens, None]]   # maps[s, x] = s x s^-1
+        least = np.arange(n)
+        while True:
+            pulled = np.minimum(least, least[maps].min(axis=0, initial=n))
+            pulled = pulled[pulled]
+            if np.array_equal(pulled, least):
+                break
+            least = pulled
+        is_base = least == np.arange(n)
+        class_of = (np.cumsum(is_base) - 1)[least]
+        ends = np.cumsum(np.bincount(class_of)).tolist()
+        members = np.argsort(class_of, kind="stable").tolist()
+        group._classes = [
+            ConjugacyClass(base, tuple(members[a:b]), t, inv)
+            for base, a, b in zip(np.flatnonzero(is_base).tolist(), [0] + ends[:-1], ends)
+        ]
+        class_of.flags.writeable = False   # shared by every character table of the group
+        group._class_of = class_of
+    return group._classes
 
 
 # ---------------------------------------------------------------------------

@@ -78,17 +78,10 @@ class CharacterTable:
 # ---------------------------------------------------------------------------
 
 
-def _class_of(group: FiniteGroup, classes: list[ConjugacyClass]) -> np.ndarray:
-    class_of = np.empty(group.order, dtype=np.int64)
-    for ci, c in enumerate(classes):
-        class_of[list(c.members)] = ci
-    return class_of
-
-
 def _class_quotients(group: FiniteGroup, classes: list[ConjugacyClass]) -> tuple[np.ndarray, np.ndarray]:
     """class_of[x], and J[x, k] = class of x^-1 z_k (z_k the base of class k), so that
     a[i, j, k] = #{(x,y) in C_i x C_j : xy = z_k} = #{x in C_i : J[x, k] = j}."""
-    class_of = _class_of(group, classes)
+    class_of = group.class_of
     bases = np.array([c.base_element for c in classes])
     return class_of, class_of[group.mult_table[group.inverse_table[:, None], bases]]
 
@@ -189,7 +182,7 @@ def _catalog_table(group: FiniteGroup, classes: list[ConjugacyClass]) -> Charact
     row = np.argsort(order)   # table row of each catalog irrep
     ends = np.cumsum([len(exponents)] + [len(s) for s in stacks])
     catalog = [(row[a:b], s) for a, b, s in zip(ends[:-1], ends[1:], stacks)]
-    return CharacterTable(classes, values[order], dims[order], _class_of(group, classes), catalog)
+    return CharacterTable(classes, values[order], dims[order], group.class_of, catalog)
 
 
 def _split_crowded_eigenvectors(m: np.ndarray, evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:

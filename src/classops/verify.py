@@ -48,6 +48,7 @@ __all__ = [
     "DEFAULT_TOLERANCES",
     "CheckReport",
     "finite_class_suite",
+    "finite_checks_passed",
     "Su2ConvergenceRow",
     "su2_convergence_rows",
     "su2_convergence_passed",
@@ -57,6 +58,7 @@ __all__ = [
     "su2_wigner_eckart_report",
     "wigner_eckart_passed",
     "scan_rows",
+    "scan_passed",
 ]
 
 DEFAULT_TOLERANCES = {
@@ -82,6 +84,12 @@ class CheckReport:
     max_deviation: float
     tolerance: float
     passed: bool
+
+
+def _require_rows(section: str, rows: list) -> None:
+    """Refuse a verdict on zero rows: a check set that ran nothing passes nothing."""
+    if not rows:
+        raise ValueError(f"no rows in section {section!r}: a verdict needs at least one")
 
 
 def _random_weight(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -153,6 +161,12 @@ def finite_class_suite(
     return reports
 
 
+def finite_checks_passed(checks: list[CheckReport]) -> bool:
+    """True when every finite-verify check passed; no checks is an error."""
+    _require_rows("checks", checks)
+    return all(r.passed for r in checks)
+
+
 @dataclass
 class Su2ConvergenceRow:
     j2: int
@@ -194,7 +208,9 @@ def su2_convergence_rows(
 
 
 def su2_convergence_passed(rows: list[Su2ConvergenceRow], tolerances: dict | None = None) -> bool:
-    """True when every row of the finest rule is within ``su2_final_error``."""
+    """True when every row of the finest rule is within ``su2_final_error``;
+    no rows is an error."""
+    _require_rows("convergence", rows)
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}["su2_final_error"]
     finest = max(r.n_theta for r in rows)
     return all(r.max_abs_error <= tol for r in rows if r.n_theta == finest)
@@ -226,17 +242,19 @@ class ReducedElementRow:
 def wigner_eckart_report(
     group: FiniteGroup,
     cls: ConjugacyClass,
+    table: CharacterTable,
     irreps_list: list[Irrep],
     coupling: list[CouplingTable],
     tolerances: dict | None = None,
 ):
     """Compare the Wigner-Eckart prediction with brute-force inner products.
 
-    ``irreps_list`` are the run's irreps, and ``coupling`` their
-    ``conjugation_decomposition`` of every sigma; each class rotates it into
-    its Z0-fixed bases, all tables at once.  The predictions of every
-    (sigma, alpha) pair of one shape (d_sigma, multiplicity, d_alpha, m_alpha)
-    come from one ``_wigner_eckart_stack`` call.
+    ``irreps_list`` are the run's irreps, one per row of ``table``, and
+    ``coupling`` their ``conjugation_decomposition`` of every sigma; each
+    class rotates it into its Z0-fixed bases, all tables at once.  The
+    predictions of every (sigma, alpha) pair of one shape (d_sigma,
+    multiplicity, d_alpha, m_alpha) come from one ``_wigner_eckart_stack``
+    call.
     Returns (rows, reduced_rows, skipped, max_off_pattern): one row per
     (alpha, k, l, sigma), the reduced-matrix-element table, notes for alpha
     without Z0-fixed columns, and the largest off-pattern magnitude seen.
@@ -244,8 +262,8 @@ def wigner_eckart_report(
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     g0 = cls.base_element
     g0_label = group.label(g0)
-    bases = z_fixed_bases(irreps_list, cls.centralizer)
-    adapted, m_alphas = adapt_irreps_to_class(irreps_list, cls, bases)
+    bases = z_fixed_bases(irreps_list, table, cls.centralizer)
+    adapted, m_alphas = adapt_irreps_to_class(irreps_list, bases)
     tables = rotate_coupling_table(coupling, [zb.basis for zb in bases])
     weights = [(alpha, k, l) for alpha, rep in enumerate(adapted) for k in range(rep.dim) for l in range(m_alphas[alpha])]
     # predictions[sigma] stacks pred[k, l, u, i] over the rows (alpha, k, l); reduced[sigma][alpha] = reduced[l, m]
@@ -330,7 +348,9 @@ def su2_wigner_eckart_report(
 
 
 def wigner_eckart_passed(rows: list[WignerEckartRow], max_off: float, tolerances: dict | None = None) -> bool:
-    """True when every row passed and no entry off the pattern exceeds ``wigner_eckart_sparsity``."""
+    """True when every row passed and no entry off the pattern exceeds
+    ``wigner_eckart_sparsity``; no rows is an error."""
+    _require_rows("comparisons", rows)
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}["wigner_eckart_sparsity"]
     return all(r.passed for r in rows) and max_off <= tol
 
@@ -355,14 +375,22 @@ def _skipped(label: str, m_alphas: list[int]) -> list[dict]:
 def scan_rows(
     group: FiniteGroup,
     cls: ConjugacyClass,
+    table: CharacterTable,
     irreps_list: list[Irrep],
     tolerances: dict | None = None,
 ):
     """Tensor-operator vanishing scan in the regular representation, on
     group-algebra elements."""
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
-    adapted, m_alphas = adapt_irreps_to_class(irreps_list, cls)
+    adapted, m_alphas = adapt_irreps_to_class(irreps_list, z_fixed_bases(irreps_list, table, cls.centralizer))
     families = tensor_operator_scan(
         group, None, cls.base_element, adapted, m_alphas, tol=tol["scan_vanishing"]
     )
     return families, _skipped(group.label(cls.base_element), m_alphas)
+
+
+def scan_passed(families: list) -> bool:
+    """The scan records which families vanish and has no tolerance of its own
+    to fail; it passes once it scanned a family, and no families is an error."""
+    _require_rows("families", families)
+    return True

@@ -128,6 +128,24 @@ def oracle_classes(group: FiniteGroup) -> list[set[int]]:
     return out
 
 
+def oracle_conjugacy_classes(group: FiniteGroup) -> list[tuple[int, tuple, tuple, tuple]]:
+    """(base_element, members, centralizer, coset_reps) of every class, one
+    iteration per class: the conjugates of the least unassigned element
+    (``np.unique``, first conjugator of each member) and its centralizer scan."""
+    t, inv = group.mult_table, group.inverse_table
+    assigned = np.zeros(group.order, dtype=bool)
+    classes = []
+    for base in range(group.order):
+        if assigned[base]:
+            continue
+        conj_by = t[t[:, base], inv]   # conj_by[x] = x * base * x^-1
+        members, coset_reps = np.unique(conj_by, return_index=True)
+        assigned[members] = True
+        centralizer = np.flatnonzero(t[:, base] == t[base])
+        classes.append((base, tuple(members.tolist()), tuple(centralizer.tolist()), tuple(coset_reps.tolist())))
+    return classes
+
+
 def label_perms(group: FiniteGroup) -> list[tuple[int, ...]]:
     """The permutation image of every element, parsed back from its cycle-notation label."""
     degree = max(len(parse_cycles(label)) for label in group.labels)

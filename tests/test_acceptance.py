@@ -147,7 +147,7 @@ def test_criterion_5_wigner_eckart():
         table = character_table(group)
         reps = irreps(group, table)
         coupling = conjugation_decomposition(group, reps, table)
-        rows, reduced, skipped, max_off = verify.wigner_eckart_report(group, cls, reps, coupling)
+        rows, reduced, skipped, max_off = verify.wigner_eckart_report(group, cls, table, reps, coupling)
         assert rows
         worst_match = max(worst_match, max(r.max_dev for r in rows))
         worst_off = max(worst_off, max_off)

@@ -18,7 +18,7 @@ from classops.class_operators import (
     transfer,
     weighted_class_operator,
 )
-from classops.coupling import adapt_irreps_to_class, tensor_operator_scan
+from classops.coupling import adapt_irreps_to_class, tensor_operator_scan, z_fixed_bases
 from helpers import (
     CATALOG_LEQ_24,
     class_sum,
@@ -99,7 +99,9 @@ def test_dimension_mismatch():
     # is not one square matrix per element is refused
     group = build_group("S3")
     cls = conjugacy_classes(group)[1]
-    adapted, m_alphas = adapt_irreps_to_class(irreps(group), cls)
+    table = character_table(group)
+    reps = irreps(group, table)
+    adapted, m_alphas = adapt_irreps_to_class(reps, z_fixed_bases(reps, table, cls.centralizer))
     for stack in (np.zeros((5, 2, 2)), np.zeros((6, 2, 3)), np.zeros((6, 4))):
         with pytest.raises(ValueError, match="wrong shape"):
             tensor_operator_scan(group, stack, cls.base_element, adapted, m_alphas)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from classops import cli, coupling
+from classops import cli, coupling, verify
 from classops.cli import main
 from classops.groups import FiniteGroup, build_group
 from classops.serialize import csv_lines, format_float
@@ -464,6 +464,22 @@ def test_no_report_passes_on_an_empty_check_set(argv, tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["passed"] is True and len(doc[_VERDICT_SECTIONS[argv[0]]]) >= 1
+
+
+@pytest.mark.parametrize("argv,producer,empty", [
+    (["finite-verify", "--group", "S3", "--class", "all"], "finite_class_suite", []),
+    (["wigner-eckart", "--group", "S3", "--class", "all"], "wigner_eckart_report", ([], [], [], 0.0)),
+    (["scan", "--group", "S3", "--class", "all"], "scan_rows", ([], [])),
+    (["su2-verify"], "su2_convergence_rows", []),
+], ids=["finite-verify", "wigner-eckart", "scan", "su2-verify"])
+def test_an_empty_verdict_section_exits_2(argv, producer, empty, monkeypatch, capsys):
+    # no command can produce zero rows today; should one ever do so, its
+    # verdict refuses them rather than passing on nothing
+    monkeypatch.setattr(verify, producer, lambda *args, **kwargs: empty)
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "ValueError" and f"'{_VERDICT_SECTIONS[argv[0]]}'" in error["message"]
 
 
 def test_export_tables(tmp_path, capsys):

@@ -132,8 +132,8 @@ def test_rotated_tables_match_a_fresh_decomposition(spec):
     group, table, reps = _tables_for(spec)
     tables = conjugation_decomposition(group, reps, table)
     for cls in conjugacy_classes(group):
-        bases = z_fixed_bases(reps, cls.centralizer)
-        adapted, _ = adapt_irreps_to_class(reps, cls, bases)
+        bases = z_fixed_bases(reps, table, cls.centralizer)
+        adapted, _ = adapt_irreps_to_class(reps, bases)
         fresh_tables = conjugation_decomposition(group, adapted, table)
         for rotated, fresh in zip(rotate_coupling_table(tables, [zb.basis for zb in bases]), fresh_tables):
             assert rotated.gammas == fresh.gammas and rotated.multiplicities == fresh.multiplicities
@@ -159,7 +159,7 @@ def test_stacked_coupling_layer_matches_per_sigma_oracles(spec, tmp_path):
     for tab in coupling:
         assert _max_gap(tab.basis, oracle_conjugation_decomposition(group, reps, table, tab.sigma)) < 1e-13
     for cls in conjugacy_classes(group):
-        bases = z_fixed_bases(reps, cls.centralizer)
+        bases = z_fixed_bases(reps, table, cls.centralizer)
         for rep, zb in zip(reps, bases):
             m_alpha, w = oracle_z_fixed_basis(rep.matrices, cls.centralizer)
             assert zb.m_alpha == m_alpha and np.max(np.abs(zb.basis - w)) < 1e-13
@@ -179,13 +179,18 @@ def test_decomposition_in_chunks_of_one_pair_matches_whole_blocks(monkeypatch):
 def test_a_non_integer_z_fixed_dimension_is_refused():
     group, table, reps = _tables_for("S4")
     cls = conjugacy_classes(group)[1]
+    assert [zb.m_alpha for zb in z_fixed_bases(reps, table, cls.centralizer)][3:] == [0, 1]
     bad = replace(reps[3], matrices=reps[3].matrices.copy())
     bad.matrices[0] *= 1 + 1e-6   # the identity, in every centralizer: the trace of the average moves by 7.5e-7
     with pytest.raises(ArithmeticError, match="non-integer Z0-fixed dimension"):
-        z_fixed_bases([bad], cls.centralizer)
+        z_fixed_bases(reps[:3] + [bad, reps[4]], table, cls.centralizer)   # one block of two 3-dim irreps
+    # a 1-dim irrep's fixed dimension is its character's Z0 average, read off the table
+    bad_table = replace(table, values=table.values.copy())
+    bad_table.values[1, 1] *= 1 + 1e-6   # the sign on the transpositions, two of the four elements of Z0
     with pytest.raises(ArithmeticError, match="non-integer Z0-fixed dimension"):
-        z_fixed_bases([reps[4], bad], cls.centralizer)   # one block of two 3-dim irreps
-    assert [zb.m_alpha for zb in z_fixed_bases([reps[4], reps[3]], cls.centralizer)] == [1, 0]
+        z_fixed_bases(reps, bad_table, cls.centralizer)
+    with pytest.raises(ValueError, match="4 irreps for a character table of 5 rows"):
+        z_fixed_bases(reps[:4], table, cls.centralizer)
 
 
 @pytest.mark.parametrize("spec", [
@@ -381,14 +386,14 @@ def test_separated_triple_sum_matches_node_wise_oracle(sigma2):
 def test_z_fixed_basis_trivial_irrep():
     group, table, reps = _tables_for("S3")
     cls = conjugacy_classes(group)[1]
-    zb = z_fixed_bases(reps, cls.centralizer)[0]
+    zb = z_fixed_bases(reps, table, cls.centralizer)[0]
     assert zb.m_alpha == 1
 
 
 def test_z_fixed_basis_s3_standard():
     group, table, reps = _tables_for("S3")
     cls = conjugacy_classes(group)[1]  # g0 = (1 2), Z0 = {e, (1 2)}
-    zb = z_fixed_bases(reps, cls.centralizer)[2]
+    zb = z_fixed_bases(reps, table, cls.centralizer)[2]
     assert zb.m_alpha == 1
     w = zb.basis
     assert np.max(np.abs(w.conj().T @ w - np.eye(2))) < 1e-12
@@ -403,7 +408,7 @@ def test_z_fixed_basis_s3_standard():
 def test_adapted_irreps_have_leading_fixed_columns(spec):
     group, table, reps = _tables_for(spec)
     for cls in conjugacy_classes(group):
-        adapted, m_alphas = adapt_irreps_to_class(reps, cls)
+        adapted, m_alphas = adapt_irreps_to_class(reps, z_fixed_bases(reps, table, cls.centralizer))
         for rep, m_alpha in zip(adapted, m_alphas):
             if m_alpha == 0:
                 continue
@@ -451,7 +456,7 @@ def _full_wigner_eckart(spec, class_index, match_tol=1e-9, sparse_tol=1e-10):
     group, table, reps = _tables_for(spec)
     cls = conjugacy_classes(group)[class_index]
     g0 = cls.base_element
-    adapted, m_alphas = adapt_irreps_to_class(reps, cls)
+    adapted, m_alphas = adapt_irreps_to_class(reps, z_fixed_bases(reps, table, cls.centralizer))
     tables = conjugation_decomposition(group, adapted, table)
     weights = _class_weights(adapted, m_alphas)
     brute = collect_bruteforce(group, adapted, g0, weights)
@@ -490,7 +495,7 @@ def test_bruteforce_convolution_matches_dense_operator(spec):
     group, table, reps = _tables_for(spec)
     worst = 0.0
     for cls in conjugacy_classes(group):
-        adapted, m_alphas = adapt_irreps_to_class(reps, cls)
+        adapted, m_alphas = adapt_irreps_to_class(reps, z_fixed_bases(reps, table, cls.centralizer))
         weights = _class_weights(adapted, m_alphas)
         brute = collect_bruteforce(group, adapted, cls.base_element, weights)
         for w, (alpha, k, l) in enumerate(weights):
@@ -506,7 +511,7 @@ def test_bruteforce_matches_per_support_oracle_on_every_class(spec, tmp_path):
     group, table, reps = _file_a5(tmp_path) if spec == "file:A5" else _tables_for(spec)
     worst = 0.0
     for cls in conjugacy_classes(group):
-        adapted, m_alphas = adapt_irreps_to_class(reps, cls)
+        adapted, m_alphas = adapt_irreps_to_class(reps, z_fixed_bases(reps, table, cls.centralizer))
         weights = _class_weights(adapted, m_alphas)
         assert len(weights) == cls.size   # sum_alpha n^alpha m^alpha = |G/Z0|
         brute = collect_bruteforce(group, adapted, cls.base_element, weights)
@@ -522,7 +527,7 @@ def test_bruteforce_chunks_cover_every_column(monkeypatch):
     monkeypatch.setattr("classops.coupling._BRUTE_CHUNK_ENTRIES", 1)
     group, table, reps = _tables_for("S4")
     cls = conjugacy_classes(group)[3]
-    adapted, m_alphas = adapt_irreps_to_class(reps, cls)
+    adapted, m_alphas = adapt_irreps_to_class(reps, z_fixed_bases(reps, table, cls.centralizer))
     weights = _class_weights(adapted, m_alphas)[::-1]   # any order of weights
     columns = [c for _, c, _ in wigner_eckart_bruteforce(group, adapted, cls.base_element, weights)]
     assert len(columns) == sum(rep.dim**2 for rep in reps)
@@ -535,7 +540,7 @@ def test_bruteforce_chunks_cover_every_column(monkeypatch):
 def test_wigner_eckart_trivial_alpha_is_class_operator_eigenvalue():
     group, table, reps = _tables_for("S3")
     cls = conjugacy_classes(group)[1]
-    adapted, m_alphas = adapt_irreps_to_class(reps, cls)
+    adapted, m_alphas = adapt_irreps_to_class(reps, z_fixed_bases(reps, table, cls.centralizer))
     for sigma, tab in enumerate(conjugation_decomposition(group, adapted, table)):
         pred, reduced = wigner_eckart_matrix(tab, 0, 1, [0], adapted[sigma].matrices[cls.base_element])
         expected = (table.values[sigma, 1] / table.dims[sigma]) * np.eye(reps[sigma].dim)
@@ -547,7 +552,7 @@ def test_reduced_matrix_elements_structure():
     group, table, reps = _tables_for("S3")
     cls = conjugacy_classes(group)[1]
     g0 = cls.base_element
-    adapted, m_alphas = adapt_irreps_to_class(reps, cls)
+    adapted, m_alphas = adapt_irreps_to_class(reps, z_fixed_bases(reps, table, cls.centralizer))
     tab = conjugation_decomposition(group, adapted, table)[2]
     pred, reduced = wigner_eckart_matrix(tab, 2, 2, [0], adapted[2].matrices[g0])
     assert pred.shape == (2, 1, 2, 2)   # rows k, listed columns l, then (u, i)
@@ -570,8 +575,8 @@ def test_wigner_eckart_kernel_equals_per_weight_oracle(spec, tmp_path):
     coupling = conjugation_decomposition(group, reps, table)
     compared = 0
     for cls in conjugacy_classes(group):
-        bases = z_fixed_bases(reps, cls.centralizer)
-        adapted, m_alphas = adapt_irreps_to_class(reps, cls, bases)
+        bases = z_fixed_bases(reps, table, cls.centralizer)
+        adapted, m_alphas = adapt_irreps_to_class(reps, bases)
         for tab in rotate_coupling_table(coupling, [zb.basis for zb in bases]):
             t_g0 = adapted[tab.sigma].matrices[cls.base_element]
             for alpha, (rep, m) in enumerate(zip(adapted, m_alphas)):
@@ -654,7 +659,7 @@ def test_scan_regular_representation_never_vanishes():
     for spec, class_index in [("S3", 1), ("S4", 1), ("S4", 3)]:
         group, table, reps = _tables_for(spec)
         cls = conjugacy_classes(group)[class_index]
-        adapted, m_alphas = adapt_irreps_to_class(reps, cls)
+        adapted, m_alphas = adapt_irreps_to_class(reps, z_fixed_bases(reps, table, cls.centralizer))
         for lam in (regular_representation(group), None):
             rows = tensor_operator_scan(group, lam, cls.base_element, adapted, m_alphas)
             assert rows and not any(r.vanishes for r in rows)
@@ -664,7 +669,7 @@ def test_scan_regular_representation_never_vanishes():
 def test_scan_sign_representation_kills_standard_family():
     group, table, reps = _tables_for("S3")
     cls = conjugacy_classes(group)[1]
-    adapted, m_alphas = adapt_irreps_to_class(reps, cls)
+    adapted, m_alphas = adapt_irreps_to_class(reps, z_fixed_bases(reps, table, cls.centralizer))
     sign_rep = adapted[1].matrices  # one-dimensional
     rows = tensor_operator_scan(group, sign_rep, cls.base_element, adapted, m_alphas)
     by_alpha = {r.alpha: r for r in rows}
@@ -676,7 +681,7 @@ def test_scan_trivial_alpha_never_vanishes_for_regular():
     group, table, reps = _tables_for("Q8")
     lam = regular_representation(group)
     for cls in conjugacy_classes(group):
-        adapted, m_alphas = adapt_irreps_to_class(reps, cls)
+        adapted, m_alphas = adapt_irreps_to_class(reps, z_fixed_bases(reps, table, cls.centralizer))
         rows = tensor_operator_scan(group, lam, cls.base_element, adapted, m_alphas)
         trivial_rows = [r for r in rows if r.alpha == 0]
         assert trivial_rows and not trivial_rows[0].vanishes
@@ -686,7 +691,7 @@ def test_scan_trivial_alpha_never_vanishes_for_regular():
 def test_scan_matches_per_weight_oracle(spec):
     group, table, reps = _tables_for(spec)
     for cls in conjugacy_classes(group):
-        adapted, m_alphas = adapt_irreps_to_class(reps, cls)
+        adapted, m_alphas = adapt_irreps_to_class(reps, z_fixed_bases(reps, table, cls.centralizer))
         for representation in (None, reps[-1].matrices):
             args = (group, representation, cls.base_element, adapted, m_alphas)
             assert tensor_operator_scan(*args) == oracle_tensor_operator_scan(*args)
@@ -695,7 +700,7 @@ def test_scan_matches_per_weight_oracle(spec):
 def test_scan_sees_a_corrupted_weight_as_the_oracle_does():
     group, table, reps = _tables_for("S4")
     cls = conjugacy_classes(group)[1]
-    adapted, m_alphas = adapt_irreps_to_class(reps, cls)
+    adapted, m_alphas = adapt_irreps_to_class(reps, z_fixed_bases(reps, table, cls.centralizer))
     clean = tensor_operator_scan(group, None, cls.base_element, adapted, m_alphas)
     alpha = max(a for a, m in enumerate(m_alphas) if m > 0 and adapted[a].dim > 1)
     corrupted = [replace(rep, matrices=rep.matrices.copy()) for rep in adapted]

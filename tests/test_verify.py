@@ -98,9 +98,9 @@ def test_finite_checks_never_build_a_left_regular_matrix(spec, monkeypatch):
     assert all(r.passed for r in finite_class_suite(group, n_random=2, table=table))
     coupling = conjugation_decomposition(group, reps, table)
     for cls in conjugacy_classes(group):
-        families, _ = scan_rows(group, cls, reps)
+        families, _ = scan_rows(group, cls, table, reps)
         assert families and not any(f.vanishes for f in families)
-        rows, _, _, _ = wigner_eckart_report(group, cls, reps, coupling)
+        rows, _, _, _ = wigner_eckart_report(group, cls, table, reps, coupling)
         assert rows and all(r.passed for r in rows)
 
 
@@ -150,8 +150,8 @@ def test_finite_suite_matches_per_weight_oracle(spec, tmp_path):
 def _class_setup(group, cls, table, reps):
     """The report's own route to the adapted irreps and rotated coupling tables."""
     coupling = conjugation_decomposition(group, reps, table)
-    bases = z_fixed_bases(reps, cls.centralizer)
-    adapted, m_alphas = adapt_irreps_to_class(reps, cls, bases)
+    bases = z_fixed_bases(reps, table, cls.centralizer)
+    adapted, m_alphas = adapt_irreps_to_class(reps, bases)
     return coupling, adapted, m_alphas, rotate_coupling_table(coupling, [zb.basis for zb in bases])
 
 
@@ -162,7 +162,7 @@ def test_wigner_eckart_report_matches_per_weight_oracle(spec, tmp_path):
     reps = irreps(group, table)
     for cls in conjugacy_classes(group):
         coupling, adapted, m_alphas, tables = _class_setup(group, cls, table, reps)
-        rows, reduced, _, max_off = wigner_eckart_report(group, cls, reps, coupling)
+        rows, reduced, _, max_off = wigner_eckart_report(group, cls, table, reps, coupling)
         want, want_reduced, want_off = oracle_wigner_eckart_rows(group, adapted, m_alphas, tables, cls.base_element)
         assert reduced == want_reduced   # every (alpha, l, sigma, m), in report order, bit for bit
         assert [(r.sigma, r.alpha, r.k, r.l, r.passed) for r in rows] == [
@@ -187,7 +187,7 @@ def test_wigner_eckart_report_fails_on_a_corrupted_irrep_as_the_oracle_does(monk
     moved = next(g for g in range(group.order) if g not in (0, cls.base_element))
     corrupted[alpha].matrices[moved] *= -1.0   # no longer a homomorphism
     monkeypatch.setattr(verify, "adapt_irreps_to_class", lambda *args: (corrupted, m_alphas))
-    rows, _, _, max_off = wigner_eckart_report(group, cls, reps, coupling)
+    rows, _, _, max_off = wigner_eckart_report(group, cls, table, reps, coupling)
     want, _, want_off = oracle_wigner_eckart_rows(group, corrupted, m_alphas, tables, cls.base_element)
     assert not all(r.passed for r in rows)
     assert [r.passed for r in rows] == [r.passed for r in want]
@@ -217,7 +217,7 @@ def test_wigner_eckart_report_fails_on_an_off_pattern_block(monkeypatch):
         return out
 
     monkeypatch.setattr(verify, "wigner_eckart_bruteforce", lifted_batched)
-    rows, _, _, max_off = wigner_eckart_report(group, cls, reps, coupling)
+    rows, _, _, max_off = wigner_eckart_report(group, cls, table, reps, coupling)
     want, _, want_off = oracle_wigner_eckart_rows(group, adapted, m_alphas, tables, cls.base_element, lifted_oracle)
     assert all(r.passed for r in rows) and all(r.passed for r in want)
     assert max_off > DEFAULT_TOLERANCES["wigner_eckart_sparsity"]
@@ -236,9 +236,9 @@ def test_wigner_eckart_report_fails_on_conjugated_coupling_tables():
     classes = conjugacy_classes(group)
     assert group.order == 21 and len(classes) == 5
     for cls in classes:
-        rows, _, _, max_off = wigner_eckart_report(group, cls, reps, coupling)
+        rows, _, _, max_off = wigner_eckart_report(group, cls, table, reps, coupling)
         assert verify.wigner_eckart_passed(rows, max_off)
-        rows, _, _, max_off = wigner_eckart_report(group, cls, reps, conjugated)
+        rows, _, _, max_off = wigner_eckart_report(group, cls, table, reps, conjugated)
         identity = cls.base_element == 0
         assert verify.wigner_eckart_passed(rows, max_off) == identity
         assert identity or max(r.max_dev for r in rows) > 0.1
@@ -252,12 +252,47 @@ def test_wigner_eckart_report_reduces_one_column_chunks_like_whole_blocks(monkey
     corrupted = [replace(rep, matrices=rep.matrices.copy()) for rep in adapted]
     corrupted[-1].matrices[5] *= -1.0
     monkeypatch.setattr(verify, "adapt_irreps_to_class", lambda *args: (corrupted, m_alphas))
-    whole = wigner_eckart_report(group, cls, reps, coupling)
+    whole = wigner_eckart_report(group, cls, table, reps, coupling)
     monkeypatch.setattr("classops.coupling._BRUTE_CHUNK_ENTRIES", 1)
-    chunked = wigner_eckart_report(group, cls, reps, coupling)
+    chunked = wigner_eckart_report(group, cls, table, reps, coupling)
     assert not all(r.passed for r in whole[0])
     assert [(r.sigma, r.alpha, r.k, r.l, r.passed) for r in chunked[0]] == [
         (r.sigma, r.alpha, r.k, r.l, r.passed) for r in whole[0]
     ]
     assert max(abs(a.max_dev - b.max_dev) for a, b in zip(chunked[0], whole[0])) <= 1e-13
     assert whole[3] > 0.1 and abs(chunked[3] - whole[3]) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# no verdict on zero rows
+# ---------------------------------------------------------------------------
+
+
+def test_finite_verdict_refuses_no_checks():
+    with pytest.raises(ValueError, match="no rows in section 'checks'"):
+        verify.finite_checks_passed([])
+    check = verify.CheckReport("spectral_form", "S3", "e", 0.0, 1e-10, True)
+    assert verify.finite_checks_passed([check]) and not verify.finite_checks_passed([replace(check, passed=False)])
+
+
+def test_su2_convergence_verdict_refuses_no_rows():
+    # an empty list used to fail inside max() with "max() arg is an empty sequence"
+    with pytest.raises(ValueError, match="no rows in section 'convergence'"):
+        verify.su2_convergence_passed([])
+    assert verify.su2_convergence_passed(verify.su2_convergence_rows([1], [0.7], [(32, 64)]))
+
+
+def test_wigner_eckart_verdict_refuses_no_rows():
+    with pytest.raises(ValueError, match="no rows in section 'comparisons'"):
+        verify.wigner_eckart_passed([], 0.0)
+    row = verify.WignerEckartRow("S3", 0, 0, 0, 0, "e", 0.0, True)
+    assert verify.wigner_eckart_passed([row], 0.0) and not verify.wigner_eckart_passed([row], 1.0)
+
+
+def test_scan_verdict_refuses_no_families():
+    with pytest.raises(ValueError, match="no rows in section 'families'"):
+        verify.scan_passed([])
+    group = build_group("S3")
+    table = character_table(group)
+    families, _ = scan_rows(group, conjugacy_classes(group)[1], table, irreps(group, table))
+    assert verify.scan_passed(families)
