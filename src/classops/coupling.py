@@ -32,15 +32,21 @@ Index conventions (kept rigidly throughout):
   Wigner-Eckart predictions (``_wigner_eckart_stack``) every (sigma, alpha)
   pair of one shape.  ``_orthonormal_range`` runs its pivoted Gram-Schmidt
   on a whole stack, each matrix with its own rank.
-* SU(2) tables are labeled by doubled spins and built in closed form from
-  Condon-Shortley Clebsch-Gordan coefficients conjugated by the spin-sigma
-  conjugation intertwiner.
+* SU(2) tables are labeled by doubled spins.  ``clebsch_gordan`` takes the
+  Condon-Shortley coefficients of every J from one ``eigh`` of J^2 over all
+  M blocks (no factorials, no cancelling sums), and ``su2_coupling_table``
+  turns each J's coefficients into its copy in place: the spin-sigma
+  conjugation intertwiner is a signed index flip.  What depends on the spins
+  alone (the entries of J^2, the ladders, the buffer layout) is planned once
+  per spin pair and cached; the eigensolve runs on every call.  The SU(2)
+  triple-product sum takes its phase moments from a per-chunk histogram of
+  the node weights over their (theta, phi, psi) values (``_triple_sum_su2``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import comb, copysign, factorial, sqrt
+from functools import lru_cache
 
 import numpy as np
 
@@ -290,71 +296,148 @@ def rotate_coupling_table(tables: list[CouplingTable], bases: list[np.ndarray]) 
 
 
 # ---------------------------------------------------------------------------
-# SU(2) coupling tables (closed form)
+# SU(2) coupling tables (one eigensolve of J^2)
 # ---------------------------------------------------------------------------
 
 
-def clebsch_gordan(j1_2: int, j2_2: int, j_2: int) -> np.ndarray:
-    """Condon-Shortley <j1 m1 j2 m2 | J M> as an array (2j1+1, 2j2+1, 2J+1).
+@dataclass(frozen=True)
+class _JSquaredPlan:
+    """What the all-J eigensolve of j1 (x) j2 takes from the spins alone.
 
-    Indices run over descending m (the Wigner-matrix weight order); doubled
-    integer spins.  Racah's sum is evaluated exactly in integers in its
-    binomial form, sum_k (-1)^k C(a, k) C(p, b-k) C(q, c-k), and each squared
-    coefficient is rounded once (a correctly rounded integer quotient) before
-    one float square root, so the result is accurate to a few ulp at any spin.
+    a is the spin with fewer states (n of them), b the other; block t of the
+    (blocks, n, n) stack holds the states ia + ib = t (ia, ib the indices of
+    m_a, m_b), and column c of every block is J = j1 + j2 - top[c] with
+    top[c] = n - 1 - c, whose ladder runs over the blocks
+    top[c] <= t < blocks - top[c].  Everything is
+    O(blocks n), so a plan costs far less than the eigensolve it feeds; its
+    arrays are read-only, since the cache shares them between calls.
     """
-    out = np.zeros((j1_2 + 1, j2_2 + 1, j_2 + 1))
-    if (j1_2 + j2_2 + j_2) % 2 or j_2 < abs(j1_2 - j2_2) or j_2 > j1_2 + j2_2:
-        return out
-    a = (j1_2 + j2_2 - j_2) // 2        # j1 + j2 - J
-    p = (j_2 + j1_2 - j2_2) // 2        # J + j1 - j2
-    q = (j_2 - j1_2 + j2_2) // 2        # J - j1 + j2
-    top = (j1_2 + j2_2 + j_2) // 2 + 1  # j1 + j2 + J + 1
-    fac = [factorial(n) for n in range(top + 1)]
-    den = fac[top] * fac[a] * fac[p] * fac[q]
-    for i1, m1_2 in enumerate(range(j1_2, -j1_2 - 2, -2)):
-        for i2, m2_2 in enumerate(range(j2_2, -j2_2 - 2, -2)):
-            m_2 = m1_2 + m2_2
-            if abs(m_2) > j_2:
-                continue
-            b, c = (j1_2 - m1_2) // 2, (j2_2 + m2_2) // 2   # j1 - m1, j2 + m2
-            total = sum(
-                (-1) ** k * comb(a, k) * comb(p, b - k) * comb(q, c - k)
-                for k in range(max(0, b - p, c - q), min(a, b, c) + 1)
-            )
-            num = (
-                (j_2 + 1)
-                * fac[(j_2 + m_2) // 2]
-                * fac[(j_2 - m_2) // 2]
-                * fac[b]
-                * fac[(j1_2 + m1_2) // 2]
-                * fac[(j2_2 - m2_2) // 2]
-                * fac[c]
-                * total
-                * total
-            )
-            out[i1, i2, (j_2 - m_2) // 2] = copysign(sqrt(num / den), total)
+
+    n: int
+    b2: int
+    axes: tuple[int, int, int]       # (M, m_a, m_b) -> (m1, m2, M)
+    diag: np.ndarray                 # (blocks, n): 2 m_a m_b, padded below the spectrum
+    off: np.ndarray                  # (blocks, n - 1): <ia + 1| J_a^- J_b^+ |ia>
+    lower_a: np.ndarray              # (n - 1, 1): <ia + 1| J_a^- |ia>
+    lower_b: np.ndarray              # (blocks - 1, n, 1): <ib + 1| J_b^- |ib> in block t
+    chain: np.ndarray                # (blocks - 1, n): blocks t and t + 1 both on column c's ladder
+    highest: np.ndarray              # (n, n): [c, ia] -> flat index of vec[top[c], ia, c]
+    alternate: np.ndarray            # (n,): (-1)^ia
+    exchange: np.ndarray             # (n,): True where the exchange sign (-1)^(j1 + j2 - J) is -1 (j1 > j2)
+    inside: np.ndarray               # (blocks, n, 1): 1 on the states of the product, 0 on padding
+    columns: tuple                   # per J: (J2, c, first block, last block + 1, start in the buffer)
+    size: int                        # floats of every J's (2J+1, n, 2b+1) array together
+
+
+@lru_cache(maxsize=128)
+def _j_squared_plan(j1_2: int, j2_2: int) -> _JSquaredPlan:
+    swap = j1_2 > j2_2
+    a2, b2 = (j2_2, j1_2) if swap else (j1_2, j2_2)
+    n, blocks = a2 + 1, a2 + b2 + 1
+    ia = np.arange(n)
+    t = np.arange(blocks)[:, None]
+    ib = t - ia
+    inside = (ib >= 0) & (ib <= b2)
+    lower_a = np.sqrt((a2 - ia) * (ia + 1.0))                   # <m-1| J_- |m> at m = a - ia
+    lower_b = np.sqrt(np.maximum((b2 - ib) * (ib + 1.0), 0.0))
+    pad = -1.0 - (a2 * (a2 + 2) + b2 * (b2 + 2)) / 4
+    top = n - 1 - ia                                             # the block M = J of each column
+    ladder = np.minimum(t, blocks - 1 - t) >= top                # -J <= M <= J
+    j_2 = a2 + b2 - 2 * top
+    sizes = (j_2 + 1) * n * (b2 + 1)
+    starts = np.cumsum(sizes) - sizes
+    plan = _JSquaredPlan(
+        n=n,
+        b2=b2,
+        axes=(2, 1, 0) if swap else (1, 2, 0),
+        diag=np.where(inside, (a2 - 2 * ia) * (b2 - 2 * ib) / 2.0, pad),
+        off=lower_a[:-1] * lower_b[:, 1:],
+        lower_a=lower_a[:-1, None],
+        lower_b=lower_b[:-1, :, None],
+        chain=ladder[1:] & ladder[:-1],
+        highest=(top * n * n)[:, None] + ia * n + ia[:, None],
+        alternate=(-1.0) ** ia,
+        exchange=(top % 2 == 1) & swap,
+        inside=inside[:, :, None].astype(float),
+        columns=tuple(
+            (int(j), c, int(first), blocks - int(first), int(start))
+            for c, (j, first, start) in enumerate(zip(j_2, top, starts))
+        ),
+        size=int(sizes.sum()),
+    )
+    for value in vars(plan).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return plan
+
+
+def clebsch_gordan(j1_2: int, j2_2: int) -> dict[int, np.ndarray]:
+    """Condon-Shortley <j1 m1 j2 m2 | J M> of every J in j1 (x) j2, as
+    {J2: array (2j1+1, 2j2+1, 2J+1)} in ascending J; doubled integer spins,
+    indices over descending m (the Wigner-matrix weight order).
+
+    J^2 - j1(j1+1) - j2(j2+1) is tridiagonal in each M block |m1, M - m1>,
+    with the exact eigenvalues J(J+1) - j1(j1+1) - j2(j2+1) for the J >= |M|
+    of the product, so one ``eigh`` gives every J of every block: the blocks
+    are indexed by the m of the spin with fewer states (n of them) and
+    padded with decoupled entries below the spectrum, so column c of each
+    block is J = j1 + j2 - (n - 1 - c).  Signs: the highest weight has
+    <j1 m1; j2 J-m1 | J J> of sign (-1)^(j1-m1) (Condon-Shortley), read off
+    the alternating sum of its entries (at least 1 in size), and |J M-1> is
+    J_- |J M> times a positive number, so each block takes the sign of its
+    overlap with the lowered vector of the block above, of size
+    sqrt(J(J+1) - M(M-1)) >= 1: no small coefficient decides a sign.  The
+    other spin order follows by exchange, (-1)^(j1+j2-J).  Each J's array is
+    a transposed view of its own (M, m, m') block of one buffer, m the spin
+    with fewer states; what depends on the spins alone is planned once
+    (``_j_squared_plan``).
+    """
+    plan = _j_squared_plan(j1_2, j2_2)
+    n = plan.n
+    blocks = len(plan.diag)
+    h = np.zeros((blocks, n * n))
+    h[:, ::n + 1] = plan.diag
+    h[:, n::n + 1] = plan.off
+    vec = np.linalg.eigh(h.reshape(blocks, n, n))[1]
+    lowered = plan.lower_b * vec[:-1]                  # J_- of block t in block t + 1's states
+    lowered[:, 1:] += plan.lower_a * vec[:-1, :-1]
+    flips = np.empty((blocks, n), dtype=bool)
+    np.less(np.take(vec, plan.highest) @ plan.alternate, 0, out=flips[0])
+    np.less((vec[1:] * lowered).sum(axis=1), 0, out=flips[1:])
+    flips[1:] &= plan.chain
+    odd = np.logical_xor.accumulate(flips) ^ plan.exchange
+    vec *= np.where(odd[:, None, :], -plan.inside, plan.inside)  # and zero on the padding
+    # column c of its ladder's blocks is J's (M, m_a, m_b) array, whose
+    # entry (M, ia, ib = M + first - ia) sits M (n (2b+1) + 1) + ia 2b floats
+    # after the first; padded entries land on zeros of other states
+    flat = np.zeros(plan.size)
+    strides = (8 * (n * (plan.b2 + 1) + 1), 8 * plan.b2)
+    out = {}
+    for j_2, c, first, last, start in plan.columns:
+        skew = np.ndarray((last - first, n), buffer=flat, offset=8 * (start + first), strides=strides)
+        skew[...] = vec[first:last, :, c]
+        size = (j_2 + 1) * n * (plan.b2 + 1)
+        out[j_2] = flat[start:start + size].reshape(j_2 + 1, n, plan.b2 + 1).transpose(plan.axes)
     return out
 
 
-def _conjugation_intertwiner(j2: int) -> np.ndarray:
-    """Y with conj(D^j(g)) = Y D^j(g) Y^H; Y[idx(m), idx(-m)] = (-1)^(j-m)."""
-    d = j2 + 1
-    y = np.zeros((d, d))
-    for idx, m2 in enumerate(range(j2, -j2 - 2, -2)):
-        y[idx, (j2 + m2) // 2] = (-1.0) ** ((j2 - m2) // 2)
-    return y
-
-
 def su2_coupling_table(sigma2: int) -> CouplingTable:
-    """Coupling table of L(V^sigma) for SU(2); components are integer spins 0..2*sigma."""
-    d = sigma2 + 1
-    y = _conjugation_intertwiner(sigma2)
+    """Coupling table of L(V^sigma) for SU(2); components are integer spins
+    0..2*sigma, one copy each.
+
+    The copy of J is e^J_M[i, j] = (-1)^J sum_b Y[j, b] <sigma i; sigma b | J M>
+    with the conjugation intertwiner Y[idx(m), idx(-m)] = (-1)^(sigma-m), a
+    signed index flip, so each ``clebsch_gordan`` array turns into its copy
+    in place, with no second array.  The sign (-1)^J makes the leading entry
+    e^J_J[0, J] = <sigma sigma; sigma J-sigma | J J> positive, the phase
+    ``_fix_column_phases`` gives every copy.
+    """
+    flip = (-1.0) ** np.arange(sigma2 + 1)
     basis = {}
-    for j_2 in range(0, 2 * sigma2 + 1, 2):
-        cg = clebsch_gordan(sigma2, sigma2, j_2)          # (d, d, dJ)
-        e = np.einsum("jb,ibM->Mij", y, cg)               # e^J_M[i, j]
-        basis[j_2] = _fix_column_phases(e.reshape(-1, 1)).reshape(1, j_2 + 1, d, d)  # one copy
+    for j_2, cg in clebsch_gordan(sigma2, sigma2).items():
+        e = cg.transpose(2, 0, 1)[:, :, ::-1]           # e[M, i, j] = cg[i, d-1-j, M], a view
+        e *= flip if j_2 % 4 == 0 else -flip
+        basis[j_2] = e[None]
     return CouplingTable(sigma=sigma2, kind="su2", basis=basis)
 
 
@@ -477,10 +560,19 @@ def _expansion_residual(
     return float(np.max(np.abs(lhs - rhs)))
 
 
+def _euler_columns(angles) -> np.ndarray:
+    """phi, theta, psi of Euler angles given as an (N, 3) array; any other
+    shape is refused."""
+    angles = np.asarray(angles, dtype=float)
+    if angles.ndim != 2 or angles.shape[1] != 3:
+        raise ValueError(f"Euler angles must have shape (N, 3), got {angles.shape}")
+    return angles.T
+
+
 def product_expansion_residual_su2(table: CouplingTable, angles) -> float:
     """Max deviation in the matrix-element product expansion of SU(2), over the
     elements of Euler angles (phi, theta, psi), shape (N, 3)."""
-    phi, theta, psi = np.asarray(angles, dtype=float).reshape(-1, 3).T
+    phi, theta, psi = _euler_columns(angles)
     t_sigma = WignerD(table.sigma).euler(phi, theta, psi)
     stacks = {j_2: WignerD(j_2).euler(phi, theta, psi) for j_2 in table.gammas}
     return _expansion_residual(t_sigma, stacks, table)
@@ -495,9 +587,19 @@ def triple_product_residual_su2(
     table: CouplingTable, alpha2: int, angles: np.ndarray, weights: np.ndarray
 ) -> float:
     """SU(2) version of the triple-product identity on quadrature nodes (phi,
-    theta, psi), any node set; the sum separates (``_triple_sum_su2``)."""
+    theta, psi), shape (N, 3), with N real weights, any node set; the sum
+    separates (``_triple_sum_su2``)."""
     lhs = _triple_sum_su2(alpha2, table.sigma, angles, weights)
     return _triple_residual(lhs, alpha2 + 1, table.basis.get(alpha2))
+
+
+def _ranks(ids: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``ids`` (integers below ``count``), ascending,
+    and the rank of each entry among them: ``np.unique`` with
+    ``return_inverse``, by a presence mask instead of a sort."""
+    present = np.zeros(count, dtype=bool)
+    present[ids] = True
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[ids]
 
 
 def _triple_sum_su2(alpha2: int, sigma2: int, angles: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -506,31 +608,61 @@ def _triple_sum_su2(alpha2: int, sigma2: int, angles: np.ndarray, weights: np.nd
     The summand is e^{ia(phi - pi/2)} e^{ib(psi + pi/2)} d^alpha_kl d^sigma_ir
     d^sigma_sp with a = -m_k - m_i + m_s, b = -m_l - m_r + m_p, so per distinct
     theta it is the moment M[a, b] = sum_g w_g e^{ia(phi_g - pi/2)} e^{ib(psi_g + pi/2)}
-    (one small matmul) times a product of little-d evaluated once per theta.
+    times a product of little-d evaluated once per theta.  The nodes, sorted
+    by theta, go in chunks; each chunk bins its weights by their (theta, phi,
+    psi) values into a histogram W over the values it holds, takes the moments
+    of all its thetas as the two products L^T W R with the phases L, R of those
+    phi and psi, and sums every (k, i, s, l, r, p) in one contraction.  A
+    chunk holds at most ``_BLOCK_CHUNK_ENTRIES`` numbers per theta-stacked
+    intermediate (the histogram, bounded through its node count and the
+    distinct phi and psi of the whole set, or the contraction, which takes
+    at least one theta), so a product rule bins each chunk's nodes once and a
+    node set with every angle distinct never makes a nodes^3 histogram.
     """
-    phi, theta, psi = np.asarray(angles, dtype=float).T
+    phi, theta, psi = _euler_columns(angles)
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != phi.shape:
+        raise ValueError(f"weights of shape {weights.shape} for {len(phi)} nodes")
     d_alpha, d_sigma = alpha2 + 1, sigma2 + 1
-    # a = k + i - s - alpha2/2 sits at position k + i - s + sigma2; b likewise over (l, r, p)
+    # a = k + i - s - alpha2/2 sits at position k + i - s + sigma2 of the orders; b likewise over (l, r, p)
     orders = np.arange(d_alpha + 2 * sigma2) - sigma2 - alpha2 / 2
-    left = _node_phases(phi - np.pi / 2, orders) * np.asarray(weights)[:, None]
-    right = _node_phases(psi + np.pi / 2, orders)
     k, i, s = np.ix_(range(d_alpha), range(d_sigma), range(d_sigma))
-    position = (k + i - s + sigma2).ravel()
-    nodes, where = np.unique(theta, return_inverse=True)
-    alpha_d, sigma_d = WignerD(alpha2).little_d(nodes), WignerD(sigma2).little_d(nodes)
-    lhs = np.zeros((d_alpha * d_sigma**2,) * 2, dtype=complex)
-    groups = np.split(np.argsort(where, kind="stable"), np.cumsum(np.bincount(where))[:-1])
-    for t, group in enumerate(groups):
-        moments = left[group].T @ right[group]
-        d_prod = np.multiply.outer(alpha_d[t], np.multiply.outer(sigma_d[t], sigma_d[t]))
-        lhs += moments[np.ix_(position, position)] * d_prod.transpose(0, 2, 4, 1, 3, 5).reshape(lhs.shape)
-    return lhs.reshape((d_alpha, d_sigma, d_sigma) * 2).transpose(0, 3, 1, 4, 2, 5)
-
-
-def _node_phases(angles: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    """e^{i a x} for every node angle x and order a, one exp per distinct angle."""
-    values, where = np.unique(angles, return_inverse=True)
-    return np.exp(1j * np.multiply.outer(values, orders))[where]
+    a = (k + i - s + sigma2).ravel()
+    position = np.add.outer(a * len(orders), a).reshape((d_alpha, d_sigma, d_sigma) * 2)
+    position = position.transpose(0, 3, 1, 4, 2, 5).ravel()  # flat (a, b) of each (k, l, i, r, s, p)
+    order = np.argsort(theta, kind="stable")
+    new_theta = np.diff(theta[order], prepend=np.nan) != 0
+    t_sorted = np.cumsum(new_theta) - 1                          # theta index of each sorted node
+    thetas = theta[order[new_theta]]
+    phis, u_of = np.unique(phi, return_inverse=True)
+    psis, v_of = np.unique(psi, return_inverse=True)
+    left = np.exp(1j * np.multiply.outer(phis - np.pi / 2, orders))
+    right = np.exp(1j * np.multiply.outer(psis + np.pi / 2, orders))
+    alpha_d = WignerD(alpha2).little_d(thetas).reshape(len(thetas), -1, 1)
+    sigma_d = WignerD(sigma2).little_d(thetas).reshape(len(thetas), -1)
+    sigma_pairs = (sigma_d[:, :, None] * sigma_d[:, None, :]).reshape(len(thetas), 1, -1)  # d_ir d_sp
+    lhs = np.zeros(len(position), dtype=complex)
+    term = min(len(lhs), _BLOCK_CHUNK_ENTRIES)  # one theta's terms; a larger one still takes its theta whole
+    lo = 0
+    while lo < len(order):
+        span = t_sorted[lo:lo + _BLOCK_CHUNK_ENTRIES] - t_sorted[lo] + 1  # thetas of the first n nodes
+        n = np.arange(1, len(span) + 1)
+        per_theta = np.maximum(np.minimum(n, len(phis)) * np.minimum(n, len(psis)), term)
+        hi = lo + max(1, int(np.count_nonzero(span * per_theta <= _BLOCK_CHUNK_ENTRIES)))
+        nodes, t = order[lo:hi], t_sorted[lo:hi] - t_sorted[lo]
+        u_values, u = _ranks(u_of[nodes], len(phis))
+        v_values, v = _ranks(v_of[nodes], len(psis))
+        shape = (t[-1] + 1, len(u_values), len(v_values))
+        hist = np.bincount(
+            (t * shape[1] + u) * shape[2] + v, weights=weights[nodes], minlength=np.prod(shape)
+        ).reshape(shape)
+        moments = (left[u_values].T @ hist @ right[v_values]).reshape(shape[0], -1)  # (thetas, (a, b))
+        rows = slice(t_sorted[lo], t_sorted[lo] + shape[0])
+        terms = np.take(moments, position, axis=1)                        # (thetas, (k, l, i, r, s, p))
+        terms *= (alpha_d[rows] * sigma_pairs[rows]).reshape(shape[0], -1)  # d_kl d_ir d_sp
+        lhs += terms.sum(axis=0)
+        lo = hi
+    return lhs.reshape((d_alpha, d_alpha) + (d_sigma,) * 4)
 
 
 # ---------------------------------------------------------------------------

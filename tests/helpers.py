@@ -4,8 +4,9 @@ Everything here recomputes expected values through a different route than the
 library code under test: set-based orbit enumeration for classes, the dense
 stack of left-translation matrices and the literal triple product for weighted
 class operators, commutant diagonalization of the regular representation for
-characters, a highest-weight/lowering recursion for Clebsch-Gordan
-coefficients, and Wigner's factorial sum for the SU(2) little-d matrix.  The
+characters, a highest-weight/lowering recursion and Racah's exact integer
+sum for Clebsch-Gordan coefficients (the library takes every J from one
+eigensolve of J^2), and Wigner's factorial sum for the SU(2) little-d matrix.  The
 slow loops that the table pipeline replaced stay here as references compared
 bit for bit: composing every pair of permutations (parsed back from the
 cycle-notation labels) for the multiplication table, the dense (k, k, k)
@@ -76,7 +77,7 @@ from __future__ import annotations
 import json
 from decimal import Decimal, localcontext
 from itertools import permutations, product
-from math import factorial
+from math import comb, copysign, factorial, sqrt
 
 import numpy as np
 
@@ -729,6 +730,49 @@ def _lowering_coeff(j2: int, m2: int) -> float:
     """<j, m-1| J_- |j, m> = sqrt(j(j+1) - m(m-1)) in doubled-integer inputs."""
     j, m = j2 / 2.0, m2 / 2.0
     return float(np.sqrt(j * (j + 1) - m * (m - 1)))
+
+
+def oracle_clebsch_gordan(j1_2: int, j2_2: int, j_2: int) -> np.ndarray:
+    """Condon-Shortley <j1 m1 j2 m2 | J M> of one J as an array (2j1+1, 2j2+1, 2J+1).
+
+    Indices run over descending m; doubled integer spins.  Racah's sum is
+    evaluated exactly in integers in its binomial form,
+    sum_k (-1)^k C(a, k) C(p, b-k) C(q, c-k), and each squared coefficient is
+    rounded once (a correctly rounded integer quotient) before one float
+    square root, so the result is accurate to a few ulp at any spin.
+    """
+    out = np.zeros((j1_2 + 1, j2_2 + 1, j_2 + 1))
+    if (j1_2 + j2_2 + j_2) % 2 or j_2 < abs(j1_2 - j2_2) or j_2 > j1_2 + j2_2:
+        return out
+    a = (j1_2 + j2_2 - j_2) // 2        # j1 + j2 - J
+    p = (j_2 + j1_2 - j2_2) // 2        # J + j1 - j2
+    q = (j_2 - j1_2 + j2_2) // 2        # J - j1 + j2
+    top = (j1_2 + j2_2 + j_2) // 2 + 1  # j1 + j2 + J + 1
+    fac = [factorial(n) for n in range(top + 1)]
+    den = fac[top] * fac[a] * fac[p] * fac[q]
+    for i1, m1_2 in enumerate(range(j1_2, -j1_2 - 2, -2)):
+        for i2, m2_2 in enumerate(range(j2_2, -j2_2 - 2, -2)):
+            m_2 = m1_2 + m2_2
+            if abs(m_2) > j_2:
+                continue
+            b, c = (j1_2 - m1_2) // 2, (j2_2 + m2_2) // 2   # j1 - m1, j2 + m2
+            total = sum(
+                (-1) ** k * comb(a, k) * comb(p, b - k) * comb(q, c - k)
+                for k in range(max(0, b - p, c - q), min(a, b, c) + 1)
+            )
+            num = (
+                (j_2 + 1)
+                * fac[(j_2 + m_2) // 2]
+                * fac[(j_2 - m_2) // 2]
+                * fac[b]
+                * fac[(j1_2 + m1_2) // 2]
+                * fac[(j2_2 - m2_2) // 2]
+                * fac[c]
+                * total
+                * total
+            )
+            out[i1, i2, (j_2 - m_2) // 2] = copysign(sqrt(num / den), total)
+    return out
 
 
 def oracle_cg_ladder(j1_2: int, j2_2: int) -> dict[int, np.ndarray]:

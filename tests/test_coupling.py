@@ -40,6 +40,7 @@ from helpers import (
     dense_wigner_eckart_bruteforce,
     group_conjugate,
     oracle_cg_ladder,
+    oracle_clebsch_gordan,
     oracle_conjugation_decomposition,
     oracle_conjugation_stack,
     oracle_rotate_coupling_table,
@@ -286,27 +287,38 @@ def test_triple_product_exhaustive_finite(spec):
 @pytest.mark.parametrize("j1_2,j2_2", [(1, 1), (2, 2), (1, 2), (3, 3), (4, 2), (3, 4)])
 def test_clebsch_gordan_against_ladder_oracle(j1_2, j2_2):
     ladder = oracle_cg_ladder(j1_2, j2_2)
+    got = clebsch_gordan(j1_2, j2_2)
+    assert sorted(got) == sorted(ladder)
     for j_2, expected in ladder.items():
-        got = clebsch_gordan(j1_2, j2_2, j_2)
-        assert np.max(np.abs(got - expected)) < 1e-12
+        assert np.max(np.abs(got[j_2] - expected)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "j1_2,j2_2", [(a, b) for a in range(13) for b in range(13)] + [(40, 40), (MAX_J2, 8)]
+)
+def test_clebsch_gordan_against_exact_racah_sum(j1_2, j2_2):
+    # j1 != j2 included: blocks with M < j1 - j2 hold no m1 = j1 entry, and
+    # with j1 > j2 the blocks are indexed by the other spin (exchange sign)
+    got = clebsch_gordan(j1_2, j2_2)
+    assert list(got) == list(range(abs(j1_2 - j2_2), j1_2 + j2_2 + 1, 2))
+    for j_2, cg in got.items():
+        assert cg.shape == (j1_2 + 1, j2_2 + 1, j_2 + 1)
+        assert np.max(np.abs(cg - oracle_clebsch_gordan(j1_2, j2_2, j_2))) < 1e-13, j_2
 
 
 def test_clebsch_gordan_unitarity_and_selection():
-    blocks = [clebsch_gordan(2, 2, j_2) for j_2 in (0, 2, 4)]
-    stacked = np.concatenate([b.reshape(9, -1) for b in blocks], axis=1)
+    blocks = clebsch_gordan(2, 2)
+    stacked = np.concatenate([b.reshape(9, -1) for b in blocks.values()], axis=1)
     assert np.max(np.abs(stacked @ stacked.T - np.eye(9))) < 1e-12
-    assert np.max(np.abs(clebsch_gordan(1, 1, 1))) == 0  # parity-forbidden
-    assert np.max(np.abs(clebsch_gordan(1, 1, 6))) == 0  # triangle-forbidden
+    assert list(clebsch_gordan(1, 1)) == [0, 2]  # J = 1/2 parity-, J = 3 triangle-forbidden
+    assert list(clebsch_gordan(0, 5)) == [5]
 
 
 @pytest.mark.parametrize("j1_2,j2_2", [(MAX_J2, 1), (MAX_J2, 8), (40, 40)])
 def test_clebsch_gordan_orthogonality_up_to_max_spin(j1_2, j2_2):
     # the coefficients of all J form an orthogonal (d1 d2) x (d1 d2) matrix;
     # at these spins the factorials overflow a float by hundreds of orders
-    blocks = [
-        clebsch_gordan(j1_2, j2_2, j_2).reshape((j1_2 + 1) * (j2_2 + 1), -1)
-        for j_2 in range(abs(j1_2 - j2_2), j1_2 + j2_2 + 1, 2)
-    ]
+    blocks = [cg.reshape((j1_2 + 1) * (j2_2 + 1), -1) for cg in clebsch_gordan(j1_2, j2_2).values()]
     u = np.concatenate(blocks, axis=1)
     assert u.shape[0] == u.shape[1]
     assert np.max(np.abs(u.T @ u - np.eye(u.shape[0]))) < 1e-12
@@ -376,6 +388,37 @@ def test_separated_triple_sum_matches_node_wise_oracle(sigma2):
             expect = oracle_triple_sum_su2(alpha2, sigma2, angles, weights)
             got = _triple_sum_su2(alpha2, sigma2, angles, weights)
             assert np.max(np.abs(got - expect)) < 1e-13
+
+
+def test_separated_triple_sum_bins_random_nodes_in_bounded_chunks():
+    # 50 Haar-random nodes, every theta, phi and psi distinct: binned over
+    # the whole set the (theta, phi, psi) histogram would hold 50**3 weights,
+    # and at alpha2 = 10, sigma2 = 4 one theta's term is 275**2 entries.  The
+    # call peaks at 4.4 MiB traced.
+    angles = haar_random(np.random.default_rng(3), 50)
+    assert all(len(np.unique(column)) == 50 for column in angles.T)
+    weights = np.random.default_rng(4).uniform(0.5, 1.5, 50) / 50
+    tracemalloc.start()
+    try:
+        got = _triple_sum_su2(10, 4, angles, weights)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000, f"peak traced allocation {peak} B"
+    assert np.max(np.abs(got - oracle_triple_sum_su2(10, 4, angles, weights))) < 1e-13
+
+
+def test_su2_identities_refuse_misshaped_nodes():
+    tab = su2_coupling_table(1)
+    angles, weights = su2_haar_quadrature(7, 5, 14)
+    with pytest.raises(ValueError, match=r"weights of shape \(1,\) for 490 nodes"):
+        triple_product_residual_su2(tab, 2, angles, weights[:1])
+    with pytest.raises(ValueError, match=r"shape \(N, 3\), got \(3, 490\)"):
+        triple_product_residual_su2(tab, 2, angles.T, weights)
+    with pytest.raises(ValueError, match=r"shape \(N, 3\), got \(3, 5\)"):
+        product_expansion_residual_su2(tab, haar_random(np.random.default_rng(1), 5).T)
+    with pytest.raises(ValueError, match=r"shape \(N, 3\), got \(3,\)"):
+        product_expansion_residual_su2(tab, [0.1, 0.2, 0.3])
 
 
 # ---------------------------------------------------------------------------
@@ -606,22 +649,39 @@ def test_su2_wigner_eckart_kernel_equals_per_weight_oracle(sigma2):
             assert np.array_equal(reduced[0], want_reduced)
 
 
-def test_su2_coupling_table_holds_one_array(monkeypatch):
-    # sigma = 40: the basis is 41**4 floats (22.6 MB); a second, conjugated and
-    # transposed copy of it would double what the table retains.  The
-    # Clebsch-Gordan arrays are computed before tracing starts and handed out
-    # as fresh copies: traced, Racah's integer sums take seconds.
-    cg = {j_2: clebsch_gordan(40, 40, j_2) for j_2 in range(0, 81, 2)}
-    monkeypatch.setattr("classops.coupling.clebsch_gordan", lambda j1_2, j2_2, j_2: cg[j_2].copy())
+def test_su2_coupling_tables_share_no_array_between_calls():
+    # the spin-only plan is cached; what a call returns is its own
+    first, second = su2_coupling_table(3), su2_coupling_table(3)
+    expected = {j_2: e.copy() for j_2, e in second.basis.items()}
+    for j_2, e in first.basis.items():
+        e *= -1.0
+        assert not np.shares_memory(e, second.basis[j_2])
+    third = su2_coupling_table(3)
+    for j_2, e in expected.items():
+        assert np.array_equal(second.basis[j_2], e)
+        assert np.array_equal(third.basis[j_2], e)
+    cg = clebsch_gordan(2, 5)
+    cg[3] *= 0.0
+    assert np.max(np.abs(clebsch_gordan(2, 5)[3])) > 0.1
+
+
+def test_su2_coupling_table_holds_one_array():
+    # sigma = 40: the basis is 41**4 floats (21.6 MiB); a second, conjugated
+    # and transposed copy of it would double what the table retains, and a
+    # padded all-J Clebsch-Gordan array (d^4 floats) held beside the basis
+    # would double the peak.  Each J's coefficients turn into its copy in
+    # place; the eigensolve's (2d - 1, d, d) stacks are what the peak adds
+    # (1.15x, CPython 3.11, numpy 2.4).
     tracemalloc.start()
     try:
         tab = su2_coupling_table(40)
-        retained, _ = tracemalloc.get_traced_memory()
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     basis_bytes = sum(e.nbytes for e in tab.basis.values())
     assert basis_bytes == 41**4 * 8
     assert retained <= 1.1 * basis_bytes, f"table retains {retained} B for a {basis_bytes} B basis"
+    assert peak <= 1.25 * basis_bytes, f"table build peaks at {peak} B for a {basis_bytes} B basis"
 
 
 def test_wigner_eckart_su2_vs_quadrature():
