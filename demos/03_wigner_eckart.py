@@ -25,7 +25,7 @@ from classops import (
     wigner_eckart_matrix,
     z_fixed_bases,
 )
-from classops.su2 import SphereQuadrature, WignerD, fixed_column_index, weighted_class_operator_su2
+from classops.su2 import SphereQuadrature, WignerD, fixed_column_index, weighted_class_operator_rows_su2
 
 # -- finite case: S3, transposition class ------------------------------------
 group = build_group("S3")
@@ -67,6 +67,7 @@ col = fixed_column_index(alpha2)
 t_g0 = WignerD(sigma2).euler(0.0, 0.0, psi)
 pred, reduced = wigner_eckart_matrix(su2_tab, alpha2, alpha2 + 1, [col], t_g0)
 print(f"  reduced matrix element of the m = 0 column: {reduced[0, 0]:+.6f}")
-for k in range(alpha2 + 1):
-    quadr = weighted_class_operator_su2(sigma2, psi, [(alpha2, k, 1.0)], quad)
+# one weighted class operator per row k of the spin-l weights, from one little-d column
+(_, quadrature_rows), = weighted_class_operator_rows_su2(sigma2, psi, [alpha2], quad)
+for k, quadr in enumerate(quadrature_rows):
     print(f"  weight conj(D^1_{{{k},0}}): prediction vs quadrature: {np.max(np.abs(pred[k, 0] - quadr)):.2e}")

@@ -43,7 +43,6 @@ from .su2 import (
     closed_form_eigenvalue,
     haar_random,
     su2_haar_quadrature,
-    weighted_class_operator_su2,
     weighted_class_operator_rows_su2,
 )
 from .coupling import (

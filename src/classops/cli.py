@@ -1,8 +1,9 @@
 """Command-line verification tool.
 
 Subcommands: finite-verify, su2-verify, wigner-eckart, scan, export-tables.
-Each command computes lists of dataclass records, which ``render_report``
-turns into JSON or CSV text and ``_emit`` writes.  Reports are deterministic
+Each command computes lists of dataclass records, which ``write_report``
+writes, like ``write_json`` the tables document, to the handle ``_emit``
+opens; an output file left unfinished is removed.  Reports are deterministic
 for a fixed config and seed (no timestamps, sorted keys, fixed check order),
 and the exit status encodes pass/fail/error as 0/1/2, where error covers
 usage, malformed input and numerical breakdown.  The environment variable
@@ -16,13 +17,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .groups import FiniteGroup, build_group, conjugacy_classes
 from .representations import character_table, irreps
 from .coupling import TensorOperatorFamily, conjugation_decomposition
-from .serialize import json_text, load_group_file, render_report, tables_document
+from .serialize import load_group_file, tables_document, write_json, write_report
 from .su2 import sphere_rule_for_spin
 from . import verify
 
@@ -81,7 +83,7 @@ class RunConfig:
     def echo(self) -> dict:
         """The settings a report records: every field but the output path."""
         names = {"class_selector": "class", "fmt": "format"}
-        return {names.get(f.name, f.name): getattr(self, f.name) for f in fields(self) if f.name != "output"}
+        return {names.get(k, k): v for k, v in vars(self).items() if k != "output"}
 
 
 def _group_and_classes(cfg: RunConfig) -> tuple[FiniteGroup, list]:
@@ -101,20 +103,27 @@ def _tables(cfg: RunConfig, group: FiniteGroup) -> tuple:
     return table, irreps_list, conjugation_decomposition(group, irreps_list, table)
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    """Write a rendered document to --output, or to stdout without one."""
+def _emit(cfg: RunConfig, write) -> None:
+    """Call ``write`` on the --output file, or on stdout without one.  A file
+    that ``write`` leaves unfinished, by any exception, is removed."""
     if not cfg.output:
-        sys.stdout.write(text)
+        write(sys.stdout)
         return
     out = Path(cfg.output)
     if not out.is_absolute() and os.environ.get("CLASSOPS_OUTPUT_DIR"):
         out = Path(os.environ["CLASSOPS_OUTPUT_DIR"]) / out
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(text, encoding="utf-8")
+    handle = out.open("w", encoding="utf-8")
+    try:
+        with handle:
+            write(handle)
+    except BaseException:
+        out.unlink(missing_ok=True)
+        raise
 
 
 def _report(cfg: RunConfig, sections: list, passed: bool, **members) -> int:
-    _emit(cfg, render_report(cfg.fmt, sections, config=cfg.echo(), passed=passed, **members))
+    _emit(cfg, partial(write_report, cfg.fmt, sections, config=cfg.echo(), passed=passed, **members))
     return 0 if passed else 1
 
 
@@ -184,7 +193,7 @@ def run_export_tables(cfg: RunConfig) -> int:
     if not cfg.output:
         raise UsageError("export-tables requires --output")
     group, _ = _group_and_classes(cfg)
-    _emit(cfg, json_text(tables_document(group, *_tables(cfg, group))))
+    _emit(cfg, partial(write_json, tables_document(group, *_tables(cfg, group))))
     return 0
 
 

@@ -49,7 +49,6 @@ __all__ = [
     "sphere_rule_for_spin",
     "class_operator_quadrature",
     "closed_form_eigenvalue",
-    "weighted_class_operator_su2",
     "weighted_class_operator_rows_su2",
     "haar_random",
     "su2_haar_quadrature",
@@ -332,23 +331,6 @@ def _phi_average(dim: int, shifts, n_phi: int) -> np.ndarray:
 def _difference_index(dim: int) -> np.ndarray:
     """index[a, b] = a - b + dim - 1: where a - b sits in a sequence over 1 - dim .. dim - 1."""
     return np.subtract.outer(np.arange(dim), np.arange(dim)) + (dim - 1)
-
-
-def weighted_class_operator_su2(j2: int, psi: float, weight_terms, quad: SphereQuadrature) -> np.ndarray:
-    """Weighted class operator with a band-limited weight on the class sphere.
-
-    ``weight_terms`` is an iterable of (l2, i, coeff): the weight function is
-    sum coeff * conj(D^{l}_{i, m=0}) evaluated at the coset representative
-    g(phi) h(theta).  Only integer l (even l2) is admissible; half-integer
-    spins have no circle-fixed vector so no such weight exists.  The terms are
-    summed from ``weighted_class_operator_rows_su2``.
-    """
-    terms = [(int(l2), int(i), complex(c)) for (l2, i, c) in weight_terms]
-    for l2, i, _ in terms:
-        if not 0 <= i <= l2:
-            raise ValueError(f"weight row index {i} out of range for l2={l2}")
-    rows = dict(weighted_class_operator_rows_su2(j2, psi, {l2 for l2, _, _ in terms}, quad))
-    return sum((c * rows[l2][i] for l2, i, c in terms), np.zeros((int(j2) + 1,) * 2, dtype=complex))
 
 
 def weighted_class_operator_rows_su2(j2: int, psi: float, weight_spins, quad: SphereQuadrature):

@@ -52,6 +52,12 @@ checked against Newton's method on the three-term recurrence in 40-digit
 decimal arithmetic.
 Every document the package writes is compared with the standard library's
 indent-2 JSON rendering, which the package reproduces without calling it.
+The library writes each report column by column; ``oracle_render_report``
+renders it the row-wise way it replaced, a dict per record through that
+indent-2 rendering in JSON and a cell per value in CSV.
+``oracle_weighted_class_operator_su2`` sums the weighted SU(2) class
+operators of a weight given as (l2, i, coeff) terms from the rows the library
+returns per weight spin.
 The package writes ``classop-tables/2`` documents and reads none back;
 ``read_tables_2`` here rebuilds each irrep from its generator images along
 the written words, one breadth-first level per product, and checks the
@@ -75,6 +81,7 @@ with the per-element Euler-angle rule that ``haar_random`` vectorizes.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from decimal import Decimal, localcontext
 from itertools import permutations, product
 from math import comb, copysign, factorial, sqrt
@@ -97,7 +104,7 @@ from classops.coupling import (
     _triple_residual,
     wigner_eckart_bruteforce,
 )
-from classops.su2 import SphereQuadrature, WignerD, fixed_column_index
+from classops.su2 import SphereQuadrature, WignerD, fixed_column_index, weighted_class_operator_rows_su2
 from classops.verify import DEFAULT_TOLERANCES, CheckReport, ReducedElementRow, WignerEckartRow, _random_weight
 
 CATALOG_LEQ_24 = ["C1", "C2", "C3", "C4", "C6", "D3", "D4", "D5", "Q8", "S3", "S4"]
@@ -896,8 +903,9 @@ def oracle_phi_sum_class_operator(j2: int, psi: float, quad) -> np.ndarray:
 
 
 def oracle_phi_sum_weighted_operator(j2: int, psi: float, weight_terms, quad) -> np.ndarray:
-    """weighted_class_operator_su2 with the weight tabulated on every (phi, theta)
-    node and the phi sum taken over the rule's nodes."""
+    """The weighted class operator of ``weight_terms`` (l2, i, coeff), with the
+    weight tabulated on every (phi, theta) node and the phi sum taken over the
+    rule's nodes."""
     rep = WignerD(j2)
     d_stack = rep.little_d(quad.theta)
     conj_core = (d_stack * rep.weight_phases(psi)) @ d_stack.transpose(0, 2, 1)
@@ -912,6 +920,15 @@ def oracle_phi_sum_weighted_operator(j2: int, psi: float, weight_terms, quad) ->
     phi_sums = _phi_phases(quad.phi, rep.dim) @ (values * quad.theta_weights)
     out = np.einsum("til,ilt->il", conj_core, phi_sums[_difference_index(rep.dim)])
     return out / quad.n_phi
+
+
+def oracle_weighted_class_operator_su2(j2: int, psi: float, weight_terms, quad) -> np.ndarray:
+    """The weighted class operator of the weight sum coeff * conj(D^{l}_{i, m=0}) over
+    ``weight_terms`` (l2, i, coeff): that linear combination of the rows
+    ``weighted_class_operator_rows_su2`` yields per weight spin."""
+    terms = [(int(l2), int(i), complex(c)) for l2, i, c in weight_terms]
+    rows = dict(weighted_class_operator_rows_su2(j2, psi, {l2 for l2, _, _ in terms}, quad))
+    return sum((c * rows[l2][i] for l2, i, c in terms), np.zeros((j2 + 1, j2 + 1), dtype=complex))
 
 
 def oracle_gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -1117,3 +1134,37 @@ def _nested_lists(o):
     if isinstance(o, dict):
         return {k: _nested_lists(v) for k, v in o.items()}
     return o
+
+
+# report column name -> dataclass field name, where the two differ
+_COLUMN_RENAMES = {"cls": "class", "passed": "pass"}
+
+
+def oracle_render_report(fmt: str, sections, **members) -> str:
+    """A report as the row-wise renderer wrote it: in JSON a dict per record
+    in a document rendered by ``oracle_json_text``; in CSV per section a
+    ``# title`` line, a header and one row of cells per record."""
+    columns = [[(f.name, _COLUMN_RENAMES.get(f.name, f.name)) for f in fields(record_type)]
+               for _, _, record_type, _ in sections]
+    if fmt == "json":
+        document = {"schema": "classop-report/1", **members}
+        for (key, _, _, records), cols in zip(sections, columns):
+            document[key] = [{name: getattr(r, attr) for attr, name in cols} for r in records]
+        return oracle_json_text(document)
+    lines: list[str] = []
+    for (_, title, _, records), cols in zip(sections, columns):
+        lines.append(f"# {title}")
+        lines.append(",".join(name for _, name in cols))
+        lines.extend(",".join(_oracle_csv_cell(getattr(r, attr)) for attr, _ in cols) for r in records)
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_csv_cell(v) -> str:
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    if isinstance(v, (float, np.floating)):
+        return f"{float(v):.16e}"
+    if isinstance(v, (complex, np.complexfloating)):
+        sign = "+" if v.imag >= 0 else "-"
+        return f"{float(v.real):.16e}{sign}{abs(float(v.imag)):.16e}j"
+    return str(v)

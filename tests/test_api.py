@@ -115,7 +115,7 @@ def test_removed_names_are_gone_and_check_records_live_in_verify():
     assert not hasattr(classops.class_operators, "CheckReport")
     assert not hasattr(su2, "_class_operators")
     assert not hasattr(classops.FiniteGroup, "elements")
-    for name in ("encode_complex", "encode_complex_array", "write_json", "coupling_table_from_document",
+    for name in ("encode_complex", "encode_complex_array", "render_report", "coupling_table_from_document",
                  "decode_complex_array"):
         assert not hasattr(classops.serialize, name), name
     removed = {
@@ -124,7 +124,7 @@ def test_removed_names_are_gone_and_check_records_live_in_verify():
             "left_translate", "right_translate", "class_left_translate", "WeightedClassOperator", "class_sum_element",
         ),
         classops.representations: ("matrix_element_functions", "IsotypicProjection", "represent", "_CatalogImages"),
-        su2: ("ad_map", "PAULI", "SU2Element", "_weighted_core"),
+        su2: ("ad_map", "PAULI", "SU2Element", "_weighted_core", "weighted_class_operator_su2"),
         coupling: ("product_expansion_residual", "triple_product_residual", "_weighted_triple_sum", "z_fixed_basis"),
         classops.Irrep: ("character",),
         su2.WignerD: ("__call__", "character"),

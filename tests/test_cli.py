@@ -663,3 +663,41 @@ def test_output_dir_env(tmp_path, capsys, monkeypatch):
     code, _, _ = run(["finite-verify", "--group", "catalog:C2", "--output", "sub/r.json"], capsys)
     assert code == 0
     assert (tmp_path / "sub" / "r.json").exists()
+
+
+class _FailingAfterFirstChunk:
+    """A handle that takes one chunk and then fails as a full disk does."""
+
+    def __init__(self, handle):
+        self.handle, self.chunks = handle, 0
+
+    def write(self, text):
+        if self.chunks:
+            raise OSError(28, "No space left on device")
+        self.chunks += 1
+        return self.handle.write(text)
+
+
+@pytest.mark.parametrize("argv, writer", [
+    (["export-tables", "--group", "C12"], "write_json"),
+    (["wigner-eckart", "--group", "S3"], "write_report"),
+], ids=["export-tables", "report"])
+def test_a_write_failing_partway_leaves_no_output_file(argv, writer, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out.json"
+    out.write_text("an older file")
+    real = getattr(cli, writer)
+    monkeypatch.setattr(cli, writer, lambda *args, **members: real(*args[:-1], _FailingAfterFirstChunk(args[-1]),
+                                                                      **members))
+    code, stdout, err = run([*argv, "--output", str(out)], capsys)
+    assert code == 2 and stdout == "" and len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "OSError", "message": "[Errno 28] No space left on device"}
+    assert not out.exists()
+    # without a failure the same path gets the whole document
+    monkeypatch.setattr(cli, writer, real)
+    code, _, _ = run([*argv, "--output", str(out)], capsys)
+    assert code == 0 and json.loads(out.read_text())
+    # an exception from the chunk source itself propagates, and the file goes too
+    monkeypatch.setattr(cli, "tables_document", lambda *args: {"a": 1.0, "b": object()})
+    with pytest.raises(TypeError):
+        main(["export-tables", "--group", "C12", "--output", str(out)])
+    assert not out.exists()

@@ -31,7 +31,6 @@ from classops.su2 import (
     fixed_column_index,
     haar_random,
     su2_haar_quadrature,
-    weighted_class_operator_su2,
 )
 from helpers import (
     CATALOG_LEQ_24,
@@ -46,6 +45,7 @@ from helpers import (
     oracle_rotate_coupling_table,
     oracle_tensor_operator_scan,
     oracle_triple_sum_su2,
+    oracle_weighted_class_operator_su2,
     oracle_wigner_eckart_bruteforce,
     oracle_wigner_eckart_matrix,
     oracle_z_fixed_basis,
@@ -694,7 +694,7 @@ def test_wigner_eckart_su2_vs_quadrature():
                 col = fixed_column_index(alpha2)
                 pred, _ = wigner_eckart_matrix(tab, alpha2, alpha2 + 1, [col], t_sigma_g0)
                 for k in range(alpha2 + 1):
-                    quadr = weighted_class_operator_su2(sigma2, psi, [(alpha2, k, 1.0)], quad)
+                    quadr = oracle_weighted_class_operator_su2(sigma2, psi, [(alpha2, k, 1.0)], quad)
                     assert np.max(np.abs(pred[k, 0] - quadr)) < 1e-8
 
 
@@ -706,7 +706,7 @@ def test_su2_spin_half_weight_matches_prediction():
     t_half_g0 = WignerD(1).euler(0.0, 0.0, psi)
     pred, _ = wigner_eckart_matrix(tab, 2, 3, [1], t_half_g0)
     for k in range(3):
-        quadr = weighted_class_operator_su2(1, psi, [(2, k, 1.0)], quad)
+        quadr = oracle_weighted_class_operator_su2(1, psi, [(2, k, 1.0)], quad)
         assert np.max(np.abs(pred[k, 0] - quadr)) < 1e-10
 
 

@@ -1,18 +1,20 @@
 """JSON/CSV encodings: round trips, schemas, group files."""
 
+import io
 import json
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from classops import cli, serialize
+from classops import cli, serialize, verify
 from classops.groups import GroupConstructionError, build_group
 from classops.representations import character_table, irreps
-from classops.coupling import conjugation_decomposition, su2_coupling_table
+from classops.coupling import TensorOperatorFamily, conjugation_decomposition, su2_coupling_table
 from classops.serialize import (
     REPORT_SCHEMA,
     TABLES_SCHEMA,
@@ -22,8 +24,10 @@ from classops.serialize import (
     json_text,
     load_group_file,
     tables_document,
+    write_json,
+    write_report,
 )
-from helpers import decode_complex_array, oracle_json_text, read_tables_2, unitarity_residual
+from helpers import decode_complex_array, oracle_json_text, oracle_render_report, read_tables_2, unitarity_residual
 
 
 def test_complex_array_round_trip():
@@ -183,7 +187,7 @@ def test_json_text_is_the_indent_2_rendering_of_tables(make, tmp_path):
 
 
 def test_json_text_of_c150_tables_peaks_below_three_times_its_text():
-    # one list of chunks and one join: the writer holds the text about twice
+    # the string buffer and its one copy: the writer holds the text about twice
     document = _full_tables_document(build_group("C150"))
     tracemalloc.start()
     try:
@@ -245,26 +249,130 @@ def test_tables_2_holds_no_stack_over_the_group(spec, tmp_path):
     assert _float_count(json.loads(out.read_text())) == expected
 
 
-@pytest.mark.parametrize("argv", [
+def test_writing_c150_tables_to_a_file_peaks_below_its_text(tmp_path):
+    # the text goes to the file as it is made, at most one outermost array row at a time
+    document = _full_tables_document(build_group("C150"))
+    path = tmp_path / "tables.json"
+    with path.open("w", encoding="utf-8") as handle:
+        tracemalloc.start()
+        try:
+            write_json(document, handle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    size = path.stat().st_size
+    assert size == len(json_text(document)) and peak < size
+
+
+# ---------------------------------------------------------------------------
+# reports, written column by column, against the row-wise oracle
+# ---------------------------------------------------------------------------
+
+REPORT_ARGVS = [
     ["finite-verify", "--group", "S3", "--n-random", "2"],
     ["wigner-eckart", "--group", "D4"],
     ["wigner-eckart", "--group", "su2", "--max-spin-x2", "3", "--psi", "1.1"],
     ["scan", "--group", "Q8"],
     ["su2-verify"],
     ["su2-verify", "--j2", "5", "--psi", "0.4", "--quadrature", "8", "16"],
-], ids=lambda argv: "-".join(argv[:3]))
-def test_json_text_is_the_indent_2_rendering_of_reports(argv, monkeypatch, capsys):
-    documents = []
+]
 
-    def recording(document):
-        documents.append(document)
-        return json_text(document)
 
-    monkeypatch.setattr(serialize, "json_text", recording)
+def _cli_report_and_oracle(argv, monkeypatch, capsys) -> tuple[str, str]:
+    """The report ``cli.main(argv)`` prints, and the oracle's text of the records it wrote."""
+    calls = []
+
+    def recording(fmt, sections, handle, **members):
+        calls.append((fmt, sections, members))
+        write_report(fmt, sections, handle, **members)
+
+    monkeypatch.setattr(cli, "write_report", recording)
     assert cli.main(argv) in (0, 1)
-    out = capsys.readouterr().out
-    assert len(documents) == 1
-    assert_same_text(out, oracle_json_text(documents[0]))
+    assert len(calls) == 1
+    fmt, sections, members = calls[0]
+    return capsys.readouterr().out, oracle_render_report(fmt, sections, **members)
+
+
+@pytest.mark.parametrize("argv", REPORT_ARGVS, ids=lambda argv: "-".join(argv[:3]))
+def test_json_text_is_the_indent_2_rendering_of_reports(argv, monkeypatch, capsys):
+    assert_same_text(*_cli_report_and_oracle(argv, monkeypatch, capsys))
+
+
+@pytest.mark.parametrize("argv", REPORT_ARGVS, ids=lambda argv: "-".join(argv[:3]))
+def test_csv_reports_match_the_row_wise_oracle(argv, monkeypatch, capsys):
+    assert_same_text(*_cli_report_and_oracle([*argv, "--format", "csv"], monkeypatch, capsys))
+
+
+RECORD_TYPES = [verify.CheckReport, verify.Su2ConvergenceRow, verify.WignerEckartRow, verify.ReducedElementRow,
+                TensorOperatorFamily]
+
+
+def _report_text(fmt: str, sections, **members) -> str:
+    buffer = io.StringIO()
+    write_report(fmt, sections, buffer, **members)
+    return buffer.getvalue()
+
+
+def assert_report_matches_oracle(sections, **members) -> None:
+    for fmt in ("json", "csv"):
+        assert_same_text(_report_text(fmt, sections, **members), oracle_render_report(fmt, sections, **members))
+
+
+def test_reports_of_empty_sections_match_the_oracle():
+    sections = [(f"key_{t.__name__}", t.__name__, t, []) for t in RECORD_TYPES]
+    assert_report_matches_oracle(sections, config={"seed": 1}, passed=True)
+    assert_report_matches_oracle(sections[:1])
+
+
+_STRINGS = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\t\n", "caf\u00e9 \u043a\u043b\u044e\u0447",
+                                        "\u2028\U0001f600", "", "nan", "Infinity"])
+_EXTREME_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 0.1])
+_REPORT_FLOATS = st.floats() | _EXTREME_FLOATS
+# what each annotation admits: its own type first, then values of other types
+# that the writer must spell value by value (or as numpy scalars, by column)
+_FIELD_VALUES = {
+    "str": _STRINGS,
+    "bool": st.booleans(),
+    "int": st.integers() | st.sampled_from([10**30, -(10**40), 0]),
+    "float": _REPORT_FLOATS | _REPORT_FLOATS.map(np.float64),
+    "complex": st.builds(complex, _REPORT_FLOATS, _REPORT_FLOATS)
+    | st.builds(complex, _REPORT_FLOATS, _REPORT_FLOATS).map(np.complex128),
+}
+_MIXED_VALUES = st.one_of(*_FIELD_VALUES.values(), st.none(), st.lists(_REPORT_FLOATS, max_size=2))
+
+
+@st.composite
+def _records(draw, record_type):
+    """Records of ``record_type``; a column may also mix in values of any other type."""
+    mixed = {f.name: draw(st.booleans()) for f in fields(record_type)}
+    return [
+        record_type(**{f.name: draw(_MIXED_VALUES if mixed[f.name] and draw(st.booleans()) else _FIELD_VALUES[f.type])
+                       for f in fields(record_type)})
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+
+
+@st.composite
+def _report_sections(draw):
+    types = draw(st.lists(st.sampled_from(RECORD_TYPES), min_size=1, max_size=3))
+    return [(f"{'az'[i % 2]}{i}", f"section {i}", t, draw(_records(t))) for i, t in enumerate(types)]
+
+
+@given(_report_sections(), st.booleans())
+def test_reports_match_the_row_wise_oracle_on_generated_records(sections, passed):
+    assert_report_matches_oracle(sections, config={"quadrature": [8, 16], "tol": 1e-9}, passed=passed)
+
+
+@pytest.mark.parametrize("record_type", RECORD_TYPES, ids=lambda t: t.__name__)
+def test_long_reports_match_the_row_wise_oracle(record_type):
+    # from 256 rows on a float column spells each distinct bit pattern once
+    rng = np.random.default_rng(5)
+    pool = {"str": ["(1 2)", "e", "\u00e9\"q\""], "bool": [True, False], "int": [0, 3, 10**20],
+            "float": [0.0, -0.0, math.nan, math.inf, 5e-324, 0.1], "complex": [complex(math.nan, -0.0), 1j, complex(-1.5)]}
+    for rows in (255, 256, 700):
+        records = [record_type(**{f.name: pool[f.type][rng.integers(len(pool[f.type]))]
+                                  for f in fields(record_type)}) for _ in range(rows)]
+        assert_report_matches_oracle([("rows", "rows", record_type, records)], passed=False)
 
 
 ADVERSARIAL_DOCUMENT = {

