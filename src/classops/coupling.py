@@ -36,21 +36,19 @@ Index conventions (kept rigidly throughout):
   Condon-Shortley coefficients of every J from one ``eigh`` of J^2 over all
   M blocks (no factorials, no cancelling sums), and ``su2_coupling_table``
   turns each J's coefficients into its copy in place: the spin-sigma
-  conjugation intertwiner is a signed index flip.  What depends on the spins
-  alone (the entries of J^2, the ladders, the buffer layout) is planned once
-  per spin pair and cached; the eigensolve runs on every call.  The SU(2)
-  triple-product sum takes its phase moments from a per-chunk histogram of
-  the node weights over their (theta, phi, psi) values (``_triple_sum_su2``).
+  conjugation intertwiner is a signed index flip.  The SU(2) triple-product
+  sum takes its phase moments from a per-chunk histogram of the node
+  weights over their (theta, phi, psi) values (``_triple_sum_su2``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
-from .groups import FiniteGroup, ConjugacyClass
+from . import groups
+from .groups import FiniteGroup, ConjugacyClass, _chunks
 from .representations import CharacterTable, Irrep
 from .class_operators import weighted_class_operator
 from .su2 import WignerD
@@ -202,11 +200,6 @@ class TensorOperatorFamily:
 # ---------------------------------------------------------------------------
 
 
-# Complex entries of one intermediate of a stacked pass over the (sigma, gamma)
-# pairs of one shape block (2 MB)
-_BLOCK_CHUNK_ENTRIES = 1 << 17
-
-
 def conjugation_decomposition(
     group: FiniteGroup,
     irreps_list: list[Irrep],
@@ -219,10 +212,10 @@ def conjugation_decomposition(
     for every sigma.  Each gamma-block comes from the averages
     K_q F = (n^gamma/|G|) sum_g conj(t^gamma_{q0}(g)) T(g) F T(g)^H,
     summed over T(g) directly, in one stacked pass per shape block: the
-    (sigma, gamma) pairs of one (d_sigma, multiplicity m, d_gamma), in chunks
-    of at most ``_BLOCK_CHUNK_ENTRIES`` numbers per intermediate (a 1-dim
-    sigma needs none: its copy is the 1 x 1 identity).  The copy
-    seeds F_m of a chunk are one ``_orthonormal_range`` of its stack of K_0
+    (sigma, gamma) pairs of one (d_sigma, multiplicity m, d_gamma), in the
+    chunks of ``groups._chunks`` (a 1-dim sigma needs none: its copy is the
+    1 x 1 identity).  The copy seeds F_m of a chunk are one
+    ``_orthonormal_range`` of its stack of K_0
     (each one (d^2, |G|) @ (|G|, d^2) product), and its copies
     e_{m q} = K_q F_m, which transform with exactly the stored t^gamma, one
     product of the weights with the sandwiches T F T^H.  Another basis of the
@@ -244,10 +237,9 @@ def conjugation_decomposition(
             for s, g in (pairs[i] for i in block):
                 bases[s][g] = np.ones((1, 1, 1, 1), dtype=complex)
             continue
-        step = max(1, _BLOCK_CHUNK_ENTRIES // max(n * m * d * d, d**4))
         weights = {}  # gamma -> w[q, g] = (n^gamma/|G|) conj(t^gamma_{q0}(g))
-        for lo in range(0, len(block), step):
-            chunk = [pairs[i] for i in block[lo:lo + step]]
+        for part in _chunks(len(block), max(n * m * d * d, d**4)):
+            chunk = [pairs[i] for i in block[part]]
             for _, g in chunk:
                 if g not in weights:
                     weights[g] = (d_gamma / n) * irreps_list[g].matrices[:, :, 0].T.conj()
@@ -300,77 +292,6 @@ def rotate_coupling_table(tables: list[CouplingTable], bases: list[np.ndarray]) 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _JSquaredPlan:
-    """What the all-J eigensolve of j1 (x) j2 takes from the spins alone.
-
-    a is the spin with fewer states (n of them), b the other; block t of the
-    (blocks, n, n) stack holds the states ia + ib = t (ia, ib the indices of
-    m_a, m_b), and column c of every block is J = j1 + j2 - top[c] with
-    top[c] = n - 1 - c, whose ladder runs over the blocks
-    top[c] <= t < blocks - top[c].  Everything is
-    O(blocks n), so a plan costs far less than the eigensolve it feeds; its
-    arrays are read-only, since the cache shares them between calls.
-    """
-
-    n: int
-    b2: int
-    axes: tuple[int, int, int]       # (M, m_a, m_b) -> (m1, m2, M)
-    diag: np.ndarray                 # (blocks, n): 2 m_a m_b, padded below the spectrum
-    off: np.ndarray                  # (blocks, n - 1): <ia + 1| J_a^- J_b^+ |ia>
-    lower_a: np.ndarray              # (n - 1, 1): <ia + 1| J_a^- |ia>
-    lower_b: np.ndarray              # (blocks - 1, n, 1): <ib + 1| J_b^- |ib> in block t
-    chain: np.ndarray                # (blocks - 1, n): blocks t and t + 1 both on column c's ladder
-    highest: np.ndarray              # (n, n): [c, ia] -> flat index of vec[top[c], ia, c]
-    alternate: np.ndarray            # (n,): (-1)^ia
-    exchange: np.ndarray             # (n,): True where the exchange sign (-1)^(j1 + j2 - J) is -1 (j1 > j2)
-    inside: np.ndarray               # (blocks, n, 1): 1 on the states of the product, 0 on padding
-    columns: tuple                   # per J: (J2, c, first block, last block + 1, start in the buffer)
-    size: int                        # floats of every J's (2J+1, n, 2b+1) array together
-
-
-@lru_cache(maxsize=128)
-def _j_squared_plan(j1_2: int, j2_2: int) -> _JSquaredPlan:
-    swap = j1_2 > j2_2
-    a2, b2 = (j2_2, j1_2) if swap else (j1_2, j2_2)
-    n, blocks = a2 + 1, a2 + b2 + 1
-    ia = np.arange(n)
-    t = np.arange(blocks)[:, None]
-    ib = t - ia
-    inside = (ib >= 0) & (ib <= b2)
-    lower_a = np.sqrt((a2 - ia) * (ia + 1.0))                   # <m-1| J_- |m> at m = a - ia
-    lower_b = np.sqrt(np.maximum((b2 - ib) * (ib + 1.0), 0.0))
-    pad = -1.0 - (a2 * (a2 + 2) + b2 * (b2 + 2)) / 4
-    top = n - 1 - ia                                             # the block M = J of each column
-    ladder = np.minimum(t, blocks - 1 - t) >= top                # -J <= M <= J
-    j_2 = a2 + b2 - 2 * top
-    sizes = (j_2 + 1) * n * (b2 + 1)
-    starts = np.cumsum(sizes) - sizes
-    plan = _JSquaredPlan(
-        n=n,
-        b2=b2,
-        axes=(2, 1, 0) if swap else (1, 2, 0),
-        diag=np.where(inside, (a2 - 2 * ia) * (b2 - 2 * ib) / 2.0, pad),
-        off=lower_a[:-1] * lower_b[:, 1:],
-        lower_a=lower_a[:-1, None],
-        lower_b=lower_b[:-1, :, None],
-        chain=ladder[1:] & ladder[:-1],
-        highest=(top * n * n)[:, None] + ia * n + ia[:, None],
-        alternate=(-1.0) ** ia,
-        exchange=(top % 2 == 1) & swap,
-        inside=inside[:, :, None].astype(float),
-        columns=tuple(
-            (int(j), c, int(first), blocks - int(first), int(start))
-            for c, (j, first, start) in enumerate(zip(j_2, top, starts))
-        ),
-        size=int(sizes.sum()),
-    )
-    for value in vars(plan).values():
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-    return plan
-
-
 def clebsch_gordan(j1_2: int, j2_2: int) -> dict[int, np.ndarray]:
     """Condon-Shortley <j1 m1 j2 m2 | J M> of every J in j1 (x) j2, as
     {J2: array (2j1+1, 2j2+1, 2J+1)} in ascending J; doubled integer spins,
@@ -389,35 +310,52 @@ def clebsch_gordan(j1_2: int, j2_2: int) -> dict[int, np.ndarray]:
     sqrt(J(J+1) - M(M-1)) >= 1: no small coefficient decides a sign.  The
     other spin order follows by exchange, (-1)^(j1+j2-J).  Each J's array is
     a transposed view of its own (M, m, m') block of one buffer, m the spin
-    with fewer states; what depends on the spins alone is planned once
-    (``_j_squared_plan``).
+    with fewer states.  Block t of the (blocks, n, n) stack holds the states
+    ia + ib = t (ia, ib the indices of m_a, m_b, a the spin with fewer
+    states), and the ladder of column c runs over the blocks
+    top <= t < blocks - top, top = n - 1 - c.  Everything is made on each
+    call: the entries, ladders and layout are O(blocks n), about what the
+    eigensolve costs at small spins and far less at large ones.
     """
-    plan = _j_squared_plan(j1_2, j2_2)
-    n = plan.n
-    blocks = len(plan.diag)
+    swap = j1_2 > j2_2
+    a2, b2 = (j2_2, j1_2) if swap else (j1_2, j2_2)
+    n, blocks = a2 + 1, a2 + b2 + 1
+    ia = np.arange(n)
+    t = np.arange(blocks)[:, None]
+    ib = t - ia
+    inside = (ib >= 0) & (ib <= b2)
+    lower_a = np.sqrt((a2 - ia) * (ia + 1.0))                   # <m-1| J_- |m> at m = a - ia
+    lower_b = np.sqrt(np.maximum((b2 - ib) * (ib + 1.0), 0.0))
+    top = n - 1 - ia                                             # the block M = J of each column
+    ladder = np.minimum(t, blocks - 1 - t) >= top                # -J <= M <= J
     h = np.zeros((blocks, n * n))
-    h[:, ::n + 1] = plan.diag
-    h[:, n::n + 1] = plan.off
+    pad = -1.0 - (a2 * (a2 + 2) + b2 * (b2 + 2)) / 4             # below the spectrum
+    h[:, ::n + 1] = np.where(inside, (a2 - 2 * ia) * (b2 - 2 * ib) / 2.0, pad)  # 2 m_a m_b
+    h[:, n::n + 1] = lower_a[:-1] * lower_b[:, 1:]               # <ia + 1| J_a^- J_b^+ |ia>
     vec = np.linalg.eigh(h.reshape(blocks, n, n))[1]
-    lowered = plan.lower_b * vec[:-1]                  # J_- of block t in block t + 1's states
-    lowered[:, 1:] += plan.lower_a * vec[:-1, :-1]
+    lowered = lower_b[:-1, :, None] * vec[:-1]                   # J_- of block t in block t + 1's states
+    lowered[:, 1:] += lower_a[:-1, None] * vec[:-1, :-1]
     flips = np.empty((blocks, n), dtype=bool)
-    np.less(np.take(vec, plan.highest) @ plan.alternate, 0, out=flips[0])
+    highest = (top * n * n)[:, None] + ia * n + ia[:, None]      # [c, ia] -> flat index of vec[top[c], ia, c]
+    np.less(np.take(vec, highest) @ (-1.0) ** ia, 0, out=flips[0])
     np.less((vec[1:] * lowered).sum(axis=1), 0, out=flips[1:])
-    flips[1:] &= plan.chain
-    odd = np.logical_xor.accumulate(flips) ^ plan.exchange
-    vec *= np.where(odd[:, None, :], -plan.inside, plan.inside)  # and zero on the padding
+    flips[1:] &= ladder[1:] & ladder[:-1]
+    odd = np.logical_xor.accumulate(flips) ^ ((top % 2 == 1) & swap)  # and the exchange sign
+    inside = inside[:, :, None].astype(float)
+    vec *= np.where(odd[:, None, :], -inside, inside)  # and zero on the padding
     # column c of its ladder's blocks is J's (M, m_a, m_b) array, whose
     # entry (M, ia, ib = M + first - ia) sits M (n (2b+1) + 1) + ia 2b floats
     # after the first; padded entries land on zeros of other states
-    flat = np.zeros(plan.size)
-    strides = (8 * (n * (plan.b2 + 1) + 1), 8 * plan.b2)
+    j_2 = a2 + b2 - 2 * top
+    sizes = (j_2 + 1) * n * (b2 + 1)
+    starts = np.cumsum(sizes) - sizes
+    flat = np.zeros(int(sizes.sum()))
+    strides = (8 * (n * (b2 + 1) + 1), 8 * b2)
     out = {}
-    for j_2, c, first, last, start in plan.columns:
-        skew = np.ndarray((last - first, n), buffer=flat, offset=8 * (start + first), strides=strides)
-        skew[...] = vec[first:last, :, c]
-        size = (j_2 + 1) * n * (plan.b2 + 1)
-        out[j_2] = flat[start:start + size].reshape(j_2 + 1, n, plan.b2 + 1).transpose(plan.axes)
+    for c, (j, first, start, size) in enumerate(zip(j_2.tolist(), top.tolist(), starts.tolist(), sizes.tolist())):
+        skew = np.ndarray((blocks - 2 * first, n), buffer=flat, offset=8 * (start + first), strides=strides)
+        skew[...] = vec[first:blocks - first, :, c]
+        out[j] = flat[start:start + size].reshape(j + 1, n, b2 + 1).transpose((2, 1, 0) if swap else (1, 2, 0))
     return out
 
 
@@ -454,9 +392,9 @@ def z_fixed_bases(irreps_list: list[Irrep], table: CharacterTable, centralizer) 
     A 1-dim irrep's average is the Z0 average of its character,
     sum_C chi(C) z_C / |Z0| with z_C the number of centralizer elements in
     class C (read off ``table.class_of``), one product for all of them.  Above
-    dimension 1 the irreps are stacked in chunks of at most
-    ``_BLOCK_CHUNK_ENTRIES`` numbers (an irrep larger than that alone, as a
-    view) and each chunk gathers its centralizer matrices at once.
+    dimension 1 the irreps are stacked in the chunks of ``groups._chunks``
+    (an irrep larger than one chunk alone, as a view) and each chunk gathers
+    its centralizer matrices at once.
     ``_z_fixed_stack`` takes the averages of one dimension together.
     """
     if len(irreps_list) != len(table.dims):
@@ -468,10 +406,9 @@ def z_fixed_bases(irreps_list: list[Irrep], table: CharacterTable, centralizer) 
             counts = np.bincount(table.class_of[cent], minlength=len(table.classes))
             avg = (table.values[rows] @ counts / len(cent))[:, None, None]
         else:
-            step = max(1, _BLOCK_CHUNK_ENTRIES // irreps_list[rows[0]].matrices.size)
             avg = np.concatenate([
-                _stack([irreps_list[r].matrices for r in rows[lo:lo + step]])[:, cent].sum(axis=1)
-                for lo in range(0, len(rows), step)
+                _stack([irreps_list[r].matrices for r in rows[chunk]])[:, cent].sum(axis=1)
+                for chunk in _chunks(len(rows), irreps_list[rows[0]].matrices.size)
             ]) / len(cent)
         m_alphas, bases = _z_fixed_stack(avg)
         for r, m_alpha, basis in zip(rows, m_alphas.tolist(), bases):
@@ -613,7 +550,7 @@ def _triple_sum_su2(alpha2: int, sigma2: int, angles: np.ndarray, weights: np.nd
     psi) values into a histogram W over the values it holds, takes the moments
     of all its thetas as the two products L^T W R with the phases L, R of those
     phi and psi, and sums every (k, i, s, l, r, p) in one contraction.  A
-    chunk holds at most ``_BLOCK_CHUNK_ENTRIES`` numbers per theta-stacked
+    chunk holds at most ``groups._CHUNK_ENTRIES`` numbers per theta-stacked
     intermediate (the histogram, bounded through its node count and the
     distinct phi and psi of the whole set, or the contraction, which takes
     at least one theta), so a product rule bins each chunk's nodes once and a
@@ -642,13 +579,14 @@ def _triple_sum_su2(alpha2: int, sigma2: int, angles: np.ndarray, weights: np.nd
     sigma_d = WignerD(sigma2).little_d(thetas).reshape(len(thetas), -1)
     sigma_pairs = (sigma_d[:, :, None] * sigma_d[:, None, :]).reshape(len(thetas), 1, -1)  # d_ir d_sp
     lhs = np.zeros(len(position), dtype=complex)
-    term = min(len(lhs), _BLOCK_CHUNK_ENTRIES)  # one theta's terms; a larger one still takes its theta whole
+    bound = groups._CHUNK_ENTRIES
+    term = min(len(lhs), bound)  # one theta's terms; a larger one still takes its theta whole
     lo = 0
     while lo < len(order):
-        span = t_sorted[lo:lo + _BLOCK_CHUNK_ENTRIES] - t_sorted[lo] + 1  # thetas of the first n nodes
+        span = t_sorted[lo:lo + bound] - t_sorted[lo] + 1  # thetas of the first n nodes
         n = np.arange(1, len(span) + 1)
         per_theta = np.maximum(np.minimum(n, len(phis)) * np.minimum(n, len(psis)), term)
-        hi = lo + max(1, int(np.count_nonzero(span * per_theta <= _BLOCK_CHUNK_ENTRIES)))
+        hi = lo + max(1, int(np.count_nonzero(span * per_theta <= bound)))
         nodes, t = order[lo:hi], t_sorted[lo:hi] - t_sorted[lo]
         u_values, u = _ranks(u_of[nodes], len(phis))
         v_values, v = _ranks(v_of[nodes], len(psis))
@@ -709,10 +647,6 @@ def _wigner_eckart_stack(
     return np.einsum("...mkui,...lm->...klui", copies, reduced), reduced
 
 
-# Complex entries of one intermediate of wigner_eckart_bruteforce (2 MB)
-_BRUTE_CHUNK_ENTRIES = 1 << 17
-
-
 def wigner_eckart_bruteforce(
     group: FiniteGroup,
     adapted: list[Irrep],
@@ -733,8 +667,8 @@ def wigner_eckart_bruteforce(
     multiplication law of the irreps is not used).  Per chunk of columns
     (gamma, u, v), one P @ translates product gives the sums over c for every
     weight, and one (sum_sigma d_sigma^2, |G|) product takes the sums over x
-    against every conj t^sigma_ij.  A chunk holds at most
-    ``_BRUTE_CHUNK_ENTRIES`` numbers per intermediate, or one column.
+    against every conj t^sigma_ij.  The chunks of columns come from
+    ``groups._chunks``, at least one column each.
 
     Yields (gamma, columns, block): ``columns`` slices the flattened (u, v) of
     gamma, and block[w, (sigma, i, j), (u, v)] holds the inner products of
@@ -752,10 +686,8 @@ def wigner_eckart_bruteforce(
     pushed = weighted_class_operator(group, g0, stack)[:, support]
     phi = np.concatenate([t.conj() * (d / n) for t, d in zip(coeffs, dims)])
     translates = group.mult_table[support]  # translates[c, x] = c x
-    step = max(1, _BRUTE_CHUNK_ENTRIES // (n * max(len(support), len(pushed))))
     for gamma, d in enumerate(dims):
-        for lo in range(0, d * d, step):
-            columns = slice(lo, min(lo + step, d * d))
+        for columns in _chunks(d * d, n * max(len(support), len(pushed))):
             rows = coeffs[gamma][columns]
             summed = pushed @ rows[:, translates]  # [(u, v), w, x] = sum_c p_w(c) t^gamma_uv(c x)
             block = phi @ summed.reshape(-1, n).T

@@ -45,6 +45,17 @@ __all__ = [
 
 DEFAULT_ORDER_CAP = 10080
 
+# Entries of one intermediate of a chunked pass over elements, pairs or nodes
+# (2 MB complex); every chunked pass of the package takes its slices here
+_CHUNK_ENTRIES = 1 << 17
+
+
+def _chunks(count: int, entries_each: int) -> list[slice]:
+    """Slices of range(count), each of at most ``_CHUNK_ENTRIES`` entries when
+    every item holds ``entries_each``, and each of at least one item."""
+    step = max(1, _CHUNK_ENTRIES // entries_each)
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
 
 class GroupConstructionError(ValueError):
     """Invalid group descriptor, broken table axioms, or oversized closure."""
@@ -338,7 +349,6 @@ def _closure(
     generators: list[tuple[int, ...]],
     name: str,
     family: tuple | None,
-    order_cap: int,
 ) -> FiniteGroup:
     """Breadth-first closure of permutation generators.
 
@@ -365,9 +375,9 @@ def _closure(
         for pos, key in enumerate(keys):
             if key not in index:
                 discovered.setdefault(key, pos)
-        if len(index) + len(discovered) > order_cap:
+        if len(index) + len(discovered) > DEFAULT_ORDER_CAP:
             raise GroupConstructionError(
-                f"group too large: closure exceeded the order cap {order_cap}"
+                f"group too large: closure exceeded the order cap {DEFAULT_ORDER_CAP}"
             )
         new = sorted(discovered)
         for key in new:
@@ -388,24 +398,24 @@ def _closure(
                        bfs_words=words, perms=np.frombuffer(b"".join(index), dtype=dtype).reshape(n, degree))
 
 
-def _check_catalog_order(order: int, order_cap: int) -> None:
+def _check_catalog_order(order: int) -> None:
     """Catalog orders are known in advance: refuse before building a permutation."""
-    if order > order_cap:
-        raise GroupConstructionError(f"group too large: order {order} exceeds the order cap {order_cap}")
+    if order > DEFAULT_ORDER_CAP:
+        raise GroupConstructionError(f"group too large: order {order} exceeds the order cap {DEFAULT_ORDER_CAP}")
 
 
-def cyclic_group(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupConstructionError("cyclic group needs n >= 1")
-    _check_catalog_order(n, order_cap)
+    _check_catalog_order(n)
     gens = [] if n == 1 else [tuple((i + 1) % n for i in range(n))]
-    return _closure(gens, f"C{n}", ("cyclic", n), order_cap)
+    return _closure(gens, f"C{n}", ("cyclic", n))
 
 
-def dihedral_group(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def dihedral_group(n: int) -> FiniteGroup:
     if n < 1:
         raise GroupConstructionError("dihedral group needs n >= 1")
-    _check_catalog_order(2 * n, order_cap)
+    _check_catalog_order(2 * n)
     if n == 1:
         gens = [parse_cycles("(1 2)")]
     elif n == 2:
@@ -414,33 +424,33 @@ def dihedral_group(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         rot = tuple((i + 1) % n for i in range(n))
         ref = tuple(0 if i == 0 else n - i for i in range(n))  # fixes point 1
         gens = [rot, ref]
-    return _closure(gens, f"D{n}", ("dihedral", n), order_cap)
+    return _closure(gens, f"D{n}", ("dihedral", n))
 
 
-def symmetric_group(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def symmetric_group(n: int) -> FiniteGroup:
     if not 1 <= n <= 5:
         raise GroupConstructionError("symmetric catalog group supports 1 <= n <= 5")
-    _check_catalog_order(math.factorial(n), order_cap)
+    _check_catalog_order(math.factorial(n))
     gens = []
     if n >= 2:
         gens.append(parse_cycles("(1 2)", n))
     if n >= 3:
         gens.append(tuple((i + 1) % n for i in range(n)))
-    return _closure(gens, f"S{n}", ("symmetric", n), order_cap)
+    return _closure(gens, f"S{n}", ("symmetric", n))
 
 
-def quaternion_group(n: int = 8, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def quaternion_group(n: int = 8) -> FiniteGroup:
     """Q8, the only quaternion group in the catalog: n must be 8."""
     if n != 8:
         raise GroupConstructionError("only Q8 is in the quaternion catalog")
-    _check_catalog_order(8, order_cap)
+    _check_catalog_order(8)
     # left-regular action of Q8 on itself, points ordered 1,-1,i,-i,j,-j,k,-k
     gen_i = parse_cycles("(1 3 2 4)(5 7 6 8)")
     gen_j = parse_cycles("(1 5 2 6)(3 8 4 7)")
-    return _closure([gen_i, gen_j], "Q8", ("quaternion", 8), order_cap)
+    return _closure([gen_i, gen_j], "Q8", ("quaternion", 8))
 
 
-# family -> constructor(n, order_cap); "<letter><n>" names the family by its initial
+# family -> constructor(n); "<letter><n>" names the family by its initial
 _CATALOG = {
     "cyclic": cyclic_group,
     "dihedral": dihedral_group,
@@ -462,9 +472,8 @@ def _parse_count(digits: str) -> int:
 def group_from_generators(
     cycle_strings: list[str],
     name: str = "G",
-    order_cap: int = DEFAULT_ORDER_CAP,
 ) -> FiniteGroup:
-    return _closure([parse_cycles(s) for s in cycle_strings], name, None, order_cap)
+    return _closure([parse_cycles(s) for s in cycle_strings], name, None)
 
 
 def group_from_table(table, labels: list[str] | None = None, name: str = "G") -> FiniteGroup:
@@ -511,7 +520,7 @@ def _string_list(value, what: str) -> list[str]:
     return list(value)
 
 
-def build_group(spec, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def build_group(spec) -> FiniteGroup:
     """Build a group from a construction descriptor.
 
     Accepted forms:
@@ -524,16 +533,19 @@ def build_group(spec, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
 
     Both catalog forms go through one family -> constructor table and accept the
     same groups; the quaternion family holds only Q8, so it needs n = 8 in both.
-    A descriptor of any other shape raises ``GroupConstructionError``.
+    The generators and table mappings take an optional string ``"name"``
+    (default ``"G"``).  A descriptor of any other shape, or a name that is
+    not a string, raises ``GroupConstructionError``.  Every construction
+    refuses a group above ``DEFAULT_ORDER_CAP``, read when it runs.
     """
     if isinstance(spec, str):
         match = _CATALOG_RE.match(spec.strip())
         if not match:
             raise GroupConstructionError(f"unknown catalog group {spec!r}")
         letter, digits = match.groups()
-        return _CATALOG[_FAMILY_OF_LETTER[letter.upper()]](_parse_count(digits), order_cap)
+        return _CATALOG[_FAMILY_OF_LETTER[letter.upper()]](_parse_count(digits))
     if isinstance(spec, (list, tuple)):
-        return group_from_generators(_string_list(spec, "generators"), order_cap=order_cap)
+        return group_from_generators(_string_list(spec, "generators"))
     if isinstance(spec, dict):
         if "catalog" in spec:
             cat = spec["catalog"]
@@ -544,13 +556,14 @@ def build_group(spec, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
             family = cat.get("family", "").lower()
             if family not in _CATALOG:
                 raise GroupConstructionError(f"unknown catalog family {family!r}")
-            return _CATALOG[family](cat.get("n", 0), order_cap)
+            return _CATALOG[family](cat.get("n", 0))
+        name = spec.get("name", "G")
+        if not isinstance(name, str):
+            raise GroupConstructionError("'name' must be a string")
         if "generators" in spec:
-            return group_from_generators(_string_list(spec["generators"], "'generators'"), order_cap=order_cap)
+            return group_from_generators(_string_list(spec["generators"], "'generators'"), name)
         if "table" in spec:
-            labels, name = spec.get("labels"), spec.get("name", "G")
-            if not isinstance(name, str):
-                raise GroupConstructionError("'name' must be a string")
+            labels = spec.get("labels")
             if labels is not None:
                 labels = _string_list(labels, "'labels'")
             return group_from_table(spec["table"], labels=labels, name=name)

@@ -24,7 +24,7 @@ from itertools import product
 
 import numpy as np
 
-from .groups import FiniteGroup, ConjugacyClass, conjugacy_classes
+from .groups import FiniteGroup, ConjugacyClass, _chunks, conjugacy_classes
 
 __all__ = [
     "Irrep",
@@ -487,18 +487,14 @@ def _spin(f: np.ndarray, dim: int, left: np.ndarray) -> np.ndarray | None:
     return w if k == dim else None
 
 
-# Complex entries of one intermediate of schur_defect (2 MB)
-_SCHUR_CHUNK_ENTRIES = 1 << 17
-
-
 def schur_defect(matrices: np.ndarray, seed: int = 0) -> float:
     """Distance of the averaged commutant from scalars over two random
     Hermitian probes; ~0 iff irreducible.  ``matrices`` is one (|G|, d, d)
     stack, or (m, |G|, d, d) for m irreps of one dimension, checked at once
     (the largest defect).  T X for both probes X is one (m |G| d, d) @ (d, 2d)
     product, and the averages (1/|G|) sum_g T X T^H one batched
-    (2d, |G| d) @ (|G| d, d) product per irrep, both over chunks of elements
-    of at most ``_SCHUR_CHUNK_ENTRIES`` numbers.
+    (2d, |G| d) @ (|G| d, d) product per irrep, both over the chunks of
+    elements of ``groups._chunks``.
     """
     dim, rng = matrices.shape[-1], np.random.default_rng(seed)
     mats = matrices.reshape(-1, *matrices.shape[-3:])
@@ -509,9 +505,8 @@ def schur_defect(matrices: np.ndarray, seed: int = 0) -> float:
         probes.append(x + x.conj().T)
     probes = np.concatenate(probes, axis=1)  # [X_0 | X_1]
     avg = np.zeros((m, 2 * dim, dim), dtype=complex)
-    step = max(1, _SCHUR_CHUNK_ENTRIES // (2 * m * dim * dim))
-    for lo in range(0, n, step):
-        t = mats[:, lo:lo + step]
+    for chunk in _chunks(n, 2 * m * dim * dim):
+        t = mats[:, chunk]
         c = t.shape[1]
         tx = (t.reshape(-1, dim) @ probes).reshape(m, c, dim, 2, dim)  # [i, g, a, p, b] = (T_g X_p)_ab
         t_h = t.conj().swapaxes(2, 3).reshape(m, c * dim, dim)          # [i, (g, b), e] = conj(T_g)_eb
@@ -529,9 +524,9 @@ def irreps(group: FiniteGroup, table: CharacterTable | None = None, seed: int = 
     generator images: a catalog table carries its own, and any other table's
     are spun out of the group algebra (``_spun_images``); each dimension is
     extended to every element in one walk.  Every dimension is checked on
-    every edge of the Cayley graph within 1e-10, each above 1 by one Schur
-    check within 1e-10, and every irrep must match its character row within
-    1e-8.
+    every edge of the Cayley graph within 1e-10, over the chunks of elements
+    of ``groups._chunks``, each above 1 by one Schur check within 1e-10, and
+    every irrep must match its character row within 1e-8.
     """
     if table is None:
         table = character_table(group, seed=seed)
@@ -545,9 +540,11 @@ def irreps(group: FiniteGroup, table: CharacterTable | None = None, seed: int = 
     done += [(rows, extend_from_generators(group, images), images) for rows, images in blocks]
     for rows, mats, images in done:
         # rho(x g) = rho(x) rho(g) on every edge of the Cayley graph, not only on the words' spanning tree
-        for slot, g in enumerate(group.generators):
-            if np.max(np.abs(mats @ images[:, slot:slot + 1] - mats[:, group.mult_table[:, g]])) > 1e-10:
-                raise ArithmeticError(f"constructed irreps {rows.tolist()} are not homomorphisms")
+        for chunk in _chunks(group.order, mats[:, 0].size):
+            for slot, g in enumerate(group.generators):
+                edge = mats[:, chunk] @ images[:, slot:slot + 1] - mats[:, group.mult_table[chunk, g]]
+                if np.max(np.abs(edge)) > 1e-10:
+                    raise ArithmeticError(f"constructed irreps {rows.tolist()} are not homomorphisms")
         if mats.shape[-1] > 1 and schur_defect(mats, seed=seed) > 1e-10:
             raise ArithmeticError(f"constructed irreps {rows.tolist()} failed the Schur irreducibility check")
     bases, stacks = np.array([c.base_element for c in table.classes]), [None] * len(table.dims)

@@ -42,6 +42,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .groups import _chunks
+
 __all__ = [
     "MAX_J2",
     "WignerD",
@@ -172,10 +174,6 @@ def fixed_column_index(j2: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-# Entries per (nodes, terms) array of the Gauss-Legendre rule, 0.5 MiB each.
-_RULE_BLOCK_ENTRIES = 1 << 16
-
-
 def _legendre_cosine_series(theta: np.ndarray, freqs: np.ndarray, coeffs: np.ndarray):
     """P_n(cos theta) = sum_k coeffs_k cos(freqs_k theta), and -dP_n/dtheta, to
     round-off in the sum.
@@ -206,8 +204,9 @@ def _gauss_legendre_angles(n: int) -> tuple[np.ndarray, np.ndarray]:
     2 / (dP_n/dtheta)^2, with no 1 - x^2 to lose the endpoint weights (Hale &
     Townsend, SIAM J. Sci. Comput. 35, 2013); a fourth step above 1e-14
     raises ArithmeticError.  The other half is the mirror image, and for odd
-    n the middle node is pi/2.  Nodes go in blocks of at most
-    ``_RULE_BLOCK_ENTRIES`` (node, term) pairs.
+    n the middle node is pi/2.  Nodes go in the blocks of ``groups._chunks``,
+    each (node, term) pair counted as two entries: the Newton step and the
+    series hold several (nodes, terms) arrays at once.
     """
     i = np.arange(1.0, n + 1)
     g = np.cumprod(np.concatenate(([1.0], (2 * i - 1) / (2 * i))))  # g_k = C(2k, k) / 4^k
@@ -221,16 +220,15 @@ def _gauss_legendre_angles(n: int) -> tuple[np.ndarray, np.ndarray]:
     phi = (4.0 * np.arange(1, count + 1) - 1.0) * np.pi / (4 * n + 2)
     theta = phi + (1.0 - 1.0 / n) / (8.0 * n * n) / np.tan(phi)
     weights = np.empty(count)
-    step = max(1, _RULE_BLOCK_ENTRIES // len(k))
-    for lo in range(0, count, step):
-        block = theta[lo:lo + step]
+    for chunk in _chunks(count, 2 * len(k)):
+        block = theta[chunk]
         for _ in range(3):
             angles = np.multiply.outer(block, freqs)
             block += (np.cos(angles) @ coeffs) / (np.sin(angles) @ slopes)
         value, slope = _legendre_cosine_series(block, freqs, coeffs)
         if np.max(np.abs(value / slope)) > 1e-14:
             raise ArithmeticError(f"Gauss-Legendre nodes of order {n} did not converge")
-        weights[lo:lo + step] = 2.0 / slope**2
+        weights[chunk] = 2.0 / slope**2
         block += value / slope
     if n % 2:
         theta[-1] = np.pi / 2

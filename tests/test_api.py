@@ -125,7 +125,8 @@ def test_removed_names_are_gone_and_check_records_live_in_verify():
         ),
         classops.representations: ("matrix_element_functions", "IsotypicProjection", "represent", "_CatalogImages"),
         su2: ("ad_map", "PAULI", "SU2Element", "_weighted_core", "weighted_class_operator_su2"),
-        coupling: ("product_expansion_residual", "triple_product_residual", "_weighted_triple_sum", "z_fixed_basis"),
+        coupling: ("product_expansion_residual", "triple_product_residual", "_weighted_triple_sum", "z_fixed_basis",
+                   "_JSquaredPlan", "_j_squared_plan"),
         classops.Irrep: ("character",),
         su2.WignerD: ("__call__", "character"),
         su2.SphereQuadrature: ("total_weight",),
@@ -138,6 +139,37 @@ def test_removed_names_are_gone_and_check_records_live_in_verify():
     assert not hasattr(classops.cli.RunConfig, "tolerance")
     assert classops.CheckReport is verify.CheckReport
     assert classops.centralizer_invariance_deviation is classops.class_operators.centralizer_invariance_deviation
+
+
+def chunk_rules(module: str, source: str) -> list[str]:
+    """``module:line name`` of every ``*_ENTRIES`` constant but ``groups._CHUNK_ENTRIES``,
+    and of every ``max(1, ... // ...)`` step rule outside ``groups._chunks``."""
+    tree = ast.parse(source)
+    owner = [n for n in tree.body if module == "groups" and isinstance(n, ast.FunctionDef) and n.name == "_chunks"]
+    inside = {id(node) for fn in owner for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name) and target.id.endswith("_ENTRIES") \
+                        and (module, target.id) != ("groups", "_CHUNK_ENTRIES"):
+                    found.append(f"{module}:{node.lineno} {target.id}")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "max" \
+                and id(node) not in inside \
+                and any(isinstance(a, ast.Constant) and a.value == 1 for a in node.args) \
+                and any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.FloorDiv) for n in ast.walk(node)):
+            found.append(f"{module}:{node.lineno} max(1, ...)")
+    return found
+
+
+def test_only_groups_decides_how_much_of_a_sum_is_held_at_once():
+    # one constant and one slicing rule, so one monkeypatch reaches every chunked pass
+    found = [hit for path in sorted((ROOT / "src" / "classops").glob("*.py"))
+             for hit in chunk_rules(path.stem, path.read_text(encoding="utf-8"))]
+    assert found == []
+    planted = "_PAIR_ENTRIES = 1 << 12\n\ndef f(n):\n    return max(1, _PAIR_ENTRIES // n)\n"
+    assert chunk_rules("coupling", planted) == ["coupling:1 _PAIR_ENTRIES", "coupling:4 max(1, ...)"]
+    assert chunk_rules("groups", planted) == ["groups:1 _PAIR_ENTRIES", "groups:4 max(1, ...)"]
 
 
 @pytest.mark.parametrize("call", ["product_expansion", "triple_product"])

@@ -110,6 +110,21 @@ def test_quaternion_group_file_other_than_q8_is_a_group_error(catalog, tmp_path,
     assert json.loads(err) == {"error": "GroupConstructionError", "message": "only Q8 is in the quaternion catalog"}
 
 
+@pytest.mark.parametrize("document", [
+    {"generators": ["(1 2 3)", "(1 2 3 4 5)"], "name": "A5"},
+    {"table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "name": "C3t"},
+], ids=["generators", "table"])
+def test_a_group_file_keeps_its_name_and_refuses_one_not_a_string(document, tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(document))
+    code, out, _ = run(["finite-verify", "--group", f"file:{path}", "--n-random", "1"], capsys)
+    assert code == 0 and {row["group"] for row in json.loads(out)["checks"]} == {document["name"]}
+    path.write_text(json.dumps({**document, "name": 5}))
+    code, out, err = run(["finite-verify", "--group", f"file:{path}"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "GroupConstructionError", "message": "'name' must be a string"}
+
+
 def test_wrong_shape_group_file_from_a_new_process(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2]")
@@ -480,6 +495,43 @@ def test_an_empty_verdict_section_exits_2(argv, producer, empty, monkeypatch, ca
     assert code == 2 and out == ""
     error = json.loads(err)
     assert error["error"] == "ValueError" and f"'{_VERDICT_SECTIONS[argv[0]]}'" in error["message"]
+
+
+def _assert_close(a, b, where="$"):
+    """The same JSON structure, every string, int and bool equal, every float within 1e-13."""
+    if isinstance(a, dict):
+        assert isinstance(b, dict) and list(a) == list(b), where
+        for key in a:
+            _assert_close(a[key], b[key], f"{where}.{key}")
+    elif isinstance(a, list):
+        assert isinstance(b, list) and len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_close(x, y, f"{where}[{i}]")
+    elif isinstance(a, float):
+        assert isinstance(b, float) and abs(a - b) <= 1e-13, (where, a, b)
+    else:
+        assert type(a) is type(b) and a == b, (where, a, b)
+
+
+@pytest.mark.parametrize("argv", [
+    ["finite-verify", "--group", "S4", "--class", "all"],
+    ["wigner-eckart", "--group", "S4", "--class", "all"],
+    ["export-tables", "--group", "S4"],
+    ["wigner-eckart", "--group", "su2", "--max-spin-x2", "3"],
+], ids=["finite-verify", "wigner-eckart", "export-tables", "su2-wigner-eckart"])
+def test_a_chunk_bound_of_one_entry_keeps_every_row_and_verdict(argv, tmp_path, capsys, monkeypatch):
+    # every chunked pass takes its slices from groups._chunks, so a bound of
+    # one entry runs each pass one item at a time: the same rows and verdicts,
+    # values within round-off (_matmul's size cutoff may change their bits)
+    docs = []
+    for bound in (None, 1):
+        if bound is not None:
+            monkeypatch.setattr("classops.groups._CHUNK_ENTRIES", bound)
+        out = tmp_path / f"{bound}.json"
+        code, _, _ = run(argv + ["--output", str(out)], capsys)
+        assert code == 0
+        docs.append(json.loads(out.read_text()))
+    _assert_close(*docs)
 
 
 def test_export_tables(tmp_path, capsys):

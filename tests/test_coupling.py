@@ -172,7 +172,7 @@ def test_stacked_coupling_layer_matches_per_sigma_oracles(spec, tmp_path):
 def test_decomposition_in_chunks_of_one_pair_matches_whole_blocks(monkeypatch):
     group, table, reps = _tables_for("S5")
     whole = conjugation_decomposition(group, reps, table)
-    monkeypatch.setattr("classops.coupling._BLOCK_CHUNK_ENTRIES", 1)
+    monkeypatch.setattr("classops.groups._CHUNK_ENTRIES", 1)
     for tab, chunked in zip(whole, conjugation_decomposition(group, reps, table)):
         assert _max_gap(chunked.basis, tab.basis) < 1e-14
 
@@ -567,7 +567,7 @@ def test_bruteforce_matches_per_support_oracle_on_every_class(spec, tmp_path):
 
 def test_bruteforce_chunks_cover_every_column(monkeypatch):
     # with chunks of one column the streamed inner products are still the oracle's
-    monkeypatch.setattr("classops.coupling._BRUTE_CHUNK_ENTRIES", 1)
+    monkeypatch.setattr("classops.groups._CHUNK_ENTRIES", 1)
     group, table, reps = _tables_for("S4")
     cls = conjugacy_classes(group)[3]
     adapted, m_alphas = adapt_irreps_to_class(reps, z_fixed_bases(reps, table, cls.centralizer))

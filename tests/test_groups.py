@@ -197,9 +197,10 @@ def test_non_associative_table_rejected():
         group_from_table(table)
 
 
-def test_order_cap():
+def test_order_cap(monkeypatch):
+    monkeypatch.setattr(groups, "DEFAULT_ORDER_CAP", 100)
     with pytest.raises(GroupConstructionError, match="too large"):
-        build_group({"generators": ["(1 2)", "(1 2 3 4 5 6 7)"]}, order_cap=100)
+        build_group({"generators": ["(1 2)", "(1 2 3 4 5 6 7)"]})
 
 
 def _closure_must_not_run(*args, **kwargs):
@@ -213,13 +214,15 @@ def _closure_must_not_run(*args, **kwargs):
 ])
 def test_oversized_catalog_group_refused_before_closure(spec, cap, monkeypatch):
     monkeypatch.setattr(groups, "_closure", _closure_must_not_run)
+    monkeypatch.setattr(groups, "DEFAULT_ORDER_CAP", cap)
     with pytest.raises(GroupConstructionError, match="too large"):
-        build_group(spec, order_cap=cap)
+        build_group(spec)
 
 
 @pytest.mark.parametrize("spec,cap", [("C10", 10), ("D1", 2), ("D2", 4), ("D5", 10), ("S5", 120), ("Q8", 8)])
-def test_catalog_group_at_the_order_cap_is_built(spec, cap):
-    assert build_group(spec, order_cap=cap).order == cap
+def test_catalog_group_at_the_order_cap_is_built(spec, cap, monkeypatch):
+    monkeypatch.setattr(groups, "DEFAULT_ORDER_CAP", cap)
+    assert build_group(spec).order == cap
 
 
 @pytest.mark.parametrize("spec", [

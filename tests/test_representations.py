@@ -506,7 +506,7 @@ def test_schur_defect_matches_the_element_by_element_average(spec, monkeypatch):
     for stack, seed in [(b, 3) for b in blocks] + [(reducible, 0)]:
         want = oracle_schur_defect(stack, seed=seed)
         assert abs(schur_defect(stack, seed=seed) - want) < 1e-12
-        monkeypatch.setattr("classops.representations._SCHUR_CHUNK_ENTRIES", 1)   # one element per chunk
+        monkeypatch.setattr("classops.groups._CHUNK_ENTRIES", 1)   # one element per chunk
         assert abs(schur_defect(stack, seed=seed) - want) < 1e-12
         monkeypatch.undo()
     assert oracle_schur_defect(reducible) > 1e-3

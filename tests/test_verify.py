@@ -253,7 +253,7 @@ def test_wigner_eckart_report_reduces_one_column_chunks_like_whole_blocks(monkey
     corrupted[-1].matrices[5] *= -1.0
     monkeypatch.setattr(verify, "adapt_irreps_to_class", lambda *args: (corrupted, m_alphas))
     whole = wigner_eckart_report(group, cls, table, reps, coupling)
-    monkeypatch.setattr("classops.coupling._BRUTE_CHUNK_ENTRIES", 1)
+    monkeypatch.setattr("classops.groups._CHUNK_ENTRIES", 1)
     chunked = wigner_eckart_report(group, cls, table, reps, coupling)
     assert not all(r.passed for r in whole[0])
     assert [(r.sigma, r.alpha, r.k, r.l, r.passed) for r in chunked[0]] == [
